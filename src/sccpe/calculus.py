@@ -14,20 +14,36 @@ conjunction -- and six observable rules drive execution:
 * recursion unfolds a recursive definition by substitution;
 * extrusion moves a process from an agent's space up to its parent.
 
-``step`` enumerates all single-rule successors of a normalized state;
-``run`` explores to the successor-free states.  Rule application mirrors
-pattern-matching semantics: tell, ask, and space all require the local
-store object to exist, and extrusion only fires when the process sits in
-the space named by its own argument.
+``step`` enumerates all single-rule successors of a state.  States are
+canonical by construction: each successor is built from its normalized
+parent by removing the rewritten process object and putting at most two
+new objects in key order (or replacing a store in place), reusing every
+other object and its stored hash and key, so ``step`` never re-normalizes
+a whole state.  ``normalize`` stays total on raw states built by hand, and
+returns a state that is already normal as it is.  ``run`` explores to the
+successor-free states.  Rule application mirrors pattern-matching
+semantics: tell, ask, and space all require the local store object to
+exist, and extrusion only fires when the process sits in the space named
+by its own argument.
 """
 
 from __future__ import annotations
 
-import functools
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .formula import Formula, TRUE, canonicalize, conjoin, term_key
+from .formula import (
+    BOOL_KINDS,
+    TRUE,
+    Formula,
+    Node,
+    canonicalize,
+    chain_canonical,
+    conjoin,
+    node,
+    rebuild,
+)
 from .solver import Solver
 
 
@@ -84,77 +100,84 @@ def is_prefix(a: AgentId, b: AgentId) -> bool:
 # ---------------------------------------------------------------------------
 # Processes
 
-
-@dataclass(frozen=True)
-class Nil:
-    def __str__(self) -> str:
-        return "0"
+# The node classes a process position admits; filled in below.
+PROC_KINDS: set = set()
 
 
-@dataclass(frozen=True)
-class Tell:
-    constraint: Formula
+class _Proc(Node):
+    """Base of the processes."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_process(self)
 
 
-@dataclass(frozen=True)
-class Ask:
+@node
+class Nil(_Proc):
+    _tag = 100
+
+
+@node
+class Tell(_Proc):
+    constraint: Formula
+    _tag = 101
+    _kids = (("constraint", BOOL_KINDS, False),)
+
+
+@node
+class Ask(_Proc):
     guard: Formula
     then: "Process"
+    _tag = 102
+    _kids = (("guard", BOOL_KINDS, False), ("then", PROC_KINDS, False))
 
-    def __str__(self) -> str:
-        return format_process(self)
 
-
-@dataclass(frozen=True)
-class Par:
+@node
+class Par(_Proc):
     """Parallel composition; associative-commutative, kept flat and sorted
     in canonical form (duplicates are meaningful: it is a multiset)."""
 
     args: tuple  # >= 2 processes
+    _tag = 103
+    _kids = (("args", PROC_KINDS, True),)
 
-    def __str__(self) -> str:
-        return format_process(self)
+    def _canon_here(self) -> bool:
+        return chain_canonical(self, (Par,), strict=False)
 
 
-@dataclass(frozen=True)
-class Space:
+@node
+class Space(_Proc):
     agent: int
     body: "Process"
+    _tag = 104
+    _kids = (("body", PROC_KINDS, False),)
 
-    def __str__(self) -> str:
-        return format_process(self)
 
-
-@dataclass(frozen=True)
-class Rec:
+@node
+class Rec(_Proc):
     var: int
     body: "Process"
+    _tag = 105
+    _kids = Space._kids
 
-    def __str__(self) -> str:
-        return format_process(self)
 
-
-@dataclass(frozen=True)
-class Extr:
+@node
+class Extr(_Proc):
     agent: int
     body: "Process"
+    _tag = 106
+    _kids = Space._kids
 
-    def __str__(self) -> str:
-        return format_process(self)
 
-
-@dataclass(frozen=True)
-class ProcVar:
+@node
+class ProcVar(_Proc):
     var: int
-
-    def __str__(self) -> str:
-        return format_process(self)
+    _tag = 107
 
 
 Process = Union[Nil, Tell, Ask, Par, Space, Rec, Extr, ProcVar]
+PROC_KINDS.update((Nil, Tell, Ask, Par, Space, Rec, Extr, ProcVar))
 
 NIL = Nil()
 
@@ -174,45 +197,27 @@ def par(*args: Process) -> Process:
     return Par(tuple(sorted(flat, key=process_key)))
 
 
-_PROC_TAG = {Nil: 100, Tell: 101, Ask: 102, Par: 103, Space: 104, Rec: 105, Extr: 106, ProcVar: 107}
-
-
-@functools.lru_cache(maxsize=None)
 def process_key(p: Process) -> tuple:
-    tag = _PROC_TAG[type(p)]
-    if isinstance(p, Nil):
-        return (tag,)
-    if isinstance(p, Tell):
-        return (tag, term_key(p.constraint))
-    if isinstance(p, Ask):
-        return (tag, term_key(p.guard), process_key(p.then))
-    if isinstance(p, Par):
-        return (tag, tuple(process_key(a) for a in p.args))
-    if isinstance(p, (Space, Extr)):
-        return (tag, p.agent, process_key(p.body))
-    if isinstance(p, Rec):
-        return (tag, p.var, process_key(p.body))
-    return (tag, p.var)
+    """Key realizing a fixed total order on processes, computed when p was
+    built."""
+    return p._key
 
 
 def canon_process(p: Process) -> Process:
     """Canonical form: flat, sorted parallel compositions and canonical
-    constraint subterms, recursively."""
-    if isinstance(p, (Nil, ProcVar)):
+    constraint subterms, recursively.  A canonical process is returned as
+    it is, and only the parts of one that is not are rebuilt."""
+    if type(p) not in PROC_KINDS:
+        raise TypeError(f"not a process: {p!r}")
+    if p._canon:
         return p
-    if isinstance(p, Tell):
-        return Tell(canonicalize(p.constraint))
-    if isinstance(p, Ask):
-        return Ask(canonicalize(p.guard), canon_process(p.then))
     if isinstance(p, Par):
         return par(*(canon_process(a) for a in p.args))
-    if isinstance(p, Space):
-        return Space(p.agent, canon_process(p.body))
-    if isinstance(p, Rec):
-        return Rec(p.var, canon_process(p.body))
-    if isinstance(p, Extr):
-        return Extr(p.agent, canon_process(p.body))
-    raise TypeError(f"not a process: {p!r}")
+    return rebuild(p, _canon_kid)
+
+
+def _canon_kid(kinds: set, t):
+    return canon_process(t) if kinds is PROC_KINDS else canonicalize(t)
 
 
 def replace(p: Process, n: int, q: Process) -> Process:
@@ -220,23 +225,23 @@ def replace(p: Process, n: int, q: Process) -> Process:
 
     Substitution is homomorphic through tell/ask/parallel/space/extrusion
     but does not descend into recursion bodies, matching the unfolding
-    discipline of the rewrite rules.
+    discipline of the rewrite rules.  Subterms without an occurrence are
+    returned as they are.
     """
-    if isinstance(p, (Nil, Tell)):
-        return p
-    if isinstance(p, Ask):
-        return Ask(p.guard, replace(p.then, n, q))
-    if isinstance(p, Par):
-        return Par(tuple(replace(a, n, q) for a in p.args))
-    if isinstance(p, Space):
-        return Space(p.agent, replace(p.body, n, q))
-    if isinstance(p, Rec):
-        return p
-    if isinstance(p, Extr):
-        return Extr(p.agent, replace(p.body, n, q))
+    if type(p) not in PROC_KINDS:
+        raise TypeError(f"not a process: {p!r}")
     if isinstance(p, ProcVar):
         return q if p.var == n else p
-    raise TypeError(f"not a process: {p!r}")
+    if isinstance(p, Par):
+        args = tuple(replace(a, n, q) for a in p.args)
+        return p if all(a is b for a, b in zip(args, p.args)) else Par(args)
+    if isinstance(p, Ask):
+        then = replace(p.then, n, q)
+        return p if then is p.then else Ask(p.guard, then)
+    if isinstance(p, (Space, Extr)):
+        body = replace(p.body, n, q)
+        return p if body is p.body else type(p)(p.agent, body)
+    return p  # nil, tell, and recursion
 
 
 def format_process(p: Process, parent: int = 0) -> str:
@@ -267,19 +272,32 @@ def format_process(p: Process, parent: int = 0) -> str:
 # Objects and states
 
 
-@dataclass(frozen=True)
-class StoreObj:
+@node
+class StoreObj(Node):
     aid: AgentId
     constraint: Formula
+    _tag = 0
+    _kids = (("constraint", BOOL_KINDS, False),)
+
+    def _head(self) -> tuple:
+        return (self.aid.path,)
 
     def __str__(self) -> str:
         return f"[store, {self.aid}, {self.constraint}]"
 
 
-@dataclass(frozen=True)
-class ProcObj:
+@node
+class ProcObj(Node):
     aid: AgentId
     program: Process
+    _tag = 1
+    _kids = (("program", PROC_KINDS, False),)
+
+    def _head(self) -> tuple:
+        return (self.aid.path,)
+
+    def _canon_here(self) -> bool:
+        return type(self.program) is not Nil
 
     def __str__(self) -> str:
         return f"[process, {self.aid}, {self.program}]"
@@ -288,12 +306,18 @@ class ProcObj:
 Obj = Union[StoreObj, ProcObj]
 
 
-@dataclass(frozen=True)
-class SysState:
+@node
+class SysState(Node):
     """A multiset of objects; canonical once normalized (sorted, one store
-    per agent, no nil processes)."""
+    per agent, no nil processes, canonical payloads)."""
 
     objects: tuple
+    _tag = 200
+    _kids = (("objects", {StoreObj, ProcObj}, True),)
+
+    def _canon_here(self) -> bool:
+        keys = self._key[1]  # a store's key starts (0, path), a process's (1, path)
+        return all(a <= b and (b[0] or a[1] != b[1]) for a, b in zip(keys, keys[1:]))
 
     def __str__(self) -> str:
         inner = " ".join(str(o) for o in self.objects)
@@ -301,13 +325,11 @@ class SysState:
 
 
 def obj_key(o: Obj) -> tuple:
-    if isinstance(o, StoreObj):
-        return (0, o.aid.path, term_key(o.constraint))
-    return (1, o.aid.path, process_key(o.program))
+    return o._key
 
 
 def state_key(s: SysState) -> tuple:
-    return tuple(obj_key(o) for o in s.objects)
+    return s._key
 
 
 def exists_store(objects: Iterable[Obj], aid: AgentId) -> bool:
@@ -323,20 +345,25 @@ def store_map(s: SysState) -> dict:
 def normalize(s: SysState) -> SysState:
     """Exhaustive application of the invisible transitions plus canonical
     ordering: drop nil processes, merge same-agent stores by conjunction,
-    canonicalize all payloads, sort.  Idempotent."""
-    stores: dict[AgentId, Formula] = {}
+    canonicalize all payloads, sort.  Idempotent: a normalized state is
+    returned as it is, and so is every canonical object of one that is not."""
+    if s._canon:
+        return s
+    stores: dict[AgentId, StoreObj] = {}
     procs = []
     for o in s.objects:
         if isinstance(o, StoreObj):
-            if o.aid in stores:
-                stores[o.aid] = conjoin(stores[o.aid], o.constraint)
-            else:
-                stores[o.aid] = o.constraint
+            prev = stores.get(o.aid)
+            if prev is not None:
+                o = StoreObj(o.aid, conjoin(prev.constraint, o.constraint))
+            stores[o.aid] = o
         else:
             program = canon_process(o.program)
             if not isinstance(program, Nil):
-                procs.append(ProcObj(o.aid, program))
-    objects = [StoreObj(aid, canonicalize(c)) for aid, c in stores.items()]
+                procs.append(o if program is o.program else ProcObj(o.aid, program))
+    objects = [
+        o if o._canon else StoreObj(o.aid, canonicalize(o.constraint)) for o in stores.values()
+    ]
     objects.extend(procs)
     objects.sort(key=obj_key)
     return SysState(tuple(objects))
@@ -350,14 +377,21 @@ def step(s: SysState, solver: Solver) -> list:
     """All states reachable from s by one rule applied at one position.
 
     Returns normalized states, deduplicated and sorted by canonical key.
-    The input is expected to be normalized.
+    Each successor is s with the rewritten process object removed and at
+    most two new objects put in key order, or a store replaced in place;
+    every other object is reused as it is.
     """
-    objs = s.objects
+    objs = normalize(s).objects
     stores = {o.aid: (i, o.constraint) for i, o in enumerate(objs) if isinstance(o, StoreObj)}
     out = set()
 
-    def emit(new_objs: list) -> None:
-        out.add(normalize(SysState(tuple(new_objs))))
+    def emit(i: int, *added: Obj) -> None:
+        new = list(objs)
+        del new[i]
+        for o in added:
+            if isinstance(o, StoreObj) or not isinstance(o.program, Nil):
+                insort(new, o, key=obj_key)
+        out.add(SysState(tuple(new)))
 
     for i, o in enumerate(objs):
         if not isinstance(o, ProcObj):
@@ -368,46 +402,35 @@ def step(s: SysState, solver: Solver) -> list:
             if hit is None:
                 continue
             j, current = hit
-            new = list(objs)
-            new[j] = StoreObj(o.aid, conjoin(current, p.constraint))
-            new[i] = ProcObj(o.aid, NIL)
-            emit(new)
+            new = list(objs)  # a store keeps its place: stores are ordered by agent
+            new[j] = StoreObj(o.aid, canonicalize(conjoin(current, p.constraint)))
+            del new[i]
+            out.add(SysState(tuple(new)))
         elif isinstance(p, Ask):
             hit = stores.get(o.aid)
             if hit is None:
                 continue
             _, current = hit
             if solver.entails(current, p.guard):
-                new = list(objs)
-                new[i] = ProcObj(o.aid, p.then)
-                emit(new)
+                emit(i, ProcObj(o.aid, p.then))
         elif isinstance(p, Par):
             for k in range(len(p.args)):
                 rest = p.args[:k] + p.args[k + 1 :]
                 sibling = rest[0] if len(rest) == 1 else Par(rest)
-                new = list(objs)
-                new[i] = ProcObj(o.aid, p.args[k])
-                new.insert(i + 1, ProcObj(o.aid, sibling))
-                emit(new)
+                emit(i, ProcObj(o.aid, p.args[k]), ProcObj(o.aid, sibling))
         elif isinstance(p, Space):
             if o.aid not in stores:
                 continue
             child = o.aid.child(p.agent)
-            new = list(objs)
-            new[i] = ProcObj(o.aid, NIL)
-            new.append(StoreObj(child, TRUE))
-            new.append(ProcObj(child, p.body))
-            emit(new)
+            if child in stores:  # merging a true store would change nothing
+                emit(i, ProcObj(child, p.body))
+            else:
+                emit(i, StoreObj(child, TRUE), ProcObj(child, p.body))
         elif isinstance(p, Rec):
-            new = list(objs)
-            new[i] = ProcObj(o.aid, replace(p.body, p.var, p))
-            emit(new)
+            emit(i, ProcObj(o.aid, canon_process(replace(p.body, p.var, p))))
         elif isinstance(p, Extr):
             if not o.aid.is_root and o.aid.path[0] == p.agent:
-                new = list(objs)
-                new[i] = ProcObj(o.aid, NIL)
-                new.append(ProcObj(o.aid.parent, p.body))
-                emit(new)
+                emit(i, ProcObj(o.aid.parent, p.body))
     return sorted(out, key=state_key)
 
 

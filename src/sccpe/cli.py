@@ -235,6 +235,9 @@ def _cmd_search(args, out, err) -> int:
         else:
             print("No more solutions.", file=out)
         print(f"states: {outcome.states_explored}  solutions: {len(outcome.matches)}", file=out)
+    capped = args.max_solutions is not None and len(outcome.matches) >= args.max_solutions
+    if outcome.truncated and not capped:
+        print(f"warning: depth bound {args.max_depth} reached before closure", file=err)
     return EXIT_OK
 
 

@@ -1,7 +1,11 @@
 """Quantifier-free Boolean/integer constraint terms.
 
 Constraints are immutable trees over Boolean connectives, integer
-comparisons, and integer arithmetic.  The module provides:
+comparisons, and integer arithmetic.  Every node (`Node`, shared with the
+processes, objects and states of `calculus`) computes its hash, its order
+key and whether it is in canonical form once, when it is built, from its
+fields and its children's stored values; nothing is mutated afterwards and
+nothing is interned.  The module provides:
 
 * ``conjoin``/``negate`` with the unit and absorbing identities applied at
   the top (``c and true = c``, ``c and false = false``, constant folding
@@ -10,7 +14,8 @@ comparisons, and integer arithmetic.  The module provides:
   chains are flattened and sorted under a fixed total term order, ``true``
   conjuncts dropped, ``false`` absorbing, syntactic duplicates in a
   conjunction removed.  Canonical terms are the engine's state-identity
-  currency;
+  currency; a canonical term is returned as it is, so canonical inputs
+  cost one flag test;
 * ``to_dnf``, which lowers the decidable fragment (Boolean combinations of
   comparisons between integer variables and literals) to a disjunction of
   difference-logic atoms, ready for a negative-cycle check;
@@ -22,7 +27,6 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -50,10 +54,126 @@ class SortConflict(ValueError):
 # Term structure
 
 
-class _IntOps:
-    """Operator sugar for building integer comparisons and arithmetic."""
+class _Slotted(type):
+    """Metaclass giving each class slots for its annotated fields, so that a
+    node class is slotted as written, without the second class that
+    ``dataclass(slots=True)`` would build and leave behind as garbage."""
+
+    def __new__(mcs, name, bases, ns):
+        ns.setdefault("__slots__", tuple(ns.get("__annotations__", ())))
+        return super().__new__(mcs, name, bases, ns)
+
+
+class Node(metaclass=_Slotted):
+    """Immutable tree node whose hash, order key and canonical flag are
+    computed once, when it is built, and never change afterwards.
+
+    Subclasses are frozen dataclasses made with `node`, slotted by the
+    metaclass.  Each declares its order `_tag` and its child fields in
+    `_kids`, as ``(field, kinds, many)``: `kinds` is the set of node
+    classes that the position admits in canonical form, and `many` marks a
+    tuple of children.  The other fields are payload.  The order key is
+    ``(tag, payload..., child keys...)``, where a tuple of children stands
+    as the tuple of their keys; the hash is the hash of the same shape with
+    the children's hashes in place of their keys.  A node is canonical when
+    every child is a canonical node of an admitted kind and `_canon_here`
+    holds, and the canonical-form functions then return it as it is.
+    Equality stays structural: equal nodes built apart are interchangeable,
+    and nothing is interned.
+    """
+
+    __slots__ = ("_hash", "_key", "_canon")
+    _tag = -1
+    _kids: tuple = ()
+    _lits: tuple = ()
+
+    def __post_init__(self):
+        head = (self._tag,) + self._head()
+        keys, hashes, canon = [], [], True
+        for name, kinds, many in self._kids:
+            value = getattr(self, name)
+            for kid in value if many else (value,):
+                canon = canon and type(kid) in kinds and kid._canon
+            if many:
+                keys.append(tuple([kid._key for kid in value]))
+                hashes.append(tuple([kid._hash for kid in value]))
+            else:
+                keys.append(value._key)
+                hashes.append(value._hash)
+        object.__setattr__(self, "_key", head + tuple(keys))
+        object.__setattr__(self, "_hash", hash(head + tuple(hashes)))
+        object.__setattr__(self, "_canon", canon and self._canon_here())
+
+    def _head(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._lits])
+
+    def _canon_here(self) -> bool:
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+
+def node(cls):
+    """Class decorator: `cls` as a frozen dataclass over `Node`."""
+    cls = dataclass(frozen=True)(cls)
+    kids = [name for name, _, _ in cls._kids]
+    cls._lits = tuple(name for name in cls.__match_args__ if name not in kids)
+    cls.__hash__ = Node.__hash__
+    return cls
+
+
+def children(t: Node) -> list:
+    """The child nodes of t, in field order."""
+    out = []
+    for name, _, many in t._kids:
+        value = getattr(t, name)
+        if many:
+            out.extend(value)
+        else:
+            out.append(value)
+    return out
+
+
+def rebuild(t: Node, fn: Callable) -> Node:
+    """A node of t's class with every single child c replaced by
+    ``fn(kinds, c)``; for nodes whose canonical form is just that of
+    their children."""
+    kids = {name: kinds for name, kinds, _ in t._kids}
+    return type(t)(
+        *[fn(kids[n], getattr(t, n)) if n in kids else getattr(t, n) for n in t.__match_args__]
+    )
+
+
+def chain_canonical(t: Node, banned: tuple, strict: bool, min_len: int = 2) -> bool:
+    """Canonical-form test of an associative-commutative chain: at least
+    `min_len` arguments, none of a `banned` class, keys in ascending order
+    (strictly when `strict`)."""
+    if len(t.args) < min_len or any(type(a) in banned for a in t.args):
+        return False
+    keys = t._key[1]
+    if strict:
+        return all(a < b for a, b in zip(keys, keys[1:]))
+    return all(a <= b for a, b in zip(keys, keys[1:]))
+
+
+# The node classes a Boolean and an integer position admit; filled in below,
+# once the classes exist.
+BOOL_KINDS: set = set()
+INT_KINDS: set = set()
+
+
+class _IntOps(Node):
+    """Base of the integer expressions: operator sugar for building
+    comparisons and arithmetic."""
 
     __slots__ = ()
+
+    def __str__(self) -> str:
+        return format_int_expr(self)
 
     def __lt__(self, other):
         return Cmp("<", _as_int(self), _as_int(other))
@@ -80,58 +200,67 @@ class _IntOps:
         return Neg(_as_int(self))
 
 
-@dataclass(frozen=True)
+@node
 class Var(_IntOps):
     """A sorted variable; Bool variables double as atomic formulas."""
 
     name: str
     sort: Sort
+    _tag = 1
+
+    def _head(self) -> tuple:
+        return (0 if self.sort is Sort.INT else 1, self.name)
 
     def __str__(self) -> str:
         return format_formula(self) if self.sort is Sort.BOOL else format_int_expr(self)
 
 
-@dataclass(frozen=True)
+@node
 class IntLit(_IntOps):
     value: int
-
-    def __str__(self) -> str:
-        return format_int_expr(self)
+    _tag = 2
 
 
-@dataclass(frozen=True)
+@node
 class Neg(_IntOps):
     arg: "IntExpr"
+    _tag = 3
+    _kids = (("arg", INT_KINDS, False),)
 
-    def __str__(self) -> str:
-        return format_int_expr(self)
 
-
-@dataclass(frozen=True)
+@node
 class Arith(_IntOps):
     op: str  # one of + - * div mod
     left: "IntExpr"
     right: "IntExpr"
+    _tag = 4
+    _kids = (("left", INT_KINDS, False), ("right", INT_KINDS, False))
 
-    def __str__(self) -> str:
-        return format_int_expr(self)
 
-
-@dataclass(frozen=True)
+@node
 class IntITE(_IntOps):
     """Conditional choice over integers: ``cond ? then : orelse``."""
 
     cond: "Formula"
     then: "IntExpr"
     orelse: "IntExpr"
+    _tag = 5
+    _kids = (("cond", BOOL_KINDS, False), ("then", INT_KINDS, False), ("orelse", INT_KINDS, False))
+
+
+class _Bool(Node):
+    """Base of the formulas other than variables."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
-        return format_int_expr(self)
+        return format_formula(self)
 
 
-@dataclass(frozen=True)
-class BoolConst:
+@node
+class BoolConst(_Bool):
     value: bool
+    _tag = 0
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -141,91 +270,96 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
-class Not:
+@node
+class Not(_Bool):
     arg: "Formula"
+    _tag = 6
+    _kids = (("arg", BOOL_KINDS, False),)
 
-    def __str__(self) -> str:
-        return format_formula(self)
+    def _canon_here(self) -> bool:
+        return type(self.arg) is not BoolConst
 
 
-@dataclass(frozen=True)
-class And:
+@node
+class And(_Bool):
     args: tuple  # >= 2 formulas
+    _tag = 7
+    _kids = (("args", BOOL_KINDS, True),)
 
-    def __str__(self) -> str:
-        return format_formula(self)
+    def _canon_here(self) -> bool:
+        return chain_canonical(self, (And, BoolConst), strict=True)
 
 
-@dataclass(frozen=True)
-class Or:
+@node
+class Or(_Bool):
     args: tuple
+    _tag = 8
+    _kids = (("args", BOOL_KINDS, True),)
 
-    def __str__(self) -> str:
-        return format_formula(self)
+    def _canon_here(self) -> bool:
+        return chain_canonical(self, (Or, BoolConst), strict=False)
 
 
-@dataclass(frozen=True)
-class Xor:
+@node
+class Xor(_Bool):
     args: tuple
+    _tag = 9
+    _kids = (("args", BOOL_KINDS, True),)
 
-    def __str__(self) -> str:
-        return format_formula(self)
+    def _canon_here(self) -> bool:
+        return chain_canonical(self, (Xor,), strict=False, min_len=0)
 
 
-@dataclass(frozen=True)
-class Implies:
+@node
+class Implies(_Bool):
     left: "Formula"
     right: "Formula"
+    _tag = 10
+    _kids = (("left", BOOL_KINDS, False), ("right", BOOL_KINDS, False))
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class BoolEq:
+@node
+class BoolEq(_Bool):
     left: "Formula"
     right: "Formula"
+    _tag = 11
+    _kids = Implies._kids
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class BoolNeq:
+@node
+class BoolNeq(_Bool):
     left: "Formula"
     right: "Formula"
+    _tag = 12
+    _kids = Implies._kids
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class Cmp:
+@node
+class Cmp(_Bool):
     """Integer comparison; op is one of < <= > >= === =/==."""
 
     op: str
     left: "IntExpr"
     right: "IntExpr"
+    _tag = 13
+    _kids = Arith._kids
 
-    def __str__(self) -> str:
-        return format_formula(self)
 
-
-@dataclass(frozen=True)
-class BoolITE:
+@node
+class BoolITE(_Bool):
     cond: "Formula"
     then: "Formula"
     orelse: "Formula"
-
-    def __str__(self) -> str:
-        return format_formula(self)
+    _tag = 14
+    _kids = tuple((name, BOOL_KINDS, False) for name in ("cond", "then", "orelse"))
 
 
 IntExpr = Union[Var, IntLit, Neg, Arith, IntITE]
 Formula = Union[BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp, BoolITE]
 
 _INT_EXPR_TYPES = (Var, IntLit, Neg, Arith, IntITE)
+INT_KINDS.update(_INT_EXPR_TYPES)
+BOOL_KINDS.update((BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp, BoolITE))
 
 
 def intvar(name: str) -> Var:
@@ -293,48 +427,11 @@ def negate(c: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Total term order and canonical form
 
-_TAG = {
-    BoolConst: 0,
-    Var: 1,
-    IntLit: 2,
-    Neg: 3,
-    Arith: 4,
-    IntITE: 5,
-    Not: 6,
-    And: 7,
-    Or: 8,
-    Xor: 9,
-    Implies: 10,
-    BoolEq: 11,
-    BoolNeq: 12,
-    Cmp: 13,
-    BoolITE: 14,
-}
 
-
-@functools.lru_cache(maxsize=None)
 def term_key(t) -> tuple:
-    """Key realizing a fixed total order on terms (tag, payload, children)."""
-    tag = _TAG[type(t)]
-    if isinstance(t, BoolConst):
-        return (tag, 1 if t.value else 0)
-    if isinstance(t, Var):
-        return (tag, 0 if t.sort is Sort.INT else 1, t.name)
-    if isinstance(t, IntLit):
-        return (tag, t.value)
-    if isinstance(t, (Neg, Not)):
-        return (tag, term_key(t.arg))
-    if isinstance(t, Arith):
-        return (tag, t.op, term_key(t.left), term_key(t.right))
-    if isinstance(t, Cmp):
-        return (tag, t.op, term_key(t.left), term_key(t.right))
-    if isinstance(t, (And, Or, Xor)):
-        return (tag, tuple(term_key(a) for a in t.args))
-    if isinstance(t, (Implies, BoolEq, BoolNeq)):
-        return (tag, term_key(t.left), term_key(t.right))
-    if isinstance(t, (IntITE, BoolITE)):
-        return (tag, term_key(t.cond), term_key(t.then), term_key(t.orelse))
-    raise TypeError(f"not a term: {t!r}")
+    """Key realizing a fixed total order on terms: (tag, payload, child
+    keys), computed when t was built."""
+    return t._key
 
 
 def canonicalize(c: Formula) -> Formula:
@@ -343,90 +440,56 @@ def canonicalize(c: Formula) -> Formula:
     Conjunctions are flattened, stripped of ``true``, collapsed on
     ``false``, deduplicated, and sorted; the other associative-commutative
     chains (or, xor) are flattened and sorted; ``or`` drops its units and
-    ``not`` folds constants.  No semantic reasoning happens here.
+    ``not`` folds constants.  No semantic reasoning happens here.  A term
+    that is already canonical is returned as it is, and only the parts of
+    one that is not are rebuilt.
     """
     return _canon_bool(c)
 
 
+# Per chain class: the unit that is dropped and the zero that absorbs.
+_CHAIN = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (None, None)}
+
+
 def _canon_bool(f: Formula) -> Formula:
-    if isinstance(f, (BoolConst, Var)):
+    if type(f) not in BOOL_KINDS:
+        raise TypeError(f"not a formula: {f!r}")
+    if f._canon:
         return f
     if isinstance(f, Not):
         a = _canon_bool(f.arg)
-        if a == TRUE:
-            return FALSE
-        if a == FALSE:
-            return TRUE
-        return Not(a)
-    if isinstance(f, And):
-        parts = []
-        for raw in f.args:
-            a = _canon_bool(raw)
-            if isinstance(a, And):
-                parts.extend(a.args)
-            elif a == TRUE:
-                continue
-            elif a == FALSE:
-                return FALSE
-            else:
-                parts.append(a)
-        parts = sorted(dict.fromkeys(parts), key=term_key)
-        if not parts:
-            return TRUE
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
-    if isinstance(f, Or):
-        parts = []
-        for raw in f.args:
-            a = _canon_bool(raw)
-            if isinstance(a, Or):
-                parts.extend(a.args)
-            elif a == TRUE:
-                return TRUE
-            elif a == FALSE:
-                continue
-            else:
-                parts.append(a)
-        parts.sort(key=term_key)
-        if not parts:
-            return FALSE
-        if len(parts) == 1:
-            return parts[0]
-        return Or(tuple(parts))
-    if isinstance(f, Xor):
-        parts = []
-        for raw in f.args:
-            a = _canon_bool(raw)
-            if isinstance(a, Xor):
-                parts.extend(a.args)
-            else:
-                parts.append(a)
-        parts.sort(key=term_key)
+        return negate(a) if isinstance(a, BoolConst) else Not(a)
+    if type(f) not in _CHAIN:
+        return rebuild(f, _canon_kid)
+    cls = type(f)
+    unit, zero = _CHAIN[cls]
+    parts = []
+    for raw in f.args:
+        a = _canon_bool(raw)
+        if type(a) is cls:
+            parts.extend(a.args)
+        elif a == zero:
+            return zero
+        elif a != unit:
+            parts.append(a)
+    if cls is And:
+        parts = list(dict.fromkeys(parts))
+    parts.sort(key=term_key)
+    if cls is Xor:
         return Xor(tuple(parts))
-    if isinstance(f, Implies):
-        return Implies(_canon_bool(f.left), _canon_bool(f.right))
-    if isinstance(f, BoolEq):
-        return BoolEq(_canon_bool(f.left), _canon_bool(f.right))
-    if isinstance(f, BoolNeq):
-        return BoolNeq(_canon_bool(f.left), _canon_bool(f.right))
-    if isinstance(f, Cmp):
-        return Cmp(f.op, _canon_int(f.left), _canon_int(f.right))
-    if isinstance(f, BoolITE):
-        return BoolITE(_canon_bool(f.cond), _canon_bool(f.then), _canon_bool(f.orelse))
-    raise TypeError(f"not a formula: {f!r}")
+    if len(parts) < 2:
+        return parts[0] if parts else unit
+    return cls(tuple(parts))
 
 
 def _canon_int(e: IntExpr) -> IntExpr:
-    if isinstance(e, (Var, IntLit)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(_canon_int(e.arg))
-    if isinstance(e, Arith):
-        return Arith(e.op, _canon_int(e.left), _canon_int(e.right))
-    if isinstance(e, IntITE):
-        return IntITE(_canon_bool(e.cond), _canon_int(e.then), _canon_int(e.orelse))
-    raise TypeError(f"not an integer expression: {e!r}")
+    if type(e) not in INT_KINDS:
+        raise TypeError(f"not an integer expression: {e!r}")
+    return e if e._canon else rebuild(e, _canon_kid)
+
+
+def _canon_kid(kinds: set, t):
+    return _canon_int(t) if kinds is INT_KINDS else _canon_bool(t)
 
 
 # ---------------------------------------------------------------------------
@@ -447,25 +510,10 @@ def _collect_vars(t, acc: dict) -> None:
             raise SortConflict(f"variable {t.name} used with sorts {seen.value} and {t.sort.value}")
         acc[t.name] = t.sort
         return
-    if isinstance(t, (BoolConst, IntLit)):
-        return
-    if isinstance(t, (Not, Neg)):
-        _collect_vars(t.arg, acc)
-        return
-    if isinstance(t, (And, Or, Xor)):
-        for a in t.args:
-            _collect_vars(a, acc)
-        return
-    if isinstance(t, (Implies, BoolEq, BoolNeq, Cmp, Arith)):
-        _collect_vars(t.left, acc)
-        _collect_vars(t.right, acc)
-        return
-    if isinstance(t, (IntITE, BoolITE)):
-        _collect_vars(t.cond, acc)
-        _collect_vars(t.then, acc)
-        _collect_vars(t.orelse, acc)
-        return
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in BOOL_KINDS and type(t) not in INT_KINDS:
+        raise TypeError(f"not a term: {t!r}")
+    for kid in children(t):
+        _collect_vars(kid, acc)
 
 
 # ---------------------------------------------------------------------------

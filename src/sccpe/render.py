@@ -24,15 +24,14 @@ from __future__ import annotations
 import json
 
 from .calculus import (
+    PROC_KINDS,
     AgentId,
     Ask,
     Extr,
-    NIL,
     Nil,
     Par,
     ProcObj,
     ProcVar,
-    Process,
     Rec,
     Space,
     StoreObj,
@@ -53,7 +52,6 @@ from .formula import (
     FALSE,
     Formula,
     Implies,
-    IntExpr,
     IntITE,
     IntLit,
     Neg,
@@ -118,81 +116,58 @@ def render_tree(s: SysState) -> str:
 _SORT_NAME = {Sort.INT: "Int", Sort.BOOL: "Bool"}
 
 
-def formula_to_obj(f) -> dict:
-    if isinstance(f, BoolConst):
-        return {"op": "true" if f.value else "false"}
-    if isinstance(f, Var):
-        return {"op": "var", "name": f.name, "sort": _SORT_NAME[f.sort]}
-    if isinstance(f, IntLit):
-        return {"op": "int", "value": f.value}
-    if isinstance(f, Neg):
-        return {"op": "neg", "arg": formula_to_obj(f.arg)}
-    if isinstance(f, Arith):
-        return {
-            "op": "arith",
-            "fn": f.op,
-            "left": formula_to_obj(f.left),
-            "right": formula_to_obj(f.right),
-        }
-    if isinstance(f, Not):
-        return {"op": "not", "arg": formula_to_obj(f.arg)}
-    if isinstance(f, (And, Or, Xor)):
-        tag = {And: "and", Or: "or", Xor: "xor"}[type(f)]
-        return {"op": tag, "args": [formula_to_obj(a) for a in f.args]}
-    if isinstance(f, Implies):
-        return {"op": "implies", "left": formula_to_obj(f.left), "right": formula_to_obj(f.right)}
-    if isinstance(f, (BoolEq, BoolNeq)):
-        tag = "beq" if isinstance(f, BoolEq) else "bneq"
-        return {"op": tag, "left": formula_to_obj(f.left), "right": formula_to_obj(f.right)}
-    if isinstance(f, Cmp):
-        return {
-            "op": "cmp",
-            "fn": f.op,
-            "left": formula_to_obj(f.left),
-            "right": formula_to_obj(f.right),
-        }
-    if isinstance(f, (IntITE, BoolITE)):
-        tag = "ite" if isinstance(f, IntITE) else "bite"
-        return {
-            "op": tag,
-            "cond": formula_to_obj(f.cond),
-            "then": formula_to_obj(f.then),
-            "else": formula_to_obj(f.orelse),
-        }
-    raise TypeError(f"not a term: {f!r}")
+# The op name of each node class; fields follow in declaration order, under
+# their own names except for these two.
+_OP_NAME = {
+    Var: "var", IntLit: "int", Neg: "neg", Arith: "arith", Not: "not", And: "and", Or: "or",
+    Xor: "xor", Implies: "implies", BoolEq: "beq", BoolNeq: "bneq", Cmp: "cmp", IntITE: "ite",
+    BoolITE: "bite", Nil: "nil", Tell: "tell", Ask: "ask", Par: "par", Space: "space", Rec: "rec",
+    Extr: "xtr", ProcVar: "procvar",
+}
+_JSON_KEY = {"op": "fn", "orelse": "else"}
+_LIT, _ONE, _MANY, _SORT = range(4)  # how a field is encoded
 
 
-def process_to_obj(p: Process) -> dict:
-    if isinstance(p, Nil):
-        return {"op": "nil"}
-    if isinstance(p, Tell):
-        return {"op": "tell", "constraint": formula_to_obj(p.constraint)}
-    if isinstance(p, Ask):
-        return {"op": "ask", "guard": formula_to_obj(p.guard), "then": process_to_obj(p.then)}
-    if isinstance(p, Par):
-        return {"op": "par", "args": [process_to_obj(a) for a in p.args]}
-    if isinstance(p, Space):
-        return {"op": "space", "agent": p.agent, "body": process_to_obj(p.body)}
-    if isinstance(p, Rec):
-        return {"op": "rec", "var": p.var, "body": process_to_obj(p.body)}
-    if isinstance(p, Extr):
-        return {"op": "xtr", "agent": p.agent, "body": process_to_obj(p.body)}
-    if isinstance(p, ProcVar):
-        return {"op": "procvar", "var": p.var}
-    raise TypeError(f"not a process: {p!r}")
+def _plan(cls) -> tuple:
+    """(JSON key, field, encoding) for each field of cls, in order."""
+    kids = {name: _MANY if many else _ONE for name, _, many in cls._kids}
+    return tuple(
+        (_JSON_KEY.get(n, n), n, kids.get(n, _SORT if n == "sort" else _LIT))
+        for n in cls.__match_args__
+    )
+
+
+_PLAN = {cls: (op, _plan(cls)) for cls, op in _OP_NAME.items()}
+
+
+def formula_to_obj(t) -> dict:
+    """Tagged JSON object of a formula, integer expression or process."""
+    if isinstance(t, BoolConst):
+        return {"op": "true" if t.value else "false"}
+    if type(t) not in _PLAN:
+        raise TypeError(f"not a term or process: {t!r}")
+    op, plan = _PLAN[type(t)]
+    doc = {"op": op}
+    for key, name, how in plan:
+        value = getattr(t, name)
+        if how == _ONE:
+            value = formula_to_obj(value)
+        elif how == _MANY:
+            value = [formula_to_obj(a) for a in value]
+        elif how == _SORT:
+            value = _SORT_NAME[value]
+        doc[key] = value
+    return doc
 
 
 def state_to_obj(s: SysState) -> dict:
     objects = []
     for o in s.objects:
         if isinstance(o, StoreObj):
-            objects.append(
-                {"kind": "store", "aid": list(o.aid.path), "payload": formula_to_obj(o.constraint)}
-            )
+            kind, payload = "store", o.constraint
         else:
-            objects.append(
-                {"kind": "process", "aid": list(o.aid.path), "payload": process_to_obj(o.program)}
-            )
+            kind, payload = "process", o.program
+        objects.append({"kind": kind, "aid": list(o.aid.path), "payload": formula_to_obj(payload)})
     return {"objects": objects}
 
 
@@ -218,94 +193,48 @@ def _int_at(value, path: str) -> int:
     return value
 
 
-def obj_to_formula(obj, path: str = "$"):
-    op = _need(obj, "op", path)
-    if op == "true":
-        return TRUE
-    if op == "false":
-        return FALSE
-    if op == "var":
-        name = _need(obj, "name", path)
-        sort = _need(obj, "sort", path)
-        if sort not in ("Int", "Bool"):
-            raise JsonFormatError(f"{path}.sort: expected Int or Bool, found {sort!r}")
-        return Var(name, Sort.INT if sort == "Int" else Sort.BOOL)
-    if op == "int":
-        return IntLit(_int_at(_need(obj, "value", path), f"{path}.value"))
-    if op == "neg":
-        return Neg(obj_to_formula(_need(obj, "arg", path), f"{path}.arg"))
-    if op == "arith":
-        fn = _need(obj, "fn", path)
-        if fn not in ("+", "-", "*", "div", "mod"):
-            raise JsonFormatError(f"{path}.fn: unknown arithmetic operator {fn!r}")
-        return Arith(
-            fn,
-            obj_to_formula(_need(obj, "left", path), f"{path}.left"),
-            obj_to_formula(_need(obj, "right", path), f"{path}.right"),
-        )
-    if op == "not":
-        return Not(obj_to_formula(_need(obj, "arg", path), f"{path}.arg"))
-    if op in ("and", "or", "xor"):
-        args = _need(obj, "args", path)
-        if not isinstance(args, list) or len(args) < 2:
-            raise JsonFormatError(f"{path}.args: expected a list of at least two terms")
-        cls = {"and": And, "or": Or, "xor": Xor}[op]
-        return cls(tuple(obj_to_formula(a, f"{path}.args[{i}]") for i, a in enumerate(args)))
-    if op in ("implies", "beq", "bneq"):
-        cls = {"implies": Implies, "beq": BoolEq, "bneq": BoolNeq}[op]
-        return cls(
-            obj_to_formula(_need(obj, "left", path), f"{path}.left"),
-            obj_to_formula(_need(obj, "right", path), f"{path}.right"),
-        )
-    if op == "cmp":
-        fn = _need(obj, "fn", path)
-        if fn not in ("<", "<=", ">", ">=", "===", "=/=="):
-            raise JsonFormatError(f"{path}.fn: unknown comparison {fn!r}")
-        return Cmp(
-            fn,
-            obj_to_formula(_need(obj, "left", path), f"{path}.left"),
-            obj_to_formula(_need(obj, "right", path), f"{path}.right"),
-        )
-    if op in ("ite", "bite"):
-        cls = IntITE if op == "ite" else BoolITE
-        return cls(
-            obj_to_formula(_need(obj, "cond", path), f"{path}.cond"),
-            obj_to_formula(_need(obj, "then", path), f"{path}.then"),
-            obj_to_formula(_need(obj, "else", path), f"{path}.else"),
-        )
-    raise JsonFormatError(f"{path}.op: unknown term constructor {op!r}")
+_CLASS_OF = {op: cls for cls, op in _OP_NAME.items()}
+_FN = {
+    Arith: (("+", "-", "*", "div", "mod"), "arithmetic operator"),
+    Cmp: (("<", "<=", ">", ">=", "===", "=/=="), "comparison"),
+}
 
 
-def obj_to_process(obj, path: str = "$") -> Process:
+def obj_to_formula(obj, path: str = "$", process: bool = False):
+    """Node decoded from its tagged JSON object: a formula or integer
+    expression, or a process when `process` is set."""
     op = _need(obj, "op", path)
-    if op == "nil":
-        return NIL
-    if op == "tell":
-        return Tell(obj_to_formula(_need(obj, "constraint", path), f"{path}.constraint"))
-    if op == "ask":
-        return Ask(
-            obj_to_formula(_need(obj, "guard", path), f"{path}.guard"),
-            obj_to_process(_need(obj, "then", path), f"{path}.then"),
-        )
-    if op == "par":
-        args = _need(obj, "args", path)
-        if not isinstance(args, list) or len(args) < 2:
-            raise JsonFormatError(f"{path}.args: expected a list of at least two processes")
-        return Par(tuple(obj_to_process(a, f"{path}.args[{i}]") for i, a in enumerate(args)))
-    if op in ("space", "xtr"):
-        cls = Space if op == "space" else Extr
-        return cls(
-            _int_at(_need(obj, "agent", path), f"{path}.agent"),
-            obj_to_process(_need(obj, "body", path), f"{path}.body"),
-        )
-    if op == "rec":
-        return Rec(
-            _int_at(_need(obj, "var", path), f"{path}.var"),
-            obj_to_process(_need(obj, "body", path), f"{path}.body"),
-        )
-    if op == "procvar":
-        return ProcVar(_int_at(_need(obj, "var", path), f"{path}.var"))
-    raise JsonFormatError(f"{path}.op: unknown process constructor {op!r}")
+    if op in ("true", "false") and not process:
+        return TRUE if op == "true" else FALSE
+    cls = _CLASS_OF.get(op) if isinstance(op, str) else None
+    if cls is None or (cls in PROC_KINDS) != process:
+        noun = "process" if process else "term"
+        raise JsonFormatError(f"{path}.op: unknown {noun} constructor {op!r}")
+    kids = {name: kinds is PROC_KINDS for name, kinds, _ in cls._kids}
+    fields = []
+    for name in cls.__match_args__:
+        key = _JSON_KEY.get(name, name)
+        value, at = _need(obj, key, path), f"{path}.{key}"
+        if name == "args":
+            if not isinstance(value, list) or len(value) < 2:
+                noun = "processes" if kids[name] else "terms"
+                raise JsonFormatError(f"{at}: expected a list of at least two {noun}")
+            value = tuple(obj_to_formula(a, f"{at}[{i}]", kids[name]) for i, a in enumerate(value))
+        elif name in kids:
+            value = obj_to_formula(value, at, kids[name])
+        elif name == "op" and value not in _FN[cls][0]:
+            raise JsonFormatError(f"{at}: unknown {_FN[cls][1]} {value!r}")
+        elif name == "sort":
+            if value not in ("Int", "Bool"):
+                raise JsonFormatError(f"{at}: expected Int or Bool, found {value!r}")
+            value = Sort.INT if value == "Int" else Sort.BOOL
+        elif name == "name":
+            if not isinstance(value, str):
+                raise JsonFormatError(f"{at}: expected a string")
+        elif name != "op":
+            value = _int_at(value, at)
+        fields.append(value)
+    return cls(*fields)
 
 
 def obj_to_state(doc) -> SysState:
@@ -324,7 +253,7 @@ def obj_to_state(doc) -> SysState:
         if kind == "store":
             out.append(StoreObj(aid, obj_to_formula(payload, f"{path}.payload")))
         elif kind == "process":
-            out.append(ProcObj(aid, obj_to_process(payload, f"{path}.payload")))
+            out.append(ProcObj(aid, obj_to_formula(payload, f"{path}.payload", process=True)))
         else:
             raise JsonFormatError(f"{path}.kind: expected 'store' or 'process', found {kind!r}")
     return normalize(SysState(tuple(out)))

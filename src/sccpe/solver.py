@@ -48,6 +48,7 @@ from .formula import (
     Var,
     Xor,
     canonicalize,
+    children,
     conjoin,
     free_vars,
     negate,
@@ -310,18 +311,8 @@ def small_model_bound(c: Formula) -> int:
         nonlocal total
         if isinstance(t, IntLit):
             total += abs(t.value)
-        elif isinstance(t, (Not, Neg)):
-            walk(t.arg)
-        elif isinstance(t, (And, Or, Xor)):
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, (Implies, BoolEq, BoolNeq, Cmp, Arith)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, (IntITE, BoolITE)):
-            walk(t.cond)
-            walk(t.then)
-            walk(t.orelse)
+        for kid in children(t):
+            walk(kid)
 
     walk(c)
     n_int = sum(1 for v in free_vars(c) if v.sort is Sort.INT)

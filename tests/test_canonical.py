@@ -1,0 +1,272 @@
+"""Property tests for canonical-by-construction terms.
+
+Every formula, process, object and state stores its hash, order key and
+canonical flag when it is built.  `step` and `normalize` rely on three
+facts checked here on random inputs from `randgen` and on JSON round trips:
+the canonical-form functions return a canonical value as it is, the stored
+hash and key agree with a recomputation from the fields, and the stored
+flag agrees with a reference canonical form written out below (the
+rebuild-everything definition, with no shortcut for canonical inputs).
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from randgen import fragment_formula, process, raw_state, small_state
+from sccpe import (
+    NIL,
+    ROOT,
+    AgentId,
+    Ask,
+    Extr,
+    Nil,
+    Par,
+    ProcObj,
+    ProcVar,
+    Rec,
+    Solver,
+    Space,
+    StoreObj,
+    SysState,
+    Tell,
+    canon_process,
+    canonicalize,
+    normalize,
+    state_from_json,
+    state_to_json,
+    step,
+)
+from sccpe.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Arith,
+    BoolConst,
+    BoolEq,
+    BoolITE,
+    BoolNeq,
+    Cmp,
+    Implies,
+    IntITE,
+    IntLit,
+    Neg,
+    Node,
+    Not,
+    Or,
+    Sort,
+    Var,
+    Xor,
+)
+
+SEEDS = st.randoms(use_true_random=False)
+_TAG = {
+    And: 7, Or: 8, Xor: 9, Implies: 10, BoolEq: 11, BoolNeq: 12,
+    Space: 104, Rec: 105, Extr: 106,
+}
+
+
+def shape(t, f):
+    """(tag, payload..., f(child)...) of a node, from its fields; the order
+    tags are those of the engine's fixed total term order."""
+    if isinstance(t, BoolConst):
+        return (0, 1 if t.value else 0)
+    if isinstance(t, Var):
+        return (1, 0 if t.sort is Sort.INT else 1, t.name)
+    if isinstance(t, IntLit):
+        return (2, t.value)
+    if isinstance(t, (Neg, Not)):
+        return (3 if isinstance(t, Neg) else 6, f(t.arg))
+    if isinstance(t, (Arith, Cmp)):
+        return (4 if isinstance(t, Arith) else 13, t.op, f(t.left), f(t.right))
+    if isinstance(t, (IntITE, BoolITE)):
+        return (5 if isinstance(t, IntITE) else 14, f(t.cond), f(t.then), f(t.orelse))
+    if isinstance(t, (And, Or, Xor)):
+        return (_TAG[type(t)], tuple(f(a) for a in t.args))
+    if isinstance(t, (Implies, BoolEq, BoolNeq)):
+        return (_TAG[type(t)], f(t.left), f(t.right))
+    if isinstance(t, Nil):
+        return (100,)
+    if isinstance(t, Tell):
+        return (101, f(t.constraint))
+    if isinstance(t, Ask):
+        return (102, f(t.guard), f(t.then))
+    if isinstance(t, Par):
+        return (103, tuple(f(a) for a in t.args))
+    if isinstance(t, (Space, Rec, Extr)):
+        return (_TAG[type(t)], t.var if isinstance(t, Rec) else t.agent, f(t.body))
+    if isinstance(t, ProcVar):
+        return (107, t.var)
+    if isinstance(t, (StoreObj, ProcObj)):
+        payload = t.constraint if isinstance(t, StoreObj) else t.program
+        return (0 if isinstance(t, StoreObj) else 1, t.aid.path, f(payload))
+    if isinstance(t, SysState):
+        return (200, tuple(f(o) for o in t.objects))
+    raise TypeError(t)
+
+
+def ref_key(t):
+    return shape(t, ref_key)
+
+
+def ref_hash(t):
+    return hash(shape(t, ref_hash))
+
+
+def nodes(t):
+    """t and all nodes below it."""
+    out = [t]
+    for name in t.__match_args__:
+        value = getattr(t, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, Node):
+                out.extend(nodes(v))
+    return out
+
+
+def check_stored(t):
+    for n in nodes(t):
+        assert n._key == ref_key(n), n
+        assert n._hash == ref_hash(n) == hash(n), n
+
+
+# Reference canonical form: every node rebuilt from its canonical children.
+
+
+def ref_canon(f):
+    if isinstance(f, (BoolConst, Var, IntLit)):
+        return f
+    if isinstance(f, Not):
+        a = ref_canon(f.arg)
+        return FALSE if a == TRUE else TRUE if a == FALSE else Not(a)
+    if isinstance(f, (And, Or, Xor)):
+        cls = type(f)
+        unit, zero = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (None, None)}[cls]
+        parts = []
+        for raw in f.args:
+            a = ref_canon(raw)
+            if isinstance(a, cls):
+                parts.extend(a.args)
+            elif zero is not None and a == zero:
+                return zero
+            elif unit is None or a != unit:
+                parts.append(a)
+        if cls is And:
+            parts = list(dict.fromkeys(parts))
+        parts.sort(key=ref_key)
+        if cls is Xor:
+            return Xor(tuple(parts))
+        return unit if not parts else parts[0] if len(parts) == 1 else cls(tuple(parts))
+    if isinstance(f, Neg):
+        return Neg(ref_canon(f.arg))
+    if isinstance(f, (Arith, Cmp)):
+        return type(f)(f.op, ref_canon(f.left), ref_canon(f.right))
+    if isinstance(f, (IntITE, BoolITE)):
+        return type(f)(ref_canon(f.cond), ref_canon(f.then), ref_canon(f.orelse))
+    return type(f)(ref_canon(f.left), ref_canon(f.right))
+
+
+def ref_canon_process(p):
+    if isinstance(p, (Nil, ProcVar)):
+        return p
+    if isinstance(p, Tell):
+        return Tell(ref_canon(p.constraint))
+    if isinstance(p, Ask):
+        return Ask(ref_canon(p.guard), ref_canon_process(p.then))
+    if isinstance(p, Par):
+        flat = []
+        for a in map(ref_canon_process, p.args):
+            flat.extend(a.args if isinstance(a, Par) else (a,))
+        flat.sort(key=ref_key)
+        return NIL if not flat else flat[0] if len(flat) == 1 else Par(tuple(flat))
+    return type(p)(p.var if isinstance(p, Rec) else p.agent, ref_canon_process(p.body))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_formula_canonical_form_is_returned_as_is(rng):
+    t = fragment_formula(rng, max_atoms=rng.randint(1, 6))
+    c = canonicalize(t)
+    assert c == ref_canon(t)
+    assert t._canon == (t == c)
+    assert c._canon
+    assert canonicalize(c) is c
+    check_stored(t)
+    check_stored(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_process_canonical_form_is_returned_as_is(rng):
+    p = process(rng, depth=rng.randint(1, 5))
+    c = canon_process(p)
+    assert c == ref_canon_process(p)
+    assert p._canon == (p == c)
+    assert canon_process(c) is c
+    check_stored(p)
+    check_stored(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_normalize_reuses_every_object_of_a_normal_state(rng):
+    s = raw_state(rng)
+    n = normalize(s)
+    again = normalize(n)
+    assert len(again.objects) == len(n.objects)
+    assert all(a is b for a, b in zip(again.objects, n.objects))
+    assert n._canon
+    check_stored(s)
+    check_stored(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_json_round_trip_is_canonical_as_built(rng):
+    s = small_state(rng)
+    back = state_from_json(state_to_json(s))
+    assert back == s
+    assert back._canon
+    assert normalize(back) is back
+    for o in back.objects:
+        payload = o.constraint if isinstance(o, StoreObj) else o.program
+        assert (canonicalize if isinstance(o, StoreObj) else canon_process)(payload) is payload
+    check_stored(back)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_step_builds_normal_states_reusing_untouched_objects(rng):
+    s = small_state(rng)
+    for t in step(s, Solver()):
+        assert t._canon
+        fresh = [o for o in t.objects if not any(o is p for p in s.objects)]
+        assert len(fresh) <= 2, t
+        check_stored(t)
+
+
+def test_every_node_class_stores_its_hash_key_and_flag():
+    X, Y, P, Q = Var("X", Sort.INT), Var("Y", Sort.INT), Var("P", Sort.BOOL), Var("Q", Sort.BOOL)
+    terms = [
+        And((Cmp("<", Arith("*", X, Neg(Y)), IntITE(P, X, IntLit(-2))), BoolITE(Q, P, FALSE))),
+        Implies(BoolEq(P, Q), BoolNeq(Q, Not(TRUE))),
+        Xor((Q,)),
+        Xor((Xor((Q, P)), TRUE)),
+        Or((Or((Q, FALSE)), P, P)),
+        And((P, And((Q, P)), TRUE)),
+        Not(Not(P)),
+    ]
+    for t in terms:
+        c = canonicalize(t)
+        assert c == ref_canon(t) and canonicalize(c) is c
+        assert t._canon == (t == c)
+        check_stored(t)
+        check_stored(c)
+    rec = Rec(1, Par((ProcVar(1), Extr(0, Space(2, Tell(P))), Par((NIL, Ask(Q, NIL))))))
+    c = canon_process(rec)
+    assert c == ref_canon_process(rec) and canon_process(c) is c
+    check_stored(c)
+    s = SysState((ProcObj(AgentId((0,)), rec), StoreObj(AgentId((0,)), P), StoreObj(ROOT, Q)))
+    check_stored(s)
+    assert not s._canon and normalize(s)._canon

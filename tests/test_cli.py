@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 
+import sccpe
 from conftest import PROGRAMS
 from sccpe import cli
 from sccpe.schemas import CLI_OUTPUT_SCHEMA
@@ -118,6 +120,20 @@ def test_search_depth_flag_truncates_cleanly():
     code, out, err = invoke(["search", MESSAGE, "--query", "inconsistent", "--max-depth", "2"])
     assert code == 0
     assert "No solution." in out
+    assert err == "warning: depth bound 2 reached before closure\n"
+    code, out, err = invoke(
+        ["search", MESSAGE, "--query", "inconsistent", "--max-depth", "2", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["truncated"] is True
+    assert err == "warning: depth bound 2 reached before closure\n"
+
+
+def test_search_to_closure_and_solution_cap_do_not_warn():
+    for extra in ([], ["--max-solutions", "1"]):
+        code, out, err = invoke(["search", MESSAGE, "--query", "entails", "Z > 9"] + extra)
+        assert code == 0
+        assert err == ""
 
 
 def test_search_json_output_validates():
@@ -289,11 +305,15 @@ def test_byte_identical_reruns():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sccpe.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sccpe.cli", "check", "-", "--entails", "Y < X", "Y < 3"],
         input="",
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "false"
