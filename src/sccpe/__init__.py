@@ -62,7 +62,6 @@ from .search import (
     StoreEntails,
     StoresEquivalent,
     evaluate_query,
-    reachable_count,
     search,
 )
 from .solver import (

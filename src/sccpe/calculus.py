@@ -20,18 +20,20 @@ parent by removing the rewritten process object and putting at most two
 new objects in key order (or replacing a store in place), reusing every
 other object and its stored hash and key, so ``step`` never re-normalizes
 a whole state.  ``normalize`` stays total on raw states built by hand, and
-returns a state that is already normal as it is.  ``run`` explores to the
-successor-free states.  Rule application mirrors pattern-matching
-semantics: tell, ask, and space all require the local store object to
-exist, and extrusion only fires when the process sits in the space named
-by its own argument.
+returns a state that is already normal as it is.  ``explore`` is the one
+breadth-first loop over states; ``run`` and ``search.search`` are its
+front ends, and ``run`` collects the successor-free states.  Rule
+application mirrors pattern-matching semantics: tell, ask, and space all
+require the local store object to exist, and extrusion only fires when
+the process sits in the space named by its own argument.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .formula import (
     BOOL_KINDS,
@@ -44,7 +46,7 @@ from .formula import (
     node,
     rebuild,
 )
-from .solver import Solver
+from .solver import Solver, SolverInconclusive
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +436,39 @@ def step(s: SysState, solver: Solver) -> list:
     return sorted(out, key=state_key)
 
 
+def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> tuple:
+    """Breadth-first search from normalize(init) within max_depth steps.
+
+    States are numbered in discovery order (init is 0, successors come in
+    key order), and `visit(state, index, successors)` is called on each in
+    that order before its successors are queued; a true return stops there.
+    Returns (states explored, depth reached, whether the depth bound kept a
+    new state out, whether `visit` stopped the search).
+    """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    start = normalize(init)
+    seen = {start: 0}  # state -> discovery number
+    queue = deque([(start, 0)])
+    cut = False
+    while queue:
+        state, depth = queue.popleft()
+        try:
+            succs = step(state, solver)
+        except SolverInconclusive as exc:
+            raise SolverInconclusive(f"exploring {state}: {exc}") from exc
+        if visit(state, seen[state], succs):
+            return len(seen), depth, cut, True
+        for t in succs:
+            if t not in seen:
+                if depth >= max_depth:
+                    cut = True
+                    continue
+                seen[t] = len(seen)
+                queue.append((t, depth + 1))
+    return len(seen), depth, cut, False
+
+
 @dataclass(frozen=True)
 class RunResult:
     terminal_states: tuple
@@ -442,31 +477,16 @@ class RunResult:
 
 
 def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
-    """Exhaustively explore from s up to max_steps deep and collect the
-    states with no successors.  `truncated` reports whether the depth bound
-    cut the exploration before closure."""
-    start = normalize(s)
-    visited = {start}
-    frontier = [start]
+    """Explore from s up to max_steps deep and collect the states with no
+    successors, in canonical key order.  `truncated` reports whether the
+    depth bound cut the exploration before closure."""
     terminals = []
-    truncated = False
-    depth = 0
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            succs = step(state, solver)
-            if not succs:
-                terminals.append(state)
-                continue
-            if depth >= max_steps:
-                if any(t not in visited for t in succs):
-                    truncated = True
-                continue
-            for t in succs:
-                if t not in visited:
-                    visited.add(t)
-                    next_frontier.append(t)
-        frontier = next_frontier
-        depth += 1
+
+    def visit(state: SysState, index: int, succs: list) -> bool:
+        if not succs:
+            terminals.append(state)
+        return False
+
+    explored, _, cut, _ = explore(s, solver, max_steps, visit)
     terminals.sort(key=state_key)
-    return RunResult(tuple(terminals), truncated, len(visited))
+    return RunResult(tuple(terminals), cut, explored)

@@ -50,6 +50,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", metavar="FILE", help="program file, or - for stdin")
     p.add_argument(
@@ -74,7 +85,7 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run a program to its terminal states")
     _common_flags(p_run)
-    p_run.add_argument("--max-depth", type=int, default=64, metavar="N")
+    p_run.add_argument("--max-depth", type=_at_least(0), default=64, metavar="N")
 
     p_search = sub.add_parser("search", help="reachability query over all executions")
     _common_flags(p_search)
@@ -86,8 +97,8 @@ def _build_parser() -> _Parser:
         help="inconsistent | entails FORMULA | equiv",
     )
     p_search.add_argument("--mode", choices=("any", "final"), default="any")
-    p_search.add_argument("--max-depth", type=int, default=64, metavar="N")
-    p_search.add_argument("--max-solutions", type=int, default=None, metavar="N")
+    p_search.add_argument("--max-depth", type=_at_least(0), default=64, metavar="N")
+    p_search.add_argument("--max-solutions", type=_at_least(1), default=None, metavar="N")
 
     p_check = sub.add_parser("check", help="one-off entailment between two constraints")
     _common_flags(p_check)
@@ -164,7 +175,11 @@ def _cmd_run(args, out, err) -> int:
             print(f"Terminal state {i}:", file=out)
             print(render.render_tree(s), end="", file=out)
         print(f"states: {result.states_explored}  terminal: {len(result.terminal_states)}", file=out)
-    if result.truncated:
+    return _finish(result.truncated, args, err)
+
+
+def _finish(depth_cut: bool, args, err) -> int:
+    if depth_cut:
         print(f"warning: depth bound {args.max_depth} reached before closure", file=err)
     return EXIT_OK
 
@@ -232,13 +247,10 @@ def _cmd_search(args, out, err) -> int:
                 print(f"  store: {format_formula(c)}", file=out)
         if not outcome.matches:
             print("No solution.", file=out)
-        else:
+        elif not outcome.capped:
             print("No more solutions.", file=out)
         print(f"states: {outcome.states_explored}  solutions: {len(outcome.matches)}", file=out)
-    capped = args.max_solutions is not None and len(outcome.matches) >= args.max_solutions
-    if outcome.truncated and not capped:
-        print(f"warning: depth bound {args.max_depth} reached before closure", file=err)
-    return EXIT_OK
+    return _finish(outcome.depth_cut, args, err)
 
 
 def _cmd_check(args, out, err) -> int:

@@ -634,28 +634,16 @@ class BoolLit:
 Literal = Union[DLAtom, BoolLit]
 
 
-def _lit_key(lit: Literal) -> tuple:
-    if isinstance(lit, BoolLit):
-        return (0, lit.name, lit.positive)
-    return (1, lit.kind, lit.x, lit.y or "", lit.k)
-
-
-def _conjunct_key(conj: frozenset) -> tuple:
-    return tuple(sorted(_lit_key(l) for l in conj))
-
-
 def to_dnf(c: Formula, limit: int = 4096) -> list:
     """Disjunction of literal conjunctions equivalent to c over the integers.
 
     Every comparison is tightened to a DLAtom; disequalities split into a
     strict-less and strict-greater disjunct.  The empty list denotes false;
-    an empty conjunct denotes true.  Raises FragmentUnsupported outside the
-    fragment and DnfLimitExceeded past `limit` conjuncts.
+    an empty conjunct denotes true.  Conjuncts come in the order c's
+    structure yields them, without duplicates.  Raises FragmentUnsupported
+    outside the fragment and DnfLimitExceeded past `limit` conjuncts.
     """
-    disjuncts = _dnf(c, True, limit)
-    uniq = list(dict.fromkeys(disjuncts))
-    uniq.sort(key=_conjunct_key)
-    return uniq
+    return list(dict.fromkeys(_dnf(c, True, limit)))
 
 
 def _guard(n: int, limit: int) -> None:

@@ -9,19 +9,20 @@ Three built-in safety queries plus a user predicate hook:
                              non-trivial stores (the same knowledge);
 * ``Predicate(fn)``       -- arbitrary state condition.
 
-``search`` explores breadth-first with canonical-state deduplication and
-reports every witness binding inside every matching state, in a fully
-deterministic order: states in discovery order (successors sorted by
-canonical key), witnesses in canonical (agent, store) order.
+``search`` is a front end of ``calculus.explore``, the one breadth-first
+loop over canonical states: it evaluates the query on the states explore
+visits and reports every witness binding inside every matching state, in
+a fully deterministic order: states in discovery order (successors sorted
+by canonical key), witnesses in canonical (agent, store) order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Union
 
-from .calculus import AgentId, SysState, step, store_map
+from .calculus import SysState, explore, store_map
 from .formula import Formula, TRUE, term_key
 from .solver import Solver, SolverInconclusive
 
@@ -61,7 +62,13 @@ class SearchOutcome:
     matches: tuple
     states_explored: int
     depth_reached: int
-    truncated: bool
+    depth_cut: bool  # the depth bound kept some state out
+    capped: bool  # stopped on reaching max_solutions matches
+
+    @property
+    def truncated(self) -> bool:
+        """The search stopped before closure, for either reason."""
+        return self.depth_cut or self.capped
 
 
 def evaluate_query(s: SysState, q: Query, solver: Solver) -> list:
@@ -81,13 +88,9 @@ def evaluate_query(s: SysState, q: Query, solver: Solver) -> list:
     if isinstance(q, StoresEquivalent):
         out = []
         nontrivial = [(aid, c) for aid, c in stores if c != TRUE]
-        for i in range(len(nontrivial)):
-            for j in range(i + 1, len(nontrivial)):
-                a0, c0 = nontrivial[i]
-                a1, c1 = nontrivial[j]
-                if solver.entails(c0, c1) and solver.entails(c1, c0):
-                    out.append(((a0, c0), (a1, c1)))
-                    out.append(((a1, c1), (a0, c0)))
+        for first, second in combinations(nontrivial, 2):
+            if solver.entails(first[1], second[1]) and solver.entails(second[1], first[1]):
+                out.extend(((first, second), (second, first)))
         return out
     raise TypeError(f"not a query: {q!r}")
 
@@ -100,56 +103,33 @@ def search(
     max_solutions: Optional[int] = None,
     solver: Solver | None = None,
 ) -> SearchOutcome:
-    """BFS from init, testing q on every visited state (mode 'any') or on
-    every successor-free state (mode 'terminal').
+    """Explore breadth-first from init, testing q on every visited state
+    (mode 'any') or on every successor-free state (mode 'terminal').
 
     A state with several witness bindings yields one match per binding.
-    Exploration stops at max_depth or once max_solutions matches are
-    collected; `truncated` reports an early stop.
+    Exploration stops at closure, or once max_solutions matches are
+    collected (`capped`); `depth_cut` reports that the max_depth bound
+    kept some state out.
     """
     if mode not in ("any", "terminal"):
         raise ValueError(f"unknown search mode {mode!r}")
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError(f"max_solutions must be >= 1, got {max_solutions}")
     solver = solver or Solver()
-    visited: dict[SysState, int] = {init: 0}
-    queue: deque = deque([(init, 0)])
     matches: list[Match] = []
-    depth_reached = 0
-    truncated = False
 
-    def capped() -> bool:
-        return max_solutions is not None and len(matches) >= max_solutions
-
-    while queue:
-        state, depth = queue.popleft()
-        depth_reached = max(depth_reached, depth)
+    def visit(state: SysState, index: int, succs: list) -> bool:
+        if mode == "terminal" and succs:
+            return False
         try:
-            succs = step(state, solver)
+            bindings = evaluate_query(state, q, solver)
         except SolverInconclusive as exc:
-            raise SolverInconclusive(f"exploring {state}: {exc}") from exc
-        if mode == "any" or not succs:
-            try:
-                bindings = evaluate_query(state, q, solver)
-            except SolverInconclusive as exc:
-                raise SolverInconclusive(f"evaluating query on {state}: {exc}") from exc
-            index = visited[state]
-            for b in bindings:
-                matches.append(Match(state, index, b))
-                if capped():
-                    return SearchOutcome(tuple(matches), len(visited), depth_reached, True)
-        for t in succs:
-            if t not in visited:
-                if depth >= max_depth:
-                    truncated = True
-                    continue
-                visited[t] = len(visited)
-                queue.append((t, depth + 1))
-    return SearchOutcome(tuple(matches), len(visited), depth_reached, truncated)
+            raise SolverInconclusive(f"evaluating query on {state}: {exc}") from exc
+        for b in bindings:
+            matches.append(Match(state, index, b))
+            if len(matches) == max_solutions:
+                return True
+        return False
 
-
-def reachable_count(init: SysState, max_depth: int = 64, solver: Solver | None = None) -> int:
-    """Number of distinct canonical states reachable within max_depth,
-    the initial state included."""
-    outcome = search(
-        init, Predicate(lambda s: False), mode="any", max_depth=max_depth, solver=solver
-    )
-    return outcome.states_explored
+    explored, depth, cut, capped = explore(init, solver, max_depth, visit)
+    return SearchOutcome(tuple(matches), explored, depth, cut, capped)

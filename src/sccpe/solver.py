@@ -99,7 +99,6 @@ class SolverConfig:
     external_cmd: Optional[tuple] = None
     timeout_ms: int = 5000
     unknown_policy: str = "error"  # 'error' | 'paper'
-    dnf_limit: int = 4096
 
     def __post_init__(self):
         if self.backend not in ("internal", "external"):
@@ -132,7 +131,7 @@ class Solver:
             result = self._external(key)
         else:
             try:
-                result = _internal_sat(key, self.config.dnf_limit)
+                result = _internal_sat(key)
             except FragmentUnsupported:
                 if self.config.external_cmd is None:
                     raise
@@ -173,8 +172,8 @@ def entails(c: Formula, d: Formula, config: SolverConfig | None = None) -> bool:
 # Internal procedure
 
 
-def _internal_sat(c: Formula, dnf_limit: int) -> SatResult:
-    for conjunct in to_dnf(c, dnf_limit):
+def _internal_sat(c: Formula) -> SatResult:
+    for conjunct in to_dnf(c):
         polarity: dict[str, bool] = {}
         consistent = True
         atoms = []

@@ -136,6 +136,52 @@ def test_search_to_closure_and_solution_cap_do_not_warn():
         assert err == ""
 
 
+def test_solution_cap_omits_no_more_solutions():
+    argv = ["search", MESSAGE, "--query", "entails", "Z > 9", "--max-solutions"]
+    code, out, err = invoke(argv + ["1"])
+    assert code == 0
+    assert out.strip().splitlines()[-2:] == ["  store: Z:Integer >= 10", "states: 9  solutions: 1"]
+    # the cap stops the search on its 8th solution, even if it is the last
+    code, out, err = invoke(argv + ["8"])
+    assert "No more solutions." not in out
+    code, out, err = invoke(argv + ["9"])
+    assert "No more solutions." in out
+    assert "solutions: 8" in out.strip().splitlines()[-1]
+
+
+def test_depth_warning_fires_when_the_cap_also_stopped_the_search():
+    argv = ["search", MESSAGE, "--query", "entails", "Z > 9", "--max-solutions", "1"]
+    for fmt in ("text", "json"):
+        code, out, err = invoke(argv + ["--max-depth", "5", "--format", fmt])
+        assert code == 0
+        assert err == "warning: depth bound 5 reached before closure\n"
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["truncated"] is True
+            assert len(doc["solutions"]) == 1
+
+
+def test_bad_bounds_are_usage_errors():
+    for argv in (
+        ["run", MESSAGE, "--max-depth", "-1"],
+        ["search", MESSAGE, "--query", "inconsistent", "--max-depth", "-1"],
+        ["search", MESSAGE, "--query", "inconsistent", "--max-solutions", "0"],
+        ["search", MESSAGE, "--query", "inconsistent", "--max-solutions", "-1"],
+        ["search", MESSAGE, "--query", "inconsistent", "--max-solutions", "many"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: argument {argv[-2]}: ")
+
+
+def test_depth_bound_zero_explores_the_initial_state_only():
+    code, out, err = invoke(["run", MESSAGE, "--max-depth", "0"])
+    assert code == 0
+    assert out == "states: 1  terminal: 0\n"
+    assert err == "warning: depth bound 0 reached before closure\n"
+
+
 def test_search_json_output_validates():
     code, out, err = invoke(
         ["search", MESSAGE, "--query", "entails", "Z > 9", "--format", "json"]

@@ -24,7 +24,7 @@ from sccpe import (
     evaluate_query,
     intvar,
     normalize,
-    reachable_count,
+    run,
     search,
     step,
     store_map,
@@ -155,12 +155,16 @@ def test_max_solutions_truncates(solver):
     )
     assert len(outcome.matches) == 3
     assert outcome.truncated
+    assert outcome.capped
+    assert not outcome.depth_cut
 
 
 def test_max_depth_truncates(solver):
     full = search(base_system(), Predicate(lambda s: False), solver=solver)
     shallow = search(base_system(), Predicate(lambda s: False), max_depth=2, solver=solver)
     assert shallow.truncated
+    assert shallow.depth_cut
+    assert not shallow.capped
     assert shallow.states_explored < full.states_explored
     assert shallow.depth_reached <= 2
 
@@ -171,17 +175,36 @@ def test_search_deterministic(solver):
     assert a == b
 
 
+def _reachable_count(init, solver):
+    return search(init, Predicate(lambda s: False), solver=solver).states_explored
+
+
 def test_reachable_count_fixed_point(solver):
-    assert reachable_count(normalize(SysState((StoreObj(ROOT, TRUE),))), solver=solver) == 1
+    assert _reachable_count(normalize(SysState((StoreObj(ROOT, TRUE),))), solver) == 1
 
 
 def test_reachable_count_base_system(solver):
-    assert reachable_count(base_system(), solver=solver) == 19
+    assert _reachable_count(base_system(), solver) == 19
 
 
 def test_bad_mode_rejected(solver):
     with pytest.raises(ValueError):
         search(base_system(), InconsistentStore(), mode="everything", solver=solver)
+
+
+def test_bad_bounds_rejected(solver):
+    for kwargs in ({"max_depth": -1}, {"max_solutions": 0}, {"max_solutions": -1}):
+        with pytest.raises(ValueError):
+            search(base_system(), InconsistentStore(), solver=solver, **kwargs)
+    with pytest.raises(ValueError):
+        run(base_system(), solver, max_steps=-1)
+
+
+def test_search_normalizes_the_initial_state(solver):
+    # two root stores merge into one unsatisfiable store only once normalized
+    raw = SysState((StoreObj(ROOT, X > 1), StoreObj(ROOT, X < 0)))
+    outcome = search(raw, InconsistentStore(), solver=solver)
+    assert [(m.state, m.state_index) for m in outcome.matches] == [(normalize(raw), 0)]
 
 
 # ---------------------------------------------------------------------------

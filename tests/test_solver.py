@@ -227,11 +227,11 @@ def test_fragment_failover_to_external(tmp_path):
 def test_dnf_blowup_failover(tmp_path):
     from sccpe import ne_
 
-    f = And(tuple(ne_(X, k) for k in range(12)))  # 2^12 disjuncts
-    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"), dnf_limit=16)
+    f = And(tuple(ne_(X, k) for k in range(13)))  # 2^13 disjuncts, past the 4096 limit
+    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
     assert check_sat(f, cfg).is_sat
     with pytest.raises(FragmentUnsupported):
-        check_sat(f, SolverConfig(dnf_limit=16))
+        check_sat(f)
 
 
 def test_unknown_policy_error(tmp_path):
