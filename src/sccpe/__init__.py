@@ -48,7 +48,6 @@ from .formula import (
     intvar,
     ne_,
     negate,
-    read_formula,
     to_dnf,
 )
 from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, print_program, validate
@@ -71,12 +70,7 @@ from .solver import (
     Solver,
     SolverConfig,
     SolverInconclusive,
-    brute_force_sat,
-    check_sat,
-    check_unsat,
     dl_conjunct_sat,
-    entails,
-    small_model_bound,
 )
 
 __version__ = "0.1.0"

@@ -69,7 +69,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         metavar="BACKEND",
         help="internal (default) or external:CMD; env SCCPE_SOLVER overrides the default",
     )
-    p.add_argument("--timeout", type=int, default=5000, metavar="MS", help="solver timeout")
+    p.add_argument("--timeout", type=_at_least(1), default=5000, metavar="MS", help="solver timeout")
     p.add_argument(
         "--unknown-as",
         choices=("error", "paper"),
@@ -258,8 +258,9 @@ def _cmd_check(args, out, err) -> int:
     table = {}
     if text.strip():
         table = _parse_program(text, name, err).var_table
-    left = lang.parse_constraint_text(args.entails[0], table)
-    right = lang.parse_constraint_text(args.entails[1], table)
+    inferred = {}  # an undeclared name gets one sort across both formulas
+    left = lang.parse_constraint_text(args.entails[0], table, inferred)
+    right = lang.parse_constraint_text(args.entails[1], table, inferred)
     solver = _solver_from_args(args)
     verdict = solver.entails(left, right)
     if args.format == "json":

@@ -16,21 +16,26 @@ nothing is interned.  The module provides:
   conjunction removed.  Canonical terms are the engine's state-identity
   currency; a canonical term is returned as it is, so canonical inputs
   cost one flag test;
-* ``to_dnf``, which lowers the decidable fragment (Boolean combinations of
-  comparisons between integer variables and literals) to a disjunction of
-  difference-logic atoms, ready for a negative-cycle check;
-* a printer/reader pair for the concrete constraint syntax used in logs
+* ``to_dnf``, which lowers the decidable fragment (Boolean combinations,
+  Boolean equality included, of comparisons between integer variables and
+  literals) to a disjunction of difference-logic atoms, ready for a
+  negative-cycle check;
+* a printer for the concrete constraint syntax used in logs
   (``X:Integer === 25 and Y:Integer < 5``).
+
+The module has no evaluator and no reader: the brute-force model
+enumerator that checks the solver (``tests/model_oracle.py``) and the
+reader that checks the printer (``tests/formula_reader.py``) live with the
+tests.
 
 Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 
 class Sort(Enum):
@@ -148,11 +153,11 @@ def rebuild(t: Node, fn: Callable) -> Node:
     )
 
 
-def chain_canonical(t: Node, banned: tuple, strict: bool, min_len: int = 2) -> bool:
+def chain_canonical(t: Node, banned: tuple, strict: bool) -> bool:
     """Canonical-form test of an associative-commutative chain: at least
-    `min_len` arguments, none of a `banned` class, keys in ascending order
+    two arguments, none of a `banned` class, keys in ascending order
     (strictly when `strict`)."""
-    if len(t.args) < min_len or any(type(a) in banned for a in t.args):
+    if len(t.args) < 2 or any(type(a) in banned for a in t.args):
         return False
     keys = t._key[1]
     if strict:
@@ -307,7 +312,7 @@ class Xor(_Bool):
     _kids = (("args", BOOL_KINDS, True),)
 
     def _canon_here(self) -> bool:
-        return chain_canonical(self, (Xor,), strict=False, min_len=0)
+        return chain_canonical(self, (Xor,), strict=False) and FALSE not in self.args
 
 
 @node
@@ -439,8 +444,10 @@ def canonicalize(c: Formula) -> Formula:
 
     Conjunctions are flattened, stripped of ``true``, collapsed on
     ``false``, deduplicated, and sorted; the other associative-commutative
-    chains (or, xor) are flattened and sorted; ``or`` drops its units and
-    ``not`` folds constants.  No semantic reasoning happens here.  A term
+    chains (or, xor) are flattened, stripped of ``false`` and sorted, and
+    ``or`` collapses on ``true``; a chain left with one argument is that
+    argument, and one left with none is its unit.  ``not`` folds
+    constants.  No semantic reasoning happens here.  A term
     that is already canonical is returned as it is, and only the parts of
     one that is not are rebuilt.
     """
@@ -448,7 +455,7 @@ def canonicalize(c: Formula) -> Formula:
 
 
 # Per chain class: the unit that is dropped and the zero that absorbs.
-_CHAIN = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (None, None)}
+_CHAIN = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (FALSE, None)}
 
 
 def _canon_bool(f: Formula) -> Formula:
@@ -475,8 +482,6 @@ def _canon_bool(f: Formula) -> Formula:
     if cls is And:
         parts = list(dict.fromkeys(parts))
     parts.sort(key=term_key)
-    if cls is Xor:
-        return Xor(tuple(parts))
     if len(parts) < 2:
         return parts[0] if parts else unit
     return cls(tuple(parts))
@@ -517,76 +522,6 @@ def _collect_vars(t, acc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation (reference semantics, used by the brute-force oracle)
-
-
-def eval_formula(f: Formula, env: Mapping[str, object]) -> bool:
-    if isinstance(f, BoolConst):
-        return f.value
-    if isinstance(f, Var):
-        return bool(env[f.name])
-    if isinstance(f, Not):
-        return not eval_formula(f.arg, env)
-    if isinstance(f, And):
-        return all(eval_formula(a, env) for a in f.args)
-    if isinstance(f, Or):
-        return any(eval_formula(a, env) for a in f.args)
-    if isinstance(f, Xor):
-        acc = False
-        for a in f.args:
-            acc ^= eval_formula(a, env)
-        return acc
-    if isinstance(f, Implies):
-        return (not eval_formula(f.left, env)) or eval_formula(f.right, env)
-    if isinstance(f, BoolEq):
-        return eval_formula(f.left, env) == eval_formula(f.right, env)
-    if isinstance(f, BoolNeq):
-        return eval_formula(f.left, env) != eval_formula(f.right, env)
-    if isinstance(f, Cmp):
-        lv, rv = eval_int_expr(f.left, env), eval_int_expr(f.right, env)
-        return _CMP_FN[f.op](lv, rv)
-    if isinstance(f, BoolITE):
-        return eval_formula(f.then if eval_formula(f.cond, env) else f.orelse, env)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-_CMP_FN: dict[str, Callable[[int, int], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "===": lambda a, b: a == b,
-    "=/==": lambda a, b: a != b,
-}
-
-
-def eval_int_expr(e: IntExpr, env: Mapping[str, object]) -> int:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Var):
-        return int(env[e.name])
-    if isinstance(e, Neg):
-        return -eval_int_expr(e.arg, env)
-    if isinstance(e, Arith):
-        a, b = eval_int_expr(e.left, env), eval_int_expr(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        # Euclidean division: remainder is always non-negative.
-        if e.op == "div":
-            return a // b if b > 0 else -(a // -b)
-        if e.op == "mod":
-            return a - b * (a // b if b > 0 else -(a // -b))
-        raise ValueError(f"unknown arithmetic operator {e.op}")
-    if isinstance(e, IntITE):
-        return eval_int_expr(e.then if eval_formula(e.cond, env) else e.orelse, env)
-    raise TypeError(f"not an integer expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # Difference-logic DNF
 
 
@@ -604,13 +539,6 @@ class DLAtom:
     k: int
     y: str | None = None
 
-    def holds(self, env: Mapping[str, object]) -> bool:
-        if self.kind == "ub":
-            return int(env[self.x]) <= self.k
-        if self.kind == "lb":
-            return int(env[self.x]) >= self.k
-        return int(env[self.x]) - int(env[self.y]) <= self.k
-
     def __str__(self) -> str:
         if self.kind == "ub":
             return f"{self.x} <= {self.k}"
@@ -623,9 +551,6 @@ class DLAtom:
 class BoolLit:
     name: str
     positive: bool = True
-
-    def holds(self, env: Mapping[str, object]) -> bool:
-        return bool(env[self.name]) == self.positive
 
     def __str__(self) -> str:
         return self.name if self.positive else f"not {self.name}"
@@ -699,8 +624,20 @@ def _dnf(f: Formula, pos: bool, limit: int) -> list:
     if isinstance(f, Cmp):
         op = f.op if pos else _NEG_OP[f.op]
         return _atom_dnf(op, f.left, f.right)
+    if isinstance(f, (BoolEq, BoolNeq)):
+        # l = r is not(l xor r), and l =/= r is l xor r
+        return _dnf(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), limit)
     raise FragmentUnsupported(f"{type(f).__name__} is outside the difference-logic fragment")
 
+
+_CMP_FN: dict[str, Callable[[int, int], bool]] = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "===": lambda a, b: a == b,
+    "=/==": lambda a, b: a != b,
+}
 
 _NEG_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "===": "=/==", "=/==": "==="}
 _FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "===": "===", "=/==": "=/=="}
@@ -825,213 +762,3 @@ def _fmt_int(e: IntExpr, parent: int) -> str:
         )
         return _wrap(s, _B_ITE, parent)
     raise TypeError(f"not an integer expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Concrete syntax: reader
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<op>===|=/==|<=|>=|\|\||->|[<>+\-*?:().]))"
-)
-
-_KEYWORDS = {"and", "or", "xor", "implies", "not", "true", "false", "div", "mod", "Integer", "Boolean"}
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"column {pos}: unexpected character {text[pos]!r}")
-        pos = m.end()
-        if m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start()))
-        elif m.lastgroup == "int":
-            tokens.append(("int", m.group("int"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-class _Reader:
-    """Pratt parser over the printed constraint syntax."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, at = self.next()
-        if val != value:
-            raise ValueError(f"column {at}: expected {value!r}, found {val!r}")
-
-    def fail(self, msg: str):
-        kind, val, at = self.peek()
-        raise ValueError(f"column {at}: {msg} (at {val!r})")
-
-    # Each parse method returns ('bool', Formula) or ('int', IntExpr).
-
-    def parse(self, min_bp: int):
-        kind, node = self.parse_prefix()
-        while True:
-            tk, tv, _ = self.peek()
-            if tk == "name" and tv in ("and", "or", "xor", "implies", "div", "mod"):
-                opname = tv
-            elif tk == "op" and tv in ("===", "=/==", "<=", ">=", "<", ">", "+", "-", "*", "?"):
-                opname = tv
-            else:
-                break
-            bp = _READ_BP[opname]
-            if bp < min_bp:
-                break
-            self.next()
-            if opname == "?":
-                kind, node = self.parse_ite(kind, node)
-                continue
-            if opname in ("and", "or", "xor"):
-                kind, node = self.parse_chain(opname, kind, node, bp)
-                continue
-            rk, rn = self.parse(bp + 1)
-            kind, node = self.combine(opname, kind, node, rk, rn)
-        return kind, node
-
-    def parse_chain(self, opname: str, kind, node, bp: int):
-        args = [self.require_bool(kind, node)]
-        while True:
-            rk, rn = self.parse(bp + 1)
-            args.append(self.require_bool(rk, rn))
-            tk, tv, _ = self.peek()
-            if tk == "name" and tv == opname:
-                self.next()
-                continue
-            break
-        cls = {"and": And, "or": Or, "xor": Xor}[opname]
-        return "bool", cls(tuple(args))
-
-    def parse_ite(self, ck, cn):
-        cond = self.require_bool(ck, cn)
-        tk_kind, tk_node = self.parse(_B_ITE + 1)
-        self.expect(":")
-        ek_kind, ek_node = self.parse(_B_ITE + 1)
-        if tk_kind != ek_kind:
-            self.fail("conditional branches have different sorts")
-        if tk_kind == "int":
-            return "int", IntITE(cond, tk_node, ek_node)
-        return "bool", BoolITE(cond, tk_node, ek_node)
-
-    def combine(self, op: str, lk, ln, rk, rn):
-        if op == "implies":
-            return "bool", Implies(self.require_bool(lk, ln), self.require_bool(rk, rn))
-        if op in ("<", "<=", ">", ">="):
-            return "bool", Cmp(op, self.require_int(lk, ln), self.require_int(rk, rn))
-        if op in ("===", "=/=="):
-            if lk == "int" and rk == "int":
-                return "bool", Cmp(op, ln, rn)
-            if lk == "bool" and rk == "bool":
-                return "bool", (BoolEq if op == "===" else BoolNeq)(ln, rn)
-            self.fail(f"operands of {op} have different sorts")
-        if op in ("+", "-", "*", "div", "mod"):
-            return "int", Arith(op, self.require_int(lk, ln), self.require_int(rk, rn))
-        raise AssertionError(op)
-
-    def require_bool(self, kind, node) -> Formula:
-        if kind != "bool":
-            self.fail("expected a Boolean term")
-        return node
-
-    def require_int(self, kind, node) -> IntExpr:
-        if kind != "int":
-            self.fail("expected an integer term")
-        return node
-
-    def parse_prefix(self):
-        tk, tv, at = self.next()
-        if tk == "int":
-            return "int", IntLit(int(tv))
-        if tk == "op" and tv == "-":
-            kind, node = self.parse(_B_NEG)
-            if kind != "int":
-                raise ValueError(f"column {at}: unary minus needs an integer operand")
-            if isinstance(node, IntLit):
-                return "int", IntLit(-node.value)
-            return "int", Neg(node)
-        if tk == "op" and tv == "(":
-            kind, node = self.parse(0)
-            self.expect(")")
-            # accept the (10).Integer / (true).Boolean literal notation
-            pk, pv, _ = self.peek()
-            if pv == ".":
-                self.next()
-                sk, sv, sat = self.next()
-                if sv not in ("Integer", "Boolean"):
-                    raise ValueError(f"column {sat}: expected Integer or Boolean after '.'")
-            return kind, node
-        if tk == "name":
-            if tv == "true":
-                return "bool", TRUE
-            if tv == "false":
-                return "bool", FALSE
-            if tv == "not":
-                self.expect("(")
-                kind, node = self.parse(0)
-                self.expect(")")
-                return "bool", Not(self.require_bool(kind, node))
-            if tv in _KEYWORDS:
-                raise ValueError(f"column {at}: unexpected keyword {tv!r}")
-            pk, pv, _ = self.peek()
-            if pv == ":":
-                self.next()
-                sk, sv, sat = self.next()
-                if sv == "Integer":
-                    return "int", Var(tv, Sort.INT)
-                if sv == "Boolean":
-                    return "bool", Var(tv, Sort.BOOL)
-                raise ValueError(f"column {sat}: expected Integer or Boolean sort annotation")
-            raise ValueError(f"column {at}: variable {tv} needs a :Integer or :Boolean annotation")
-        raise ValueError(f"column {at}: unexpected token {tv!r}")
-
-
-_READ_BP = {
-    "?": _B_ITE,
-    "implies": _B_IMPLIES,
-    "or": _B_OR,
-    "xor": _B_XOR,
-    "and": _B_AND,
-    "===": _B_EQ,
-    "=/==": _B_EQ,
-    "<": _B_CMP,
-    "<=": _B_CMP,
-    ">": _B_CMP,
-    ">=": _B_CMP,
-    "+": _B_ADD,
-    "-": _B_ADD,
-    "*": _B_MUL,
-    "div": _B_MUL,
-    "mod": _B_MUL,
-}
-
-
-def read_formula(text: str) -> Formula:
-    """Parse the printer's concrete syntax back into a Formula."""
-    reader = _Reader(text)
-    kind, node = reader.parse(0)
-    tk, tv, at = reader.peek()
-    if tk != "eof":
-        raise ValueError(f"column {at}: trailing input {tv!r}")
-    if kind != "bool":
-        raise ValueError("expected a Boolean formula, found an integer expression")
-    return node

@@ -205,11 +205,17 @@ def _lex(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, table: Optional[dict] = None, lenient: bool = False):
+    def __init__(
+        self,
+        text: str,
+        table: Optional[dict] = None,
+        lenient: bool = False,
+        inferred: Optional[dict] = None,
+    ):
         self.tokens = _lex(text)
         self.pos = 0
         self.table: dict[str, Sort] = dict(table or {})
-        self.inferred: dict[str, Sort] = {}
+        self.inferred: dict[str, Sort] = {} if inferred is None else inferred
         self.deferred: list[Diagnostic] = []
         self.reported: set[str] = set()
         self.lenient = lenient  # CLI formulas: infer undeclared names silently
@@ -459,13 +465,17 @@ def parse(text: str) -> ProgramAst:
     return _Parser(text).parse_program()
 
 
-def parse_constraint_text(text: str, table: Optional[dict] = None) -> Formula:
+def parse_constraint_text(
+    text: str, table: Optional[dict] = None, inferred: Optional[dict] = None
+) -> Formula:
     """Parse a standalone constraint in the surface syntax.
 
     Identifier sorts come from `table` when given; undeclared names are
     inferred from use (comparison operands are Int, bare names Bool).
+    The inferred sorts are recorded in `inferred` when given, so formulas
+    parsed with the same dict must use each undeclared name with one sort.
     """
-    parser = _Parser(text, table=table, lenient=True)
+    parser = _Parser(text, table=table, lenient=True, inferred=inferred)
     f = parser.parse_constraint()
     tok = parser.peek()
     if tok.kind != "eof":

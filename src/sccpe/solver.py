@@ -1,17 +1,17 @@
 """Satisfiability and entailment of constraint formulas.
 
-Three routes:
+A `Solver` session decides them with one of two backends:
 
 * an internal decision procedure, complete for the difference-logic
   fragment: formulas are lowered to DNF and each conjunct is checked for a
   negative cycle in its constraint graph (Bellman-Ford);
 * an external SMT-LIB2 solver spoken to over a child process's stdin/stdout,
-  for formulas the fragment cannot express (arithmetic, conditionals,
-  Boolean equality);
-* a brute-force model enumerator used as a test oracle, independent of the
-  other two.
+  for formulas the fragment cannot express (arithmetic, conditionals).
 
-``entails(c, d)`` is unsatisfiability of ``c and not(d)``.  A solver
+The brute-force model enumerator that the internal procedure is tested
+against lives in ``tests/model_oracle.py`` and shares no code with it.
+
+``Solver.entails(c, d)`` is unsatisfiability of ``c and not(d)``.  A solver
 timeout surfaces as an ``unknown`` verdict; by default that raises
 :class:`SolverInconclusive`, while the ``paper`` policy silently treats
 unknown as unsatisfiable (reproducing the behavior of engines that map
@@ -21,10 +21,9 @@ default).
 
 from __future__ import annotations
 
-import itertools
 import subprocess
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .formula import (
     And,
@@ -48,7 +47,6 @@ from .formula import (
     Var,
     Xor,
     canonicalize,
-    children,
     conjoin,
     free_vars,
     negate,
@@ -154,18 +152,6 @@ class Solver:
 
     def _external(self, c: Formula) -> SatResult:
         return _run_external(self.config.external_cmd, smtlib_script(c), self.config.timeout_ms)
-
-
-def check_sat(c: Formula, config: SolverConfig | None = None) -> SatResult:
-    return Solver(config).check_sat(c)
-
-
-def check_unsat(c: Formula, config: SolverConfig | None = None) -> bool:
-    return Solver(config).check_unsat(c)
-
-
-def entails(c: Formula, d: Formula, config: SolverConfig | None = None) -> bool:
-    return Solver(config).entails(c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -295,128 +281,3 @@ def _run_external(cmd: tuple, script: str, timeout_ms: int) -> SatResult:
     raise ExternalSolverError(
         f"no verdict from {cmd[0]} (exit {proc.returncode}): {proc.stderr.strip()[:200]}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-def small_model_bound(c: Formula) -> int:
-    """Sufficient enumeration bound for the fragment: sum of absolute
-    literal constants plus the number of integer variables plus one."""
-    total = 0
-
-    def walk(t):
-        nonlocal total
-        if isinstance(t, IntLit):
-            total += abs(t.value)
-        for kid in children(t):
-            walk(kid)
-
-    walk(c)
-    n_int = sum(1 for v in free_vars(c) if v.sort is Sort.INT)
-    return total + n_int + 1
-
-
-def _assert_fragment(t: Formula) -> None:
-    # Deliberately independent of to_dnf: a plain whitelist walk.
-    if isinstance(t, BoolConst):
-        return
-    if isinstance(t, Var):
-        if t.sort is not Sort.BOOL:
-            raise FragmentUnsupported(f"integer variable {t.name} in formula position")
-        return
-    if isinstance(t, Not):
-        _assert_fragment(t.arg)
-        return
-    if isinstance(t, (And, Or, Xor)):
-        for a in t.args:
-            _assert_fragment(a)
-        return
-    if isinstance(t, Implies):
-        _assert_fragment(t.left)
-        _assert_fragment(t.right)
-        return
-    if isinstance(t, Cmp):
-        for side in (t.left, t.right):
-            if isinstance(side, Var):
-                if side.sort is not Sort.INT:
-                    raise FragmentUnsupported(f"Boolean variable {side.name} in a comparison")
-            elif not isinstance(side, IntLit):
-                raise FragmentUnsupported("comparison operands must be variables or literals")
-        return
-    raise FragmentUnsupported(f"{type(t).__name__} is outside the difference-logic fragment")
-
-
-def _compile_eval(f: Formula) -> Callable[[dict], bool]:
-    """Pre-resolve dispatch into closures; same semantics as eval_formula."""
-    if isinstance(f, BoolConst):
-        value = f.value
-        return lambda env: value
-    if isinstance(f, Var):
-        name = f.name
-        return lambda env: env[name]
-    if isinstance(f, Not):
-        g = _compile_eval(f.arg)
-        return lambda env: not g(env)
-    if isinstance(f, And):
-        gs = tuple(_compile_eval(a) for a in f.args)
-        return lambda env: all(g(env) for g in gs)
-    if isinstance(f, Or):
-        gs = tuple(_compile_eval(a) for a in f.args)
-        return lambda env: any(g(env) for g in gs)
-    if isinstance(f, Xor):
-        gs = tuple(_compile_eval(a) for a in f.args)
-        return lambda env: sum(g(env) for g in gs) % 2 == 1
-    if isinstance(f, Implies):
-        gl, gr = _compile_eval(f.left), _compile_eval(f.right)
-        return lambda env: (not gl(env)) or gr(env)
-    if isinstance(f, Cmp):
-        op = f.op
-        left, right = f.left, f.right
-
-        def side(e):
-            if isinstance(e, IntLit):
-                value = e.value
-                return lambda env: value
-            name = e.name
-            return lambda env: env[name]
-
-        ls, rs = side(left), side(right)
-        if op == "<":
-            return lambda env: ls(env) < rs(env)
-        if op == "<=":
-            return lambda env: ls(env) <= rs(env)
-        if op == ">":
-            return lambda env: ls(env) > rs(env)
-        if op == ">=":
-            return lambda env: ls(env) >= rs(env)
-        if op == "===":
-            return lambda env: ls(env) == rs(env)
-        return lambda env: ls(env) != rs(env)
-    raise FragmentUnsupported(f"{type(f).__name__} is outside the difference-logic fragment")
-
-
-def brute_force_sat(c: Formula, bound: int) -> bool:
-    """Enumerate integer assignments over [-bound, bound] and Boolean
-    assignments over {false, true}; true iff some assignment satisfies c.
-
-    Only valid on the fragment, where `small_model_bound(c)` is a
-    sufficient bound.
-    """
-    _assert_fragment(c)
-    variables = free_vars(c)
-    int_names = sorted(v.name for v in variables if v.sort is Sort.INT)
-    bool_names = sorted(v.name for v in variables if v.sort is Sort.BOOL)
-    fn = _compile_eval(c)
-    env: dict[str, object] = {}
-    domain = range(-bound, bound + 1)
-    for bools in itertools.product((False, True), repeat=len(bool_names)):
-        for name, value in zip(bool_names, bools):
-            env[name] = value
-        for ints in itertools.product(domain, repeat=len(int_names)):
-            for name, value in zip(int_names, ints):
-                env[name] = value
-            if fn(env):
-                return True
-    return False

@@ -1,0 +1,244 @@
+"""Reader for the printed constraint syntax, the round-trip oracle of
+`sccpe.formula.format_formula`.
+
+Nothing in the analyzer reads this syntax: the command line reads the
+surface language and machine readers get the JSON terms.  The reader
+keeps its own precedence table, so a printer that drops a needed
+parenthesis fails the round trip.
+"""
+
+from __future__ import annotations
+
+import re
+
+from sccpe.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Arith,
+    BoolEq,
+    BoolITE,
+    BoolNeq,
+    Cmp,
+    Formula,
+    Implies,
+    IntExpr,
+    IntITE,
+    IntLit,
+    Neg,
+    Not,
+    Or,
+    Sort,
+    Var,
+    Xor,
+)
+
+# Binding powers, loosest first.
+_B_ITE, _B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ, _B_CMP = 1, 2, 3, 4, 5, 6, 7
+_B_ADD, _B_MUL, _B_NEG = 8, 9, 10
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<op>===|=/==|<=|>=|\|\||->|[<>+\-*?:().]))"
+)
+
+_KEYWORDS = {"and", "or", "xor", "implies", "not", "true", "false", "div", "mod", "Integer", "Boolean"}
+
+
+def _tokenize(text: str) -> list:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"column {pos}: unexpected character {text[pos]!r}")
+        pos = m.end()
+        if m.lastgroup == "name":
+            tokens.append(("name", m.group("name"), m.start()))
+        elif m.lastgroup == "int":
+            tokens.append(("int", m.group("int"), m.start()))
+        else:
+            tokens.append(("op", m.group("op"), m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _Reader:
+    """Pratt parser over the printed constraint syntax."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, val, at = self.next()
+        if val != value:
+            raise ValueError(f"column {at}: expected {value!r}, found {val!r}")
+
+    def fail(self, msg: str):
+        kind, val, at = self.peek()
+        raise ValueError(f"column {at}: {msg} (at {val!r})")
+
+    # Each parse method returns ('bool', Formula) or ('int', IntExpr).
+
+    def parse(self, min_bp: int):
+        kind, node = self.parse_prefix()
+        while True:
+            tk, tv, _ = self.peek()
+            if tk == "name" and tv in ("and", "or", "xor", "implies", "div", "mod"):
+                opname = tv
+            elif tk == "op" and tv in ("===", "=/==", "<=", ">=", "<", ">", "+", "-", "*", "?"):
+                opname = tv
+            else:
+                break
+            bp = _READ_BP[opname]
+            if bp < min_bp:
+                break
+            self.next()
+            if opname == "?":
+                kind, node = self.parse_ite(kind, node)
+                continue
+            if opname in ("and", "or", "xor"):
+                kind, node = self.parse_chain(opname, kind, node, bp)
+                continue
+            rk, rn = self.parse(bp + 1)
+            kind, node = self.combine(opname, kind, node, rk, rn)
+        return kind, node
+
+    def parse_chain(self, opname: str, kind, node, bp: int):
+        args = [self.require_bool(kind, node)]
+        while True:
+            rk, rn = self.parse(bp + 1)
+            args.append(self.require_bool(rk, rn))
+            tk, tv, _ = self.peek()
+            if tk == "name" and tv == opname:
+                self.next()
+                continue
+            break
+        cls = {"and": And, "or": Or, "xor": Xor}[opname]
+        return "bool", cls(tuple(args))
+
+    def parse_ite(self, ck, cn):
+        cond = self.require_bool(ck, cn)
+        tk_kind, tk_node = self.parse(_B_ITE + 1)
+        self.expect(":")
+        ek_kind, ek_node = self.parse(_B_ITE + 1)
+        if tk_kind != ek_kind:
+            self.fail("conditional branches have different sorts")
+        if tk_kind == "int":
+            return "int", IntITE(cond, tk_node, ek_node)
+        return "bool", BoolITE(cond, tk_node, ek_node)
+
+    def combine(self, op: str, lk, ln, rk, rn):
+        if op == "implies":
+            return "bool", Implies(self.require_bool(lk, ln), self.require_bool(rk, rn))
+        if op in ("<", "<=", ">", ">="):
+            return "bool", Cmp(op, self.require_int(lk, ln), self.require_int(rk, rn))
+        if op in ("===", "=/=="):
+            if lk == "int" and rk == "int":
+                return "bool", Cmp(op, ln, rn)
+            if lk == "bool" and rk == "bool":
+                return "bool", (BoolEq if op == "===" else BoolNeq)(ln, rn)
+            self.fail(f"operands of {op} have different sorts")
+        if op in ("+", "-", "*", "div", "mod"):
+            return "int", Arith(op, self.require_int(lk, ln), self.require_int(rk, rn))
+        raise AssertionError(op)
+
+    def require_bool(self, kind, node) -> Formula:
+        if kind != "bool":
+            self.fail("expected a Boolean term")
+        return node
+
+    def require_int(self, kind, node) -> IntExpr:
+        if kind != "int":
+            self.fail("expected an integer term")
+        return node
+
+    def parse_prefix(self):
+        tk, tv, at = self.next()
+        if tk == "int":
+            return "int", IntLit(int(tv))
+        if tk == "op" and tv == "-":
+            kind, node = self.parse(_B_NEG)
+            if kind != "int":
+                raise ValueError(f"column {at}: unary minus needs an integer operand")
+            if isinstance(node, IntLit):
+                return "int", IntLit(-node.value)
+            return "int", Neg(node)
+        if tk == "op" and tv == "(":
+            kind, node = self.parse(0)
+            self.expect(")")
+            # accept the (10).Integer / (true).Boolean literal notation
+            pk, pv, _ = self.peek()
+            if pv == ".":
+                self.next()
+                sk, sv, sat = self.next()
+                if sv not in ("Integer", "Boolean"):
+                    raise ValueError(f"column {sat}: expected Integer or Boolean after '.'")
+            return kind, node
+        if tk == "name":
+            if tv == "true":
+                return "bool", TRUE
+            if tv == "false":
+                return "bool", FALSE
+            if tv == "not":
+                self.expect("(")
+                kind, node = self.parse(0)
+                self.expect(")")
+                return "bool", Not(self.require_bool(kind, node))
+            if tv in _KEYWORDS:
+                raise ValueError(f"column {at}: unexpected keyword {tv!r}")
+            pk, pv, _ = self.peek()
+            if pv == ":":
+                self.next()
+                sk, sv, sat = self.next()
+                if sv == "Integer":
+                    return "int", Var(tv, Sort.INT)
+                if sv == "Boolean":
+                    return "bool", Var(tv, Sort.BOOL)
+                raise ValueError(f"column {sat}: expected Integer or Boolean sort annotation")
+            raise ValueError(f"column {at}: variable {tv} needs a :Integer or :Boolean annotation")
+        raise ValueError(f"column {at}: unexpected token {tv!r}")
+
+
+_READ_BP = {
+    "?": _B_ITE,
+    "implies": _B_IMPLIES,
+    "or": _B_OR,
+    "xor": _B_XOR,
+    "and": _B_AND,
+    "===": _B_EQ,
+    "=/==": _B_EQ,
+    "<": _B_CMP,
+    "<=": _B_CMP,
+    ">": _B_CMP,
+    ">=": _B_CMP,
+    "+": _B_ADD,
+    "-": _B_ADD,
+    "*": _B_MUL,
+    "div": _B_MUL,
+    "mod": _B_MUL,
+}
+
+
+def read_formula(text: str) -> Formula:
+    """Parse the printer's concrete syntax back into a Formula."""
+    reader = _Reader(text)
+    kind, node = reader.parse(0)
+    tk, tv, at = reader.peek()
+    if tk != "eof":
+        raise ValueError(f"column {at}: trailing input {tv!r}")
+    if kind != "bool":
+        raise ValueError("expected a Boolean formula, found an integer expression")
+    return node

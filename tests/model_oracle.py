@@ -1,0 +1,185 @@
+"""Brute-force model enumeration: the reference that the solver is checked against.
+
+`brute_force_sat` decides satisfiability of a difference-logic formula by
+trying every assignment in a box that `small_model_bound` makes large
+enough.  It shares no code with the solver or the DNF lowering: the
+fragment is a whitelist walk of its own, and formulas are evaluated by
+closures compiled straight from the term tree.  `compile_term` is the one
+evaluator of the whole term language (arithmetic and conditionals too);
+`literal_holds` gives the truth of a DNF literal by reading its fields.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable
+
+from sccpe.formula import (
+    And,
+    Arith,
+    BoolConst,
+    BoolEq,
+    BoolITE,
+    BoolNeq,
+    Cmp,
+    FragmentUnsupported,
+    Implies,
+    IntITE,
+    IntLit,
+    Neg,
+    Not,
+    Or,
+    Sort,
+    Var,
+    Xor,
+    children,
+    free_vars,
+)
+
+
+def small_model_bound(c) -> int:
+    """Sufficient enumeration bound for the fragment: sum of absolute
+    literal constants plus the number of integer variables plus one."""
+    total = 0
+
+    def walk(t):
+        nonlocal total
+        if isinstance(t, IntLit):
+            total += abs(t.value)
+        for kid in children(t):
+            walk(kid)
+
+    walk(c)
+    n_int = sum(1 for v in free_vars(c) if v.sort is Sort.INT)
+    return total + n_int + 1
+
+
+def _assert_fragment(t) -> None:
+    # Deliberately independent of to_dnf: a plain whitelist walk.
+    if isinstance(t, BoolConst):
+        return
+    if isinstance(t, Var):
+        if t.sort is not Sort.BOOL:
+            raise FragmentUnsupported(f"integer variable {t.name} in formula position")
+        return
+    if isinstance(t, Not):
+        _assert_fragment(t.arg)
+        return
+    if isinstance(t, (And, Or, Xor)):
+        for a in t.args:
+            _assert_fragment(a)
+        return
+    if isinstance(t, (Implies, BoolEq, BoolNeq)):
+        _assert_fragment(t.left)
+        _assert_fragment(t.right)
+        return
+    if isinstance(t, Cmp):
+        for side in (t.left, t.right):
+            if isinstance(side, Var):
+                if side.sort is not Sort.INT:
+                    raise FragmentUnsupported(f"Boolean variable {side.name} in a comparison")
+            elif not isinstance(side, IntLit):
+                raise FragmentUnsupported("comparison operands must be variables or literals")
+        return
+    raise FragmentUnsupported(f"{type(t).__name__} is outside the difference-logic fragment")
+
+
+def _div(a: int, b: int) -> int:
+    # Euclidean division: the remainder a - b * q is never negative.
+    return a // b if b > 0 else -(a // -b)
+
+
+def _mod(a: int, b: int) -> int:
+    return a - b * _div(a, b)
+
+
+# Per operator, a builder of the closure over the operands' closures.
+_BINARY = {
+    "<": lambda l, r: lambda env: l(env) < r(env),
+    "<=": lambda l, r: lambda env: l(env) <= r(env),
+    ">": lambda l, r: lambda env: l(env) > r(env),
+    ">=": lambda l, r: lambda env: l(env) >= r(env),
+    "===": lambda l, r: lambda env: l(env) == r(env),
+    "=/==": lambda l, r: lambda env: l(env) != r(env),
+    "+": lambda l, r: lambda env: l(env) + r(env),
+    "-": lambda l, r: lambda env: l(env) - r(env),
+    "*": lambda l, r: lambda env: l(env) * r(env),
+    "div": lambda l, r: lambda env: _div(l(env), r(env)),
+    "mod": lambda l, r: lambda env: _mod(l(env), r(env)),
+}
+
+
+def compile_term(t) -> Callable[[dict], object]:
+    """A function from an assignment (variable name to bool or int) to the
+    value of t: a bool for a formula, an int for an integer expression."""
+    if isinstance(t, (BoolConst, IntLit)):
+        value = t.value
+        return lambda env: value
+    if isinstance(t, Var):
+        name = t.name
+        return lambda env: env[name]
+    if isinstance(t, Not):
+        g = compile_term(t.arg)
+        return lambda env: not g(env)
+    if isinstance(t, Neg):
+        g = compile_term(t.arg)
+        return lambda env: -g(env)
+    if isinstance(t, (And, Or, Xor)):
+        gs = tuple(compile_term(a) for a in t.args)
+        if isinstance(t, And):
+            return lambda env: all(g(env) for g in gs)
+        if isinstance(t, Or):
+            return lambda env: any(g(env) for g in gs)
+        return lambda env: sum(g(env) for g in gs) % 2 == 1
+    if isinstance(t, (Implies, BoolEq, BoolNeq)):
+        gl, gr = compile_term(t.left), compile_term(t.right)
+        if isinstance(t, Implies):
+            return lambda env: (not gl(env)) or gr(env)
+        if isinstance(t, BoolEq):
+            return lambda env: gl(env) == gr(env)
+        return lambda env: gl(env) != gr(env)
+    if isinstance(t, (Cmp, Arith)):
+        return _BINARY[t.op](compile_term(t.left), compile_term(t.right))
+    if isinstance(t, (BoolITE, IntITE)):
+        gc, gt, ge = compile_term(t.cond), compile_term(t.then), compile_term(t.orelse)
+        return lambda env: gt(env) if gc(env) else ge(env)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def literal_holds(lit, env: dict) -> bool:
+    """Truth of one DNF literal under env: a Boolean literal (`name`,
+    `positive`) or a difference atom (`kind` 'ub' x <= k, 'lb' x >= k,
+    'diff' x - y <= k)."""
+    if hasattr(lit, "positive"):
+        return bool(env[lit.name]) == lit.positive
+    x = int(env[lit.x])
+    if lit.kind == "ub":
+        return x <= lit.k
+    if lit.kind == "lb":
+        return x >= lit.k
+    return x - int(env[lit.y]) <= lit.k
+
+
+def brute_force_sat(c, bound: int) -> bool:
+    """Enumerate integer assignments over [-bound, bound] and Boolean
+    assignments over {false, true}; true iff some assignment satisfies c.
+
+    Only valid on the fragment, where `small_model_bound(c)` is a
+    sufficient bound.
+    """
+    _assert_fragment(c)
+    variables = free_vars(c)
+    int_names = sorted(v.name for v in variables if v.sort is Sort.INT)
+    bool_names = sorted(v.name for v in variables if v.sort is Sort.BOOL)
+    fn = compile_term(c)
+    env: dict[str, object] = {}
+    domain = range(-bound, bound + 1)
+    for bools in itertools.product((False, True), repeat=len(bool_names)):
+        for name, value in zip(bool_names, bools):
+            env[name] = value
+        for ints in itertools.product(domain, repeat=len(int_names)):
+            for name, value in zip(int_names, ints):
+                env[name] = value
+            if fn(env):
+                return True
+    return False

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from engine_oracle import oracle_step
+from model_oracle import brute_force_sat, small_model_bound
 from randgen import fragment_formula, raw_state, small_state, tight_formula
 from systems import AID0, AID01, AID1, AID20, base_system, inconsistent_variant, same_knowledge_variant
 from conftest import PROGRAMS
@@ -28,11 +29,8 @@ from sccpe import (
     StoresEquivalent,
     SysState,
     boolvar,
-    brute_force_sat,
-    check_sat,
     conjoin,
     elaborate,
-    entails,
     eq_,
     intvar,
     ne_,
@@ -41,7 +39,6 @@ from sccpe import (
     print_program,
     run,
     search,
-    small_model_bound,
     step,
     store_map,
     validate,
@@ -190,7 +187,7 @@ def test_criterion_07_solver_oracle_equivalence(capsys):
     for corpus, count in ((fragment_formula, 1000), (tight_formula, 500)):
         for _ in range(count):
             f = corpus(rng)
-            internal = check_sat(f).is_sat
+            internal = Solver().check_sat(f).is_sat
             oracle = brute_force_sat(f, small_model_bound(f))
             assert internal == oracle, f"disagreement on {f}"
             total += 1

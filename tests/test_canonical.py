@@ -142,7 +142,7 @@ def ref_canon(f):
         return FALSE if a == TRUE else TRUE if a == FALSE else Not(a)
     if isinstance(f, (And, Or, Xor)):
         cls = type(f)
-        unit, zero = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (None, None)}[cls]
+        unit, zero = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (FALSE, None)}[cls]
         parts = []
         for raw in f.args:
             a = ref_canon(raw)
@@ -150,13 +150,11 @@ def ref_canon(f):
                 parts.extend(a.args)
             elif zero is not None and a == zero:
                 return zero
-            elif unit is None or a != unit:
+            elif a != unit:
                 parts.append(a)
         if cls is And:
             parts = list(dict.fromkeys(parts))
         parts.sort(key=ref_key)
-        if cls is Xor:
-            return Xor(tuple(parts))
         return unit if not parts else parts[0] if len(parts) == 1 else cls(tuple(parts))
     if isinstance(f, Neg):
         return Neg(ref_canon(f.arg))

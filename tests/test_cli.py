@@ -175,6 +175,13 @@ def test_bad_bounds_are_usage_errors():
         assert err.startswith(f"error: argument {argv[-2]}: ")
 
 
+def test_timeout_below_one_is_a_usage_error():
+    code, out, err = invoke(["check", "-", "--entails", "X > 1", "X > 0", "--timeout", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: argument --timeout: must be at least 1, got 0\n"
+
+
 def test_depth_bound_zero_explores_the_initial_state_only():
     code, out, err = invoke(["run", MESSAGE, "--max-depth", "0"])
     assert code == 0
@@ -194,6 +201,22 @@ def test_search_json_output_validates():
     first = doc["solutions"][0]
     assert first["witnesses"][0]["aid"] == [1]
     assert first["witnesses"][0]["store"] == "Z:Integer >= 10"
+
+
+def test_boolean_equality_is_decided_by_the_internal_solver():
+    program = "var P, Q Bool\nbegin\nroot ; P .\nask P = Q -> tell(Q) .\nend\n"
+    code, out, err = invoke(["run", "-"], stdin=program)
+    assert (code, err) == (0, "")
+    assert out == (
+        "Terminal state 1:\n"
+        "root: P:Boolean\n"
+        "  * ask P:Boolean === Q:Boolean -> tell(Q:Boolean)\n"
+        "states: 1  terminal: 1\n"
+    )
+    code, out, err = invoke(["run", "-"], stdin=program.replace("root ; P", "root ; P and Q"))
+    assert (code, err) == (0, "")
+    assert "root: P:Boolean and Q:Boolean\n" in out
+    assert "ask" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +239,16 @@ def test_check_uses_program_declarations():
     code, out, err = invoke(["check", SPACES, "--entails", "B0", "B0"])
     assert code == 0
     assert out.strip() == "true"
+
+
+def test_check_infers_each_name_once_across_both_formulas():
+    for backend in ("internal", f"external:{sys.executable} -c 'print(\"sat\")'"):
+        code, out, err = invoke(
+            ["check", "-", "--entails", "P", "P =/= Q", "--solver", backend], stdin=""
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "1:1: error: variable P is used both as Bool and Int\n"
 
 
 def test_check_json_output_validates():

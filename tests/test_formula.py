@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formula_reader import read_formula
+from model_oracle import compile_term, literal_holds
 from randgen import BOOL_NAMES, INT_NAMES, fragment_formula
 from sccpe import (
     FALSE,
@@ -21,7 +23,6 @@ from sccpe import (
     intvar,
     ne_,
     negate,
-    read_formula,
     to_dnf,
 )
 from sccpe.formula import (
@@ -37,7 +38,6 @@ from sccpe.formula import (
     Not,
     Or,
     Xor,
-    eval_formula,
     term_key,
 )
 
@@ -115,6 +115,12 @@ def test_canonicalize_or_identities():
     assert canonicalize(Not(TRUE)) == FALSE
 
 
+def test_canonicalize_folds_short_xor():
+    assert canonicalize(Xor((P,))) == P
+    assert canonicalize(Xor((FALSE, P, FALSE))) == P
+    assert format_formula(canonicalize(Xor(()))) == "false"
+
+
 formulas = st.builds(
     lambda seed, atoms: fragment_formula(random.Random(seed), max_atoms=atoms),
     st.integers(0, 2**32 - 1),
@@ -174,7 +180,7 @@ def test_to_dnf_equality_splits_bounds():
     assert got == [frozenset({DLAtom("lb", "Z", 10), DLAtom("ub", "Z", 9), DLAtom("lb", "Z", 9)})]
     # brute force over Z in [0, 20] agrees this is unsatisfiable
     assert not any(z >= 10 and z == 9 for z in range(21))
-    assert all(not all(a.holds({"Z": z}) for a in got[0]) for z in range(21))
+    assert all(not all(literal_holds(a, {"Z": z}) for a in got[0]) for z in range(21))
 
 
 def test_to_dnf_disequality_two_disjuncts():
@@ -196,8 +202,9 @@ def test_to_dnf_rejects_arithmetic():
 
 
 def test_to_dnf_rejects_bool_equality():
+    # Boolean = and =/= are lowered now; a Boolean conditional still is not
     with pytest.raises(FragmentUnsupported):
-        to_dnf(BoolEq(P, Q))
+        to_dnf(BoolITE(P, Q, FALSE))
 
 
 def test_to_dnf_limit():
@@ -209,7 +216,7 @@ def test_to_dnf_limit():
 
 
 def _dnf_holds(dnf, env):
-    return any(all(lit.holds(env) for lit in conj) for conj in dnf)
+    return any(all(literal_holds(lit, env) for lit in conj) for conj in dnf)
 
 
 @given(formulas, st.integers(0, 2**32 - 1))
@@ -220,7 +227,7 @@ def test_to_dnf_preserves_semantics(f, seed):
     for _ in range(10):
         env = {n: rng.randint(-12, 12) for n in INT_NAMES}
         env.update({n: rng.random() < 0.5 for n in BOOL_NAMES})
-        assert eval_formula(f, env) == _dnf_holds(dnf, env)
+        assert compile_term(f)(env) == _dnf_holds(dnf, env)
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +236,20 @@ def test_to_dnf_preserves_semantics(f, seed):
 
 def test_eval_euclidean_division():
     env = {}
-    assert eval_formula(eq_(Arith("div", IntLit(7), IntLit(2)), 3), env)
-    assert eval_formula(eq_(Arith("mod", IntLit(7), IntLit(2)), 1), env)
-    assert eval_formula(eq_(Arith("div", IntLit(-7), IntLit(2)), -4), env)
-    assert eval_formula(eq_(Arith("mod", IntLit(-7), IntLit(2)), 1), env)
-    assert eval_formula(eq_(Arith("mod", IntLit(-7), IntLit(-2)), 1), env)
+    assert compile_term(eq_(Arith("div", IntLit(7), IntLit(2)), 3))(env)
+    assert compile_term(eq_(Arith("mod", IntLit(7), IntLit(2)), 1))(env)
+    assert compile_term(eq_(Arith("div", IntLit(-7), IntLit(2)), -4))(env)
+    assert compile_term(eq_(Arith("mod", IntLit(-7), IntLit(2)), 1))(env)
+    assert compile_term(eq_(Arith("mod", IntLit(-7), IntLit(-2)), 1))(env)
 
 
 def test_eval_conditional_choice():
     f = eq_(IntITE(P, IntLit(1), IntLit(2)), 1)
-    assert eval_formula(f, {"P": True})
-    assert not eval_formula(f, {"P": False})
+    assert compile_term(f)({"P": True})
+    assert not compile_term(f)({"P": False})
     g = BoolITE(P, Q, TRUE)
-    assert eval_formula(g, {"P": True, "Q": False}) is False
-    assert eval_formula(g, {"P": False, "Q": False}) is True
+    assert compile_term(g)({"P": True, "Q": False}) is False
+    assert compile_term(g)({"P": False, "Q": False}) is True
 
 
 # ---------------------------------------------------------------------------

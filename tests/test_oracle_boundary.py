@@ -1,0 +1,77 @@
+"""The test oracles stay independent of the code they check.
+
+The brute-force model enumerator decides the same question as the solver,
+so it must share no code with the solver or the DNF lowering; and the
+oracles live here, not in the package, which holds only what the analyzer
+runs.
+"""
+
+import ast
+import pathlib
+
+import sccpe
+
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = pathlib.Path(sccpe.__file__).resolve().parent
+
+# What the DNF lowering is made of, in sccpe.formula.
+LOWERING_NAMES = {"to_dnf", "DLAtom", "BoolLit"}
+
+# Test-only helpers, which no module of the package may define; `holds` is
+# the old literal-semantics method of the DNF literal classes.
+TEST_ONLY_NAMES = {
+    "holds",
+    "brute_force_sat",
+    "small_model_bound",
+    "_assert_fragment",
+    "_compile_eval",
+    "compile_term",
+    "literal_holds",
+    "eval_formula",
+    "eval_int_expr",
+    "read_formula",
+    "_Reader",
+    "_READ_BP",
+    "_TOKEN_RE",
+    "_tokenize",
+}
+
+
+def imports(path: pathlib.Path) -> list:
+    """(module, name) for every name a module imports; name is None for a
+    plain ``import module``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.module, alias.name) for alias in node.names)
+    return found
+
+
+def definitions(path: pathlib.Path) -> set:
+    """Names bound at module level, and the methods of its classes."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body if isinstance(item, ast.FunctionDef))
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_model_oracle_shares_no_code_with_the_solver():
+    for module, name in imports(TESTS / "model_oracle.py"):
+        assert module.split(".")[:2] != ["sccpe", "solver"], (module, name)
+        assert (module, name) != ("sccpe", "solver"), (module, name)
+        assert name not in LOWERING_NAMES, (module, name)
+
+
+def test_package_defines_no_test_only_helper():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        clash = definitions(path) & TEST_ONLY_NAMES
+        assert not clash, f"{path.name} defines {sorted(clash)}"

@@ -11,6 +11,7 @@ from sccpe import (
     AgentId,
     StoreObj,
     SysState,
+    boolvar,
     eq_,
     intvar,
     normalize,
@@ -19,6 +20,7 @@ from sccpe import (
     state_from_json,
     state_to_json,
 )
+from sccpe.formula import Xor
 from sccpe.render import JsonFormatError, state_to_obj
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -125,6 +127,11 @@ def test_json_validates_against_published_schema():
 @settings(max_examples=150)
 def test_json_round_trip_random_states(seed):
     s = small_state(random.Random(seed))
+    assert state_from_json(state_to_json(s)) == s
+
+
+def test_json_round_trip_of_a_store_built_from_a_short_xor():
+    s = normalize(SysState((StoreObj(ROOT, Xor((boolvar("P"),))),)))
     assert state_from_json(state_to_json(s)) == s
 
 

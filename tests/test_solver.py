@@ -6,6 +6,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from model_oracle import brute_force_sat, small_model_bound
 from randgen import fragment_formula, tight_formula
 from sccpe import (
     FALSE,
@@ -16,17 +17,12 @@ from sccpe import (
     SolverConfig,
     SolverInconclusive,
     boolvar,
-    brute_force_sat,
-    check_sat,
-    check_unsat,
     conjoin,
     dl_conjunct_sat,
-    entails,
     eq_,
     intvar,
-    small_model_bound,
 )
-from sccpe.formula import And, BoolEq
+from sccpe.formula import And, BoolEq, BoolITE, BoolNeq, Not, Xor
 from sccpe.solver import ExternalSolverError, smtlib_script
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -38,38 +34,38 @@ P, Q = (boolvar(n) for n in "PQ")
 
 
 def test_check_sat_true():
-    assert check_sat(TRUE).is_sat
+    assert Solver().check_sat(TRUE).is_sat
 
 
 def test_check_sat_inconsistent_store():
-    assert check_sat(And((Z >= 10, eq_(Z, 9)))).is_unsat
+    assert Solver().check_sat(And((Z >= 10, eq_(Z, 9)))).is_unsat
 
 
 def test_check_sat_negative_cycle():
     f = And((X < Y, Y < X))
-    assert check_sat(f).is_unsat
+    assert Solver().check_sat(f).is_unsat
     assert not any(
         x < y and y < x for x in range(-3, 4) for y in range(-3, 4)
     )
 
 
 def test_check_unsat_examples():
-    assert check_unsat(FALSE)
-    assert check_unsat(And((Z >= 10, eq_(Z, 9))))
-    assert not check_unsat(Y < 5)
+    assert Solver().check_unsat(FALSE)
+    assert Solver().check_unsat(And((Z >= 10, eq_(Z, 9))))
+    assert not Solver().check_unsat(Y < 5)
 
 
 def test_entails_examples():
-    assert entails(Y < 5, Y < 20)
-    assert not entails(Y < X, Y < 3)
-    assert entails(Z >= 10, Z > 9)
-    assert entails(Y < 5, TRUE)
-    assert entails(And((Z >= 10, eq_(Z, 9))), TRUE)
+    assert Solver().entails(Y < 5, Y < 20)
+    assert not Solver().entails(Y < X, Y < 3)
+    assert Solver().entails(Z >= 10, Z > 9)
+    assert Solver().entails(Y < 5, TRUE)
+    assert Solver().entails(And((Z >= 10, eq_(Z, 9))), TRUE)
 
 
 def test_entails_bool_atoms():
-    assert entails(And((X >= 5, P)), P)
-    assert not entails(X >= 5, P)
+    assert Solver().entails(And((X >= 5, P)), P)
+    assert not Solver().entails(X >= 5, P)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +121,44 @@ def test_oracle_agreement_sample():
     rng = random.Random(1234)
     for _ in range(300):
         f = fragment_formula(rng)
-        assert check_sat(f).is_sat == brute_force_sat(f, small_model_bound(f))
+        assert Solver().check_sat(f).is_sat == brute_force_sat(f, small_model_bound(f))
     for _ in range(150):
         f = tight_formula(rng)
-        assert check_sat(f).is_sat == brute_force_sat(f, small_model_bound(f))
+        assert Solver().check_sat(f).is_sat == brute_force_sat(f, small_model_bound(f))
+
+
+def _bool_equality_formula(rng, depth=3):
+    """Boolean = or =/= between two sides, each a Boolean variable, a
+    small fragment formula, or another such equality."""
+    sides = []
+    for _ in range(2):
+        roll = rng.random()
+        if roll < 0.3:
+            sides.append(boolvar(rng.choice("PQR")))
+        elif roll < 0.7 or depth == 1:
+            sides.append(fragment_formula(rng, 2, int_names=("X", "Y"), bool_names=("P", "Q", "R")))
+        else:
+            sides.append(_bool_equality_formula(rng, depth - 1))
+    f = rng.choice((BoolEq, BoolNeq))(*sides)
+    return Not(f) if rng.random() < 0.2 else f
+
+
+def test_bool_equality_agrees_with_brute_force():
+    rng = random.Random(4242)
+    verdicts = set()
+    for _ in range(300):
+        f = _bool_equality_formula(rng)
+        if rng.random() < 0.5:
+            f = And((f, _bool_equality_formula(rng)))
+        sat = Solver().check_sat(f).is_sat
+        assert sat == brute_force_sat(f, small_model_bound(f)), f"disagreement on {f}"
+        verdicts.add(sat)
+    assert verdicts == {True, False}
+
+
+def test_short_xor_is_decided():
+    assert Solver().check_sat(Xor((P,))).is_sat
+    assert Solver().check_sat(Xor(())).is_unsat
 
 
 # ---------------------------------------------------------------------------
@@ -143,35 +173,35 @@ formulas = st.builds(
 @given(formulas)
 @settings(max_examples=150)
 def test_entails_reflexive(c):
-    assert entails(c, c)
+    assert Solver().entails(c, c)
 
 
 @given(formulas, formulas, formulas)
 @settings(max_examples=150)
 def test_entails_transitive(c, d, e):
-    if entails(c, d) and entails(d, e):
-        assert entails(c, e)
+    if Solver().entails(c, d) and Solver().entails(d, e):
+        assert Solver().entails(c, e)
 
 
 @given(formulas, formulas)
 @settings(max_examples=150)
 def test_conjoin_is_upper_bound(c, d):
-    assert entails(conjoin(c, d), c)
-    assert entails(conjoin(c, d), d)
+    assert Solver().entails(conjoin(c, d), c)
+    assert Solver().entails(conjoin(c, d), d)
 
 
 @given(formulas, formulas, formulas)
 @settings(max_examples=150)
 def test_conjoin_is_least_upper_bound(e, c, d):
-    if entails(e, c) and entails(e, d):
-        assert entails(e, conjoin(c, d))
+    if Solver().entails(e, c) and Solver().entails(e, d):
+        assert Solver().entails(e, conjoin(c, d))
 
 
 @given(formulas)
 @settings(max_examples=100)
 def test_top_and_bottom(c):
-    assert entails(FALSE, c)
-    assert entails(c, TRUE)
+    assert Solver().entails(FALSE, c)
+    assert Solver().entails(c, TRUE)
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +238,20 @@ def _stub_solver(tmp_path, behavior: str):
 
 def test_external_backend_sat(tmp_path):
     cfg = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "sat"))
-    assert check_sat(And((Z >= 10, eq_(Z, 9))), cfg).is_sat
+    assert Solver(cfg).check_sat(And((Z >= 10, eq_(Z, 9)))).is_sat
 
 
 def test_external_backend_unsat(tmp_path):
     cfg = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "unsat"))
-    assert check_unsat(TRUE, cfg)
+    assert Solver(cfg).check_unsat(TRUE)
 
 
 def test_fragment_failover_to_external(tmp_path):
-    off_fragment = BoolEq(P, Q)
+    off_fragment = BoolITE(P, Q, FALSE)
     with pytest.raises(FragmentUnsupported):
-        check_sat(off_fragment)
+        Solver().check_sat(off_fragment)
     cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
-    assert check_sat(off_fragment, cfg).is_sat
+    assert Solver(cfg).check_sat(off_fragment).is_sat
 
 
 def test_dnf_blowup_failover(tmp_path):
@@ -229,15 +259,15 @@ def test_dnf_blowup_failover(tmp_path):
 
     f = And(tuple(ne_(X, k) for k in range(13)))  # 2^13 disjuncts, past the 4096 limit
     cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
-    assert check_sat(f, cfg).is_sat
+    assert Solver(cfg).check_sat(f).is_sat
     with pytest.raises(FragmentUnsupported):
-        check_sat(f)
+        Solver().check_sat(f)
 
 
 def test_unknown_policy_error(tmp_path):
     cfg = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "unknown"))
     with pytest.raises(SolverInconclusive):
-        check_unsat(TRUE, cfg)
+        Solver(cfg).check_unsat(TRUE)
 
 
 def test_unknown_policy_paper(tmp_path):
@@ -247,15 +277,15 @@ def test_unknown_policy_paper(tmp_path):
         unknown_policy="paper",
     )
     # unknown counts as not-satisfiable: check_unsat true, entailment holds
-    assert check_unsat(TRUE, cfg)
-    assert entails(TRUE, FALSE, cfg)
+    assert Solver(cfg).check_unsat(TRUE)
+    assert Solver(cfg).entails(TRUE, FALSE)
 
 
 def test_timeout_maps_to_unknown(tmp_path):
     cfg = SolverConfig(
         backend="external", external_cmd=_stub_solver(tmp_path, "hang"), timeout_ms=300
     )
-    result = check_sat(TRUE, cfg)
+    result = Solver(cfg).check_sat(TRUE)
     assert result.kind == "unknown"
     assert "timeout" in result.reason
 
@@ -263,7 +293,7 @@ def test_timeout_maps_to_unknown(tmp_path):
 def test_missing_solver_binary():
     cfg = SolverConfig(backend="external", external_cmd=("definitely-not-a-solver-xyz",))
     with pytest.raises(ExternalSolverError):
-        check_sat(TRUE, cfg)
+        Solver(cfg).check_sat(TRUE)
 
 
 def test_garbage_solver_output(tmp_path):
@@ -271,7 +301,7 @@ def test_garbage_solver_output(tmp_path):
     path.write_text("print('flubber')\n")
     cfg = SolverConfig(backend="external", external_cmd=(sys.executable, str(path)))
     with pytest.raises(ExternalSolverError):
-        check_sat(TRUE, cfg)
+        Solver(cfg).check_sat(TRUE)
 
 
 REAL_SOLVER = next(
