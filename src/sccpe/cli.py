@@ -137,13 +137,17 @@ def _load_program(path: str):
         raise _UsageError(f"cannot read {path}: {exc}")
 
 
+def _reject(exc: lang.ParseError, name: str, err):
+    for d in exc.diagnostics:
+        print(f"{name}:{d}", file=err)
+    raise _InputError from exc
+
+
 def _parse_program(text: str, name: str, err):
     try:
         ast = lang.parse(text)
     except lang.ParseError as exc:
-        for d in exc.diagnostics:
-            print(f"{name}:{d}", file=err)
-        raise _InputError from exc
+        _reject(exc, name, err)
     diagnostics = lang.validate(ast)
     for d in diagnostics:
         print(f"{name}:{d}", file=err)
@@ -259,8 +263,13 @@ def _cmd_check(args, out, err) -> int:
     if text.strip():
         table = _parse_program(text, name, err).var_table
     inferred = {}  # an undeclared name gets one sort across both formulas
-    left = lang.parse_constraint_text(args.entails[0], table, inferred)
-    right = lang.parse_constraint_text(args.entails[1], table, inferred)
+    formulas = []
+    for label, source in zip(("C1", "C2"), args.entails):
+        try:
+            formulas.append(lang.parse_constraint_text(source, table, inferred))
+        except lang.ParseError as exc:
+            _reject(exc, label, err)
+    left, right = formulas
     solver = _solver_from_args(args)
     verdict = solver.entails(left, right)
     if args.format == "json":
@@ -291,7 +300,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _InputError:
         return EXIT_USAGE
-    except lang.ParseError as exc:  # query/check formulas, no file context
+    except lang.ParseError as exc:  # query formulas, no file context
         for d in exc.diagnostics:
             print(str(d), file=err)
         return EXIT_USAGE

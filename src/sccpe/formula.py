@@ -18,8 +18,10 @@ nothing is interned.  The module provides:
   cost one flag test;
 * ``to_dnf``, which lowers the decidable fragment (Boolean combinations,
   Boolean equality included, of comparisons between integer variables and
-  literals) to a disjunction of difference-logic atoms, ready for a
-  negative-cycle check;
+  literals) to a disjunction of conjunctions of one literal form, the
+  difference atom ``x - y <= k`` (`DLAtom`): a bound is a difference
+  against the constant 0, and a Boolean variable is an integer that is
+  positive exactly when it holds; ready for a negative-cycle check;
 * a printer for the concrete constraint syntax used in logs
   (``X:Integer === 25 and Y:Integer < 5``).
 
@@ -387,21 +389,23 @@ def _as_int(x) -> IntExpr:
 
 def eq_(left, right) -> Formula:
     """Equality atom: integer `===` or Boolean `===` depending on operands."""
-    if isinstance(left, (int, IntLit)) or (isinstance(left, _INT_EXPR_TYPES) and not _is_bool(left)):
-        return Cmp("===", _as_int(left), _as_int(right))
-    return BoolEq(left, right)
+    return _equality("===", BoolEq, left, right)
 
 
 def ne_(left, right) -> Formula:
+    return _equality("=/==", BoolNeq, left, right)
+
+
+def _equality(op: str, bool_cls: type, left, right) -> Formula:
     if isinstance(left, (int, IntLit)) or (isinstance(left, _INT_EXPR_TYPES) and not _is_bool(left)):
-        return Cmp("=/==", _as_int(left), _as_int(right))
-    return BoolNeq(left, right)
+        return Cmp(op, _as_int(left), _as_int(right))
+    return bool_cls(left, right)
 
 
 def _is_bool(t) -> bool:
     return isinstance(t, Var) and t.sort is Sort.BOOL or isinstance(
         t, (BoolConst, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp, BoolITE)
-    ) and not isinstance(t, _INT_EXPR_TYPES)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -527,47 +531,38 @@ def _collect_vars(t, acc: dict) -> None:
 
 @dataclass(frozen=True)
 class DLAtom:
-    """Closed integer difference constraint.
+    """Closed integer difference constraint ``x - y <= k``, the one DNF literal.
 
-    kind 'ub': x <= k;  kind 'lb': x >= k (stored as -x <= -k);
-    kind 'diff': x - y <= k.  Strict inequalities are tightened before
-    construction (x < k becomes x <= k-1).
+    `x` and `y` are variable names, or None for the constant 0 (the zero
+    vertex of the constraint graph): ``X <= k`` is ``DLAtom("X", None, k)``
+    and ``X >= k`` is ``DLAtom(None, "X", -k)``.  A Boolean variable P
+    stands for an integer that is positive exactly when P holds, so P is
+    ``DLAtom(None, "P", -1)`` and ``not P`` is ``DLAtom("P", None, 0)``.
+    Strict inequalities are tightened before construction (x < k becomes
+    x <= k-1).
     """
 
-    kind: str
-    x: str
+    x: str | None
+    y: str | None
     k: int
-    y: str | None = None
 
     def __str__(self) -> str:
-        if self.kind == "ub":
-            return f"{self.x} <= {self.k}"
-        if self.kind == "lb":
-            return f"{self.x} >= {self.k}"
-        return f"{self.x} - {self.y} <= {self.k}"
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    name: str
-    positive: bool = True
-
-    def __str__(self) -> str:
-        return self.name if self.positive else f"not {self.name}"
-
-
-Literal = Union[DLAtom, BoolLit]
+        x, y = ("0" if v is None else v for v in (self.x, self.y))
+        return f"{x} - {y} <= {self.k}"
 
 
 def to_dnf(c: Formula, limit: int = 4096) -> list:
-    """Disjunction of literal conjunctions equivalent to c over the integers.
+    """Disjunction of DLAtom conjunctions equivalent to c over the integers.
 
-    Every comparison is tightened to a DLAtom; disequalities split into a
-    strict-less and strict-greater disjunct.  The empty list denotes false;
+    Every comparison is tightened to a DLAtom; a disequality splits into
+    left < right, then left > right.  The empty list denotes false;
     an empty conjunct denotes true.  Conjuncts come in the order c's
-    structure yields them, without duplicates.  Raises FragmentUnsupported
-    outside the fragment and DnfLimitExceeded past `limit` conjuncts.
+    structure yields them, without duplicates.  Raises SortConflict when a
+    name is used at both sorts (the two uses would share a vertex),
+    FragmentUnsupported outside the fragment and DnfLimitExceeded past
+    `limit` conjuncts.
     """
+    _collect_vars(c, {})
     return list(dict.fromkeys(_dnf(c, True, limit)))
 
 
@@ -587,7 +582,7 @@ def _dnf(f: Formula, pos: bool, limit: int) -> list:
     if isinstance(f, Var):
         if f.sort is not Sort.BOOL:
             raise FragmentUnsupported(f"integer variable {f.name} in formula position")
-        return [frozenset({BoolLit(f.name, pos)})]
+        return [frozenset({DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0)})]
     if isinstance(f, Not):
         return _dnf(f.arg, not pos, limit)
     if isinstance(f, (And, Or)):
@@ -603,22 +598,14 @@ def _dnf(f: Formula, pos: bool, limit: int) -> list:
             _guard(len(out), limit)
         return out
     if isinstance(f, Implies):
-        if pos:
-            out = _dnf(f.left, False, limit) + _dnf(f.right, True, limit)
-            _guard(len(out), limit)
-            return out
-        return _cross(_dnf(f.left, True, limit), _dnf(f.right, False, limit), limit)
+        return _dnf(Or((Not(f.left), f.right)), pos, limit)
     if isinstance(f, Xor):
-        head, rest = f.args[0], f.args[1:]
-        tail = rest[0] if len(rest) == 1 else Xor(rest)
-        if pos:
-            out = _cross(_dnf(head, True, limit), _dnf(tail, False, limit), limit) + _cross(
-                _dnf(head, False, limit), _dnf(tail, True, limit), limit
-            )
-        else:
-            out = _cross(_dnf(head, True, limit), _dnf(tail, True, limit), limit) + _cross(
-                _dnf(head, False, limit), _dnf(tail, False, limit), limit
-            )
+        if len(f.args) < 2:  # the fold of a short chain
+            return _dnf(f.args[0] if f.args else FALSE, pos, limit)
+        head, tail = f.args[0], f.args[1] if len(f.args) == 2 else Xor(f.args[1:])
+        out = _cross(_dnf(head, True, limit), _dnf(tail, not pos, limit), limit) + _cross(
+            _dnf(head, False, limit), _dnf(tail, pos, limit), limit
+        )
         _guard(len(out), limit)
         return out
     if isinstance(f, Cmp):
@@ -630,60 +617,42 @@ def _dnf(f: Formula, pos: bool, limit: int) -> list:
     raise FragmentUnsupported(f"{type(f).__name__} is outside the difference-logic fragment")
 
 
-_CMP_FN: dict[str, Callable[[int, int], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "===": lambda a, b: a == b,
-    "=/==": lambda a, b: a != b,
-}
-
 _NEG_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "===": "=/==", "=/==": "==="}
-_FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "===": "===", "=/==": "=/=="}
 
 
 def _atom_dnf(op: str, left: IntExpr, right: IntExpr) -> list:
-    if isinstance(left, IntLit) and not isinstance(right, IntLit):
-        left, right, op = right, left, _FLIP_OP[op]
-    if isinstance(left, Var):
-        if left.sort is not Sort.INT:
-            raise FragmentUnsupported(f"Boolean variable {left.name} in a comparison")
-        if isinstance(right, Var):
-            if right.sort is not Sort.INT:
-                raise FragmentUnsupported(f"Boolean variable {right.name} in a comparison")
-            if left.name == right.name:
-                value = _CMP_FN[op](0, 0)
-                return [frozenset()] if value else []
-            x, y = left.name, right.name
-            if op == "<":
-                return [frozenset({DLAtom("diff", x, -1, y)})]
-            if op == "<=":
-                return [frozenset({DLAtom("diff", x, 0, y)})]
-            if op == ">":
-                return [frozenset({DLAtom("diff", y, -1, x)})]
-            if op == ">=":
-                return [frozenset({DLAtom("diff", y, 0, x)})]
-            if op == "===":
-                return [frozenset({DLAtom("diff", x, 0, y), DLAtom("diff", y, 0, x)})]
-            return [frozenset({DLAtom("diff", x, -1, y)}), frozenset({DLAtom("diff", y, -1, x)})]
-        if isinstance(right, IntLit):
-            x, k = left.name, right.value
-            if op == "<":
-                return [frozenset({DLAtom("ub", x, k - 1)})]
-            if op == "<=":
-                return [frozenset({DLAtom("ub", x, k)})]
-            if op == ">":
-                return [frozenset({DLAtom("lb", x, k + 1)})]
-            if op == ">=":
-                return [frozenset({DLAtom("lb", x, k)})]
-            if op == "===":
-                return [frozenset({DLAtom("ub", x, k), DLAtom("lb", x, k)})]
-            return [frozenset({DLAtom("ub", x, k - 1)}), frozenset({DLAtom("lb", x, k + 1)})]
-    if isinstance(left, IntLit) and isinstance(right, IntLit):
-        value = _CMP_FN[op](left.value, right.value)
-        return [frozenset()] if value else []
+    # left op right, with left = x + a and right = y + b, is x - y op b - a
+    (x, a), (y, b) = _operand(left), _operand(right)
+    k = b - a
+    if op == "<":
+        return _le(x, y, k - 1)
+    if op == "<=":
+        return _le(x, y, k)
+    if op == ">":
+        return _le(y, x, -k - 1)
+    if op == ">=":
+        return _le(y, x, -k)
+    if op == "===":
+        return [p | q for p in _le(x, y, k) for q in _le(y, x, -k)]
+    return _le(x, y, k - 1) + _le(y, x, -k - 1)
+
+
+def _operand(e: IntExpr) -> tuple:
+    """A comparison operand as (variable name or None, constant)."""
+    if isinstance(e, IntLit):
+        return None, e.value
+    if isinstance(e, Var):
+        if e.sort is not Sort.INT:
+            raise FragmentUnsupported(f"Boolean variable {e.name} in a comparison")
+        return e.name, 0
     raise FragmentUnsupported("comparison operands must be integer variables or literals")
+
+
+def _le(x: str | None, y: str | None, k: int) -> list:
+    """DNF of x - y <= k, folded to true or false when x and y coincide."""
+    if x == y:
+        return [frozenset()] if k >= 0 else []
+    return [frozenset({DLAtom(x, y, k)})]
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +660,7 @@ def _atom_dnf(op: str, left: IntExpr, right: IntExpr) -> list:
 
 _B_ITE, _B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ, _B_CMP = 1, 2, 3, 4, 5, 6, 7
 _B_ADD, _B_MUL, _B_NEG, _B_ATOM = 8, 9, 10, 100
+_CHAIN_FMT = {And: (" and ", _B_AND), Or: (" or ", _B_OR), Xor: (" xor ", _B_XOR)}
 
 
 def format_formula(f: Formula) -> str:
@@ -713,15 +683,11 @@ def _fmt_bool(f: Formula, parent: int) -> str:
         return f"{f.name}:Boolean"
     if isinstance(f, Not):
         return f"not({_fmt_bool(f.arg, 0)})"
-    if isinstance(f, And):
-        s = " and ".join(_fmt_bool(a, _B_AND + 1) for a in f.args)
-        return _wrap(s, _B_AND, parent)
-    if isinstance(f, Or):
-        s = " or ".join(_fmt_bool(a, _B_OR + 1) for a in f.args)
-        return _wrap(s, _B_OR, parent)
-    if isinstance(f, Xor):
-        s = " xor ".join(_fmt_bool(a, _B_XOR + 1) for a in f.args)
-        return _wrap(s, _B_XOR, parent)
+    if type(f) in _CHAIN_FMT:
+        if not f.args:  # an empty chain is its unit
+            return str(_CHAIN[type(f)][0])
+        word, bp = _CHAIN_FMT[type(f)]
+        return _wrap(word.join(_fmt_bool(a, bp + 1) for a in f.args), bp, parent)
     if isinstance(f, Implies):
         s = f"{_fmt_bool(f.left, _B_IMPLIES + 1)} implies {_fmt_bool(f.right, _B_IMPLIES + 1)}"
         return _wrap(s, _B_IMPLIES, parent)

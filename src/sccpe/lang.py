@@ -532,7 +532,7 @@ def _check_guards(p: Process, line: ProcessLine, diags: list) -> None:
     """Warn for each recursion whose variable has an occurrence that no
     non-trivial ask guards (an ask with guard `true` guards nothing)."""
     if isinstance(p, Rec):
-        offending = _unguarded_occurrence(p.body, p.var, False, False)
+        offending = _unguarded_occurrence(p.body, p.var, False)
         if offending == "true-ask":
             diags.append(
                 Diagnostic(
@@ -566,30 +566,30 @@ def _check_guards(p: Process, line: ProcessLine, diags: list) -> None:
         return
 
 
-def _unguarded_occurrence(p: Process, var: int, guarded: bool, saw_true_ask: bool):
+def _unguarded_occurrence(p: Process, var: int, saw_true_ask: bool):
     """Worst unguarded occurrence of v(var): 'bare', 'true-ask', or None."""
     if isinstance(p, ProcVar):
-        if p.var == var and not guarded:
+        if p.var == var:
             return "true-ask" if saw_true_ask else "bare"
         return None
     if isinstance(p, Ask):
         if canonicalize(p.guard) == TRUE:
-            return _unguarded_occurrence(p.then, var, guarded, True)
+            return _unguarded_occurrence(p.then, var, True)
         return None  # a real guard bounds every occurrence below it
     if isinstance(p, Par):
         worst = None
         for a in p.args:
-            got = _unguarded_occurrence(a, var, guarded, saw_true_ask)
+            got = _unguarded_occurrence(a, var, saw_true_ask)
             if got == "bare":
                 return "bare"
             worst = worst or got
         return worst
     if isinstance(p, (Space, Extr)):
-        return _unguarded_occurrence(p.body, var, guarded, saw_true_ask)
+        return _unguarded_occurrence(p.body, var, saw_true_ask)
     if isinstance(p, Rec):
         if p.var == var:
             return None  # rebound inside
-        return _unguarded_occurrence(p.body, var, guarded, saw_true_ask)
+        return _unguarded_occurrence(p.body, var, saw_true_ask)
     return None
 
 

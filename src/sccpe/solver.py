@@ -3,8 +3,10 @@
 A `Solver` session decides them with one of two backends:
 
 * an internal decision procedure, complete for the difference-logic
-  fragment: formulas are lowered to DNF and each conjunct is checked for a
-  negative cycle in its constraint graph (Bellman-Ford);
+  fragment: formulas are lowered to DNF over atoms ``x - y <= k``, where a
+  bound is a difference against a zero vertex and a Boolean P is a 0/1
+  vertex that lies above it exactly when P holds, and each conjunct's
+  constraint graph is checked for a negative cycle (Bellman-Ford);
 * an external SMT-LIB2 solver spoken to over a child process's stdin/stdout,
   for formulas the fragment cannot express (arithmetic, conditionals).
 
@@ -31,7 +33,6 @@ from .formula import (
     BoolConst,
     BoolEq,
     BoolITE,
-    BoolLit,
     BoolNeq,
     Cmp,
     DLAtom,
@@ -159,47 +160,26 @@ class Solver:
 
 
 def _internal_sat(c: Formula) -> SatResult:
-    for conjunct in to_dnf(c):
-        polarity: dict[str, bool] = {}
-        consistent = True
-        atoms = []
-        for lit in conjunct:
-            if isinstance(lit, BoolLit):
-                seen = polarity.get(lit.name)
-                if seen is not None and seen != lit.positive:
-                    consistent = False
-                    break
-                polarity[lit.name] = lit.positive
-            else:
-                atoms.append(lit)
-        if consistent and dl_conjunct_sat(atoms):
-            return SAT
-    return UNSAT
+    return SAT if any(dl_conjunct_sat(conjunct) for conjunct in to_dnf(c)) else UNSAT
 
 
 def dl_conjunct_sat(atoms: Iterable[DLAtom]) -> bool:
     """Satisfiability of a conjunction of difference atoms over the integers.
 
-    Builds the constraint graph (edge y -> x of weight k for x - y <= k,
-    bounds hung off a virtual zero vertex) and runs Bellman-Ford from an
-    implicit all-zero source; a relaxation that still fires after |V|-1
-    rounds witnesses a negative cycle, i.e. unsatisfiability.  Complete for
-    integer difference logic.
+    One edge y -> x of weight k per atom x - y <= k; None is the zero vertex
+    that bounds and Boolean (0/1) vertices hang off.  Two opposite edges of
+    negative sum (P and not P) are a negative cycle found at once; otherwise
+    Bellman-Ford from an implicit all-zero source finds one as a relaxation
+    that still fires after |V|-1 rounds.  Complete for difference logic.
     """
-    edges = []
-    vertices = {None}
-    for a in atoms:
-        vertices.add(a.x)
-        if a.kind == "ub":
-            edges.append((None, a.x, a.k))
-        elif a.kind == "lb":
-            edges.append((a.x, None, -a.k))
-        else:
-            vertices.add(a.y)
-            edges.append((a.y, a.x, a.k))
-    dist = dict.fromkeys(vertices, 0)
-    changed = False
-    for _ in range(len(vertices)):
+    edges = [(a.y, a.x, a.k) for a in atoms]
+    weight = {(u, v): w for u, v, w in edges}
+    if any((v, u) in weight and w + weight[v, u] < 0 for (u, v), w in weight.items()):
+        return False
+    dist = {None: 0}  # the zero vertex, counted in the rounds even when unused
+    for u, v, _ in edges:
+        dist[u] = dist[v] = 0
+    for _ in range(len(dist)):
         changed = False
         for u, v, w in edges:
             if dist[u] + w < dist[v]:
@@ -207,7 +187,7 @@ def dl_conjunct_sat(atoms: Iterable[DLAtom]) -> bool:
                 changed = True
         if not changed:
             return True
-    return not changed
+    return False
 
 
 # ---------------------------------------------------------------------------

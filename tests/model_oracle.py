@@ -6,7 +6,9 @@ enough.  It shares no code with the solver or the DNF lowering: the
 fragment is a whitelist walk of its own, and formulas are evaluated by
 closures compiled straight from the term tree.  `compile_term` is the one
 evaluator of the whole term language (arithmetic and conditionals too);
-`literal_holds` gives the truth of a DNF literal by reading its fields.
+`literal_holds` gives the truth of a DNF literal, a difference
+``x - y <= k`` whose sides are variable names or None for 0, by reading
+its fields, with a Boolean valued 1 when true and 0 when false.
 """
 
 from __future__ import annotations
@@ -147,17 +149,14 @@ def compile_term(t) -> Callable[[dict], object]:
 
 
 def literal_holds(lit, env: dict) -> bool:
-    """Truth of one DNF literal under env: a Boolean literal (`name`,
-    `positive`) or a difference atom (`kind` 'ub' x <= k, 'lb' x >= k,
-    'diff' x - y <= k)."""
-    if hasattr(lit, "positive"):
-        return bool(env[lit.name]) == lit.positive
-    x = int(env[lit.x])
-    if lit.kind == "ub":
-        return x <= lit.k
-    if lit.kind == "lb":
-        return x >= lit.k
-    return x - int(env[lit.y]) <= lit.k
+    """Truth of one DNF literal ``x - y <= k`` under env, read from its
+    fields: a name of None stands for 0, and a Boolean counts 1 when true
+    and 0 when false."""
+
+    def value(name) -> int:
+        return 0 if name is None else int(env[name])
+
+    return value(lit.x) - value(lit.y) <= lit.k
 
 
 def brute_force_sat(c, bound: int) -> bool:

@@ -248,7 +248,16 @@ def test_check_infers_each_name_once_across_both_formulas():
         )
         assert code == 1
         assert out == ""
-        assert err == "1:1: error: variable P is used both as Bool and Int\n"
+        assert err == "C2:1:1: error: variable P is used both as Bool and Int\n"
+
+
+def test_check_diagnostics_name_the_formula():
+    code, out, err = invoke(["check", "-", "--entails", "X <", "X > 0"], stdin="")
+    assert (code, out) == (1, "")
+    assert err == "C1:1:4: error: expected an identifier or an integer on the right of a comparison\n"
+    code, out, err = invoke(["check", "-", "--entails", "X > 1", "X >"], stdin="")
+    assert (code, out) == (1, "")
+    assert err.startswith("C2:1:4: error: ")
 
 
 def test_check_json_output_validates():

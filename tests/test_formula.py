@@ -30,6 +30,7 @@ from sccpe.formula import (
     Arith,
     BoolEq,
     BoolITE,
+    Cmp,
     DLAtom,
     DnfLimitExceeded,
     Implies,
@@ -168,16 +169,46 @@ def test_free_vars_sort_conflict():
 
 
 def test_to_dnf_tightens_strict():
-    assert to_dnf(Y < 5) == [frozenset({DLAtom("ub", "Y", 4)})]
+    assert to_dnf(Y < 5) == [frozenset({DLAtom("Y", None, 4)})]
+
+
+def test_dl_atom_prints_zero_for_none():
+    assert str(DLAtom("Y", None, 4)) == "Y - 0 <= 4"
+    assert str(DLAtom(None, "Y", -20)) == "0 - Y <= -20"
+    assert str(DLAtom("X", "Y", -1)) == "X - Y <= -1"
+
+
+def test_to_dnf_boolean_variables_are_bounds():
+    assert to_dnf(P) == [frozenset({DLAtom(None, "P", -1)})]
+    assert to_dnf(Not(P)) == [frozenset({DLAtom("P", None, 0)})]
+    assert to_dnf(And((P, Not(P)))) == [frozenset({DLAtom(None, "P", -1), DLAtom("P", None, 0)})]
+
+
+def test_to_dnf_literal_on_the_left():
+    assert to_dnf(Cmp("<", IntLit(3), X)) == to_dnf(X > 3) == [frozenset({DLAtom(None, "X", -4)})]
+    assert to_dnf(Cmp("=/==", IntLit(2), IntLit(3))) == [frozenset()]
+    assert to_dnf(Cmp("===", IntLit(2), IntLit(3))) == []
+
+
+def test_to_dnf_folds_short_xor():
+    assert to_dnf(Xor((P,))) == to_dnf(P)
+    assert to_dnf(Not(Xor((P,)))) == to_dnf(Not(P))
+    assert to_dnf(Xor(())) == []
+    assert to_dnf(Not(Xor(()))) == [frozenset()]
+
+
+def test_to_dnf_rejects_a_name_used_at_both_sorts():
+    with pytest.raises(SortConflict):
+        to_dnf(And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0)))
 
 
 def test_to_dnf_flips_negation():
-    assert to_dnf(Not(Y < 20)) == [frozenset({DLAtom("lb", "Y", 20)})]
+    assert to_dnf(Not(Y < 20)) == [frozenset({DLAtom(None, "Y", -20)})]
 
 
 def test_to_dnf_equality_splits_bounds():
     got = to_dnf(And((Z >= 10, eq_(Z, 9))))
-    assert got == [frozenset({DLAtom("lb", "Z", 10), DLAtom("ub", "Z", 9), DLAtom("lb", "Z", 9)})]
+    assert got == [frozenset({DLAtom(None, "Z", -10), DLAtom("Z", None, 9), DLAtom(None, "Z", -9)})]
     # brute force over Z in [0, 20] agrees this is unsatisfiable
     assert not any(z >= 10 and z == 9 for z in range(21))
     assert all(not all(literal_holds(a, {"Z": z}) for a in got[0]) for z in range(21))
@@ -186,9 +217,15 @@ def test_to_dnf_equality_splits_bounds():
 def test_to_dnf_disequality_two_disjuncts():
     got = to_dnf(ne_(X, Y))
     assert set(got) == {
-        frozenset({DLAtom("diff", "X", -1, "Y")}),
-        frozenset({DLAtom("diff", "Y", -1, "X")}),
+        frozenset({DLAtom("X", "Y", -1)}),
+        frozenset({DLAtom("Y", "X", -1)}),
     }
+    # left < right comes first, whichever side the literal is on
+    assert to_dnf(ne_(X, 3)) == [frozenset({DLAtom("X", None, 2)}), frozenset({DLAtom(None, "X", -4)})]
+    assert to_dnf(Cmp("=/==", IntLit(3), X)) == [
+        frozenset({DLAtom(None, "X", -4)}),
+        frozenset({DLAtom("X", None, 2)}),
+    ]
 
 
 def test_to_dnf_same_variable_folds():
@@ -264,9 +301,13 @@ def test_format_examples():
     assert format_formula(And((Or((P, Q)), P))) == "(P:Boolean or Q:Boolean) and P:Boolean"
 
 
-def test_read_examples():
-    from sccpe.formula import Cmp
+def test_format_empty_chain_prints_its_unit():
+    for f, text in ((And(()), "true"), (Or(()), "false"), (Xor(()), "false")):
+        assert format_formula(f) == text
+        assert read_formula(text) == canonicalize(f)
 
+
+def test_read_examples():
     assert read_formula("X:Integer === 25") == eq_(X, 25)
     assert read_formula("Z:Integer >= (10).Integer and Z:Integer === (9).Integer") == And(
         (Z >= 10, eq_(Z, 9))

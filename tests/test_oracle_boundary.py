@@ -15,7 +15,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = pathlib.Path(sccpe.__file__).resolve().parent
 
 # What the DNF lowering is made of, in sccpe.formula.
-LOWERING_NAMES = {"to_dnf", "DLAtom", "BoolLit"}
+LOWERING_NAMES = {"to_dnf", "DLAtom"}
 
 # Test-only helpers, which no module of the package may define; `holds` is
 # the old literal-semantics method of the DNF literal classes.

@@ -16,6 +16,9 @@ from sccpe import (
     Solver,
     SolverConfig,
     SolverInconclusive,
+    Sort,
+    SortConflict,
+    Var,
     boolvar,
     conjoin,
     dl_conjunct_sat,
@@ -77,22 +80,39 @@ def test_dl_empty_is_sat():
 
 
 def test_dl_negative_cycle():
-    atoms = {DLAtom("diff", "X", -1, "Y"), DLAtom("diff", "Y", -1, "X")}
+    atoms = {DLAtom("X", "Y", -1), DLAtom("Y", "X", -1)}
     assert not dl_conjunct_sat(atoms)
 
 
 def test_dl_single_bound():
-    assert dl_conjunct_sat({DLAtom("ub", "X", 4)})
-    assert dl_conjunct_sat({DLAtom("lb", "X", 4)})
-    assert not dl_conjunct_sat({DLAtom("ub", "X", 3), DLAtom("lb", "X", 4)})
+    assert dl_conjunct_sat({DLAtom("X", None, 4)})
+    assert dl_conjunct_sat({DLAtom(None, "X", -4)})
+    assert not dl_conjunct_sat({DLAtom("X", None, 3), DLAtom(None, "X", -4)})
+
+
+def test_dl_boolean_vertex():
+    # P is P > 0 and not P is P <= 0: a cycle of weight -1 through the zero vertex
+    assert dl_conjunct_sat({DLAtom(None, "P", -1)})
+    assert not dl_conjunct_sat({DLAtom(None, "P", -1), DLAtom("P", None, 0)})
+
+
+def test_dl_opposite_edges():
+    # a pair of opposite edges is a cycle: unsat only when its weight is negative
+    assert dl_conjunct_sat({DLAtom("X", "Y", 0), DLAtom("Y", "X", 0)})
+    assert dl_conjunct_sat({DLAtom("X", None, 3), DLAtom(None, "X", -3)})
+    chain = {DLAtom(f"X{i}", f"X{i + 1}", -1) for i in range(40)}
+    assert dl_conjunct_sat(chain | {DLAtom(None, "P", -1)})
+    assert not dl_conjunct_sat(chain | {DLAtom(None, "P", -1), DLAtom("P", None, 0)})
+    # two atoms on one pair of vertices: whichever the pair check sees, the verdict holds
+    assert not dl_conjunct_sat({DLAtom("X", "Y", 5), DLAtom("X", "Y", -1), DLAtom("Y", "X", 0)})
 
 
 def test_dl_chain_through_zero():
-    atoms = {DLAtom("lb", "X", 5), DLAtom("diff", "Y", -2, "X"), DLAtom("ub", "Y", 2)}
+    atoms = {DLAtom(None, "X", -5), DLAtom("Y", "X", -2), DLAtom("Y", None, 2)}
     # X >= 5 and Y - X <= -2 allow Y = 3 <= 2? no: Y <= X - 2 >= 3, so Y >= ... not forced
     assert dl_conjunct_sat(atoms)
-    atoms.add(DLAtom("lb", "Y", 10))
-    atoms.add(DLAtom("ub", "X", 6))
+    atoms.add(DLAtom(None, "Y", -10))
+    atoms.add(DLAtom("X", None, 6))
     # Y >= 10 with Y <= X - 2 <= 4: negative cycle
     assert not dl_conjunct_sat(atoms)
 
@@ -262,6 +282,14 @@ def test_dnf_blowup_failover(tmp_path):
     assert Solver(cfg).check_sat(f).is_sat
     with pytest.raises(FragmentUnsupported):
         Solver().check_sat(f)
+
+
+def test_sort_conflict_is_rejected_by_both_backends(tmp_path):
+    f = And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0))
+    external = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "sat"))
+    for cfg in (SolverConfig(), external):
+        with pytest.raises(SortConflict):
+            Solver(cfg).check_sat(f)
 
 
 def test_unknown_policy_error(tmp_path):
