@@ -46,9 +46,9 @@ from .formula import (
     format_formula,
     free_vars,
     intvar,
+    lower,
     ne_,
     negate,
-    to_dnf,
 )
 from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, print_program, validate
 from .render import render_tree, state_from_json, state_to_json

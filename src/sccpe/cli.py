@@ -12,8 +12,9 @@ Subcommands:
 
 ``FILE`` is a program path or ``-`` for standard input.  Exit codes:
 0 success (a "No solution." outcome is a success), 1 usage/parse/validate
-error, 2 solver inconclusive (timeout or formula beyond the configured
-backend), 3 internal error.
+error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 2 solver
+inconclusive (a timeout, or a formula outside the difference-logic
+fragment and no external solver), 3 internal error.
 """
 
 from __future__ import annotations
@@ -143,6 +144,13 @@ def _reject(exc: lang.ParseError, name: str, err):
     raise _InputError from exc
 
 
+def _parse_formula(source: str, label: str, table: dict, err, inferred=None):
+    try:
+        return lang.parse_constraint_text(source, table, inferred)
+    except lang.ParseError as exc:
+        _reject(exc, label, err)
+
+
 def _parse_program(text: str, name: str, err):
     try:
         ast = lang.parse(text)
@@ -188,7 +196,7 @@ def _finish(depth_cut: bool, args, err) -> int:
     return EXIT_OK
 
 
-def _parse_query(args, table):
+def _parse_query(args, table, err):
     kind = args.query[0]
     if kind == "inconsistent":
         if len(args.query) != 1:
@@ -197,7 +205,7 @@ def _parse_query(args, table):
     if kind == "entails":
         if len(args.query) != 2:
             raise _UsageError('--query entails needs a formula, e.g. --query entails "Z > 9"')
-        tau = lang.parse_constraint_text(args.query[1], table)
+        tau = _parse_formula(args.query[1], "Q", table, err)
         return StoreEntails(tau), f"entails {format_formula(tau)}"
     if kind == "equiv":
         if len(args.query) != 1:
@@ -209,7 +217,7 @@ def _parse_query(args, table):
 def _cmd_search(args, out, err) -> int:
     text, name = _load_program(args.input)
     ast, state = _elaborate(text, name, err)
-    query, query_label = _parse_query(args, ast.var_table)
+    query, query_label = _parse_query(args, ast.var_table, err)
     solver = _solver_from_args(args)
     mode = "terminal" if args.mode == "final" else "any"
     outcome = search_states(
@@ -263,13 +271,8 @@ def _cmd_check(args, out, err) -> int:
     if text.strip():
         table = _parse_program(text, name, err).var_table
     inferred = {}  # an undeclared name gets one sort across both formulas
-    formulas = []
-    for label, source in zip(("C1", "C2"), args.entails):
-        try:
-            formulas.append(lang.parse_constraint_text(source, table, inferred))
-        except lang.ParseError as exc:
-            _reject(exc, label, err)
-    left, right = formulas
+    left = _parse_formula(args.entails[0], "C1", table, err, inferred)
+    right = _parse_formula(args.entails[1], "C2", table, err, inferred)
     solver = _solver_from_args(args)
     verdict = solver.entails(left, right)
     if args.format == "json":
@@ -299,10 +302,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except _InputError:
-        return EXIT_USAGE
-    except lang.ParseError as exc:  # query formulas, no file context
-        for d in exc.diagnostics:
-            print(str(d), file=err)
         return EXIT_USAGE
     except (SolverInconclusive, FragmentUnsupported, ExternalSolverError) as exc:
         print(f"solver inconclusive: {exc}", file=err)

@@ -16,12 +16,11 @@ nothing is interned.  The module provides:
   conjunction removed.  Canonical terms are the engine's state-identity
   currency; a canonical term is returned as it is, so canonical inputs
   cost one flag test;
-* ``to_dnf``, which lowers the decidable fragment (Boolean combinations,
-  Boolean equality included, of comparisons between integer variables and
-  literals) to a disjunction of conjunctions of one literal form, the
-  difference atom ``x - y <= k`` (`DLAtom`): a bound is a difference
-  against the constant 0, and a Boolean variable is an integer that is
-  positive exactly when it holds; ready for a negative-cycle check;
+* ``lower``, which lowers the decidable fragment (Boolean combinations of
+  comparisons between integer variables and literals) to one literal form,
+  the difference atom ``x - y <= k`` (`DLAtom`: a bound is a difference
+  against 0, a Boolean an integer positive exactly when it holds), and each
+  disjunction to one split (`DLGoal`) expanded only when the solver asks;
 * a printer for the concrete constraint syntax used in logs
   (``X:Integer === 25 and Y:Integer < 5``).
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 
 class Sort(Enum):
@@ -47,10 +46,6 @@ class Sort(Enum):
 
 class FragmentUnsupported(Exception):
     """Formula falls outside the difference-logic fragment."""
-
-
-class DnfLimitExceeded(FragmentUnsupported):
-    """DNF conversion would exceed the configured conjunct limit."""
 
 
 class SortConflict(ValueError):
@@ -397,15 +392,19 @@ def ne_(left, right) -> Formula:
 
 
 def _equality(op: str, bool_cls: type, left, right) -> Formula:
-    if isinstance(left, (int, IntLit)) or (isinstance(left, _INT_EXPR_TYPES) and not _is_bool(left)):
-        return Cmp(op, _as_int(left), _as_int(right))
-    return bool_cls(left, right)
+    (lsort, lterm), (rsort, rterm) = _operand_sort(left), _operand_sort(right)
+    if lsort is not rsort:
+        raise TypeError(f"cannot equate {left} ({lsort.value}) with {right} ({rsort.value})")
+    return Cmp(op, lterm, rterm) if lsort is Sort.INT else bool_cls(lterm, rterm)
 
 
-def _is_bool(t) -> bool:
-    return isinstance(t, Var) and t.sort is Sort.BOOL or isinstance(
-        t, (BoolConst, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp, BoolITE)
-    )
+def _operand_sort(x) -> tuple:
+    """(sort, term) of an equality operand, a Python bool or int made a constant."""
+    if isinstance(x, (bool, int)):
+        x = (TRUE if x else FALSE) if isinstance(x, bool) else IntLit(x)
+    if type(x) not in BOOL_KINDS and type(x) not in INT_KINDS:
+        raise TypeError(f"not a term: {x!r}")
+    return x.sort if isinstance(x, Var) else Sort.INT if type(x) in INT_KINDS else Sort.BOOL, x
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +525,12 @@ def _collect_vars(t, acc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Difference-logic DNF
+# Difference-logic lowering
 
 
 @dataclass(frozen=True)
 class DLAtom:
-    """Closed integer difference constraint ``x - y <= k``, the one DNF literal.
+    """Closed integer difference constraint ``x - y <= k``, the one literal.
 
     `x` and `y` are variable names, or None for the constant 0 (the zero
     vertex of the constraint graph): ``X <= k`` is ``DLAtom("X", None, k)``
@@ -551,90 +550,80 @@ class DLAtom:
         return f"{x} - {y} <= {self.k}"
 
 
-def to_dnf(c: Formula, limit: int = 4096) -> list:
-    """Disjunction of DLAtom conjunctions equivalent to c over the integers.
+class DLGoal(NamedTuple):
+    """Atoms and splits, all of which must hold: a split holds when one of
+    its alternative goals does, so a split with no alternative is false."""
 
-    Every comparison is tightened to a DLAtom; a disequality splits into
-    left < right, then left > right.  The empty list denotes false;
-    an empty conjunct denotes true.  Conjuncts come in the order c's
-    structure yields them, without duplicates.  Raises SortConflict when a
-    name is used at both sorts (the two uses would share a vertex),
-    FragmentUnsupported outside the fragment and DnfLimitExceeded past
-    `limit` conjuncts.
-    """
+    atoms: list
+    splits: list
+
+
+def lower(c: Formula) -> DLGoal:
+    """c as a DLGoal with the same integer models.  Walking with polarity,
+    a conjunctive goal adds its atoms (an equality two), and a disjunctive
+    one (or, negated and, implies, xor, Boolean = and =/=, a disequality,
+    split into left < right, then left > right) adds one split.  Raises
+    SortConflict when a name is used at both sorts (the two uses would
+    share a vertex) and FragmentUnsupported outside the fragment."""
     _collect_vars(c, {})
-    return list(dict.fromkeys(_dnf(c, True, limit)))
+    return _goal((c, True))
 
 
-def _guard(n: int, limit: int) -> None:
-    if n > limit:
-        raise DnfLimitExceeded(f"DNF exceeds {limit} conjuncts")
+# The perfbench tracer times the lowering under its former name.
+to_dnf = lower
 
 
-def _cross(a: list, b: list, limit: int) -> list:
-    _guard(len(a) * len(b), limit)
-    return [x | y for x in a for y in b]
+def _goal(*parts) -> DLGoal:
+    goal = DLGoal([], [])
+    for f, pos in parts:
+        _lower(f, pos, goal)
+    return goal
 
 
-def _dnf(f: Formula, pos: bool, limit: int) -> list:
+def _lower(f: Formula, pos: bool, goal: DLGoal) -> None:
     if isinstance(f, BoolConst):
-        return [frozenset()] if f.value == pos else []
-    if isinstance(f, Var):
+        if f.value != pos:
+            goal.splits.append(())
+    elif isinstance(f, Var):
         if f.sort is not Sort.BOOL:
             raise FragmentUnsupported(f"integer variable {f.name} in formula position")
-        return [frozenset({DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0)})]
-    if isinstance(f, Not):
-        return _dnf(f.arg, not pos, limit)
-    if isinstance(f, (And, Or)):
-        conjunctive = isinstance(f, And) == pos
-        if conjunctive:
-            acc = [frozenset()]
-            for a in f.args:
-                acc = _cross(acc, _dnf(a, pos, limit), limit)
-            return acc
-        out = []
-        for a in f.args:
-            out.extend(_dnf(a, pos, limit))
-            _guard(len(out), limit)
-        return out
-    if isinstance(f, Implies):
-        return _dnf(Or((Not(f.left), f.right)), pos, limit)
-    if isinstance(f, Xor):
-        if len(f.args) < 2:  # the fold of a short chain
-            return _dnf(f.args[0] if f.args else FALSE, pos, limit)
-        head, tail = f.args[0], f.args[1] if len(f.args) == 2 else Xor(f.args[1:])
-        out = _cross(_dnf(head, True, limit), _dnf(tail, not pos, limit), limit) + _cross(
-            _dnf(head, False, limit), _dnf(tail, pos, limit), limit
-        )
-        _guard(len(out), limit)
-        return out
-    if isinstance(f, Cmp):
-        op = f.op if pos else _NEG_OP[f.op]
-        return _atom_dnf(op, f.left, f.right)
-    if isinstance(f, (BoolEq, BoolNeq)):
-        # l = r is not(l xor r), and l =/= r is l xor r
-        return _dnf(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), limit)
-    raise FragmentUnsupported(f"{type(f).__name__} is outside the difference-logic fragment")
+        goal.atoms.append(DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0))
+    elif isinstance(f, Not):
+        _lower(f.arg, not pos, goal)
+    elif isinstance(f, (And, Or, Implies)):  # l implies r is (not l) or r
+        implies = isinstance(f, Implies)
+        parts = [(f.left, not pos), (f.right, pos)] if implies else [(a, pos) for a in f.args]
+        if isinstance(f, And) == pos:  # conjunctive: an and, a negated or or implies
+            for g, p in parts:
+                _lower(g, p, goal)
+        else:
+            goal.splits.append(tuple(_goal(part) for part in parts))
+    elif isinstance(f, Xor) and len(f.args) < 2:  # the fold of a short chain
+        _lower(f.args[0] if f.args else FALSE, pos, goal)
+    elif isinstance(f, Xor):
+        head, rest = f.args[0], f.args[1] if len(f.args) == 2 else Xor(f.args[1:])
+        goal.splits.append((_goal((head, True), (rest, not pos)), _goal((head, False), (rest, pos))))
+    elif isinstance(f, (BoolEq, BoolNeq)):  # l = r is not(l xor r), l =/= r is l xor r
+        _lower(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), goal)
+    elif isinstance(f, Cmp):
+        _compare(f.op if pos else _NEG_OP[f.op], f.left, f.right, goal)
+    else:
+        raise FragmentUnsupported(f"{type(f).__name__} is outside the difference-logic fragment")
 
 
 _NEG_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "===": "=/==", "=/==": "==="}
 
 
-def _atom_dnf(op: str, left: IntExpr, right: IntExpr) -> list:
+def _compare(op: str, left: IntExpr, right: IntExpr, goal: DLGoal) -> None:
     # left op right, with left = x + a and right = y + b, is x - y op b - a
     (x, a), (y, b) = _operand(left), _operand(right)
     k = b - a
-    if op == "<":
-        return _le(x, y, k - 1)
-    if op == "<=":
-        return _le(x, y, k)
-    if op == ">":
-        return _le(y, x, -k - 1)
-    if op == ">=":
-        return _le(y, x, -k)
-    if op == "===":
-        return [p | q for p in _le(x, y, k) for q in _le(y, x, -k)]
-    return _le(x, y, k - 1) + _le(y, x, -k - 1)
+    if op in ("<", "<=", "==="):
+        _le(x, y, k - (op == "<"), goal)
+    if op in (">", ">=", "==="):
+        _le(y, x, -k - (op == ">"), goal)
+    if op == "=/==":
+        goal.splits.append((_le(x, y, k - 1, DLGoal([], [])), _le(y, x, -k - 1, DLGoal([], []))))
 
 
 def _operand(e: IntExpr) -> tuple:
@@ -648,11 +637,13 @@ def _operand(e: IntExpr) -> tuple:
     raise FragmentUnsupported("comparison operands must be integer variables or literals")
 
 
-def _le(x: str | None, y: str | None, k: int) -> list:
-    """DNF of x - y <= k, folded to true or false when x and y coincide."""
-    if x == y:
-        return [frozenset()] if k >= 0 else []
-    return [frozenset({DLAtom(x, y, k)})]
+def _le(x: str | None, y: str | None, k: int, goal: DLGoal) -> DLGoal:
+    """Add x - y <= k to goal, folded to true or false when x and y coincide."""
+    if x != y:
+        goal.atoms.append(DLAtom(x, y, k))
+    elif k < 0:
+        goal.splits.append(())
+    return goal
 
 
 # ---------------------------------------------------------------------------

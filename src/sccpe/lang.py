@@ -497,7 +497,7 @@ def validate(ast: ProgramAst) -> list:
     for line in ast.lines:
         if isinstance(line, ProcessLine):
             _check_scopes(line.process, frozenset(), line, diags)
-            _check_guards(line.process, line, diags)
+            _check_recursion(line.process, line, diags)
     return diags
 
 
@@ -528,7 +528,7 @@ def _check_scopes(p: Process, bound: frozenset, line: ProcessLine, diags: list) 
         return
 
 
-def _check_guards(p: Process, line: ProcessLine, diags: list) -> None:
+def _check_recursion(p: Process, line: ProcessLine, diags: list) -> None:
     """Warn for each recursion whose variable has an occurrence that no
     non-trivial ask guards (an ask with guard `true` guards nothing)."""
     if isinstance(p, Rec):
@@ -552,17 +552,17 @@ def _check_guards(p: Process, line: ProcessLine, diags: list) -> None:
                     f"recursion r({p.var}, ...): v({p.var}) is not guarded by an ask",
                 )
             )
-        _check_guards(p.body, line, diags)
+        _check_recursion(p.body, line, diags)
         return
     if isinstance(p, Ask):
-        _check_guards(p.then, line, diags)
+        _check_recursion(p.then, line, diags)
         return
     if isinstance(p, Par):
         for a in p.args:
-            _check_guards(a, line, diags)
+            _check_recursion(a, line, diags)
         return
     if isinstance(p, (Space, Extr)):
-        _check_guards(p.body, line, diags)
+        _check_recursion(p.body, line, diags)
         return
 
 

@@ -3,10 +3,10 @@
 A `Solver` session decides them with one of two backends:
 
 * an internal decision procedure, complete for the difference-logic
-  fragment: formulas are lowered to DNF over atoms ``x - y <= k``, where a
-  bound is a difference against a zero vertex and a Boolean P is a 0/1
-  vertex that lies above it exactly when P holds, and each conjunct's
-  constraint graph is checked for a negative cycle (Bellman-Ford);
+  fragment: `formula.lower` turns a formula into difference atoms
+  ``x - y <= k`` and open splits; the atoms' graph is checked for a
+  negative cycle (Bellman-Ford), and a split is branched on only when the
+  model this yields satisfies none of its alternatives;
 * an external SMT-LIB2 solver spoken to over a child process's stdin/stdout,
   for formulas the fragment cannot express (arithmetic, conditionals).
 
@@ -36,6 +36,7 @@ from .formula import (
     BoolNeq,
     Cmp,
     DLAtom,
+    DLGoal,
     Formula,
     FragmentUnsupported,
     Implies,
@@ -51,7 +52,7 @@ from .formula import (
     conjoin,
     free_vars,
     negate,
-    to_dnf,
+    lower,
 )
 
 
@@ -130,7 +131,7 @@ class Solver:
             result = self._external(key)
         else:
             try:
-                result = _internal_sat(key)
+                result = SAT if _search(lower(key)) else UNSAT
             except FragmentUnsupported:
                 if self.config.external_cmd is None:
                     raise
@@ -159,23 +160,47 @@ class Solver:
 # Internal procedure
 
 
-def _internal_sat(c: Formula) -> SatResult:
-    return SAT if any(dl_conjunct_sat(conjunct) for conjunct in to_dnf(c)) else UNSAT
+def _search(goal: DLGoal) -> bool:
+    """Satisfiability of a goal, depth first on an explicit stack: branch only
+    on the first split that its atoms' model leaves unsatisfied (Cotton & Maler 2006)."""
+    todo = [goal]
+    while todo:
+        atoms, splits = todo.pop()
+        model = dl_conjunct_sat(atoms)
+        if model is None:
+            continue
+        for i, split in enumerate(splits):
+            if not any(_satisfied_by(alt, model) for alt in split):
+                rest = splits[:i] + splits[i + 1 :]
+                todo.extend(DLGoal(atoms + alt.atoms, rest + alt.splits) for alt in split[::-1])
+                break
+        else:
+            return True
+    return False
 
 
-def dl_conjunct_sat(atoms: Iterable[DLAtom]) -> bool:
-    """Satisfiability of a conjunction of difference atoms over the integers.
+def _satisfied_by(goal: DLGoal, model: dict) -> bool:
+    """Whether the model (unlisted variables are 0) satisfies the goal."""
+    value = model.get
+    return all(value(a.x, 0) - value(a.y, 0) <= a.k for a in goal.atoms) and all(
+        any(_satisfied_by(alt, model) for alt in split) for split in goal.splits
+    )
+
+
+def dl_conjunct_sat(atoms: Iterable[DLAtom]) -> dict | None:
+    """An integer model of a conjunction of difference atoms, or None.
 
     One edge y -> x of weight k per atom x - y <= k; None is the zero vertex
     that bounds and Boolean (0/1) vertices hang off.  Two opposite edges of
     negative sum (P and not P) are a negative cycle found at once; otherwise
     Bellman-Ford from an implicit all-zero source finds one as a relaxation
     that still fires after |V|-1 rounds.  Complete for difference logic.
+    The model is each vertex's distance less the zero vertex's.
     """
     edges = [(a.y, a.x, a.k) for a in atoms]
     weight = {(u, v): w for u, v, w in edges}
     if any((v, u) in weight and w + weight[v, u] < 0 for (u, v), w in weight.items()):
-        return False
+        return None
     dist = {None: 0}  # the zero vertex, counted in the rounds even when unused
     for u, v, _ in edges:
         dist[u] = dist[v] = 0
@@ -186,8 +211,8 @@ def dl_conjunct_sat(atoms: Iterable[DLAtom]) -> bool:
                 dist[v] = dist[u] + w
                 changed = True
         if not changed:
-            return True
-    return False
+            return {v: d - dist[None] for v, d in dist.items()}
+    return None
 
 
 # ---------------------------------------------------------------------------

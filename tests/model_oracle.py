@@ -2,11 +2,11 @@
 
 `brute_force_sat` decides satisfiability of a difference-logic formula by
 trying every assignment in a box that `small_model_bound` makes large
-enough.  It shares no code with the solver or the DNF lowering: the
+enough.  It shares no code with the solver or the difference-logic lowering: the
 fragment is a whitelist walk of its own, and formulas are evaluated by
 closures compiled straight from the term tree.  `compile_term` is the one
 evaluator of the whole term language (arithmetic and conditionals too);
-`literal_holds` gives the truth of a DNF literal, a difference
+`literal_holds` gives the truth of a lowered literal, a difference
 ``x - y <= k`` whose sides are variable names or None for 0, by reading
 its fields, with a Boolean valued 1 when true and 0 when false.
 """
@@ -57,7 +57,7 @@ def small_model_bound(c) -> int:
 
 
 def _assert_fragment(t) -> None:
-    # Deliberately independent of to_dnf: a plain whitelist walk.
+    # Deliberately independent of the solver's lowering: a plain whitelist walk.
     if isinstance(t, BoolConst):
         return
     if isinstance(t, Var):
@@ -149,7 +149,7 @@ def compile_term(t) -> Callable[[dict], object]:
 
 
 def literal_holds(lit, env: dict) -> bool:
-    """Truth of one DNF literal ``x - y <= k`` under env, read from its
+    """Truth of one lowered literal ``x - y <= k`` under env, read from its
     fields: a name of None stands for 0, and a Boolean counts 1 when true
     and 0 when false."""
 

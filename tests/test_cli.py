@@ -320,8 +320,28 @@ def test_missing_file_exit_code():
 
 def test_query_formula_parse_error():
     code, out, err = invoke(["search", MESSAGE, "--query", "entails", "Z >"])
-    assert code == 1
-    assert "error" in err
+    assert (code, out) == (1, "")
+    assert err == "Q:1:4: error: expected an identifier or an integer on the right of a comparison\n"
+
+
+def _diseq_chain(m: int, extra: str = "") -> str:
+    """X receives m disequalities one after another, each tell unblocking
+    the ask that releases the next, beside an ask the store never entails."""
+    chain = f"tell(X =/= {m - 1})"
+    for c in reversed(range(m - 1)):
+        chain = f"tell(X =/= {c}) || ask X =/= {c} -> {chain}"
+    return f"var X Int\nbegin\n{chain} .\n{extra}ask X > 90 -> tell(X = 91) .\nend\n"
+
+
+def test_search_decides_thirteen_disequalities():
+    # 2^13 conjuncts once expanded into DNF, which the solver used to refuse
+    argv = ["search", "-", "--query", "inconsistent"]
+    code, out, err = invoke(argv, stdin=_diseq_chain(13))
+    assert (code, err) == (0, "")
+    assert "No solution." in out
+    code, out, err = invoke(argv, stdin=_diseq_chain(13, "tell(X >= 0) || tell(X < 13) .\n"))
+    assert (code, err) == (0, "")
+    assert out.startswith("Solution 1 (state ")
 
 
 def test_solver_inconclusive_exit_code(tmp_path):

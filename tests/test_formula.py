@@ -22,17 +22,18 @@ from sccpe import (
     free_vars,
     intvar,
     ne_,
+    lower,
     negate,
-    to_dnf,
 )
 from sccpe.formula import (
     And,
     Arith,
     BoolEq,
     BoolITE,
+    BoolNeq,
     Cmp,
     DLAtom,
-    DnfLimitExceeded,
+    DLGoal,
     Implies,
     IntITE,
     IntLit,
@@ -77,6 +78,22 @@ def test_negate_constants():
 
 def test_negate_structural():
     assert negate(Y < 20) == Not(Y < 20)
+
+
+def test_equality_sort_comes_from_both_operands():
+    assert eq_(True, P) == BoolEq(TRUE, P)
+    assert ne_(P, False) == BoolNeq(P, FALSE)
+    assert eq_(3, X) == Cmp("===", IntLit(3), X)
+    assert ne_(X, Y) == Cmp("=/==", X, Y)
+
+
+def test_equality_of_mixed_sorts_names_both_operands():
+    with pytest.raises(TypeError, match=r"^cannot equate P:Boolean \(Bool\) with 3 \(Int\)$"):
+        eq_(P, 3)
+    with pytest.raises(TypeError, match=r"^cannot equate True \(Bool\) with X:Integer \(Int\)$"):
+        ne_(True, X)
+    with pytest.raises(TypeError, match="not a term"):
+        eq_(X, "3")
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +182,17 @@ def test_free_vars_sort_conflict():
 
 
 # ---------------------------------------------------------------------------
-# to_dnf
+# lower (the tests keep the name of the eager lowering they replaced)
+
+TRUE_GOAL, FALSE_GOAL = DLGoal([], []), DLGoal([], [()])
+
+
+def _atoms(*atoms) -> DLGoal:
+    return DLGoal(list(atoms), [])
 
 
 def test_to_dnf_tightens_strict():
-    assert to_dnf(Y < 5) == [frozenset({DLAtom("Y", None, 4)})]
+    assert lower(Y < 5) == _atoms(DLAtom("Y", None, 4))
 
 
 def test_dl_atom_prints_zero_for_none():
@@ -179,92 +202,100 @@ def test_dl_atom_prints_zero_for_none():
 
 
 def test_to_dnf_boolean_variables_are_bounds():
-    assert to_dnf(P) == [frozenset({DLAtom(None, "P", -1)})]
-    assert to_dnf(Not(P)) == [frozenset({DLAtom("P", None, 0)})]
-    assert to_dnf(And((P, Not(P)))) == [frozenset({DLAtom(None, "P", -1), DLAtom("P", None, 0)})]
+    assert lower(P) == _atoms(DLAtom(None, "P", -1))
+    assert lower(Not(P)) == _atoms(DLAtom("P", None, 0))
+    assert lower(And((P, Not(P)))) == _atoms(DLAtom(None, "P", -1), DLAtom("P", None, 0))
 
 
 def test_to_dnf_literal_on_the_left():
-    assert to_dnf(Cmp("<", IntLit(3), X)) == to_dnf(X > 3) == [frozenset({DLAtom(None, "X", -4)})]
-    assert to_dnf(Cmp("=/==", IntLit(2), IntLit(3))) == [frozenset()]
-    assert to_dnf(Cmp("===", IntLit(2), IntLit(3))) == []
+    assert lower(Cmp("<", IntLit(3), X)) == lower(X > 3) == _atoms(DLAtom(None, "X", -4))
+    # 2 - 3 <= -1 holds and 3 - 2 <= -1 does not
+    assert lower(Cmp("=/==", IntLit(2), IntLit(3))) == DLGoal([], [(TRUE_GOAL, FALSE_GOAL)])
+    assert lower(Cmp("===", IntLit(2), IntLit(3))) == FALSE_GOAL
 
 
 def test_to_dnf_folds_short_xor():
-    assert to_dnf(Xor((P,))) == to_dnf(P)
-    assert to_dnf(Not(Xor((P,)))) == to_dnf(Not(P))
-    assert to_dnf(Xor(())) == []
-    assert to_dnf(Not(Xor(()))) == [frozenset()]
+    assert lower(Xor((P,))) == lower(P)
+    assert lower(Not(Xor((P,)))) == lower(Not(P))
+    assert lower(Xor(())) == FALSE_GOAL
+    assert lower(Not(Xor(()))) == TRUE_GOAL
 
 
 def test_to_dnf_rejects_a_name_used_at_both_sorts():
     with pytest.raises(SortConflict):
-        to_dnf(And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0)))
+        lower(And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0)))
+    # checked before the walk, so a disjunct that would never be split still counts
+    with pytest.raises(SortConflict):
+        lower(Or((P, Var("P", Sort.INT) < 0)))
 
 
 def test_to_dnf_flips_negation():
-    assert to_dnf(Not(Y < 20)) == [frozenset({DLAtom(None, "Y", -20)})]
+    assert lower(Not(Y < 20)) == _atoms(DLAtom(None, "Y", -20))
 
 
 def test_to_dnf_equality_splits_bounds():
-    got = to_dnf(And((Z >= 10, eq_(Z, 9))))
-    assert got == [frozenset({DLAtom(None, "Z", -10), DLAtom("Z", None, 9), DLAtom(None, "Z", -9)})]
+    got = lower(And((Z >= 10, eq_(Z, 9))))
+    assert got == _atoms(DLAtom(None, "Z", -10), DLAtom("Z", None, 9), DLAtom(None, "Z", -9))
     # brute force over Z in [0, 20] agrees this is unsatisfiable
     assert not any(z >= 10 and z == 9 for z in range(21))
-    assert all(not all(literal_holds(a, {"Z": z}) for a in got[0]) for z in range(21))
+    assert all(not all(literal_holds(a, {"Z": z}) for a in got.atoms) for z in range(21))
 
 
 def test_to_dnf_disequality_two_disjuncts():
-    got = to_dnf(ne_(X, Y))
-    assert set(got) == {
-        frozenset({DLAtom("X", "Y", -1)}),
-        frozenset({DLAtom("Y", "X", -1)}),
-    }
+    assert lower(ne_(X, Y)) == DLGoal(
+        [], [(_atoms(DLAtom("X", "Y", -1)), _atoms(DLAtom("Y", "X", -1)))]
+    )
     # left < right comes first, whichever side the literal is on
-    assert to_dnf(ne_(X, 3)) == [frozenset({DLAtom("X", None, 2)}), frozenset({DLAtom(None, "X", -4)})]
-    assert to_dnf(Cmp("=/==", IntLit(3), X)) == [
-        frozenset({DLAtom(None, "X", -4)}),
-        frozenset({DLAtom("X", None, 2)}),
+    assert lower(ne_(X, 3)).splits == [(_atoms(DLAtom("X", None, 2)), _atoms(DLAtom(None, "X", -4)))]
+    assert lower(Cmp("=/==", IntLit(3), X)).splits == [
+        (_atoms(DLAtom(None, "X", -4)), _atoms(DLAtom("X", None, 2)))
     ]
 
 
+def test_lower_keeps_each_disjunction_one_split():
+    # 2^12 conjuncts once expanded; lowered, 12 splits of two single atoms
+    goal = lower(And(tuple(ne_(X, k) for k in range(12))))
+    assert goal.atoms == []
+    assert len(goal.splits) == 12
+    assert all(len(split) == 2 and all(len(alt.atoms) == 1 for alt in split) for split in goal.splits)
+    # only the disjunctive polarity splits: not(P or Q) is two atoms, P implies Q one split
+    assert lower(Not(Or((P, Q)))) == _atoms(DLAtom("P", None, 0), DLAtom("Q", None, 0))
+    assert lower(Implies(P, Q)) == DLGoal(
+        [], [(_atoms(DLAtom("P", None, 0)), _atoms(DLAtom(None, "Q", -1)))]
+    )
+
+
 def test_to_dnf_same_variable_folds():
-    assert to_dnf(X < X) == []
-    assert to_dnf(X <= X) == [frozenset()]
+    assert lower(X < X) == FALSE_GOAL
+    assert lower(X <= X) == TRUE_GOAL
 
 
 def test_to_dnf_rejects_arithmetic():
     with pytest.raises(FragmentUnsupported):
-        to_dnf(X + 1 < Y)
+        lower(X + 1 < Y)
 
 
 def test_to_dnf_rejects_bool_equality():
     # Boolean = and =/= are lowered now; a Boolean conditional still is not
     with pytest.raises(FragmentUnsupported):
-        to_dnf(BoolITE(P, Q, FALSE))
+        lower(BoolITE(P, Q, FALSE))
 
 
-def test_to_dnf_limit():
-    f = ne_(X, Y)
-    for _ in range(14):
-        f = And((f, ne_(X, Y)))
-    with pytest.raises(DnfLimitExceeded):
-        to_dnf(And((f, f)), limit=64)
-
-
-def _dnf_holds(dnf, env):
-    return any(all(literal_holds(lit, env) for lit in conj) for conj in dnf)
+def _goal_true(goal, env):
+    return all(literal_holds(a, env) for a in goal.atoms) and all(
+        any(_goal_true(alt, env) for alt in split) for split in goal.splits
+    )
 
 
 @given(formulas, st.integers(0, 2**32 - 1))
 @settings(max_examples=300)
 def test_to_dnf_preserves_semantics(f, seed):
     rng = random.Random(seed)
-    dnf = to_dnf(f)
+    goal = lower(f)
     for _ in range(10):
         env = {n: rng.randint(-12, 12) for n in INT_NAMES}
         env.update({n: rng.random() < 0.5 for n in BOOL_NAMES})
-        assert compile_term(f)(env) == _dnf_holds(dnf, env)
+        assert compile_term(f)(env) == _goal_true(goal, env)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The test oracles stay independent of the code they check.
 
 The brute-force model enumerator decides the same question as the solver,
-so it must share no code with the solver or the DNF lowering; and the
-oracles live here, not in the package, which holds only what the analyzer
-runs.
+so it must share no code with the solver or the difference-logic lowering;
+and the oracles live here, not in the package, which holds only what the
+analyzer runs.
 """
 
 import ast
@@ -14,11 +14,13 @@ import sccpe
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = pathlib.Path(sccpe.__file__).resolve().parent
 
-# What the DNF lowering is made of, in sccpe.formula.
-LOWERING_NAMES = {"to_dnf", "DLAtom"}
+# What the difference-logic lowering is made of, in sccpe.formula
+# (`to_dnf` is the lowering's former name, still bound to it).
+LOWERING_NAMES = {"lower", "to_dnf", "DLGoal", "DLAtom"}
 
 # Test-only helpers, which no module of the package may define; `holds` is
-# the old literal-semantics method of the DNF literal classes.
+# the old literal-semantics method of the DNF literal classes, and the
+# solver's model check must not take the name back.
 TEST_ONLY_NAMES = {
     "holds",
     "brute_force_sat",

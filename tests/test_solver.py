@@ -24,8 +24,9 @@ from sccpe import (
     dl_conjunct_sat,
     eq_,
     intvar,
+    ne_,
 )
-from sccpe.formula import And, BoolEq, BoolITE, BoolNeq, Not, Xor
+from sccpe.formula import And, BoolEq, BoolITE, BoolNeq, Cmp, IntLit, Not, Xor
 from sccpe.solver import ExternalSolverError, smtlib_script
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -176,6 +177,40 @@ def test_bool_equality_agrees_with_brute_force():
     assert verdicts == {True, False}
 
 
+# Every variable is kept in [0, BOX] by conjuncts of the formula itself, so
+# enumerating [-BOX, BOX] finds a model whenever there is one.
+BOX = 4
+
+
+@st.composite
+def boxed_disequalities(draw):
+    """13-20 disequalities and 0-4 bounds over at most 3 integer variables
+    held in the box, sometimes with one negated guard (as entailment adds).
+    A side is a variable other than the left one, or a literal in or just
+    outside the box; about half the draws are satisfiable."""
+    names = draw(st.sampled_from(("X", "XY", "XYZ")))
+    sides = [intvar(n) for n in names] + [IntLit(k) for k in range(-1, BOX + 2)]
+
+    def atoms(ops, n, m):
+        drawn = st.tuples(st.sampled_from(ops), st.sampled_from(names), st.sampled_from(sides))
+        return [
+            Cmp(op, intvar(left), sides[-1] if right == intvar(left) else right)
+            for op, left, right in draw(st.lists(drawn, min_size=n, max_size=m))
+        ]
+
+    parts = atoms(("=/==",), 13, 20) + atoms(("<", "<=", ">", ">="), 0, 4)
+    parts += [c for n in names for c in (intvar(n) >= 0, intvar(n) <= BOX)]
+    if draw(st.booleans()):
+        parts.append(Not(And(tuple(atoms(("<", "<=", ">", ">=", "===", "=/=="), 1, 3)))))
+    return And(tuple(parts))
+
+
+@given(boxed_disequalities())
+@settings(max_examples=150, deadline=None)
+def test_many_disequalities_agree_with_brute_force(f):
+    assert Solver().check_sat(f).is_sat == brute_force_sat(f, BOX)
+
+
 def test_short_xor_is_decided():
     assert Solver().check_sat(Xor((P,))).is_sat
     assert Solver().check_sat(Xor(())).is_unsat
@@ -274,14 +309,14 @@ def test_fragment_failover_to_external(tmp_path):
     assert Solver(cfg).check_sat(off_fragment).is_sat
 
 
-def test_dnf_blowup_failover(tmp_path):
-    from sccpe import ne_
-
-    f = And(tuple(ne_(X, k) for k in range(13)))  # 2^13 disjuncts, past the 4096 limit
-    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
-    assert Solver(cfg).check_sat(f).is_sat
-    with pytest.raises(FragmentUnsupported):
-        Solver().check_sat(f)
+def test_dnf_blowup_failover():
+    # 13 disequalities are 2^13 conjuncts once expanded into DNF, which the
+    # solver once refused (handing them to an external solver if any); the
+    # lazy search decides them itself, in agreement with brute force
+    diseqs = tuple(ne_(X, k) for k in range(13))
+    for f, sat in ((And(diseqs), True), (And(diseqs + (X >= 0, X < 13)), False)):
+        assert Solver().check_sat(f).is_sat is sat
+        assert brute_force_sat(f, small_model_bound(f)) is sat
 
 
 def test_sort_conflict_is_rejected_by_both_backends(tmp_path):
