@@ -20,12 +20,20 @@ parent by removing the rewritten process object and putting at most two
 new objects in key order (or replacing a store in place), reusing every
 other object and its stored hash and key, so ``step`` never re-normalizes
 a whole state.  ``normalize`` stays total on raw states built by hand, and
-returns a state that is already normal as it is.  ``explore`` is the one
-breadth-first loop over states; ``run`` and ``search.search`` are its
-front ends, and ``run`` collects the successor-free states.  Rule
-application mirrors pattern-matching semantics: tell, ask, and space all
-require the local store object to exist, and extrusion only fires when
-the process sits in the space named by its own argument.
+returns a state that is already normal as it is.
+
+``explore`` is the breadth-first loop over all reachable states, the
+engine of ``search.search``.  ``run`` follows a single path instead: the
+calculus has no choice operator, stores only grow and distinct
+transitions rewrite distinct objects, so any two distinct successors of a
+state have a common successor (the one-step diamond property).  Then
+every maximal run from a state has the same length and ends in the same
+state (van Oostrom, "Random descent", RTA 2007), and the first successor
+at each step reaches it as well as any other.
+
+Rule application mirrors pattern-matching semantics: tell, ask, and space
+all require the local store object to exist, and extrusion only fires
+when the process sits in the space named by its own argument.
 """
 
 from __future__ import annotations
@@ -436,8 +444,17 @@ def step(s: SysState, solver: Solver) -> list:
     return sorted(out, key=state_key)
 
 
+def _successors(state: SysState, solver: Solver) -> list:
+    """step(state, solver), with a SolverInconclusive naming the state."""
+    try:
+        return step(state, solver)
+    except SolverInconclusive as exc:
+        raise SolverInconclusive(f"exploring {state}: {exc}") from exc
+
+
 def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> tuple:
-    """Breadth-first search from normalize(init) within max_depth steps.
+    """Breadth-first search of every state reachable from normalize(init)
+    within max_depth steps.
 
     States are numbered in discovery order (init is 0, successors come in
     key order), and `visit(state, index, successors)` is called on each in
@@ -453,10 +470,7 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     cut = False
     while queue:
         state, depth = queue.popleft()
-        try:
-            succs = step(state, solver)
-        except SolverInconclusive as exc:
-            raise SolverInconclusive(f"exploring {state}: {exc}") from exc
+        succs = _successors(state, solver)
         if visit(state, seen[state], succs):
             return len(seen), depth, cut, True
         for t in succs:
@@ -471,22 +485,35 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
 
 @dataclass(frozen=True)
 class RunResult:
+    """What `run` found on its path: the terminal state (none or one),
+    whether the step bound stopped it, and the number of path states."""
+
     terminal_states: tuple
     truncated: bool
     states_explored: int
 
 
 def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
-    """Explore from s up to max_steps deep and collect the states with no
-    successors, in canonical key order.  `truncated` reports whether the
-    depth bound cut the exploration before closure."""
-    terminals = []
+    """Follow one path from normalize(s), taking the first successor in key
+    order at each step, for at most max_steps steps.
 
-    def visit(state: SysState, index: int, succs: list) -> bool:
+    By the diamond property (see the module docstring) every maximal run
+    ends in the same state, so a successor-free state on the path is the
+    only terminal state, and a state met twice proves that no run
+    terminates: there is then no terminal state, and `truncated` is false.
+    `truncated` is true when the path is still going after max_steps steps.
+    """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    state = normalize(s)
+    path = {state}
+    while True:
+        succs = _successors(state, solver)
         if not succs:
-            terminals.append(state)
-        return False
-
-    explored, _, cut, _ = explore(s, solver, max_steps, visit)
-    terminals.sort(key=state_key)
-    return RunResult(tuple(terminals), cut, explored)
+            return RunResult((state,), False, len(path))
+        state = succs[0]
+        if state in path:
+            return RunResult((), False, len(path))
+        if len(path) > max_steps:
+            return RunResult((), True, len(path))
+        path.add(state)

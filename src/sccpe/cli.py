@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``run FILE``     parse, validate, elaborate, and explore to the terminal
-                   states, printed as space trees (or JSON);
+* ``run FILE``     parse, validate, elaborate, and follow one path to the
+                   terminal state, printed as a space tree (or JSON);
 * ``search FILE --query inconsistent | entails FORMULA | equiv``
                    reachability queries with numbered solutions and a
                    ``states: N  solutions: M`` summary;
@@ -249,6 +249,8 @@ def _cmd_search(args, out, err) -> int:
             ],
             "states": outcome.states_explored,
             "truncated": outcome.truncated,
+            "depth_cut": outcome.depth_cut,
+            "capped": outcome.capped,
         }
         print(json.dumps(doc, indent=2), file=out)
     else:

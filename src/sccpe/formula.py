@@ -513,15 +513,20 @@ def free_vars(c: Formula) -> frozenset:
 
 def _collect_vars(t, acc: dict) -> None:
     if isinstance(t, Var):
-        seen = acc.get(t.name)
-        if seen is not None and seen is not t.sort:
-            raise SortConflict(f"variable {t.name} used with sorts {seen.value} and {t.sort.value}")
-        acc[t.name] = t.sort
+        _note_sort(t, acc)
         return
     if type(t) not in BOOL_KINDS and type(t) not in INT_KINDS:
         raise TypeError(f"not a term: {t!r}")
     for kid in children(t):
         _collect_vars(kid, acc)
+
+
+def _note_sort(v: Var, sorts: dict) -> None:
+    """Record v's sort in sorts (name -> sort); raises SortConflict when
+    the name already has the other sort."""
+    seen = sorts.setdefault(v.name, v.sort)
+    if seen is not v.sort:
+        raise SortConflict(f"variable {v.name} used with sorts {seen.value} and {v.sort.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -564,49 +569,52 @@ def lower(c: Formula) -> DLGoal:
     one (or, negated and, implies, xor, Boolean = and =/=, a disequality,
     split into left < right, then left > right) adds one split.  Raises
     SortConflict when a name is used at both sorts (the two uses would
-    share a vertex) and FragmentUnsupported outside the fragment."""
-    _collect_vars(c, {})
-    return _goal((c, True))
+    share a vertex), checked on each variable as the walk meets it, and
+    FragmentUnsupported outside the fragment."""
+    return _goal({}, (c, True))
 
 
 # The perfbench tracer times the lowering under its former name.
 to_dnf = lower
 
 
-def _goal(*parts) -> DLGoal:
+def _goal(sorts: dict, *parts) -> DLGoal:
     goal = DLGoal([], [])
     for f, pos in parts:
-        _lower(f, pos, goal)
+        _lower(f, pos, goal, sorts)
     return goal
 
 
-def _lower(f: Formula, pos: bool, goal: DLGoal) -> None:
+def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
     if isinstance(f, BoolConst):
         if f.value != pos:
             goal.splits.append(())
     elif isinstance(f, Var):
+        _note_sort(f, sorts)
         if f.sort is not Sort.BOOL:
             raise FragmentUnsupported(f"integer variable {f.name} in formula position")
         goal.atoms.append(DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0))
     elif isinstance(f, Not):
-        _lower(f.arg, not pos, goal)
+        _lower(f.arg, not pos, goal, sorts)
     elif isinstance(f, (And, Or, Implies)):  # l implies r is (not l) or r
         implies = isinstance(f, Implies)
         parts = [(f.left, not pos), (f.right, pos)] if implies else [(a, pos) for a in f.args]
         if isinstance(f, And) == pos:  # conjunctive: an and, a negated or or implies
             for g, p in parts:
-                _lower(g, p, goal)
+                _lower(g, p, goal, sorts)
         else:
-            goal.splits.append(tuple(_goal(part) for part in parts))
+            goal.splits.append(tuple(_goal(sorts, part) for part in parts))
     elif isinstance(f, Xor) and len(f.args) < 2:  # the fold of a short chain
-        _lower(f.args[0] if f.args else FALSE, pos, goal)
+        _lower(f.args[0] if f.args else FALSE, pos, goal, sorts)
     elif isinstance(f, Xor):
         head, rest = f.args[0], f.args[1] if len(f.args) == 2 else Xor(f.args[1:])
-        goal.splits.append((_goal((head, True), (rest, not pos)), _goal((head, False), (rest, pos))))
+        goal.splits.append(
+            (_goal(sorts, (head, True), (rest, not pos)), _goal(sorts, (head, False), (rest, pos)))
+        )
     elif isinstance(f, (BoolEq, BoolNeq)):  # l = r is not(l xor r), l =/= r is l xor r
-        _lower(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), goal)
+        _lower(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), goal, sorts)
     elif isinstance(f, Cmp):
-        _compare(f.op if pos else _NEG_OP[f.op], f.left, f.right, goal)
+        _compare(f.op if pos else _NEG_OP[f.op], f.left, f.right, goal, sorts)
     else:
         raise FragmentUnsupported(f"{type(f).__name__} is outside the difference-logic fragment")
 
@@ -614,9 +622,9 @@ def _lower(f: Formula, pos: bool, goal: DLGoal) -> None:
 _NEG_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "===": "=/==", "=/==": "==="}
 
 
-def _compare(op: str, left: IntExpr, right: IntExpr, goal: DLGoal) -> None:
+def _compare(op: str, left: IntExpr, right: IntExpr, goal: DLGoal, sorts: dict) -> None:
     # left op right, with left = x + a and right = y + b, is x - y op b - a
-    (x, a), (y, b) = _operand(left), _operand(right)
+    (x, a), (y, b) = _operand(left, sorts), _operand(right, sorts)
     k = b - a
     if op in ("<", "<=", "==="):
         _le(x, y, k - (op == "<"), goal)
@@ -626,11 +634,12 @@ def _compare(op: str, left: IntExpr, right: IntExpr, goal: DLGoal) -> None:
         goal.splits.append((_le(x, y, k - 1, DLGoal([], [])), _le(y, x, -k - 1, DLGoal([], []))))
 
 
-def _operand(e: IntExpr) -> tuple:
+def _operand(e: IntExpr, sorts: dict) -> tuple:
     """A comparison operand as (variable name or None, constant)."""
     if isinstance(e, IntLit):
         return None, e.value
     if isinstance(e, Var):
+        _note_sort(e, sorts)
         if e.sort is not Sort.INT:
             raise FragmentUnsupported(f"Boolean variable {e.name} in a comparison")
         return e.name, 0

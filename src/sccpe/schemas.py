@@ -79,6 +79,8 @@ CLI_OUTPUT_SCHEMA = {
                 },
                 "states": {"type": "integer", "minimum": 0},
                 "truncated": {"type": "boolean"},
+                "depth_cut": {"type": "boolean"},
+                "capped": {"type": "boolean"},
             },
         },
         {

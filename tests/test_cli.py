@@ -8,6 +8,7 @@ import jsonschema
 
 import sccpe
 from conftest import PROGRAMS
+from test_explore import CYCLE_PROGRAM
 from sccpe import cli
 from sccpe.schemas import CLI_OUTPUT_SCHEMA
 
@@ -66,6 +67,46 @@ def test_run_json_with_resident_process_validates():
     (terminal,) = doc["terminal_states"]
     kinds = {entry["kind"] for entry in terminal["objects"]}
     assert kinds == {"store", "process"}
+
+
+def test_run_stops_at_a_cycle_without_a_depth_warning():
+    # the cycle on run's path proves that no run terminates before the
+    # bound is reached; a full exploration stopped at 7,761 states and warned
+    code, out, err = invoke(["run", "-", "--max-depth", "64"], stdin=CYCLE_PROGRAM)
+    assert (code, out) == (0, "states: 5  terminal: 0\n")
+    assert "depth bound" not in err
+    code, out, err = invoke(["run", "-", "--max-depth", "1"], stdin=CYCLE_PROGRAM)
+    assert (code, out) == (0, "states: 2  terminal: 0\n")
+    assert err.endswith("warning: depth bound 1 reached before closure\n")
+
+
+def test_run_follows_one_path_through_six_interleaved_spaces():
+    # 6 sibling spaces x 2 tells, the first also extruding a tell to the
+    # root: the full interleaving graph grows about 6x per space (612
+    # states for 3 spaces), while the one path run follows has 29 states
+    program = """var B6, D4, G5, Q5, W5, Y5, Z6 Int
+begin
+[ tell(Q5 >= 31) || tell(Q5 <= 51) || ask Q5 >= 31 -> x( tell(D4 >= 29) )_1 ]_1 .
+[ tell(Z6 >= 24) || tell(Z6 <= 77) ]_7 .
+[ tell(Y5 >= 38) || tell(Y5 <= 98) ]_8 .
+[ tell(W5 >= 49) || tell(W5 <= 50) ]_3 .
+[ tell(B6 >= 44) || tell(B6 <= 78) ]_5 .
+[ tell(G5 >= 17) || tell(G5 <= 96) ]_6 .
+end
+"""
+    code, out, err = invoke(["run", "-"], stdin=program)
+    assert (code, err) == (0, "")
+    assert out == (
+        "Terminal state 1:\n"
+        "root: D4:Integer >= 29\n"
+        "  1: Q5:Integer <= 51 and Q5:Integer >= 31\n"
+        "  3: W5:Integer <= 50 and W5:Integer >= 49\n"
+        "  5: B6:Integer <= 78 and B6:Integer >= 44\n"
+        "  6: G5:Integer <= 96 and G5:Integer >= 17\n"
+        "  7: Z6:Integer <= 77 and Z6:Integer >= 24\n"
+        "  8: Y5:Integer <= 98 and Y5:Integer >= 38\n"
+        "states: 29  terminal: 1\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +168,21 @@ def test_search_depth_flag_truncates_cleanly():
     assert code == 0
     assert json.loads(out)["truncated"] is True
     assert err == "warning: depth bound 2 reached before closure\n"
+
+
+def test_search_json_tells_the_depth_bound_from_the_solution_cap():
+    argv = ["search", MESSAGE, "--query", "entails", "Z > 9", "--format", "json"]
+    for extra, depth_cut, capped in (
+        (["--max-solutions", "1"], False, True),
+        (["--max-depth", "2"], True, False),
+        ([], False, False),
+    ):
+        code, out, err = invoke(argv + extra)
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, CLI_OUTPUT_SCHEMA)
+        assert (doc["depth_cut"], doc["capped"]) == (depth_cut, capped)
+        assert doc["truncated"] is (depth_cut or capped)
 
 
 def test_search_to_closure_and_solution_cap_do_not_warn():

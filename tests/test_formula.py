@@ -224,7 +224,7 @@ def test_to_dnf_folds_short_xor():
 def test_to_dnf_rejects_a_name_used_at_both_sorts():
     with pytest.raises(SortConflict):
         lower(And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0)))
-    # checked before the walk, so a disjunct that would never be split still counts
+    # every subformula is lowered, so a disjunct that would never be split still counts
     with pytest.raises(SortConflict):
         lower(Or((P, Var("P", Sort.INT) < 0)))
 
