@@ -35,7 +35,6 @@ from .formula import (
     TRUE,
     DLAtom,
     Formula,
-    FragmentUnsupported,
     Sort,
     SortConflict,
     Var,

@@ -13,8 +13,7 @@ Subcommands:
 ``FILE`` is a program path or ``-`` for standard input.  Exit codes:
 0 success (a "No solution." outcome is a success), 1 usage/parse/validate
 error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 2 solver
-inconclusive (a timeout, or a formula outside the difference-logic
-fragment and no external solver), 3 internal error.
+inconclusive (a timeout or a failing external solver), 3 internal error.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import sys
 
 from . import lang, render
 from .calculus import run as run_engine
-from .formula import FragmentUnsupported, format_formula
+from .formula import format_formula
 from .search import InconsistentStore, StoreEntails, StoresEquivalent
 from .search import search as search_states
 from .solver import ExternalSolverError, Solver, SolverConfig, SolverInconclusive
@@ -111,16 +110,14 @@ def _build_parser() -> _Parser:
 def _solver_from_args(args) -> Solver:
     choice = args.solver if args.solver is not None else os.environ.get("SCCPE_SOLVER", "internal")
     if choice == "internal":
-        backend, cmd = "internal", None
+        cmd = None
     elif choice.startswith("external:"):
         cmd = tuple(shlex.split(choice[len("external:") :]))
         if not cmd:
             raise _UsageError("external solver needs a command line, e.g. external:'z3 -in'")
-        backend = "external"
     else:
         raise _UsageError(f"unknown solver backend {choice!r}")
     config = SolverConfig(
-        backend=backend,
         external_cmd=cmd,
         timeout_ms=args.timeout,
         unknown_policy=args.unknown_as,
@@ -305,7 +302,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _InputError:
         return EXIT_USAGE
-    except (SolverInconclusive, FragmentUnsupported, ExternalSolverError) as exc:
+    except (SolverInconclusive, ExternalSolverError) as exc:
         print(f"solver inconclusive: {exc}", file=err)
         return EXIT_INCONCLUSIVE
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,7 +1,7 @@
 """Quantifier-free Boolean/integer constraint terms.
 
-Constraints are immutable trees over Boolean connectives, integer
-comparisons, and integer arithmetic.  Every node (`Node`, shared with the
+Constraints are immutable trees over Boolean connectives and comparisons
+between integer variables and literals.  Every node (`Node`, shared with the
 processes, objects and states of `calculus`) computes its hash, its order
 key and whether it is in canonical form once, when it is built, from its
 fields and its children's stored values; nothing is mutated afterwards and
@@ -16,8 +16,7 @@ nothing is interned.  The module provides:
   conjunction removed.  Canonical terms are the engine's state-identity
   currency; a canonical term is returned as it is, so canonical inputs
   cost one flag test;
-* ``lower``, which lowers the decidable fragment (Boolean combinations of
-  comparisons between integer variables and literals) to one literal form,
+* ``lower``, which lowers every well-sorted term to one literal form,
   the difference atom ``x - y <= k`` (`DLAtom`: a bound is a difference
   against 0, a Boolean an integer positive exactly when it holds), and each
   disjunction to one split (`DLGoal`) expanded only when the solver asks;
@@ -42,10 +41,6 @@ from typing import Callable, NamedTuple, Union
 class Sort(Enum):
     INT = "Int"
     BOOL = "Bool"
-
-
-class FragmentUnsupported(Exception):
-    """Formula falls outside the difference-logic fragment."""
 
 
 class SortConflict(ValueError):
@@ -170,7 +165,7 @@ INT_KINDS: set = set()
 
 class _IntOps(Node):
     """Base of the integer expressions: operator sugar for building
-    comparisons and arithmetic."""
+    comparisons."""
 
     __slots__ = ()
 
@@ -188,18 +183,6 @@ class _IntOps(Node):
 
     def __ge__(self, other):
         return Cmp(">=", _as_int(self), _as_int(other))
-
-    def __add__(self, other):
-        return Arith("+", _as_int(self), _as_int(other))
-
-    def __sub__(self, other):
-        return Arith("-", _as_int(self), _as_int(other))
-
-    def __mul__(self, other):
-        return Arith("*", _as_int(self), _as_int(other))
-
-    def __neg__(self):
-        return Neg(_as_int(self))
 
 
 @node
@@ -221,33 +204,6 @@ class Var(_IntOps):
 class IntLit(_IntOps):
     value: int
     _tag = 2
-
-
-@node
-class Neg(_IntOps):
-    arg: "IntExpr"
-    _tag = 3
-    _kids = (("arg", INT_KINDS, False),)
-
-
-@node
-class Arith(_IntOps):
-    op: str  # one of + - * div mod
-    left: "IntExpr"
-    right: "IntExpr"
-    _tag = 4
-    _kids = (("left", INT_KINDS, False), ("right", INT_KINDS, False))
-
-
-@node
-class IntITE(_IntOps):
-    """Conditional choice over integers: ``cond ? then : orelse``."""
-
-    cond: "Formula"
-    then: "IntExpr"
-    orelse: "IntExpr"
-    _tag = 5
-    _kids = (("cond", BOOL_KINDS, False), ("then", INT_KINDS, False), ("orelse", INT_KINDS, False))
 
 
 class _Bool(Node):
@@ -344,24 +300,14 @@ class Cmp(_Bool):
     left: "IntExpr"
     right: "IntExpr"
     _tag = 13
-    _kids = Arith._kids
+    _kids = (("left", INT_KINDS, False), ("right", INT_KINDS, False))
 
 
-@node
-class BoolITE(_Bool):
-    cond: "Formula"
-    then: "Formula"
-    orelse: "Formula"
-    _tag = 14
-    _kids = tuple((name, BOOL_KINDS, False) for name in ("cond", "then", "orelse"))
+IntExpr = Union[Var, IntLit]
+Formula = Union[BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp]
 
-
-IntExpr = Union[Var, IntLit, Neg, Arith, IntITE]
-Formula = Union[BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp, BoolITE]
-
-_INT_EXPR_TYPES = (Var, IntLit, Neg, Arith, IntITE)
-INT_KINDS.update(_INT_EXPR_TYPES)
-BOOL_KINDS.update((BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp, BoolITE))
+INT_KINDS.update((Var, IntLit))
+BOOL_KINDS.update((BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp))
 
 
 def intvar(name: str) -> Var:
@@ -377,7 +323,7 @@ def _as_int(x) -> IntExpr:
         return IntLit(x)
     if isinstance(x, Var) and x.sort is not Sort.INT:
         raise SortConflict(f"Boolean variable {x.name} used as an integer")
-    if isinstance(x, _INT_EXPR_TYPES):
+    if type(x) in INT_KINDS:
         return x
     raise TypeError(f"not an integer expression: {x!r}")
 
@@ -493,7 +439,7 @@ def _canon_bool(f: Formula) -> Formula:
 def _canon_int(e: IntExpr) -> IntExpr:
     if type(e) not in INT_KINDS:
         raise TypeError(f"not an integer expression: {e!r}")
-    return e if e._canon else rebuild(e, _canon_kid)
+    return e  # a variable or a literal is canonical as built
 
 
 def _canon_kid(kinds: set, t):
@@ -569,8 +515,9 @@ def lower(c: Formula) -> DLGoal:
     one (or, negated and, implies, xor, Boolean = and =/=, a disequality,
     split into left < right, then left > right) adds one split.  Raises
     SortConflict when a name is used at both sorts (the two uses would
-    share a vertex), checked on each variable as the walk meets it, and
-    FragmentUnsupported outside the fragment."""
+    share a vertex), checked on each variable as the walk meets it, or a
+    variable sits in a position of the other sort, and TypeError on
+    anything that is not a formula."""
     return _goal({}, (c, True))
 
 
@@ -592,7 +539,7 @@ def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
     elif isinstance(f, Var):
         _note_sort(f, sorts)
         if f.sort is not Sort.BOOL:
-            raise FragmentUnsupported(f"integer variable {f.name} in formula position")
+            raise SortConflict(f"integer variable {f.name} used as a formula")
         goal.atoms.append(DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0))
     elif isinstance(f, Not):
         _lower(f.arg, not pos, goal, sorts)
@@ -616,7 +563,7 @@ def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
     elif isinstance(f, Cmp):
         _compare(f.op if pos else _NEG_OP[f.op], f.left, f.right, goal, sorts)
     else:
-        raise FragmentUnsupported(f"{type(f).__name__} is outside the difference-logic fragment")
+        raise TypeError(f"not a formula: {f!r}")
 
 
 _NEG_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "===": "=/==", "=/==": "==="}
@@ -641,9 +588,9 @@ def _operand(e: IntExpr, sorts: dict) -> tuple:
     if isinstance(e, Var):
         _note_sort(e, sorts)
         if e.sort is not Sort.INT:
-            raise FragmentUnsupported(f"Boolean variable {e.name} in a comparison")
+            raise SortConflict(f"Boolean variable {e.name} used as an integer")
         return e.name, 0
-    raise FragmentUnsupported("comparison operands must be integer variables or literals")
+    raise TypeError(f"not an integer expression: {e!r}")
 
 
 def _le(x: str | None, y: str | None, k: int, goal: DLGoal) -> DLGoal:
@@ -658,8 +605,9 @@ def _le(x: str | None, y: str | None, k: int, goal: DLGoal) -> DLGoal:
 # ---------------------------------------------------------------------------
 # Concrete syntax: printer
 
-_B_ITE, _B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ, _B_CMP = 1, 2, 3, 4, 5, 6, 7
-_B_ADD, _B_MUL, _B_NEG, _B_ATOM = 8, 9, 10, 100
+# Binding powers, loosest first; a comparison binds tighter than all of
+# them, so it is never parenthesized.
+_B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ = range(1, 6)
 _CHAIN_FMT = {And: (" and ", _B_AND), Or: (" or ", _B_OR), Xor: (" xor ", _B_XOR)}
 
 
@@ -669,7 +617,11 @@ def format_formula(f: Formula) -> str:
 
 
 def format_int_expr(e: IntExpr) -> str:
-    return _fmt_int(e, 0)
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, Var):
+        return f"{e.name}:Integer"
+    raise TypeError(f"not an integer expression: {e!r}")
 
 
 def _wrap(s: str, bp: int, parent: int) -> str:
@@ -698,33 +650,5 @@ def _fmt_bool(f: Formula, parent: int) -> str:
         s = f"{_fmt_bool(f.left, _B_EQ + 1)} =/== {_fmt_bool(f.right, _B_EQ + 1)}"
         return _wrap(s, _B_EQ, parent)
     if isinstance(f, Cmp):
-        s = f"{_fmt_int(f.left, _B_CMP + 1)} {f.op} {_fmt_int(f.right, _B_CMP + 1)}"
-        return _wrap(s, _B_CMP, parent)
-    if isinstance(f, BoolITE):
-        s = (
-            f"{_fmt_bool(f.cond, _B_ITE + 1)} ? {_fmt_bool(f.then, _B_ITE + 1)}"
-            f" : {_fmt_bool(f.orelse, _B_ITE + 1)}"
-        )
-        return _wrap(s, _B_ITE, parent)
+        return f"{format_int_expr(f.left)} {f.op} {format_int_expr(f.right)}"
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _fmt_int(e: IntExpr, parent: int) -> str:
-    if isinstance(e, IntLit):
-        s = str(e.value)
-        return _wrap(s, _B_ATOM if e.value >= 0 else _B_NEG, parent)
-    if isinstance(e, Var):
-        return f"{e.name}:Integer"
-    if isinstance(e, Neg):
-        return _wrap(f"-{_fmt_int(e.arg, _B_NEG + 1)}", _B_NEG, parent)
-    if isinstance(e, Arith):
-        bp = _B_ADD if e.op in ("+", "-") else _B_MUL
-        s = f"{_fmt_int(e.left, bp)} {e.op} {_fmt_int(e.right, bp + 1)}"
-        return _wrap(s, bp, parent)
-    if isinstance(e, IntITE):
-        s = (
-            f"{_fmt_bool(e.cond, _B_ITE + 1)} ? {_fmt_int(e.then, _B_ITE + 1)}"
-            f" : {_fmt_int(e.orelse, _B_ITE + 1)}"
-        )
-        return _wrap(s, _B_ITE, parent)
-    raise TypeError(f"not an integer expression: {e!r}")

@@ -42,19 +42,17 @@ from .calculus import (
     process_key,
 )
 from .formula import (
+    BOOL_KINDS,
+    INT_KINDS,
     And,
-    Arith,
     BoolConst,
     BoolEq,
-    BoolITE,
     BoolNeq,
     Cmp,
     FALSE,
     Formula,
     Implies,
-    IntITE,
     IntLit,
-    Neg,
     Not,
     Or,
     Sort,
@@ -113,18 +111,14 @@ def render_tree(s: SysState) -> str:
 # ---------------------------------------------------------------------------
 # JSON encoding
 
-_SORT_NAME = {Sort.INT: "Int", Sort.BOOL: "Bool"}
-
-
 # The op name of each node class; fields follow in declaration order, under
-# their own names except for these two.
+# their own names except for the comparison's operator.
 _OP_NAME = {
-    Var: "var", IntLit: "int", Neg: "neg", Arith: "arith", Not: "not", And: "and", Or: "or",
-    Xor: "xor", Implies: "implies", BoolEq: "beq", BoolNeq: "bneq", Cmp: "cmp", IntITE: "ite",
-    BoolITE: "bite", Nil: "nil", Tell: "tell", Ask: "ask", Par: "par", Space: "space", Rec: "rec",
-    Extr: "xtr", ProcVar: "procvar",
+    Var: "var", IntLit: "int", Not: "not", And: "and", Or: "or", Xor: "xor", Implies: "implies",
+    BoolEq: "beq", BoolNeq: "bneq", Cmp: "cmp", Nil: "nil", Tell: "tell", Ask: "ask", Par: "par",
+    Space: "space", Rec: "rec", Extr: "xtr", ProcVar: "procvar",
 }
-_JSON_KEY = {"op": "fn", "orelse": "else"}
+_JSON_KEY = {"op": "fn"}
 _LIT, _ONE, _MANY, _SORT = range(4)  # how a field is encoded
 
 
@@ -155,7 +149,7 @@ def formula_to_obj(t) -> dict:
         elif how == _MANY:
             value = [formula_to_obj(a) for a in value]
         elif how == _SORT:
-            value = _SORT_NAME[value]
+            value = value.value
         doc[key] = value
     return doc
 
@@ -193,41 +187,43 @@ def _int_at(value, path: str) -> int:
     return value
 
 
-_CLASS_OF = {op: cls for cls, op in _OP_NAME.items()}
-_FN = {
-    Arith: (("+", "-", "*", "div", "mod"), "arithmetic operator"),
-    Cmp: (("<", "<=", ">", ">=", "===", "=/=="), "comparison"),
-}
+_CLASS_OF = {op: cls for cls, op in _OP_NAME.items()} | {"true": BoolConst, "false": BoolConst}
+_CMP_OPS = ("<", "<=", ">", ">=", "===", "=/==")
 
 
-def obj_to_formula(obj, path: str = "$", process: bool = False):
-    """Node decoded from its tagged JSON object: a formula or integer
-    expression, or a process when `process` is set."""
+def obj_to_formula(obj, path: str = "$", kinds: set = BOOL_KINDS):
+    """Node decoded from its tagged JSON object, of one of `kinds`: a
+    formula (the default), an integer expression or a process.  A node
+    of another kind, or a variable of the other sort, is rejected."""
     op = _need(obj, "op", path)
-    if op in ("true", "false") and not process:
-        return TRUE if op == "true" else FALSE
     cls = _CLASS_OF.get(op) if isinstance(op, str) else None
-    if cls is None or (cls in PROC_KINDS) != process:
-        noun = "process" if process else "term"
-        raise JsonFormatError(f"{path}.op: unknown {noun} constructor {op!r}")
-    kids = {name: kinds is PROC_KINDS for name, kinds, _ in cls._kids}
+    if cls is None:
+        raise JsonFormatError(f"{path}.op: unknown constructor {op!r}")
+    if cls not in kinds:
+        noun = "an integer expression" if kinds is INT_KINDS else "a formula"
+        noun = "a process" if kinds is PROC_KINDS else noun
+        raise JsonFormatError(f"{path}.op: expected {noun}, found {op!r}")
+    if cls is BoolConst:
+        return TRUE if op == "true" else FALSE
+    kids = {name: kid_kinds for name, kid_kinds, _ in cls._kids}
     fields = []
     for name in cls.__match_args__:
         key = _JSON_KEY.get(name, name)
         value, at = _need(obj, key, path), f"{path}.{key}"
         if name == "args":
             if not isinstance(value, list) or len(value) < 2:
-                noun = "processes" if kids[name] else "terms"
+                noun = "processes" if kids[name] is PROC_KINDS else "terms"
                 raise JsonFormatError(f"{at}: expected a list of at least two {noun}")
             value = tuple(obj_to_formula(a, f"{at}[{i}]", kids[name]) for i, a in enumerate(value))
         elif name in kids:
             value = obj_to_formula(value, at, kids[name])
-        elif name == "op" and value not in _FN[cls][0]:
-            raise JsonFormatError(f"{at}: unknown {_FN[cls][1]} {value!r}")
+        elif name == "op" and value not in _CMP_OPS:
+            raise JsonFormatError(f"{at}: unknown comparison {value!r}")
         elif name == "sort":
-            if value not in ("Int", "Bool"):
-                raise JsonFormatError(f"{at}: expected Int or Bool, found {value!r}")
-            value = Sort.INT if value == "Int" else Sort.BOOL
+            sort = "Int" if kinds is INT_KINDS else "Bool"
+            if value != sort:
+                raise JsonFormatError(f"{at}: expected {sort}, found {value!r}")
+            value = Sort(value)
         elif name == "name":
             if not isinstance(value, str):
                 raise JsonFormatError(f"{at}: expected a string")
@@ -253,7 +249,7 @@ def obj_to_state(doc) -> SysState:
         if kind == "store":
             out.append(StoreObj(aid, obj_to_formula(payload, f"{path}.payload")))
         elif kind == "process":
-            out.append(ProcObj(aid, obj_to_formula(payload, f"{path}.payload", process=True)))
+            out.append(ProcObj(aid, obj_to_formula(payload, f"{path}.payload", PROC_KINDS)))
         else:
             raise JsonFormatError(f"{path}.kind: expected 'store' or 'process', found {kind!r}")
     return normalize(SysState(tuple(out)))

@@ -2,13 +2,13 @@
 
 A `Solver` session decides them with one of two backends:
 
-* an internal decision procedure, complete for the difference-logic
-  fragment: `formula.lower` turns a formula into difference atoms
-  ``x - y <= k`` and open splits; the atoms' graph is checked for a
-  negative cycle (Bellman-Ford), and a split is branched on only when the
-  model this yields satisfies none of its alternatives;
+* an internal decision procedure, complete for every term the engine can
+  build (difference logic): `formula.lower` turns a formula into
+  difference atoms ``x - y <= k`` and open splits; the atoms' graph is
+  checked for a negative cycle (Bellman-Ford), and a split is branched on
+  only when the model this yields satisfies none of its alternatives;
 * an external SMT-LIB2 solver spoken to over a child process's stdin/stdout,
-  for formulas the fragment cannot express (arithmetic, conditionals).
+  which decides the same formulas in its place, as a cross-check.
 
 The brute-force model enumerator that the internal procedure is tested
 against lives in ``tests/model_oracle.py`` and shares no code with it.
@@ -29,20 +29,15 @@ from typing import Iterable, Optional
 
 from .formula import (
     And,
-    Arith,
     BoolConst,
     BoolEq,
-    BoolITE,
     BoolNeq,
     Cmp,
     DLAtom,
     DLGoal,
     Formula,
-    FragmentUnsupported,
     Implies,
-    IntITE,
     IntLit,
-    Neg,
     Not,
     Or,
     Sort,
@@ -90,20 +85,17 @@ def unknown(reason: str) -> SatResult:
 class SolverConfig:
     """Backend selection and policies.
 
-    With the internal backend, `external_cmd` (an argv tuple) is the
-    failover target for formulas outside the fragment; without one, such
-    formulas raise FragmentUnsupported.
+    Without `external_cmd` the internal procedure decides every formula;
+    with one (an argv tuple), the external solver it starts decides every
+    formula instead.
     """
 
-    backend: str = "internal"  # 'internal' | 'external'
     external_cmd: Optional[tuple] = None
     timeout_ms: int = 5000
     unknown_policy: str = "error"  # 'error' | 'paper'
 
     def __post_init__(self):
-        if self.backend not in ("internal", "external"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "external" and not self.external_cmd:
+        if self.external_cmd is not None and not self.external_cmd:
             raise ValueError("external backend requires a solver command line")
         if self.timeout_ms < 1:
             raise ValueError("timeout_ms must be positive")
@@ -127,15 +119,11 @@ class Solver:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        if self.config.backend == "external":
-            result = self._external(key)
+        cmd = self.config.external_cmd
+        if cmd is None:
+            result = SAT if _search(lower(key)) else UNSAT
         else:
-            try:
-                result = SAT if _search(lower(key)) else UNSAT
-            except FragmentUnsupported:
-                if self.config.external_cmd is None:
-                    raise
-                result = self._external(key)
+            result = _run_external(cmd, smtlib_script(key), self.config.timeout_ms)
         self._memo[key] = result
         return result
 
@@ -151,9 +139,6 @@ class Solver:
 
     def entails(self, c: Formula, d: Formula) -> bool:
         return self.check_unsat(conjoin(c, negate(d)))
-
-    def _external(self, c: Formula) -> SatResult:
-        return _run_external(self.config.external_cmd, smtlib_script(c), self.config.timeout_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +222,6 @@ def _smt(t) -> str:
         return t.name
     if isinstance(t, IntLit):
         return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, Neg):
-        return f"(- {_smt(t.arg)})"
-    if isinstance(t, Arith):
-        return f"({t.op} {_smt(t.left)} {_smt(t.right)})"
     if isinstance(t, Not):
         return f"(not {_smt(t.arg)})"
     if isinstance(t, (And, Or, Xor)):
@@ -257,8 +238,6 @@ def _smt(t) -> str:
         if t.op == "=/==":
             return f"(not (= {_smt(t.left)} {_smt(t.right)}))"
         return f"({t.op} {_smt(t.left)} {_smt(t.right)})"
-    if isinstance(t, (IntITE, BoolITE)):
-        return f"(ite {_smt(t.cond)} {_smt(t.then)} {_smt(t.orelse)})"
     raise TypeError(f"not a term: {t!r}")
 
 

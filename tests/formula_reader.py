@@ -15,17 +15,13 @@ from sccpe.formula import (
     FALSE,
     TRUE,
     And,
-    Arith,
     BoolEq,
-    BoolITE,
     BoolNeq,
     Cmp,
     Formula,
     Implies,
     IntExpr,
-    IntITE,
     IntLit,
-    Neg,
     Not,
     Or,
     Sort,
@@ -34,16 +30,15 @@ from sccpe.formula import (
 )
 
 # Binding powers, loosest first.
-_B_ITE, _B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ, _B_CMP = 1, 2, 3, 4, 5, 6, 7
-_B_ADD, _B_MUL, _B_NEG = 8, 9, 10
+_B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ, _B_CMP = 1, 2, 3, 4, 5, 6
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)"
     r"|(?P<int>\d+)"
-    r"|(?P<op>===|=/==|<=|>=|\|\||->|[<>+\-*?:().]))"
+    r"|(?P<op>===|=/==|<=|>=|[<>\-:().]))"
 )
 
-_KEYWORDS = {"and", "or", "xor", "implies", "not", "true", "false", "div", "mod", "Integer", "Boolean"}
+_KEYWORDS = {"and", "or", "xor", "implies", "not", "true", "false", "Integer", "Boolean"}
 
 
 def _tokenize(text: str) -> list:
@@ -96,9 +91,9 @@ class _Reader:
         kind, node = self.parse_prefix()
         while True:
             tk, tv, _ = self.peek()
-            if tk == "name" and tv in ("and", "or", "xor", "implies", "div", "mod"):
+            if tk == "name" and tv in ("and", "or", "xor", "implies"):
                 opname = tv
-            elif tk == "op" and tv in ("===", "=/==", "<=", ">=", "<", ">", "+", "-", "*", "?"):
+            elif tk == "op" and tv in ("===", "=/==", "<=", ">=", "<", ">"):
                 opname = tv
             else:
                 break
@@ -106,9 +101,6 @@ class _Reader:
             if bp < min_bp:
                 break
             self.next()
-            if opname == "?":
-                kind, node = self.parse_ite(kind, node)
-                continue
             if opname in ("and", "or", "xor"):
                 kind, node = self.parse_chain(opname, kind, node, bp)
                 continue
@@ -129,17 +121,6 @@ class _Reader:
         cls = {"and": And, "or": Or, "xor": Xor}[opname]
         return "bool", cls(tuple(args))
 
-    def parse_ite(self, ck, cn):
-        cond = self.require_bool(ck, cn)
-        tk_kind, tk_node = self.parse(_B_ITE + 1)
-        self.expect(":")
-        ek_kind, ek_node = self.parse(_B_ITE + 1)
-        if tk_kind != ek_kind:
-            self.fail("conditional branches have different sorts")
-        if tk_kind == "int":
-            return "int", IntITE(cond, tk_node, ek_node)
-        return "bool", BoolITE(cond, tk_node, ek_node)
-
     def combine(self, op: str, lk, ln, rk, rn):
         if op == "implies":
             return "bool", Implies(self.require_bool(lk, ln), self.require_bool(rk, rn))
@@ -151,8 +132,6 @@ class _Reader:
             if lk == "bool" and rk == "bool":
                 return "bool", (BoolEq if op == "===" else BoolNeq)(ln, rn)
             self.fail(f"operands of {op} have different sorts")
-        if op in ("+", "-", "*", "div", "mod"):
-            return "int", Arith(op, self.require_int(lk, ln), self.require_int(rk, rn))
         raise AssertionError(op)
 
     def require_bool(self, kind, node) -> Formula:
@@ -170,12 +149,10 @@ class _Reader:
         if tk == "int":
             return "int", IntLit(int(tv))
         if tk == "op" and tv == "-":
-            kind, node = self.parse(_B_NEG)
-            if kind != "int":
-                raise ValueError(f"column {at}: unary minus needs an integer operand")
-            if isinstance(node, IntLit):
-                return "int", IntLit(-node.value)
-            return "int", Neg(node)
+            lk, lv, _ = self.next()
+            if lk != "int":
+                raise ValueError(f"column {at}: unary minus needs an integer literal")
+            return "int", IntLit(-int(lv))
         if tk == "op" and tv == "(":
             kind, node = self.parse(0)
             self.expect(")")
@@ -213,7 +190,6 @@ class _Reader:
 
 
 _READ_BP = {
-    "?": _B_ITE,
     "implies": _B_IMPLIES,
     "or": _B_OR,
     "xor": _B_XOR,
@@ -224,11 +200,6 @@ _READ_BP = {
     "<=": _B_CMP,
     ">": _B_CMP,
     ">=": _B_CMP,
-    "+": _B_ADD,
-    "-": _B_ADD,
-    "*": _B_MUL,
-    "div": _B_MUL,
-    "mod": _B_MUL,
 }
 
 

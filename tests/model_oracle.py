@@ -5,7 +5,7 @@ trying every assignment in a box that `small_model_bound` makes large
 enough.  It shares no code with the solver or the difference-logic lowering: the
 fragment is a whitelist walk of its own, and formulas are evaluated by
 closures compiled straight from the term tree.  `compile_term` is the one
-evaluator of the whole term language (arithmetic and conditionals too);
+evaluator of the whole term language;
 `literal_holds` gives the truth of a lowered literal, a difference
 ``x - y <= k`` whose sides are variable names or None for 0, by reading
 its fields, with a Boolean valued 1 when true and 0 when false.
@@ -18,20 +18,16 @@ from typing import Callable
 
 from sccpe.formula import (
     And,
-    Arith,
     BoolConst,
     BoolEq,
-    BoolITE,
     BoolNeq,
     Cmp,
-    FragmentUnsupported,
     Implies,
-    IntITE,
     IntLit,
-    Neg,
     Not,
     Or,
     Sort,
+    SortConflict,
     Var,
     Xor,
     children,
@@ -62,7 +58,7 @@ def _assert_fragment(t) -> None:
         return
     if isinstance(t, Var):
         if t.sort is not Sort.BOOL:
-            raise FragmentUnsupported(f"integer variable {t.name} in formula position")
+            raise SortConflict(f"integer variable {t.name} in formula position")
         return
     if isinstance(t, Not):
         _assert_fragment(t.arg)
@@ -79,20 +75,11 @@ def _assert_fragment(t) -> None:
         for side in (t.left, t.right):
             if isinstance(side, Var):
                 if side.sort is not Sort.INT:
-                    raise FragmentUnsupported(f"Boolean variable {side.name} in a comparison")
+                    raise SortConflict(f"Boolean variable {side.name} in a comparison")
             elif not isinstance(side, IntLit):
-                raise FragmentUnsupported("comparison operands must be variables or literals")
+                raise ValueError("comparison operands must be variables or literals")
         return
-    raise FragmentUnsupported(f"{type(t).__name__} is outside the difference-logic fragment")
-
-
-def _div(a: int, b: int) -> int:
-    # Euclidean division: the remainder a - b * q is never negative.
-    return a // b if b > 0 else -(a // -b)
-
-
-def _mod(a: int, b: int) -> int:
-    return a - b * _div(a, b)
+    raise ValueError(f"{type(t).__name__} is outside the difference-logic fragment")
 
 
 # Per operator, a builder of the closure over the operands' closures.
@@ -103,11 +90,6 @@ _BINARY = {
     ">=": lambda l, r: lambda env: l(env) >= r(env),
     "===": lambda l, r: lambda env: l(env) == r(env),
     "=/==": lambda l, r: lambda env: l(env) != r(env),
-    "+": lambda l, r: lambda env: l(env) + r(env),
-    "-": lambda l, r: lambda env: l(env) - r(env),
-    "*": lambda l, r: lambda env: l(env) * r(env),
-    "div": lambda l, r: lambda env: _div(l(env), r(env)),
-    "mod": lambda l, r: lambda env: _mod(l(env), r(env)),
 }
 
 
@@ -123,9 +105,6 @@ def compile_term(t) -> Callable[[dict], object]:
     if isinstance(t, Not):
         g = compile_term(t.arg)
         return lambda env: not g(env)
-    if isinstance(t, Neg):
-        g = compile_term(t.arg)
-        return lambda env: -g(env)
     if isinstance(t, (And, Or, Xor)):
         gs = tuple(compile_term(a) for a in t.args)
         if isinstance(t, And):
@@ -140,11 +119,8 @@ def compile_term(t) -> Callable[[dict], object]:
         if isinstance(t, BoolEq):
             return lambda env: gl(env) == gr(env)
         return lambda env: gl(env) != gr(env)
-    if isinstance(t, (Cmp, Arith)):
+    if isinstance(t, Cmp):
         return _BINARY[t.op](compile_term(t.left), compile_term(t.right))
-    if isinstance(t, (BoolITE, IntITE)):
-        gc, gt, ge = compile_term(t.cond), compile_term(t.then), compile_term(t.orelse)
-        return lambda env: gt(env) if gc(env) else ge(env)
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -42,16 +42,12 @@ from sccpe.formula import (
     FALSE,
     TRUE,
     And,
-    Arith,
     BoolConst,
     BoolEq,
-    BoolITE,
     BoolNeq,
     Cmp,
     Implies,
-    IntITE,
     IntLit,
-    Neg,
     Node,
     Not,
     Or,
@@ -76,12 +72,10 @@ def shape(t, f):
         return (1, 0 if t.sort is Sort.INT else 1, t.name)
     if isinstance(t, IntLit):
         return (2, t.value)
-    if isinstance(t, (Neg, Not)):
-        return (3 if isinstance(t, Neg) else 6, f(t.arg))
-    if isinstance(t, (Arith, Cmp)):
-        return (4 if isinstance(t, Arith) else 13, t.op, f(t.left), f(t.right))
-    if isinstance(t, (IntITE, BoolITE)):
-        return (5 if isinstance(t, IntITE) else 14, f(t.cond), f(t.then), f(t.orelse))
+    if isinstance(t, Not):
+        return (6, f(t.arg))
+    if isinstance(t, Cmp):
+        return (13, t.op, f(t.left), f(t.right))
     if isinstance(t, (And, Or, Xor)):
         return (_TAG[type(t)], tuple(f(a) for a in t.args))
     if isinstance(t, (Implies, BoolEq, BoolNeq)):
@@ -156,12 +150,8 @@ def ref_canon(f):
             parts = list(dict.fromkeys(parts))
         parts.sort(key=ref_key)
         return unit if not parts else parts[0] if len(parts) == 1 else cls(tuple(parts))
-    if isinstance(f, Neg):
-        return Neg(ref_canon(f.arg))
-    if isinstance(f, (Arith, Cmp)):
-        return type(f)(f.op, ref_canon(f.left), ref_canon(f.right))
-    if isinstance(f, (IntITE, BoolITE)):
-        return type(f)(ref_canon(f.cond), ref_canon(f.then), ref_canon(f.orelse))
+    if isinstance(f, Cmp):
+        return Cmp(f.op, ref_canon(f.left), ref_canon(f.right))
     return type(f)(ref_canon(f.left), ref_canon(f.right))
 
 
@@ -247,7 +237,7 @@ def test_step_builds_normal_states_reusing_untouched_objects(rng):
 def test_every_node_class_stores_its_hash_key_and_flag():
     X, Y, P, Q = Var("X", Sort.INT), Var("Y", Sort.INT), Var("P", Sort.BOOL), Var("Q", Sort.BOOL)
     terms = [
-        And((Cmp("<", Arith("*", X, Neg(Y)), IntITE(P, X, IntLit(-2))), BoolITE(Q, P, FALSE))),
+        And((Cmp("<", X, IntLit(-2)), Cmp("=/==", Y, X), BoolEq(Q, P))),
         Implies(BoolEq(P, Q), BoolNeq(Q, Not(TRUE))),
         Xor((Q,)),
         Xor((Xor((Q, P)), TRUE)),

@@ -2,8 +2,9 @@
 
 The brute-force model enumerator decides the same question as the solver,
 so it must share no code with the solver or the difference-logic lowering;
-and the oracles live here, not in the package, which holds only what the
-analyzer runs.
+the printed-syntax reader keeps its own precedence table, so it must share
+none with the printer; and the oracles live here, not in the package,
+which holds only what the analyzer runs.
 """
 
 import ast
@@ -17,6 +18,10 @@ PACKAGE = pathlib.Path(sccpe.__file__).resolve().parent
 # What the difference-logic lowering is made of, in sccpe.formula
 # (`to_dnf` is the lowering's former name, still bound to it).
 LOWERING_NAMES = {"lower", "to_dnf", "DLGoal", "DLAtom"}
+
+# The printer in sccpe.formula, besides its `_fmt*` functions and `_B_*`
+# binding powers.
+PRINTER_NAMES = {"format_formula", "format_int_expr", "_CHAIN_FMT"}
 
 # Test-only helpers, which no module of the package may define; `holds` is
 # the old literal-semantics method of the DNF literal classes, and the
@@ -69,6 +74,12 @@ def test_model_oracle_shares_no_code_with_the_solver():
         assert module.split(".")[:2] != ["sccpe", "solver"], (module, name)
         assert (module, name) != ("sccpe", "solver"), (module, name)
         assert name not in LOWERING_NAMES, (module, name)
+
+
+def test_formula_reader_shares_no_code_with_the_printer():
+    for module, name in imports(TESTS / "formula_reader.py"):
+        assert name not in PRINTER_NAMES, (module, name)
+        assert not (name or "").startswith(("_fmt", "_B_")), (module, name)
 
 
 def test_package_defines_no_test_only_helper():

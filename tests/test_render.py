@@ -152,6 +152,14 @@ def test_json_serialization_is_deterministic(solver):
 # decode errors carry paths
 
 
+_P, _ONE = '{"op": "var", "name": "P", "sort": "Bool"}', '{"op": "int", "value": 1}'
+_CMP = '{"op": "cmp", "fn": "<", "left": %s, "right": %s}'
+
+
+def _store(payload: str) -> str:
+    return '{"objects": [{"kind": "store", "aid": [], "payload": %s}]}' % payload
+
+
 @pytest.mark.parametrize(
     "doc, fragment",
     [
@@ -166,6 +174,15 @@ def test_json_serialization_is_deterministic(solver):
             "args",
         ),
         ("{not json", "invalid JSON"),
+        # each position admits one kind of term, and a variable of one sort
+        (_store(_CMP % (_P, _ONE)), "payload.left.sort"),
+        (_store('{"op": "var", "name": "X", "sort": "Int"}'), "payload.sort"),
+        (_store(_CMP % ('{"op": "true"}', _ONE)), "payload.left.op"),
+        (_store(_ONE), "payload.op"),
+        (
+            _store('{"op": "arith", "fn": "+", "left": %s, "right": %s}' % (_ONE, _ONE)),
+            "payload.op",
+        ),
     ],
 )
 def test_json_errors_name_the_path(doc, fragment):

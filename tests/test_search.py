@@ -269,7 +269,7 @@ def test_solver_failure_aborts_with_context(tmp_path):
             """
         )
     )
-    cfg = SolverConfig(backend="external", external_cmd=(sys.executable, str(stub)))
+    cfg = SolverConfig(external_cmd=(sys.executable, str(stub)))
     state = normalize(
         SysState((StoreObj(ROOT, Y < 5), ProcObj(ROOT, Tell(Z >= 10))))
     )

@@ -12,7 +12,6 @@ from sccpe import (
     FALSE,
     TRUE,
     DLAtom,
-    FragmentUnsupported,
     Solver,
     SolverConfig,
     SolverInconclusive,
@@ -26,7 +25,7 @@ from sccpe import (
     intvar,
     ne_,
 )
-from sccpe.formula import And, BoolEq, BoolITE, BoolNeq, Cmp, IntLit, Not, Xor
+from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Not, Xor
 from sccpe.solver import ExternalSolverError, smtlib_script
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -129,8 +128,9 @@ def test_brute_force_examples():
 
 
 def test_brute_force_rejects_arithmetic():
-    with pytest.raises(FragmentUnsupported):
-        brute_force_sat(X + 1 < Y, 4)
+    # a Boolean variable compared as an integer
+    with pytest.raises(SortConflict):
+        brute_force_sat(Cmp("<", P, Y), 4)
 
 
 def test_small_model_bound():
@@ -292,21 +292,13 @@ def _stub_solver(tmp_path, behavior: str):
 
 
 def test_external_backend_sat(tmp_path):
-    cfg = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "sat"))
+    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
     assert Solver(cfg).check_sat(And((Z >= 10, eq_(Z, 9)))).is_sat
 
 
 def test_external_backend_unsat(tmp_path):
-    cfg = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "unsat"))
+    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "unsat"))
     assert Solver(cfg).check_unsat(TRUE)
-
-
-def test_fragment_failover_to_external(tmp_path):
-    off_fragment = BoolITE(P, Q, FALSE)
-    with pytest.raises(FragmentUnsupported):
-        Solver().check_sat(off_fragment)
-    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
-    assert Solver(cfg).check_sat(off_fragment).is_sat
 
 
 def test_dnf_blowup_failover():
@@ -321,21 +313,20 @@ def test_dnf_blowup_failover():
 
 def test_sort_conflict_is_rejected_by_both_backends(tmp_path):
     f = And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0))
-    external = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "sat"))
+    external = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
     for cfg in (SolverConfig(), external):
         with pytest.raises(SortConflict):
             Solver(cfg).check_sat(f)
 
 
 def test_unknown_policy_error(tmp_path):
-    cfg = SolverConfig(backend="external", external_cmd=_stub_solver(tmp_path, "unknown"))
+    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "unknown"))
     with pytest.raises(SolverInconclusive):
         Solver(cfg).check_unsat(TRUE)
 
 
 def test_unknown_policy_paper(tmp_path):
     cfg = SolverConfig(
-        backend="external",
         external_cmd=_stub_solver(tmp_path, "unknown"),
         unknown_policy="paper",
     )
@@ -345,16 +336,14 @@ def test_unknown_policy_paper(tmp_path):
 
 
 def test_timeout_maps_to_unknown(tmp_path):
-    cfg = SolverConfig(
-        backend="external", external_cmd=_stub_solver(tmp_path, "hang"), timeout_ms=300
-    )
+    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "hang"), timeout_ms=300)
     result = Solver(cfg).check_sat(TRUE)
     assert result.kind == "unknown"
     assert "timeout" in result.reason
 
 
 def test_missing_solver_binary():
-    cfg = SolverConfig(backend="external", external_cmd=("definitely-not-a-solver-xyz",))
+    cfg = SolverConfig(external_cmd=("definitely-not-a-solver-xyz",))
     with pytest.raises(ExternalSolverError):
         Solver(cfg).check_sat(TRUE)
 
@@ -362,7 +351,7 @@ def test_missing_solver_binary():
 def test_garbage_solver_output(tmp_path):
     path = tmp_path / "garbage.py"
     path.write_text("print('flubber')\n")
-    cfg = SolverConfig(backend="external", external_cmd=(sys.executable, str(path)))
+    cfg = SolverConfig(external_cmd=(sys.executable, str(path)))
     with pytest.raises(ExternalSolverError):
         Solver(cfg).check_sat(TRUE)
 
@@ -380,7 +369,7 @@ REAL_SOLVER = next(
 @pytest.mark.skipif(REAL_SOLVER is None, reason="no SMT solver installed")
 def test_backend_agreement_against_real_solver():
     name, extra = REAL_SOLVER
-    cfg = SolverConfig(backend="external", external_cmd=(name, *extra))
+    cfg = SolverConfig(external_cmd=(name, *extra))
     external = Solver(cfg)
     internal = Solver()
     rng = random.Random(5)
@@ -395,9 +384,7 @@ def test_backend_agreement_against_real_solver():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(backend="quantum")
-    with pytest.raises(ValueError):
-        SolverConfig(backend="external")
+        SolverConfig(external_cmd=())
     with pytest.raises(ValueError):
         SolverConfig(timeout_ms=0)
     with pytest.raises(ValueError):
