@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .formula import (
@@ -48,11 +47,12 @@ from .formula import (
     TRUE,
     Formula,
     Node,
+    Record,
     canonicalize,
     chain_canonical,
     conjoin,
-    node,
     rebuild,
+    term_key,
 )
 from .solver import Solver, SolverInconclusive
 
@@ -61,8 +61,7 @@ from .solver import Solver, SolverInconclusive
 # Qualified agent names
 
 
-@dataclass(frozen=True)
-class AgentId:
+class AgentId(Record):
     """Path of agent indices, innermost first; the empty path is the root.
 
     ``AgentId((2, 0))`` reads "agent 2 within agent 0 within the root" and
@@ -117,25 +116,20 @@ PROC_KINDS: set = set()
 class _Proc(Node):
     """Base of the processes."""
 
-    __slots__ = ()
-
     def __str__(self) -> str:
         return format_process(self)
 
 
-@node
 class Nil(_Proc):
     _tag = 100
 
 
-@node
 class Tell(_Proc):
     constraint: Formula
     _tag = 101
     _kids = (("constraint", BOOL_KINDS, False),)
 
 
-@node
 class Ask(_Proc):
     guard: Formula
     then: "Process"
@@ -143,7 +137,6 @@ class Ask(_Proc):
     _kids = (("guard", BOOL_KINDS, False), ("then", PROC_KINDS, False))
 
 
-@node
 class Par(_Proc):
     """Parallel composition; associative-commutative, kept flat and sorted
     in canonical form (duplicates are meaningful: it is a multiset)."""
@@ -156,7 +149,6 @@ class Par(_Proc):
         return chain_canonical(self, (Par,), strict=False)
 
 
-@node
 class Space(_Proc):
     agent: int
     body: "Process"
@@ -164,7 +156,6 @@ class Space(_Proc):
     _kids = (("body", PROC_KINDS, False),)
 
 
-@node
 class Rec(_Proc):
     var: int
     body: "Process"
@@ -172,7 +163,6 @@ class Rec(_Proc):
     _kids = Space._kids
 
 
-@node
 class Extr(_Proc):
     agent: int
     body: "Process"
@@ -180,7 +170,6 @@ class Extr(_Proc):
     _kids = Space._kids
 
 
-@node
 class ProcVar(_Proc):
     var: int
     _tag = 107
@@ -207,10 +196,8 @@ def par(*args: Process) -> Process:
     return Par(tuple(sorted(flat, key=process_key)))
 
 
-def process_key(p: Process) -> tuple:
-    """Key realizing a fixed total order on processes, computed when p was
-    built."""
-    return p._key
+# The keys of the fixed total orders on processes, objects and states.
+process_key = obj_key = state_key = term_key
 
 
 def canon_process(p: Process) -> Process:
@@ -282,7 +269,6 @@ def format_process(p: Process, parent: int = 0) -> str:
 # Objects and states
 
 
-@node
 class StoreObj(Node):
     aid: AgentId
     constraint: Formula
@@ -296,7 +282,6 @@ class StoreObj(Node):
         return f"[store, {self.aid}, {self.constraint}]"
 
 
-@node
 class ProcObj(Node):
     aid: AgentId
     program: Process
@@ -316,7 +301,6 @@ class ProcObj(Node):
 Obj = Union[StoreObj, ProcObj]
 
 
-@node
 class SysState(Node):
     """A multiset of objects; canonical once normalized (sorted, one store
     per agent, no nil processes, canonical payloads)."""
@@ -332,14 +316,6 @@ class SysState(Node):
     def __str__(self) -> str:
         inner = " ".join(str(o) for o in self.objects)
         return "{ " + inner + " }" if inner else "{ }"
-
-
-def obj_key(o: Obj) -> tuple:
-    return o._key
-
-
-def state_key(s: SysState) -> tuple:
-    return s._key
 
 
 def exists_store(objects: Iterable[Obj], aid: AgentId) -> bool:
@@ -483,8 +459,7 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     return len(seen), depth, cut, False
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """What `run` found on its path: the terminal state (none or one),
     whether the step bound stopped it, and the number of path states."""
 

@@ -1,12 +1,14 @@
 """Quantifier-free Boolean/integer constraint terms.
 
 Constraints are immutable trees over Boolean connectives and comparisons
-between integer variables and literals.  Every node (`Node`, shared with the
-processes, objects and states of `calculus`) computes its hash, its order
-key and whether it is in canonical form once, when it is built, from its
-fields and its children's stored values; nothing is mutated afterwards and
-nothing is interned.  The module provides:
+between integer variables and literals.  Every node (`Node`, the `Record`
+shared with the processes, objects and states of `calculus`) computes its
+hash, its order key and whether it is in canonical form once, when it is
+built, from its fields and its children's stored values; nothing is
+mutated afterwards and nothing is interned.  The module provides:
 
+* `Record`, the slotted immutable base of the package's values, whose
+  fields are its annotations, and `Node`;
 * ``conjoin``/``negate`` with the unit and absorbing identities applied at
   the top (``c and true = c``, ``c and false = false``, constant folding
   for ``not``), so stores never accumulate redundant ``true`` conjuncts;
@@ -33,8 +35,8 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, NamedTuple, Union
 
 
@@ -48,43 +50,114 @@ class SortConflict(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Term structure
+# Immutable records and term structure
 
 
 class _Slotted(type):
-    """Metaclass giving each class slots for its annotated fields, so that a
-    node class is slotted as written, without the second class that
-    ``dataclass(slots=True)`` would build and leave behind as garbage."""
+    """Metaclass of `Record`.  A class's own public annotations, in order,
+    are its fields: after its base's fields, they are its `__match_args__`
+    and `_setters` (slot setters), and their class-body defaults move to
+    `_defaults`.  Equality and hashing use `_compared`: the tuple of the
+    fields not named in `_uncompared`, or with `_bare` the one such value."""
 
     def __new__(mcs, name, bases, ns):
-        ns.setdefault("__slots__", tuple(ns.get("__annotations__", ())))
-        return super().__new__(mcs, name, bases, ns)
+        own = tuple(n for n in ns.get("__annotations__", ()) if not n.startswith("_"))
+        defaults = {n: ns.pop(n) for n in own if n in ns}
+        ns.setdefault("__slots__", own)
+        ns["__match_args__"] = getattr(bases[0], "__match_args__", ()) + own if bases else own
+        cls = super().__new__(mcs, name, bases, ns)
+        cls._setters = tuple([getattr(cls, n).__set__ for n in cls.__match_args__])
+        cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
+        names = [n for n in cls.__match_args__ if n not in cls._uncompared]
+        cls._compared = attrgetter(*names) if names else staticmethod(lambda r: ())
+        cls._bare = len(names) == 1
+        return cls
 
 
-class Node(metaclass=_Slotted):
+class Record(metaclass=_Slotted):
+    """Immutable value with named fields, declared as class annotations.
+
+    It is built from positional and keyword arguments, with the class-body
+    defaults, and checked by `__post_init__`.  Records of one class with
+    equal compared fields are equal and hash alike; a record prints as
+    ``Name(field=value, ...)``; copy and pickle rebuild it through
+    `__init__`.
+    """
+
+    _uncompared: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(self._setters, args):
+            put(self, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values, in order, of a call not giving all by position."""
+        names, values = cls.__match_args__, {**cls._defaults, **kwargs}
+        values.update(zip(names, args))
+        repeated = set(kwargs) & set(names[: len(args)])
+        if len(args) > len(names) or set(values) != set(names) or repeated:
+            raise TypeError(f"{cls.__name__}() takes {', '.join(names)}, got {args} and {kwargs}")
+        return tuple([values[n] for n in names])
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:  # the hash of the tuple of compared fields
+        return hash((self._compared(self),) if self._bare else self._compared(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple([getattr(self, n) for n in self.__match_args__])
+
+
+class Node(Record):
     """Immutable tree node whose hash, order key and canonical flag are
     computed once, when it is built, and never change afterwards.
 
-    Subclasses are frozen dataclasses made with `node`, slotted by the
-    metaclass.  Each declares its order `_tag` and its child fields in
-    `_kids`, as ``(field, kinds, many)``: `kinds` is the set of node
-    classes that the position admits in canonical form, and `many` marks a
-    tuple of children.  The other fields are payload.  The order key is
-    ``(tag, payload..., child keys...)``, where a tuple of children stands
-    as the tuple of their keys; the hash is the hash of the same shape with
-    the children's hashes in place of their keys.  A node is canonical when
-    every child is a canonical node of an admitted kind and `_canon_here`
-    holds, and the canonical-form functions then return it as it is.
-    Equality stays structural: equal nodes built apart are interchangeable,
-    and nothing is interned.
+    Each subclass declares its fields, its order `_tag` and its child
+    fields in `_kids`, as ``(field, kinds, many)``: `kinds` is the set of
+    node classes that the position admits in canonical form, and `many`
+    marks a tuple of children.  The other fields are payload.  The order
+    key is ``(tag, payload..., child keys...)``, where a tuple of children
+    stands as the tuple of their keys; the hash is the hash of the same
+    shape with the children's hashes in place of their keys.  The key
+    determines the fields, so nodes of one class are equal when their keys
+    are.  A node is canonical when every child is a canonical node of an
+    admitted kind and `_canon_here` holds, and the canonical-form functions
+    then return it as it is.  Nothing is interned.
     """
 
     __slots__ = ("_hash", "_key", "_canon")
     _tag = -1
     _kids: tuple = ()
-    _lits: tuple = ()
+    _lits: tuple = ()  # the payload fields
 
-    def __post_init__(self):
+    def __init_subclass__(cls):
+        kids = [name for name, _, _ in cls._kids]
+        cls._lits = tuple(n for n in cls.__match_args__ if n not in kids)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(self._setters, args):
+            put(self, value)
         head = (self._tag,) + self._head()
         keys, hashes, canon = [], [], True
         for name, kinds, many in self._kids:
@@ -97,9 +170,9 @@ class Node(metaclass=_Slotted):
             else:
                 keys.append(value._key)
                 hashes.append(value._hash)
-        object.__setattr__(self, "_key", head + tuple(keys))
-        object.__setattr__(self, "_hash", hash(head + tuple(hashes)))
-        object.__setattr__(self, "_canon", canon and self._canon_here())
+        _put_key(self, head + tuple(keys))
+        _put_hash(self, hash(head + tuple(hashes)))
+        _put_canon(self, canon and self._canon_here())
 
     def _head(self) -> tuple:
         return tuple([getattr(self, name) for name in self._lits])
@@ -107,20 +180,16 @@ class Node(metaclass=_Slotted):
     def _canon_here(self) -> bool:
         return True
 
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            self is other or (self._hash == other._hash and self._key == other._key)
+        )
+
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
-
-def node(cls):
-    """Class decorator: `cls` as a frozen dataclass over `Node`."""
-    cls = dataclass(frozen=True)(cls)
-    kids = [name for name, _, _ in cls._kids]
-    cls._lits = tuple(name for name in cls.__match_args__ if name not in kids)
-    cls.__hash__ = Node.__hash__
-    return cls
+_put_key, _put_hash, _put_canon = Node._key.__set__, Node._hash.__set__, Node._canon.__set__
 
 
 def children(t: Node) -> list:
@@ -167,8 +236,6 @@ class _IntOps(Node):
     """Base of the integer expressions: operator sugar for building
     comparisons."""
 
-    __slots__ = ()
-
     def __str__(self) -> str:
         return format_int_expr(self)
 
@@ -185,7 +252,6 @@ class _IntOps(Node):
         return Cmp(">=", _as_int(self), _as_int(other))
 
 
-@node
 class Var(_IntOps):
     """A sorted variable; Bool variables double as atomic formulas."""
 
@@ -200,7 +266,6 @@ class Var(_IntOps):
         return format_formula(self) if self.sort is Sort.BOOL else format_int_expr(self)
 
 
-@node
 class IntLit(_IntOps):
     value: int
     _tag = 2
@@ -209,13 +274,10 @@ class IntLit(_IntOps):
 class _Bool(Node):
     """Base of the formulas other than variables."""
 
-    __slots__ = ()
-
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@node
 class BoolConst(_Bool):
     value: bool
     _tag = 0
@@ -228,7 +290,6 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@node
 class Not(_Bool):
     arg: "Formula"
     _tag = 6
@@ -238,7 +299,6 @@ class Not(_Bool):
         return type(self.arg) is not BoolConst
 
 
-@node
 class And(_Bool):
     args: tuple  # >= 2 formulas
     _tag = 7
@@ -248,7 +308,6 @@ class And(_Bool):
         return chain_canonical(self, (And, BoolConst), strict=True)
 
 
-@node
 class Or(_Bool):
     args: tuple
     _tag = 8
@@ -258,7 +317,6 @@ class Or(_Bool):
         return chain_canonical(self, (Or, BoolConst), strict=False)
 
 
-@node
 class Xor(_Bool):
     args: tuple
     _tag = 9
@@ -268,7 +326,6 @@ class Xor(_Bool):
         return chain_canonical(self, (Xor,), strict=False) and FALSE not in self.args
 
 
-@node
 class Implies(_Bool):
     left: "Formula"
     right: "Formula"
@@ -276,7 +333,6 @@ class Implies(_Bool):
     _kids = (("left", BOOL_KINDS, False), ("right", BOOL_KINDS, False))
 
 
-@node
 class BoolEq(_Bool):
     left: "Formula"
     right: "Formula"
@@ -284,7 +340,6 @@ class BoolEq(_Bool):
     _kids = Implies._kids
 
 
-@node
 class BoolNeq(_Bool):
     left: "Formula"
     right: "Formula"
@@ -292,7 +347,6 @@ class BoolNeq(_Bool):
     _kids = Implies._kids
 
 
-@node
 class Cmp(_Bool):
     """Integer comparison; op is one of < <= > >= === =/==."""
 
@@ -301,6 +355,9 @@ class Cmp(_Bool):
     right: "IntExpr"
     _tag = 13
     _kids = (("left", INT_KINDS, False), ("right", INT_KINDS, False))
+
+    def _canon_here(self) -> bool:  # an ill-sorted comparison is never canonical
+        return Sort.BOOL not in (getattr(self.left, "sort", 0), getattr(self.right, "sort", 0))
 
 
 IntExpr = Union[Var, IntLit]
@@ -382,10 +439,7 @@ def negate(c: Formula) -> Formula:
 # Total term order and canonical form
 
 
-def term_key(t) -> tuple:
-    """Key realizing a fixed total order on terms: (tag, payload, child
-    keys), computed when t was built."""
-    return t._key
+term_key = attrgetter("_key")  # the fixed total term order's key, stored at construction
 
 
 def canonicalize(c: Formula) -> Formula:
@@ -439,7 +493,9 @@ def _canon_bool(f: Formula) -> Formula:
 def _canon_int(e: IntExpr) -> IntExpr:
     if type(e) not in INT_KINDS:
         raise TypeError(f"not an integer expression: {e!r}")
-    return e  # a variable or a literal is canonical as built
+    if isinstance(e, Var) and e.sort is Sort.BOOL:
+        raise SortConflict(f"Boolean variable {e.name} used as an integer")
+    return e  # an integer variable or a literal is canonical as built
 
 
 def _canon_kid(kinds: set, t):
@@ -479,8 +535,7 @@ def _note_sort(v: Var, sorts: dict) -> None:
 # Difference-logic lowering
 
 
-@dataclass(frozen=True)
-class DLAtom:
+class DLAtom(Record):
     """Closed integer difference constraint ``x - y <= k``, the one literal.
 
     `x` and `y` are variable names, or None for the constant 0 (the zero

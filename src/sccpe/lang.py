@@ -25,7 +25,6 @@ body, so ``a || ask c -> b || d`` reads ``a || (ask c -> (b || d))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .calculus import (
@@ -55,6 +54,7 @@ from .formula import (
     Cmp,
     Formula,
     IntLit,
+    Record,
     Sort,
     Var,
     canonicalize,
@@ -62,8 +62,7 @@ from .formula import (
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     severity: str  # 'error' | 'warning'
     line: int
     col: int
@@ -79,29 +78,29 @@ class ParseError(Exception):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class AgentDecl:
+class AgentDecl(Record):
     location: tuple  # agent indices, innermost first; empty = root
     constraint: Formula
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
+    _uncompared = ("line", "col")
 
 
-@dataclass(frozen=True)
-class ProcessLine:
+class ProcessLine(Record):
     process: Process
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
+    _uncompared = ("line", "col")
 
 
 Line = Union[AgentDecl, ProcessLine]
 
 
-@dataclass(frozen=True)
-class ProgramAst:
+class ProgramAst(Record):
     var_decls: tuple  # of (names tuple, Sort)
     lines: tuple  # of Line
-    deferred: tuple = field(default=(), compare=False)  # parse-time semantic diagnostics
+    deferred: tuple = ()  # parse-time semantic diagnostics
+    _uncompared = ("deferred",)
 
     @property
     def var_table(self) -> dict:
@@ -135,8 +134,7 @@ _KEYWORDS = {
 _SYMBOLS = ("=/=", ">=", "<=", "->", "||", ".", ",", ";", "(", ")", "[", "]", "_", ">", "<", "=")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # 'id' | 'kw' | 'int' | 'sym' | 'eof'
     value: str
     line: int

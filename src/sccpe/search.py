@@ -18,47 +18,40 @@ by canonical key), witnesses in canonical (agent, store) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Union
 
 from .calculus import SysState, explore, store_map
-from .formula import Formula, TRUE, term_key
+from .formula import Formula, Record, TRUE, term_key
 from .solver import Solver, SolverInconclusive
 
 
-@dataclass(frozen=True)
-class InconsistentStore:
+class InconsistentStore(Record):
     pass
 
 
-@dataclass(frozen=True)
-class StoreEntails:
+class StoreEntails(Record):
     tau: Formula
 
 
-@dataclass(frozen=True)
-class StoresEquivalent:
+class StoresEquivalent(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Record):
     fn: Callable[[SysState], bool]
 
 
 Query = Union[InconsistentStore, StoreEntails, StoresEquivalent, Predicate]
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(Record):
     state: SysState
     state_index: int
     witnesses: tuple  # of (AgentId, Formula); one pair per witness binding
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     matches: tuple
     states_explored: int
     depth_reached: int

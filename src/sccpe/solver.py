@@ -23,8 +23,6 @@ default).
 
 from __future__ import annotations
 
-import subprocess
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .formula import (
@@ -40,6 +38,7 @@ from .formula import (
     IntLit,
     Not,
     Or,
+    Record,
     Sort,
     Var,
     Xor,
@@ -59,8 +58,7 @@ class ExternalSolverError(RuntimeError):
     """Spawn or protocol failure of the external solver process."""
 
 
-@dataclass(frozen=True)
-class SatResult:
+class SatResult(Record):
     kind: str  # 'sat' | 'unsat' | 'unknown'
     reason: Optional[str] = None
 
@@ -81,8 +79,7 @@ def unknown(reason: str) -> SatResult:
     return SatResult("unknown", reason)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Backend selection and policies.
 
     Without `external_cmd` the internal procedure decides every formula;
@@ -242,6 +239,7 @@ def _smt(t) -> str:
 
 
 def _run_external(cmd: tuple, script: str, timeout_ms: int) -> SatResult:
+    import subprocess  # not at the top: it would slow every start-up that never needs it
     try:
         proc = subprocess.run(
             list(cmd),

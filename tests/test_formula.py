@@ -11,6 +11,7 @@ from sccpe import (
     FALSE,
     ROOT,
     TRUE,
+    Solver,
     Sort,
     SortConflict,
     StoreObj,
@@ -282,6 +283,19 @@ def test_to_dnf_rejects_bool_equality():
         lower(Not(X))
     with pytest.raises(SortConflict):
         lower(Cmp("<", P, IntLit(0)))
+
+
+def test_ill_sorted_comparison_is_never_canonical():
+    # the constructor accepts it, so that `lower` and the oracle are tested
+    # on it; `canonicalize`, and so the solver, reject it
+    bad = Cmp("<", P, IntLit(1))
+    assert not bad._canon and not Cmp("===", X, Q)._canon
+    assert Cmp("<", X, IntLit(1))._canon
+    for term in (bad, And((X > 0, bad)), Not(Cmp("===", X, Q))):
+        with pytest.raises(SortConflict, match="Boolean variable . used as an integer"):
+            canonicalize(term)
+    with pytest.raises(SortConflict):
+        Solver().check_sat(bad)
 
 
 def _goal_true(goal, env):
