@@ -21,8 +21,6 @@ from .calculus import (
     SysState,
     Tell,
     canon_process,
-    exists_store,
-    is_prefix,
     normalize,
     par,
     replace,

@@ -20,7 +20,10 @@ parent by removing the rewritten process object and putting at most two
 new objects in key order (or replacing a store in place), reusing every
 other object and its stored hash and key, so ``step`` never re-normalizes
 a whole state.  ``normalize`` stays total on raw states built by hand, and
-returns a state that is already normal as it is.
+returns a state that is already normal as it is.  The rules are local (as
+in CCP: Saraswat, Rinard & Panangaden, POPL 1991), so ``explore`` and
+``run`` hand ``step`` one memo of each process object's moves per store,
+which lasts for their call.
 
 ``explore`` is the breadth-first loop over all reachable states, the
 engine of ``search.search``.  ``run`` follows a single path instead: the
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 from .formula import (
     BOOL_KINDS,
@@ -88,22 +91,6 @@ class AgentId(Record):
 
 
 ROOT = AgentId(())
-
-
-def is_prefix(a: AgentId, b: AgentId) -> bool:
-    """True iff a is an ancestor of b or equal to it.
-
-    The root prefixes everything; nothing else prefixes the root; otherwise
-    a prefixes b when it equals b or prefixes b's parent.
-    """
-    if a.is_root:
-        return True
-    while True:
-        if b.is_root:
-            return False
-        if a == b:
-            return True
-        b = b.parent
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +285,6 @@ class ProcObj(Node):
         return f"[process, {self.aid}, {self.program}]"
 
 
-Obj = Union[StoreObj, ProcObj]
-
-
 class SysState(Node):
     """A multiset of objects; canonical once normalized (sorted, one store
     per agent, no nil processes, canonical payloads)."""
@@ -316,11 +300,6 @@ class SysState(Node):
     def __str__(self) -> str:
         inner = " ".join(str(o) for o in self.objects)
         return "{ " + inner + " }" if inner else "{ }"
-
-
-def exists_store(objects: Iterable[Obj], aid: AgentId) -> bool:
-    """True iff some store object in the multiset carries exactly aid."""
-    return any(isinstance(o, StoreObj) and o.aid == aid for o in objects)
 
 
 def store_map(s: SysState) -> dict:
@@ -359,71 +338,90 @@ def normalize(s: SysState) -> SysState:
 # Observable transitions
 
 
-def step(s: SysState, solver: Solver) -> list:
+def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
+    """The local rewrites of the process object o, whose agent's store is
+    `current` (None when the agent has no store) and, for a space, whose
+    child's store exists iff has_child.
+
+    Each move is (replacement store, ()) for a tell, or (None, objects
+    added in place of o) with nil processes left out.
+    """
+    p = o.program
+    if isinstance(p, Tell):
+        if current is None:
+            return ()
+        return ((StoreObj(o.aid, canonicalize(conjoin(current, p.constraint))), ()),)
+    if isinstance(p, Ask):
+        if current is None or not solver.entails(current, p.guard):
+            return ()
+        added = [(ProcObj(o.aid, p.then),)]
+    elif isinstance(p, Par):
+        added = []
+        for k in range(len(p.args)):
+            rest = p.args[:k] + p.args[k + 1 :]
+            sibling = rest[0] if len(rest) == 1 else Par(rest)
+            added.append((ProcObj(o.aid, p.args[k]), ProcObj(o.aid, sibling)))
+    elif isinstance(p, Space):
+        if current is None:
+            return ()
+        child = o.aid.child(p.agent)
+        body = ProcObj(child, p.body)  # merging a true store would change nothing
+        added = [(body,) if has_child else (StoreObj(child, TRUE), body)]
+    elif isinstance(p, Rec):
+        added = [(ProcObj(o.aid, canon_process(replace(p.body, p.var, p))),)]
+    elif isinstance(p, Extr) and not o.aid.is_root and o.aid.path[0] == p.agent:
+        added = [(ProcObj(o.aid.parent, p.body),)]
+    else:
+        return ()
+    return tuple(
+        (None, tuple(a for a in objs if isinstance(a, StoreObj) or not isinstance(a.program, Nil)))
+        for objs in added
+    )
+
+
+def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     """All states reachable from s by one rule applied at one position.
 
     Returns normalized states, deduplicated and sorted by canonical key.
     Each successor is s with the rewritten process object removed and at
     most two new objects put in key order, or a store replaced in place;
     every other object is reused as it is.
+
+    A rule's result depends only on the process object, its agent's store
+    (or its absence) and, for a space, whether the child's store exists;
+    never on the rest of the state.  `memo` maps that triple to the
+    object's moves, so a caller that passes one dict to many calls (as
+    `explore` and `run` do, for one call of theirs) rewrites each process
+    in each store once.  A SolverInconclusive leaves no entry behind.
     """
     objs = normalize(s).objects
     stores = {o.aid: (i, o.constraint) for i, o in enumerate(objs) if isinstance(o, StoreObj)}
+    memo = {} if memo is None else memo
     out = set()
-
-    def emit(i: int, *added: Obj) -> None:
-        new = list(objs)
-        del new[i]
-        for o in added:
-            if isinstance(o, StoreObj) or not isinstance(o.program, Nil):
-                insort(new, o, key=obj_key)
-        out.add(SysState(tuple(new)))
-
     for i, o in enumerate(objs):
         if not isinstance(o, ProcObj):
             continue
+        j, current = stores.get(o.aid, (None, None))
         p = o.program
-        if isinstance(p, Tell):
-            hit = stores.get(o.aid)
-            if hit is None:
-                continue
-            j, current = hit
-            new = list(objs)  # a store keeps its place: stores are ordered by agent
-            new[j] = StoreObj(o.aid, canonicalize(conjoin(current, p.constraint)))
+        key = (o, current, isinstance(p, Space) and o.aid.child(p.agent) in stores)
+        moves = memo.get(key)
+        if moves is None:
+            moves = memo[key] = _moves(o, current, key[2], solver)
+        for store, added in moves:
+            new = list(objs)
+            if store is not None:
+                new[j] = store  # a store keeps its place: stores are ordered by agent
             del new[i]
+            for a in added:
+                insort(new, a, key=obj_key)
             out.add(SysState(tuple(new)))
-        elif isinstance(p, Ask):
-            hit = stores.get(o.aid)
-            if hit is None:
-                continue
-            _, current = hit
-            if solver.entails(current, p.guard):
-                emit(i, ProcObj(o.aid, p.then))
-        elif isinstance(p, Par):
-            for k in range(len(p.args)):
-                rest = p.args[:k] + p.args[k + 1 :]
-                sibling = rest[0] if len(rest) == 1 else Par(rest)
-                emit(i, ProcObj(o.aid, p.args[k]), ProcObj(o.aid, sibling))
-        elif isinstance(p, Space):
-            if o.aid not in stores:
-                continue
-            child = o.aid.child(p.agent)
-            if child in stores:  # merging a true store would change nothing
-                emit(i, ProcObj(child, p.body))
-            else:
-                emit(i, StoreObj(child, TRUE), ProcObj(child, p.body))
-        elif isinstance(p, Rec):
-            emit(i, ProcObj(o.aid, canon_process(replace(p.body, p.var, p))))
-        elif isinstance(p, Extr):
-            if not o.aid.is_root and o.aid.path[0] == p.agent:
-                emit(i, ProcObj(o.aid.parent, p.body))
     return sorted(out, key=state_key)
 
 
-def _successors(state: SysState, solver: Solver) -> list:
-    """step(state, solver), with a SolverInconclusive naming the state."""
+def _successors(state: SysState, solver: Solver, memo: dict) -> list:
+    """step(state, solver, memo), with a SolverInconclusive naming the state."""
     try:
-        return step(state, solver)
+        return step(state, solver, memo)
     except SolverInconclusive as exc:
         raise SolverInconclusive(f"exploring {state}: {exc}") from exc
 
@@ -441,12 +439,13 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     start = normalize(init)
+    memo: dict = {}  # the local moves of step, for this call only
     seen = {start: 0}  # state -> discovery number
     queue = deque([(start, 0)])
     cut = False
     while queue:
         state, depth = queue.popleft()
-        succs = _successors(state, solver)
+        succs = _successors(state, solver, memo)
         if visit(state, seen[state], succs):
             return len(seen), depth, cut, True
         for t in succs:
@@ -482,8 +481,9 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     state = normalize(s)
     path = {state}
+    memo: dict = {}  # the local moves of step, for this call only
     while True:
-        succs = _successors(state, solver)
+        succs = _successors(state, solver, memo)
         if not succs:
             return RunResult((state,), False, len(path))
         state = succs[0]

@@ -23,6 +23,7 @@ import json
 import os
 import shlex
 import sys
+from functools import cache
 
 from . import lang, render
 from .calculus import run as run_engine
@@ -226,6 +227,8 @@ def _cmd_search(args, out, err) -> int:
         solver=solver,
     )
     if args.format == "json":
+        # the witnesses repeat a few stores many times: render each once
+        store = cache(lambda c: {"store": format_formula(c), "store_term": render.formula_to_obj(c)})
         doc = {
             "command": "search",
             "query": query_label,
@@ -233,14 +236,7 @@ def _cmd_search(args, out, err) -> int:
                 {
                     "solution": i,
                     "state": m.state_index,
-                    "witnesses": [
-                        {
-                            "aid": list(aid.path),
-                            "store": format_formula(c),
-                            "store_term": render.formula_to_obj(c),
-                        }
-                        for aid, c in m.witnesses
-                    ],
+                    "witnesses": [{"aid": list(aid.path), **store(c)} for aid, c in m.witnesses],
                 }
                 for i, m in enumerate(outcome.matches, start=1)
             ],
@@ -251,11 +247,12 @@ def _cmd_search(args, out, err) -> int:
         }
         print(json.dumps(doc, indent=2), file=out)
     else:
+        store = cache(format_formula)
         for i, m in enumerate(outcome.matches, start=1):
             print(f"Solution {i} (state {m.state_index})", file=out)
             for aid, c in m.witnesses:
                 print(f"  aid: {aid}", file=out)
-                print(f"  store: {format_formula(c)}", file=out)
+                print(f"  store: {store(c)}", file=out)
         if not outcome.matches:
             print("No solution.", file=out)
         elif not outcome.capped:

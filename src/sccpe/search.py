@@ -13,7 +13,9 @@ Three built-in safety queries plus a user predicate hook:
 loop over canonical states: it evaluates the query on the states explore
 visits and reports every witness binding inside every matching state, in
 a fully deterministic order: states in discovery order (successors sorted
-by canonical key), witnesses in canonical (agent, store) order.
+by canonical key), witnesses in canonical (agent, store) order.  The
+built-in queries read only the stores, so one call of ``search``
+evaluates each of them once per distinct tuple of store objects.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Optional, Union
 
-from .calculus import SysState, explore, store_map
+from .calculus import StoreObj, SysState, explore, store_map
 from .formula import Formula, Record, TRUE, term_key
 from .solver import Solver, SolverInconclusive
 
@@ -110,14 +112,22 @@ def search(
         raise ValueError(f"max_solutions must be >= 1, got {max_solutions}")
     solver = solver or Solver()
     matches: list[Match] = []
+    memo: dict = {}  # the bindings of each store tuple, for this call only
 
     def visit(state: SysState, index: int, succs: list) -> bool:
         if mode == "terminal" and succs:
             return False
-        try:
-            bindings = evaluate_query(state, q, solver)
-        except SolverInconclusive as exc:
-            raise SolverInconclusive(f"evaluating query on {state}: {exc}") from exc
+        # The built-in queries read the stores and nothing else; a Predicate
+        # sees the whole state, which explore visits once.
+        key = state
+        if not isinstance(q, Predicate):
+            key = tuple(o for o in state.objects if type(o) is StoreObj)
+        bindings = memo.get(key)
+        if bindings is None:
+            try:
+                bindings = memo[key] = evaluate_query(state, q, solver)
+            except SolverInconclusive as exc:
+                raise SolverInconclusive(f"evaluating query on {state}: {exc}") from exc
         for b in bindings:
             matches.append(Match(state, index, b))
             if len(matches) == max_solutions:

@@ -24,9 +24,7 @@ from sccpe import (
     canon_process,
     conjoin,
     eq_,
-    exists_store,
     intvar,
-    is_prefix,
     normalize,
     par,
     replace,
@@ -43,35 +41,13 @@ W, X, Y, Z = (intvar(n) for n in "WXYZ")
 # agent ids
 
 
-def test_is_prefix_root_prefixes_everything():
-    for aid in (ROOT, AID0, AID20, AgentId((5, 4, 3))):
-        assert is_prefix(ROOT, aid)
-
-
-def test_is_prefix_descendants():
-    assert is_prefix(AgentId((2,)), AgentId((1, 2)))
-    assert not is_prefix(AgentId((1, 2)), AgentId((2,)))
-    assert is_prefix(AID0, AID0)
-
-
-def test_is_prefix_nothing_prefixes_root():
-    assert not is_prefix(AgentId((1,)), ROOT)
-
-
 def test_agent_id_str():
     assert str(ROOT) == "root"
     assert str(AgentId((3, 1))) == "3 . 1 . root"
 
 
 # ---------------------------------------------------------------------------
-# exists_store / replace
-
-
-def test_exists_store():
-    assert not exists_store((), ROOT)
-    assert exists_store((StoreObj(ROOT, TRUE),), ROOT)
-    assert not exists_store((ProcObj(ROOT, NIL),), ROOT)
-    assert not exists_store((StoreObj(AID0, TRUE),), ROOT)
+# replace
 
 
 def test_replace_variable_hit_and_miss():

@@ -3,12 +3,40 @@ independent successor enumerator of `engine_oracle`, so the exploration
 loop and `run`'s single path are checked by code that shares none of
 them."""
 
+import importlib
+import random
+
 import pytest
 
+from conftest import PROGRAMS
 from engine_oracle import oracle_step
-from systems import base_system, inconsistent_variant, same_knowledge_variant
-from sccpe import Predicate, elaborate, normalize, parse, run, search
-from sccpe.calculus import state_key
+from randgen import small_state
+from systems import X, Z, base_system, inconsistent_variant, same_knowledge_variant
+from sccpe import (
+    ROOT,
+    TRUE,
+    Ask,
+    InconsistentStore,
+    Match,
+    NIL,
+    Predicate,
+    ProcObj,
+    Solver,
+    SolverInconclusive,
+    StoreEntails,
+    StoreObj,
+    StoresEquivalent,
+    SysState,
+    elaborate,
+    evaluate_query,
+    normalize,
+    par,
+    parse,
+    run,
+    search,
+    step,
+)
+from sccpe.calculus import explore, state_key
 
 SYSTEMS = [base_system, inconsistent_variant, same_knowledge_variant]
 DEPTHS = [0, 1, 2, 3, 4, 64]
@@ -86,3 +114,105 @@ def test_run_stops_at_a_cycle_and_reports_no_terminal_state(solver):
     assert result == run(init, solver, max_steps=64)
     assert (result.terminal_states, result.truncated) == ((), False)
     assert result.states_explored == reference_path_length(init, solver, 8) < len(seen)
+
+
+# The five systems of the acceptance suite.
+ACCEPTANCE_SYSTEMS = {
+    "message-program": lambda: elaborate(parse((PROGRAMS / "message.sccp").read_text())),
+    "base": base_system,
+    "inconsistent-variant": inconsistent_variant,
+    "same-knowledge-variant": same_knowledge_variant,
+    "spaces-program": lambda: elaborate(parse((PROGRAMS / "spaces.sccp").read_text())),
+}
+
+
+def test_a_shared_memo_agrees_with_the_oracle(solver):
+    """One memo for unrelated random states and every reachable state of
+    the acceptance systems: a rewrite reused from another state is right."""
+    memo = {}
+    rng = random.Random(977)
+    states = [small_state(rng) for _ in range(150)]
+    for make in ACCEPTANCE_SYSTEMS.values():
+        states.extend(reference_bfs(make(), solver, 64)[0])
+    for s in states:
+        assert set(step(s, solver, memo)) == oracle_step(s, solver), f"successor sets differ on {s}"
+    # the memo did get reused: far fewer entries than process visits
+    visits = sum(isinstance(o, ProcObj) for s in states for o in normalize(s).objects)
+    assert len(memo) < visits / 2
+
+
+class FailsOnce(Solver):
+    """A solver whose first entailment check is inconclusive."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = 0
+
+    def entails(self, c, d):
+        self.asked += 1
+        if self.asked == 1:
+            raise SolverInconclusive("timeout")
+        return super().entails(c, d)
+
+
+def test_an_inconclusive_rewrite_is_not_memoized(solver):
+    s = base_system()
+    ask = ProcObj(ROOT, Ask(X > 5, NIL))
+    s = normalize(SysState(s.objects + (ask,)))
+    flaky, memo = FailsOnce(), {}
+    with pytest.raises(SolverInconclusive):
+        step(s, flaky, memo)
+    assert not any(key[0] == ask for key in memo)
+    assert set(step(s, flaky, memo)) == oracle_step(s, solver)
+    assert flaky.asked == 2  # the second call asked the solver again
+    with pytest.raises(SolverInconclusive, match=r"^exploring \{ .*: timeout$"):
+        explore(s, FailsOnce(), 64, lambda *args: False)
+
+
+def reference_matches(init, q, mode, solver):
+    """The matches of `search`, with the query evaluated on every state."""
+    out = []
+
+    def visit(state, index, succs):
+        if mode == "any" or not succs:
+            out.extend(Match(state, index, b) for b in evaluate_query(state, q, solver))
+        return False
+
+    explore(init, solver, 64, visit)
+    return tuple(out)
+
+
+QUERIES = [InconsistentStore(), StoreEntails(Z > 9), StoreEntails(X > 1), StoresEquivalent()]
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_SYSTEMS))
+@pytest.mark.parametrize("mode", ["any", "terminal"])
+def test_the_query_memo_is_exact(name, mode, solver, monkeypatch):
+    init = ACCEPTANCE_SYSTEMS[name]()
+    calls = []
+    module = importlib.import_module("sccpe.search")  # `sccpe.search` is the function
+    monkeypatch.setattr(
+        module, "evaluate_query", lambda s, q, sv: calls.append(s) or evaluate_query(s, q, sv)
+    )
+    for q in QUERIES:
+        calls.clear()
+        outcome = search(init, q, mode=mode, solver=solver)
+        assert outcome.matches == reference_matches(init, q, mode, solver)
+        # the query ran once per distinct store tuple among the states it saw
+        tuples = {tuple(o for o in s.objects if isinstance(o, StoreObj)) for s in calls}
+        assert len(calls) == len(tuples)
+
+
+def test_a_predicate_sees_the_processes(solver):
+    """Two states with the same stores and different processes: the
+    predicate matches one and not the other, so it is never memoized by
+    store."""
+    init = normalize(
+        SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, par(Ask(X > 5, NIL), Ask(X > 6, NIL)))))
+    )
+    (split,) = step(init, solver)
+    assert [o for o in split.objects if isinstance(o, StoreObj)] == [StoreObj(ROOT, TRUE)]
+    one_process = Predicate(lambda s: sum(isinstance(o, ProcObj) for o in s.objects) == 1)
+    outcome = search(init, one_process, solver=solver)
+    assert outcome.states_explored == 2
+    assert [m.state for m in outcome.matches] == [init]
