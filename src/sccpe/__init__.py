@@ -47,7 +47,7 @@ from .formula import (
     ne_,
     negate,
 )
-from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, print_program, validate
+from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, validate
 from .render import render_tree, state_from_json, state_to_json
 from .search import (
     InconsistentStore,

@@ -356,11 +356,15 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
             return ()
         added = [(ProcObj(o.aid, p.then),)]
     elif isinstance(p, Par):
-        added = []
-        for k in range(len(p.args)):
-            rest = p.args[:k] + p.args[k + 1 :]
+        # the arguments are sorted: splitting at an argument equal to the
+        # one before it, or at the second of two, adds the same objects again
+        args, added = p.args, []
+        for k in range(1 if len(args) == 2 else len(args)):
+            if k and args[k] == args[k - 1]:
+                continue
+            rest = args[:k] + args[k + 1 :]
             sibling = rest[0] if len(rest) == 1 else Par(rest)
-            added.append((ProcObj(o.aid, p.args[k]), ProcObj(o.aid, sibling)))
+            added.append((ProcObj(o.aid, args[k]), ProcObj(o.aid, sibling)))
     elif isinstance(p, Space):
         if current is None:
             return ()

@@ -19,7 +19,6 @@ inconclusive (a timeout or a failing external solver), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shlex
 import sys
@@ -179,7 +178,7 @@ def _cmd_run(args, out, err) -> int:
             "states": result.states_explored,
             "truncated": result.truncated,
         }
-        print(json.dumps(doc, indent=2), file=out)
+        print(render.dumps(doc), file=out)
     else:
         for i, s in enumerate(result.terminal_states, start=1):
             print(f"Terminal state {i}:", file=out)
@@ -227,8 +226,15 @@ def _cmd_search(args, out, err) -> int:
         solver=solver,
     )
     if args.format == "json":
-        # the witnesses repeat a few stores many times: render each once
-        store = cache(lambda c: {"store": format_formula(c), "store_term": render.formula_to_obj(c)})
+        # the witnesses repeat a few (agent, store) pairs many times: build
+        # each once, so that render.dumps encodes it once
+        witness = cache(
+            lambda aid, c: {
+                "aid": list(aid.path),
+                "store": format_formula(c),
+                "store_term": render.formula_to_obj(c),
+            }
+        )
         doc = {
             "command": "search",
             "query": query_label,
@@ -236,7 +242,7 @@ def _cmd_search(args, out, err) -> int:
                 {
                     "solution": i,
                     "state": m.state_index,
-                    "witnesses": [{"aid": list(aid.path), **store(c)} for aid, c in m.witnesses],
+                    "witnesses": [witness(aid, c) for aid, c in m.witnesses],
                 }
                 for i, m in enumerate(outcome.matches, start=1)
             ],
@@ -245,7 +251,7 @@ def _cmd_search(args, out, err) -> int:
             "depth_cut": outcome.depth_cut,
             "capped": outcome.capped,
         }
-        print(json.dumps(doc, indent=2), file=out)
+        print(render.dumps(doc), file=out)
     else:
         store = cache(format_formula)
         for i, m in enumerate(outcome.matches, start=1):
@@ -278,7 +284,7 @@ def _cmd_check(args, out, err) -> int:
             "left": format_formula(left),
             "right": format_formula(right),
         }
-        print(json.dumps(doc, indent=2), file=out)
+        print(render.dumps(doc), file=out)
     else:
         print("true" if verdict else "false", file=out)
     return EXIT_OK

@@ -17,11 +17,18 @@ The JSON schema is ``{"objects": [{"kind": "store"|"process",
 innermost-first and payloads as nested ``{"op": ...}`` objects in
 canonical order; ``state_from_json(state_to_json(s)) == s`` for every
 normalized state.
+
+The CLI's ``--format json`` documents are written by ``dumps``, which
+prints the bytes of ``json.dumps(doc, indent=2)`` but encodes each shared
+dict or list once: a search's witnesses share a few objects hundreds of
+times, and the standard indented encoder, written in Python, would walk
+each of them again every time.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .calculus import (
     PROC_KINDS,
@@ -167,6 +174,62 @@ def state_to_obj(s: SysState) -> dict:
 
 def state_to_json(s: SysState) -> str:
     return json.dumps(state_to_obj(s), separators=(", ", ": "))
+
+
+_FLOAT_WORDS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _scalar(v) -> str:
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return "NaN" if v != v else _FLOAT_WORDS.get(v) or float.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def dumps(doc) -> str:
+    """Exactly `json.dumps(doc, indent=2)`, with each dict or list object
+    encoded once however often it occurs in doc.
+
+    The indented encoder puts a nested value's lines after a newline and
+    its nesting level's indent, and nowhere else (a string's newline is
+    escaped).  So the text of an object written at one indent becomes its
+    text at another by swapping the indent after each newline.
+    """
+    done: dict = {}  # id of a list or dict in doc -> (its text, the indent it has there)
+
+    def encode(v, indent: str) -> str:
+        if isinstance(v, str):
+            return _quote(v)
+        if not isinstance(v, (list, tuple, dict)):
+            return _scalar(v)
+        if not v:
+            return "{}" if isinstance(v, dict) else "[]"
+        if id(v) in done:
+            text, at = done[id(v)]
+            if text is None:
+                raise ValueError("Circular reference detected")
+            return text if at == indent else text.replace("\n" + at, "\n" + indent)
+        done[id(v)] = (None, indent)
+        inner = indent + "  "
+        if isinstance(v, dict):
+            ends, items = "{}", [
+                _quote(k if isinstance(k, str) else _scalar(k)) + ": " + encode(x, inner)
+                for k, x in v.items()
+            ]
+        else:
+            ends, items = "[]", [encode(x, inner) for x in v]
+        text = f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+        done[id(v)] = (text, indent)
+        return text
+
+    return encode(doc, "")
 
 
 # ---------------------------------------------------------------------------

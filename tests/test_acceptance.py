@@ -12,6 +12,7 @@ import pytest
 
 from engine_oracle import oracle_step
 from model_oracle import brute_force_sat, small_model_bound
+from program_printer import print_program
 from randgen import fragment_formula, raw_state, small_state, tight_formula
 from systems import AID0, AID01, AID1, AID20, base_system, inconsistent_variant, same_knowledge_variant
 from conftest import PROGRAMS
@@ -36,7 +37,6 @@ from sccpe import (
     ne_,
     normalize,
     parse,
-    print_program,
     run,
     search,
     step,

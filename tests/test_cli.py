@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 import sccpe
 from conftest import PROGRAMS
@@ -466,6 +467,34 @@ def test_byte_identical_reruns():
         first = invoke(argv)
         second = invoke(argv)
         assert first == second
+
+
+# Every query on each program, with a formula that has solutions there.
+QUERIES = {
+    MESSAGE: [["inconsistent"], ["equiv"], ["entails", "Z > 9"]],
+    SPACES: [["inconsistent"], ["equiv"], ["entails", "X >= 5"]],
+}
+JSON_LAYOUT_ARGVS = (
+    [["run", path] for path in QUERIES]
+    + [["check", "-", "--entails", "Y < X", "Y < 3"], ["check", "-", "--entails", "X > 1", "X > 0"]]
+    + [
+        ["search", path, "--query", *q, "--mode", mode, *cap]
+        for path, queries in QUERIES.items()
+        for q in queries
+        for mode in ("any", "final")
+        for cap in ([], ["--max-solutions", "1"])
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv", JSON_LAYOUT_ARGVS, ids=lambda argv: " ".join(map(os.path.basename, argv))
+)
+def test_json_output_is_the_stdlib_indented_layout(argv):
+    """The JSON layout is json.dumps(doc, indent=2), byte for byte."""
+    code, out, err = invoke(argv + ["--format", "json"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_module_entry_point():

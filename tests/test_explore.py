@@ -27,6 +27,7 @@ from sccpe import (
     StoreObj,
     StoresEquivalent,
     SysState,
+    Tell,
     elaborate,
     evaluate_query,
     normalize,
@@ -139,6 +140,26 @@ def test_a_shared_memo_agrees_with_the_oracle(solver):
     # the memo did get reused: far fewer entries than process visits
     visits = sum(isinstance(o, ProcObj) for s in states for o in normalize(s).objects)
     assert len(memo) < visits / 2
+
+
+def test_step_builds_each_successor_once(solver, monkeypatch):
+    """A binary `Par` is split once, and an n-ary one once per distinct
+    argument, so `step` builds no successor state twice."""
+    states = [
+        normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, par(*tells)))))
+        for tells in ([Tell(X > 0), Tell(X > 0)], [Tell(X > 0), Tell(X > 0), Tell(X > 1)])
+    ]
+    for make in ACCEPTANCE_SYSTEMS.values():
+        states.extend(reference_bfs(make(), solver, 64)[0])
+    module = importlib.import_module("sccpe.calculus")
+    built, real = [], module.SysState
+    for s in states:
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(module, "SysState", lambda objects: built.append(objects) or real(objects))
+            succs = step(s, solver)
+        assert len(built) == len(succs), f"a successor of {s} was built twice"
+        assert set(succs) == oracle_step(s, solver)
 
 
 class FailsOnce(Solver):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from program_printer import print_program
 from systems import AID0, AID01, AID1
 from sccpe import (
     ROOT,
@@ -21,7 +22,6 @@ from sccpe import (
     intvar,
     ne_,
     parse,
-    print_program,
     run,
     store_map,
     validate,

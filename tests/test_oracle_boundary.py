@@ -41,6 +41,10 @@ TEST_ONLY_NAMES = {
     "_READ_BP",
     "_TOKEN_RE",
     "_tokenize",
+    "print_program",
+    "format_surface_formula",
+    "format_surface_process",
+    "_surface_side",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from sccpe import (
     state_to_json,
 )
 from sccpe.formula import Xor
-from sccpe.render import JsonFormatError, state_to_obj
+from sccpe.render import JsonFormatError, dumps, state_to_obj
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 
@@ -146,6 +147,73 @@ def test_json_serialization_is_deterministic(solver):
     for s in (base_system(), result.terminal_states[0]):
         assert state_to_json(s) == state_to_json(s)
         assert state_to_json(state_from_json(state_to_json(s))) == state_to_json(s)
+
+
+# ---------------------------------------------------------------------------
+# the CLI's JSON writer prints the standard library's indented bytes
+
+_SHARED = {"x": [1, {"y": None}]}
+_LIST = [1, {"k": "v"}]
+_DICT = {"l": _LIST, "again": _LIST}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}]},
+        # one object at two depths, met first at the shallower, then at the deeper
+        {"a": _SHARED, "b": [[_SHARED]], "c": _SHARED["x"]},
+        [[[_SHARED]], _SHARED, {"d": [_SHARED]}],
+        # a shared list inside a shared dict
+        [_DICT, {"deep": [_DICT, _LIST]}, _LIST],
+        # non-ASCII text and keys that need escaping
+        {"ключ": "värde ✓", 'tab\there "q"': "back\\slash\nnewline", "\u2028\x00": "😀\x1f"},
+        # bool is an int: true and false must not print as 1 and 0
+        [True, False, None, 0, 1, -7, 10**40, 2.5, -0.0, float("inf"), float("-inf")],
+        {True: 1, False: 0, None: "null key", 2: "int key", 2.5: "float key"},
+        (1, (2, [3])),
+        "top-level string",
+        7,
+        None,
+    ],
+)
+def test_dumps_prints_the_indented_stdlib_bytes(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dumps_refuses_a_cycle_and_an_unknown_value():
+    cycle = [1]
+    cycle.append({"back": cycle})
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps(cycle)
+    with pytest.raises(TypeError):
+        dumps({"set": {1}})
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+
+
+def _containers(kids):
+    return st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4)
+
+
+@st.composite
+def _aliased_documents(draw):
+    """A JSON document whose subtrees may be one object at several places:
+    the first subtree is drawn from scalars, each later one from the
+    subtrees before it."""
+    pool = [draw(st.recursive(_SCALARS, _containers, max_leaves=8))]
+    for _ in range(draw(st.integers(0, 4))):
+        pool.append(draw(st.recursive(st.sampled_from(pool), _containers, max_leaves=8)))
+    return draw(_containers(st.sampled_from(pool)))
+
+
+@given(_aliased_documents())
+@settings(max_examples=300)
+def test_dumps_matches_the_stdlib_on_aliased_documents(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
