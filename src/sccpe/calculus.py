@@ -19,11 +19,14 @@ canonical by construction: each successor is built from its normalized
 parent by removing the rewritten process object and putting at most two
 new objects in key order (or replacing a store in place), reusing every
 other object and its stored hash and key, so ``step`` never re-normalizes
-a whole state.  ``normalize`` stays total on raw states built by hand, and
-returns a state that is already normal as it is.  The rules are local (as
-in CCP: Saraswat, Rinard & Panangaden, POPL 1991), so ``explore`` and
-``run`` hand ``step`` one memo of each process object's moves per store,
-which lasts for their call.
+a whole state.  It builds each successor (and ``normalize`` its result)
+with the key, hash and canonical flag taken straight from its objects'
+stored ones, without the checks of ``Node.__init__``; ``SysState(...)``
+and its ``_canon_here`` scan run only on raw states.  ``normalize`` stays
+total on raw states built by hand, and returns a state that is already
+normal as it is.  The rules are local (as in CCP: Saraswat, Rinard &
+Panangaden, POPL 1991), so ``explore`` and ``run`` hand ``step`` one memo
+of each process object's moves per store, which lasts for their call.
 
 ``explore`` is the breadth-first loop over all reachable states, the
 engine of ``search.search``.  ``run`` follows a single path instead: the
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Union
 
 from .formula import (
@@ -51,6 +55,9 @@ from .formula import (
     Formula,
     Node,
     Record,
+    _put_canon,
+    _put_hash,
+    _put_key,
     canonicalize,
     chain_canonical,
     conjoin,
@@ -302,6 +309,22 @@ class SysState(Node):
         return "{ " + inner + " }" if inner else "{ }"
 
 
+_put_objects = SysState._setters[0]
+_obj_hash = attrgetter("_hash")
+
+
+def _canonical_state(objects: tuple) -> SysState:
+    """The SysState of canonical objects already in canonical order (sorted,
+    one store per agent), with the key, hash and flag that `Node.__init__`
+    would compute, taken from the objects' stored ones without its checks."""
+    s = SysState.__new__(SysState)
+    _put_objects(s, objects)
+    _put_key(s, (200, tuple(map(obj_key, objects))))
+    _put_hash(s, hash((200, tuple(map(_obj_hash, objects)))))
+    _put_canon(s, True)
+    return s
+
+
 def store_map(s: SysState) -> dict:
     """Agent -> store constraint for every store object in the state."""
     return {o.aid: o.constraint for o in s.objects if isinstance(o, StoreObj)}
@@ -331,7 +354,7 @@ def normalize(s: SysState) -> SysState:
     ]
     objects.extend(procs)
     objects.sort(key=obj_key)
-    return SysState(tuple(objects))
+    return _canonical_state(tuple(objects))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +412,11 @@ def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     Returns normalized states, deduplicated and sorted by canonical key.
     Each successor is s with the rewritten process object removed and at
     most two new objects put in key order, or a store replaced in place;
-    every other object is reused as it is.
+    every other object is reused as it is.  So a successor is canonical as
+    built, and gets its key, hash and flag from its objects' stored ones
+    (`_canonical_state`).  Of two equal process objects (adjacent, since the
+    objects are sorted) only the first is rewritten: the second would give
+    the same successors.
 
     A rule's result depends only on the process object, its agent's store
     (or its absence) and, for a space, whether the child's store exists;
@@ -403,7 +430,7 @@ def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     memo = {} if memo is None else memo
     out = set()
     for i, o in enumerate(objs):
-        if not isinstance(o, ProcObj):
+        if not isinstance(o, ProcObj) or (i and o == objs[i - 1]):
             continue
         j, current = stores.get(o.aid, (None, None))
         p = o.program
@@ -418,7 +445,7 @@ def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
             del new[i]
             for a in added:
                 insort(new, a, key=obj_key)
-            out.add(SysState(tuple(new)))
+            out.add(_canonical_state(tuple(new)))
     return sorted(out, key=state_key)
 
 

@@ -13,8 +13,10 @@ A `Solver` session decides them with one of two backends:
 The brute-force model enumerator that the internal procedure is tested
 against lives in ``tests/model_oracle.py`` and shares no code with it.
 
-``Solver.entails(c, d)`` is unsatisfiability of ``c and not(d)``.  A solver
-timeout surfaces as an ``unknown`` verdict; by default that raises
+``Solver.entails(c, d)`` is unsatisfiability of ``c and not(d)``.  A session
+holds two tables: one verdict per canonical formula, and one per ``(c, d)``
+entailment, so a guard asked again of the same store costs one lookup.  A
+solver timeout surfaces as an ``unknown`` verdict; by default that raises
 :class:`SolverInconclusive`, while the ``paper`` policy silently treats
 unknown as unsatisfiable (reproducing the behavior of engines that map
 timeouts to "not satisfiable" -- unsound for entailment, hence not the
@@ -101,7 +103,9 @@ class SolverConfig(Record):
 
 
 class Solver:
-    """A solving session: a configuration plus a verdict cache.
+    """A solving session: a configuration plus its verdict caches.  The
+    entailment table keeps only verdicts: an entailment that raised
+    `SolverInconclusive` is decided afresh each time it is asked.
 
     Sessions are not thread-safe; concurrent explorations should each use
     their own session.  Verdicts are immutable values and can be shared.
@@ -110,6 +114,7 @@ class Solver:
     def __init__(self, config: SolverConfig | None = None):
         self.config = config or SolverConfig()
         self._memo: dict[Formula, SatResult] = {}
+        self._entailed: dict[tuple, bool] = {}  # (c, d) -> entails(c, d)
 
     def check_sat(self, c: Formula) -> SatResult:
         key = canonicalize(c)
@@ -135,7 +140,10 @@ class Solver:
         return result.is_unsat
 
     def entails(self, c: Formula, d: Formula) -> bool:
-        return self.check_unsat(conjoin(c, negate(d)))
+        verdict = self._entailed.get((c, d))
+        if verdict is None:
+            verdict = self._entailed[c, d] = self.check_unsat(conjoin(c, negate(d)))
+        return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ source program's initial state).
 
 from __future__ import annotations
 
+from conftest import PROGRAMS
 from sccpe import (
     ROOT,
     AgentId,
@@ -19,9 +20,11 @@ from sccpe import (
     SysState,
     Tell,
     TRUE,
+    elaborate,
     eq_,
     intvar,
     normalize,
+    parse,
 )
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -64,3 +67,14 @@ def inconsistent_variant() -> SysState:
 def same_knowledge_variant() -> SysState:
     """tell(W < Y) replaced by tell(Z > 9)."""
     return base_system(last=Tell(Z > 9))
+
+
+# The five systems of the acceptance examples, by name: the two programs'
+# elaborated initial states and the three object-form systems above.
+ACCEPTANCE_SYSTEMS = {
+    "message-program": lambda: elaborate(parse((PROGRAMS / "message.sccp").read_text())),
+    "base": base_system,
+    "inconsistent-variant": inconsistent_variant,
+    "same-knowledge-variant": same_knowledge_variant,
+    "spaces-program": lambda: elaborate(parse((PROGRAMS / "spaces.sccp").read_text())),
+}

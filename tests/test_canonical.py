@@ -7,6 +7,8 @@ the canonical-form functions return a canonical value as it is, the stored
 hash and key agree with a recomputation from the fields, and the stored
 flag agrees with a reference canonical form written out below (the
 rebuild-everything definition, with no shortcut for canonical inputs).
+The states that `step` and `normalize` build without the checks of
+`Node.__init__` are also checked against a state built with them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import fragment_formula, process, raw_state, small_state
+from systems import ACCEPTANCE_SYSTEMS
 from sccpe import (
     NIL,
     ROOT,
@@ -38,6 +41,7 @@ from sccpe import (
     state_to_json,
     step,
 )
+from sccpe.calculus import explore
 from sccpe.formula import (
     FALSE,
     TRUE,
@@ -204,7 +208,7 @@ def test_normalize_reuses_every_object_of_a_normal_state(rng):
     again = normalize(n)
     assert len(again.objects) == len(n.objects)
     assert all(a is b for a, b in zip(again.objects, n.objects))
-    assert n._canon
+    check_built_as_checked(n)
     check_stored(s)
     check_stored(n)
 
@@ -223,15 +227,36 @@ def test_json_round_trip_is_canonical_as_built(rng):
     check_stored(back)
 
 
+def check_built_as_checked(t):
+    """t, built by the engine without the checks of `Node.__init__`, has
+    the key, hash and flag of a state built from scratch from its objects,
+    and that state is canonical."""
+    scratch = SysState(t.objects)
+    assert scratch._key == t._key and scratch._hash == t._hash, t
+    assert scratch._canon is True, t
+    assert t == scratch
+
+
 @settings(max_examples=200, deadline=None)
 @given(SEEDS)
 def test_step_builds_normal_states_reusing_untouched_objects(rng):
     s = small_state(rng)
     for t in step(s, Solver()):
-        assert t._canon
+        check_built_as_checked(t)
         fresh = [o for o in t.objects if not any(o is p for p in s.objects)]
         assert len(fresh) <= 2, t
         check_stored(t)
+
+
+def test_step_builds_normal_successors_of_every_acceptance_state():
+    for make in ACCEPTANCE_SYSTEMS.values():
+        seen = []
+        explore(make(), Solver(), 64, lambda s, i, succs: seen.append(s))
+        assert len(seen) > 1
+        for s in seen:
+            check_built_as_checked(s)
+            for t in step(s, Solver()):
+                check_built_as_checked(t)
 
 
 def test_every_node_class_stores_its_hash_key_and_flag():

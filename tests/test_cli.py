@@ -416,29 +416,36 @@ def test_solver_inconclusive_exit_code(tmp_path):
         ],
         stdin="",
     )
-    assert code == 2
-    assert "inconclusive" in err
+    assert (code, out) == (2, "")
+    assert err == (
+        "solver inconclusive: solver returned unknown (solver answered unknown)"
+        " for: Y:Integer < 5 and not(Y:Integer < 20)\n"
+    )
 
 
 def test_unknown_as_paper_policy(tmp_path):
     stub = tmp_path / "unk.py"
     stub.write_text("import sys\nsys.stdin.read()\nprint('unknown')\n")
-    code, out, err = invoke(
-        [
-            "check",
-            "-",
-            "--entails",
-            "Y < 5",
-            "Y < 20",
-            "--solver",
-            f"external:{sys.executable} {stub}",
-            "--unknown-as",
-            "paper",
-        ],
-        stdin="",
-    )
-    assert code == 0
-    assert out.strip() == "true"
+    argv = [
+        "check",
+        "-",
+        "--entails",
+        "Y < 5",
+        "Y < 20",
+        "--solver",
+        f"external:{sys.executable} {stub}",
+        "--unknown-as",
+        "paper",
+    ]
+    assert invoke(argv, stdin="") == (0, "true\n", "")
+    code, out, err = invoke(argv + ["--format", "json"], stdin="")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "command": "check",
+        "entails": True,
+        "left": "Y:Integer < 5",
+        "right": "Y:Integer < 20",
+    }
 
 
 def test_env_var_backend_override(tmp_path, monkeypatch):

@@ -8,10 +8,16 @@ import random
 
 import pytest
 
-from conftest import PROGRAMS
 from engine_oracle import oracle_step
 from randgen import small_state
-from systems import X, Z, base_system, inconsistent_variant, same_knowledge_variant
+from systems import (
+    ACCEPTANCE_SYSTEMS,
+    X,
+    Z,
+    base_system,
+    inconsistent_variant,
+    same_knowledge_variant,
+)
 from sccpe import (
     ROOT,
     TRUE,
@@ -118,15 +124,6 @@ def test_run_stops_at_a_cycle_and_reports_no_terminal_state(solver):
 
 
 # The five systems of the acceptance suite.
-ACCEPTANCE_SYSTEMS = {
-    "message-program": lambda: elaborate(parse((PROGRAMS / "message.sccp").read_text())),
-    "base": base_system,
-    "inconsistent-variant": inconsistent_variant,
-    "same-knowledge-variant": same_knowledge_variant,
-    "spaces-program": lambda: elaborate(parse((PROGRAMS / "spaces.sccp").read_text())),
-}
-
-
 def test_a_shared_memo_agrees_with_the_oracle(solver):
     """One memo for unrelated random states and every reachable state of
     the acceptance systems: a rewrite reused from another state is right."""
@@ -143,21 +140,28 @@ def test_a_shared_memo_agrees_with_the_oracle(solver):
 
 
 def test_step_builds_each_successor_once(solver, monkeypatch):
-    """A binary `Par` is split once, and an n-ary one once per distinct
-    argument, so `step` builds no successor state twice."""
+    """A binary `Par` is split once, an n-ary one once per distinct
+    argument, and of two equal process objects only the first is
+    rewritten, so `step` builds no successor state twice.  It builds each
+    through `_canonical_state`, never through `SysState.__init__`."""
     states = [
         normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, par(*tells)))))
         for tells in ([Tell(X > 0), Tell(X > 0)], [Tell(X > 0), Tell(X > 0), Tell(X > 1)])
     ]
+    twice = ProcObj(ROOT, Tell(X > 0))
+    states.append(normalize(SysState((StoreObj(ROOT, TRUE), twice, twice))))
     for make in ACCEPTANCE_SYSTEMS.values():
         states.extend(reference_bfs(make(), solver, 64)[0])
     module = importlib.import_module("sccpe.calculus")
-    built, real = [], module.SysState
+    built, checked = [], []
+    trusted, init = module._canonical_state, SysState.__init__
     for s in states:
         built.clear()
         with monkeypatch.context() as m:
-            m.setattr(module, "SysState", lambda objects: built.append(objects) or real(objects))
+            m.setattr(module, "_canonical_state", lambda objs: built.append(objs) or trusted(objs))
+            m.setattr(SysState, "__init__", lambda self, *a: checked.append(a) or init(self, *a))
             succs = step(s, solver)
+        assert not checked, f"step built a successor of {s} through SysState.__init__"
         assert len(built) == len(succs), f"a successor of {s} was built twice"
         assert set(succs) == oracle_step(s, solver)
 

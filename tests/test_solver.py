@@ -24,9 +24,10 @@ from sccpe import (
     eq_,
     intvar,
     ne_,
+    negate,
 )
 from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Not, Xor
-from sccpe.solver import ExternalSolverError, smtlib_script
+from sccpe.solver import ExternalSolverError, smtlib_script, unknown
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 P, Q = (boolvar(n) for n in "PQ")
@@ -389,6 +390,38 @@ def test_config_validation():
         SolverConfig(timeout_ms=0)
     with pytest.raises(ValueError):
         SolverConfig(unknown_policy="shrug")
+
+
+@given(formulas, formulas)
+@settings(max_examples=150, deadline=None)
+def test_entailment_memo_is_transparent(c, d):
+    session = Solver()
+    for left, right in ((c, d), (d, c), (c, d)):  # the last one from the table
+        f = conjoin(left, negate(right))
+        verdict = not brute_force_sat(f, small_model_bound(f))
+        assert session.entails(left, right) is verdict
+        assert Solver().check_unsat(f) is verdict
+
+
+class UnknownOnce(Solver):
+    """A session whose backend answers `unknown` to its first formula."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = 0
+
+    def check_sat(self, c):
+        self.asked += 1
+        return unknown("timeout") if self.asked == 1 else super().check_sat(c)
+
+
+def test_an_inconclusive_entailment_is_not_memoized():
+    session = UnknownOnce()
+    with pytest.raises(SolverInconclusive):
+        session.entails(Y < 5, Y < 20)
+    assert session.entails(Y < 5, Y < 20)
+    assert session.entails(Y < 5, Y < 20)
+    assert session.asked == 2  # the third answer came from the entailment table
 
 
 def test_session_caching_is_transparent():
