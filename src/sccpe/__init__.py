@@ -60,14 +60,6 @@ from .search import (
     evaluate_query,
     search,
 )
-from .solver import (
-    SAT,
-    UNSAT,
-    SatResult,
-    Solver,
-    SolverConfig,
-    SolverInconclusive,
-    dl_conjunct_sat,
-)
+from .solver import Solver, dl_conjunct_sat
 
 __version__ = "0.1.0"

@@ -64,7 +64,7 @@ from .formula import (
     rebuild,
     term_key,
 )
-from .solver import Solver, SolverInconclusive
+from .solver import Solver
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     never on the rest of the state.  `memo` maps that triple to the
     object's moves, so a caller that passes one dict to many calls (as
     `explore` and `run` do, for one call of theirs) rewrites each process
-    in each store once.  A SolverInconclusive leaves no entry behind.
+    in each store once.
     """
     objs = normalize(s).objects
     stores = {o.aid: (i, o.constraint) for i, o in enumerate(objs) if isinstance(o, StoreObj)}
@@ -449,14 +449,6 @@ def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     return sorted(out, key=state_key)
 
 
-def _successors(state: SysState, solver: Solver, memo: dict) -> list:
-    """step(state, solver, memo), with a SolverInconclusive naming the state."""
-    try:
-        return step(state, solver, memo)
-    except SolverInconclusive as exc:
-        raise SolverInconclusive(f"exploring {state}: {exc}") from exc
-
-
 def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> tuple:
     """Breadth-first search of every state reachable from normalize(init)
     within max_depth steps.
@@ -476,7 +468,7 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     cut = False
     while queue:
         state, depth = queue.popleft()
-        succs = _successors(state, solver, memo)
+        succs = step(state, solver, memo)
         if visit(state, seen[state], succs):
             return len(seen), depth, cut, True
         for t in succs:
@@ -514,7 +506,7 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     path = {state}
     memo: dict = {}  # the local moves of step, for this call only
     while True:
-        succs = _successors(state, solver, memo)
+        succs = step(state, solver, memo)
         if not succs:
             return RunResult((state,), False, len(path))
         state = succs[0]

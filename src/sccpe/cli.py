@@ -10,17 +10,16 @@ Subcommands:
 * ``check FILE --entails C1 C2``
                    a one-off entailment check (prints true/false).
 
-``FILE`` is a program path or ``-`` for standard input.  Exit codes:
+``FILE`` is a program path or ``-`` for standard input.  Every formula is
+decided by the built-in solver, which never answers "unknown".  Exit codes:
 0 success (a "No solution." outcome is a success), 1 usage/parse/validate
-error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 2 solver
-inconclusive (a timeout or a failing external solver), 3 internal error.
+error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 3 internal
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import shlex
 import sys
 from functools import cache
 
@@ -29,11 +28,10 @@ from .calculus import run as run_engine
 from .formula import format_formula
 from .search import InconsistentStore, StoreEntails, StoresEquivalent
 from .search import search as search_states
-from .solver import ExternalSolverError, Solver, SolverConfig, SolverInconclusive
+from .solver import Solver
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_INTERNAL = 3
 
 
@@ -63,19 +61,6 @@ def _at_least(low: int):
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", metavar="FILE", help="program file, or - for stdin")
-    p.add_argument(
-        "--solver",
-        default=None,
-        metavar="BACKEND",
-        help="internal (default) or external:CMD; env SCCPE_SOLVER overrides the default",
-    )
-    p.add_argument("--timeout", type=_at_least(1), default=5000, metavar="MS", help="solver timeout")
-    p.add_argument(
-        "--unknown-as",
-        choices=("error", "paper"),
-        default="error",
-        help="treat solver 'unknown' as an error (default) or as not-satisfiable",
-    )
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -105,24 +90,6 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--entails", nargs=2, required=True, metavar=("C1", "C2"))
 
     return parser
-
-
-def _solver_from_args(args) -> Solver:
-    choice = args.solver if args.solver is not None else os.environ.get("SCCPE_SOLVER", "internal")
-    if choice == "internal":
-        cmd = None
-    elif choice.startswith("external:"):
-        cmd = tuple(shlex.split(choice[len("external:") :]))
-        if not cmd:
-            raise _UsageError("external solver needs a command line, e.g. external:'z3 -in'")
-    else:
-        raise _UsageError(f"unknown solver backend {choice!r}")
-    config = SolverConfig(
-        external_cmd=cmd,
-        timeout_ms=args.timeout,
-        unknown_policy=args.unknown_as,
-    )
-    return Solver(config)
 
 
 def _load_program(path: str):
@@ -169,8 +136,7 @@ def _elaborate(text: str, name: str, err):
 def _cmd_run(args, out, err) -> int:
     text, name = _load_program(args.input)
     _, state = _elaborate(text, name, err)
-    solver = _solver_from_args(args)
-    result = run_engine(state, solver, max_steps=args.max_depth)
+    result = run_engine(state, Solver(), max_steps=args.max_depth)
     if args.format == "json":
         doc = {
             "command": "run",
@@ -215,7 +181,6 @@ def _cmd_search(args, out, err) -> int:
     text, name = _load_program(args.input)
     ast, state = _elaborate(text, name, err)
     query, query_label = _parse_query(args, ast.var_table, err)
-    solver = _solver_from_args(args)
     mode = "terminal" if args.mode == "final" else "any"
     outcome = search_states(
         state,
@@ -223,7 +188,6 @@ def _cmd_search(args, out, err) -> int:
         mode=mode,
         max_depth=args.max_depth,
         max_solutions=args.max_solutions,
-        solver=solver,
     )
     if args.format == "json":
         # the witnesses repeat a few (agent, store) pairs many times: build
@@ -275,8 +239,7 @@ def _cmd_check(args, out, err) -> int:
     inferred = {}  # an undeclared name gets one sort across both formulas
     left = _parse_formula(args.entails[0], "C1", table, err, inferred)
     right = _parse_formula(args.entails[1], "C2", table, err, inferred)
-    solver = _solver_from_args(args)
-    verdict = solver.entails(left, right)
+    verdict = Solver().entails(left, right)
     if args.format == "json":
         doc = {
             "command": "check",
@@ -305,9 +268,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _InputError:
         return EXIT_USAGE
-    except (SolverInconclusive, ExternalSolverError) as exc:
-        print(f"solver inconclusive: {exc}", file=err)
-        return EXIT_INCONCLUSIVE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=err)
         return EXIT_INTERNAL

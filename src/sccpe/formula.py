@@ -78,10 +78,9 @@ class Record(metaclass=_Slotted):
     """Immutable value with named fields, declared as class annotations.
 
     It is built from positional and keyword arguments, with the class-body
-    defaults, and checked by `__post_init__`.  Records of one class with
-    equal compared fields are equal and hash alike; a record prints as
-    ``Name(field=value, ...)``; copy and pickle rebuild it through
-    `__init__`.
+    defaults.  Records of one class with equal compared fields are equal
+    and hash alike; a record prints as ``Name(field=value, ...)``; copy and
+    pickle rebuild it through `__init__`.
     """
 
     _uncompared: tuple = ()
@@ -91,7 +90,6 @@ class Record(metaclass=_Slotted):
             args = self._bind(args, kwargs)
         for put, value in zip(self._setters, args):
             put(self, value)
-        self.__post_init__()
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
@@ -102,9 +100,6 @@ class Record(metaclass=_Slotted):
         if len(args) > len(names) or set(values) != set(names) or repeated:
             raise TypeError(f"{cls.__name__}() takes {', '.join(names)}, got {args} and {kwargs}")
         return tuple([values[n] for n in names])
-
-    def __post_init__(self):
-        pass
 
     def __eq__(self, other):
         if type(other) is not type(self):

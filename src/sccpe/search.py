@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 from .calculus import StoreObj, SysState, explore, store_map
 from .formula import Formula, Record, TRUE, term_key
-from .solver import Solver, SolverInconclusive
+from .solver import Solver
 
 
 class InconsistentStore(Record):
@@ -77,7 +77,7 @@ def evaluate_query(s: SysState, q: Query, solver: Solver) -> list:
         return [()] if q.fn(s) else []
     stores = sorted(store_map(s).items(), key=lambda kv: (kv[0].path, term_key(kv[1])))
     if isinstance(q, InconsistentStore):
-        return [((aid, c),) for aid, c in stores if solver.check_unsat(c)]
+        return [((aid, c),) for aid, c in stores if not solver.check_sat(c)]
     if isinstance(q, StoreEntails):
         return [((aid, c),) for aid, c in stores if solver.entails(c, q.tau)]
     if isinstance(q, StoresEquivalent):
@@ -124,10 +124,7 @@ def search(
             key = tuple(o for o in state.objects if type(o) is StoreObj)
         bindings = memo.get(key)
         if bindings is None:
-            try:
-                bindings = memo[key] = evaluate_query(state, q, solver)
-            except SolverInconclusive as exc:
-                raise SolverInconclusive(f"evaluating query on {state}: {exc}") from exc
+            bindings = memo[key] = evaluate_query(state, q, solver)
         for b in bindings:
             matches.append(Match(state, index, b))
             if len(matches) == max_solutions:

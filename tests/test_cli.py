@@ -232,11 +232,21 @@ def test_bad_bounds_are_usage_errors():
         assert err.startswith(f"error: argument {argv[-2]}: ")
 
 
+# The solver backend flags are gone: the built-in solver decides every formula.
+REMOVED_FLAG_ARGVS = (
+    ["run", MESSAGE],
+    ["search", MESSAGE, "--query", "inconsistent"],
+    ["check", "-", "--entails", "X > 1", "X > 0"],
+)
+
+
+def assert_flag_is_unrecognized(flag, value):
+    for argv in REMOVED_FLAG_ARGVS:
+        assert invoke(argv + [flag, value]) == (1, "", f"error: unrecognized arguments: {flag} {value}\n")
+
+
 def test_timeout_below_one_is_a_usage_error():
-    code, out, err = invoke(["check", "-", "--entails", "X > 1", "X > 0", "--timeout", "0"])
-    assert code == 1
-    assert out == ""
-    assert err == "error: argument --timeout: must be at least 1, got 0\n"
+    assert_flag_is_unrecognized("--timeout", "5")
 
 
 def test_depth_bound_zero_explores_the_initial_state_only():
@@ -299,13 +309,10 @@ def test_check_uses_program_declarations():
 
 
 def test_check_infers_each_name_once_across_both_formulas():
-    for backend in ("internal", f"external:{sys.executable} -c 'print(\"sat\")'"):
-        code, out, err = invoke(
-            ["check", "-", "--entails", "P", "P =/= Q", "--solver", backend], stdin=""
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "C2:1:1: error: variable P is used both as Bool and Int\n"
+    code, out, err = invoke(["check", "-", "--entails", "P", "P =/= Q"], stdin="")
+    assert code == 1
+    assert out == ""
+    assert err == "C2:1:1: error: variable P is used both as Bool and Int\n"
 
 
 def test_check_diagnostics_name_the_formula():
@@ -401,64 +408,20 @@ def test_search_decides_thirteen_disequalities():
     assert out.startswith("Solution 1 (state ")
 
 
-def test_solver_inconclusive_exit_code(tmp_path):
-    stub = tmp_path / "unk.py"
-    stub.write_text("import sys\nsys.stdin.read()\nprint('unknown')\n")
-    code, out, err = invoke(
-        [
-            "check",
-            "-",
-            "--entails",
-            "Y < 5",
-            "Y < 20",
-            "--solver",
-            f"external:{sys.executable} {stub}",
-        ],
-        stdin="",
-    )
-    assert (code, out) == (2, "")
-    assert err == (
-        "solver inconclusive: solver returned unknown (solver answered unknown)"
-        " for: Y:Integer < 5 and not(Y:Integer < 20)\n"
-    )
+def test_solver_inconclusive_exit_code():
+    assert_flag_is_unrecognized("--solver", "internal")
 
 
-def test_unknown_as_paper_policy(tmp_path):
-    stub = tmp_path / "unk.py"
-    stub.write_text("import sys\nsys.stdin.read()\nprint('unknown')\n")
-    argv = [
-        "check",
-        "-",
-        "--entails",
-        "Y < 5",
-        "Y < 20",
-        "--solver",
-        f"external:{sys.executable} {stub}",
-        "--unknown-as",
-        "paper",
-    ]
-    assert invoke(argv, stdin="") == (0, "true\n", "")
-    code, out, err = invoke(argv + ["--format", "json"], stdin="")
-    assert (code, err) == (0, "")
-    assert json.loads(out) == {
-        "command": "check",
-        "entails": True,
-        "left": "Y:Integer < 5",
-        "right": "Y:Integer < 20",
-    }
+def test_unknown_as_paper_policy():
+    assert_flag_is_unrecognized("--unknown-as", "paper")
 
 
 def test_env_var_backend_override(tmp_path, monkeypatch):
     stub = tmp_path / "sat.py"
     stub.write_text("import sys\nsys.stdin.read()\nprint('sat')\n")
+    # were the stub run, it would answer sat to every formula, and check would print false
     monkeypatch.setenv("SCCPE_SOLVER", f"external:{sys.executable} {stub}")
-    # external stub always answers sat, so nothing is ever unsat: entails false
-    code, out, err = invoke(["check", "-", "--entails", "Y < 5", "Y < 20"], stdin="")
-    assert code == 0
-    assert out.strip() == "false"
-    monkeypatch.setenv("SCCPE_SOLVER", "internal")
-    code, out, err = invoke(["check", "-", "--entails", "Y < 5", "Y < 20"], stdin="")
-    assert out.strip() == "true"
+    assert invoke(["check", "-", "--entails", "X > 1", "X > 0"]) == (0, "true\n", "")
 
 
 # ---------------------------------------------------------------------------

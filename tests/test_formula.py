@@ -48,7 +48,7 @@ from sccpe.formula import (
     Xor,
     term_key,
 )
-from sccpe.solver import smtlib_script
+from smt_oracle import smtlib_script
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 P, Q = (boolvar(n) for n in "PQ")

@@ -1,13 +1,16 @@
 """The test oracles stay independent of the code they check.
 
-The brute-force model enumerator decides the same question as the solver,
-so it must share no code with the solver or the difference-logic lowering;
-the printed-syntax reader keeps its own precedence table, so it must share
-none with the printer; and the oracles live here, not in the package,
-which holds only what the analyzer runs.
+The brute-force model enumerator and the SMT-LIB2 oracle decide the same
+question as the solver, so they must share no code with the solver or the
+difference-logic lowering; the printed-syntax reader keeps its own
+precedence table, so it must share none with the printer; and the oracles
+live here, not in the package, which holds only what the analyzer runs.
+The package has one decision path: the names of the retired external
+backend must not come back.
 """
 
 import ast
+import importlib
 import pathlib
 
 import sccpe
@@ -45,7 +48,15 @@ TEST_ONLY_NAMES = {
     "format_surface_formula",
     "format_surface_process",
     "_surface_side",
+    "smtlib_script",
+    "_smt",
+    "smt_check",
+    "_run_external",
 }
+
+# The external backend's API, removed from the package when the built-in
+# solver became complete: its config, three-valued result and exceptions.
+RETIRED_NAMES = {"SolverInconclusive", "ExternalSolverError", "SatResult", "SolverConfig", "check_unsat"}
 
 
 def imports(path: pathlib.Path) -> list:
@@ -73,11 +84,21 @@ def definitions(path: pathlib.Path) -> set:
     return names
 
 
-def test_model_oracle_shares_no_code_with_the_solver():
-    for module, name in imports(TESTS / "model_oracle.py"):
+def assert_shares_no_code_with_the_solver(oracle: str):
+    found = imports(TESTS / oracle)
+    assert found
+    for module, name in found:
         assert module.split(".")[:2] != ["sccpe", "solver"], (module, name)
         assert (module, name) != ("sccpe", "solver"), (module, name)
         assert name not in LOWERING_NAMES, (module, name)
+
+
+def test_model_oracle_shares_no_code_with_the_solver():
+    assert_shares_no_code_with_the_solver("model_oracle.py")
+
+
+def test_smt_oracle_shares_no_code_with_the_solver():
+    assert_shares_no_code_with_the_solver("smt_oracle.py")
 
 
 def test_formula_reader_shares_no_code_with_the_printer():
@@ -86,9 +107,28 @@ def test_formula_reader_shares_no_code_with_the_printer():
         assert not (name or "").startswith(("_fmt", "_B_")), (module, name)
 
 
-def test_package_defines_no_test_only_helper():
+def assert_package_defines_none_of(names: set):
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     for path in modules:
-        clash = definitions(path) & TEST_ONLY_NAMES
+        clash = definitions(path) & names
         assert not clash, f"{path.name} defines {sorted(clash)}"
+
+
+def test_package_defines_no_test_only_helper():
+    assert_package_defines_none_of(TEST_ONLY_NAMES)
+
+
+def test_package_defines_no_retired_solver_name():
+    assert_package_defines_none_of(RETIRED_NAMES)
+
+
+def test_package_exports_no_retired_solver_name():
+    # also catches a name brought back by import or assignment under another binding
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__main__":
+            name = "sccpe" if path.stem == "__init__" else f"sccpe.{path.stem}"
+            module = importlib.import_module(name)
+            assert not RETIRED_NAMES & set(dir(module)), name
+    assert not {"SAT", "UNSAT", "unknown"} & set(dir(importlib.import_module("sccpe.solver")))
+    assert not RETIRED_NAMES & set(dir(sccpe.Solver))

@@ -12,8 +12,6 @@ from sccpe import (
     Predicate,
     ProcObj,
     Solver,
-    SolverConfig,
-    SolverInconclusive,
     StoreEntails,
     StoreObj,
     StoresEquivalent,
@@ -49,7 +47,7 @@ def test_inconsistent_witness_found(solver):
     assert len(witnesses) == 1
     ((aid, store),) = witnesses[0]
     assert aid == AID1
-    assert solver.check_unsat(store)
+    assert not solver.check_sat(store)
 
 
 def test_store_entails_witness_on_final_state(solver):
@@ -107,7 +105,7 @@ def test_search_finds_injected_inconsistency(solver):
     for m in outcome.matches:
         ((aid, store),) = m.witnesses
         assert aid == AID1
-        assert solver.check_unsat(store)
+        assert not solver.check_sat(store)
 
 
 def test_search_knowledge_never_y9(solver):
@@ -238,7 +236,7 @@ def test_search_matches_recheck_and_agree_with_dfs(seed):
     outcome = search(init, q, max_depth=6, solver=solver)
     for m in outcome.matches:
         ((aid, store),) = m.witnesses
-        assert solver.check_unsat(store)
+        assert not solver.check_sat(store)
         assert store_map(m.state)[aid] == store
         assert m.witnesses in evaluate_query(m.state, q, solver)
     if not outcome.truncated:
@@ -255,23 +253,15 @@ def test_inconsistency_is_persistent(solver):
                 assert evaluate_query(succ, InconsistentStore(), solver)
 
 
-def test_solver_failure_aborts_with_context(tmp_path):
-    import sys
-    import textwrap
+class BrokenSolver(Solver):
+    """A solver that fails on its first satisfiability check."""
 
-    stub = tmp_path / "unk.py"
-    stub.write_text(
-        textwrap.dedent(
-            """\
-            import sys
-            sys.stdin.read()
-            print("unknown")
-            """
-        )
-    )
-    cfg = SolverConfig(external_cmd=(sys.executable, str(stub)))
-    state = normalize(
-        SysState((StoreObj(ROOT, Y < 5), ProcObj(ROOT, Tell(Z >= 10))))
-    )
-    with pytest.raises(SolverInconclusive):
-        search(state, InconsistentStore(), solver=Solver(cfg))
+    def check_sat(self, c):
+        raise RuntimeError(f"solver failed on {c}")
+
+
+def test_solver_failure_aborts_with_context():
+    # no partial outcome: the solver's own exception, with its message, ends the search
+    state = normalize(SysState((StoreObj(ROOT, Y < 5), ProcObj(ROOT, Tell(Z >= 10)))))
+    with pytest.raises(RuntimeError, match=r"^solver failed on "):
+        search(state, InconsistentStore(), solver=BrokenSolver())

@@ -13,8 +13,6 @@ from sccpe import (
     TRUE,
     DLAtom,
     Solver,
-    SolverConfig,
-    SolverInconclusive,
     Sort,
     SortConflict,
     Var,
@@ -27,36 +25,36 @@ from sccpe import (
     negate,
 )
 from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Not, Xor
-from sccpe.solver import ExternalSolverError, smtlib_script, unknown
+from smt_oracle import smt_check, smtlib_script
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 P, Q = (boolvar(n) for n in "PQ")
 
 
 # ---------------------------------------------------------------------------
-# check_sat / check_unsat / entails
+# check_sat / entails
 
 
 def test_check_sat_true():
-    assert Solver().check_sat(TRUE).is_sat
+    assert Solver().check_sat(TRUE) is True
 
 
 def test_check_sat_inconsistent_store():
-    assert Solver().check_sat(And((Z >= 10, eq_(Z, 9)))).is_unsat
+    assert not Solver().check_sat(And((Z >= 10, eq_(Z, 9))))
 
 
 def test_check_sat_negative_cycle():
     f = And((X < Y, Y < X))
-    assert Solver().check_sat(f).is_unsat
+    assert not Solver().check_sat(f)
     assert not any(
         x < y and y < x for x in range(-3, 4) for y in range(-3, 4)
     )
 
 
 def test_check_unsat_examples():
-    assert Solver().check_unsat(FALSE)
-    assert Solver().check_unsat(And((Z >= 10, eq_(Z, 9))))
-    assert not Solver().check_unsat(Y < 5)
+    assert not Solver().check_sat(FALSE)
+    assert not Solver().check_sat(And((Z >= 10, eq_(Z, 9))))
+    assert Solver().check_sat(Y < 5)
 
 
 def test_entails_examples():
@@ -143,10 +141,10 @@ def test_oracle_agreement_sample():
     rng = random.Random(1234)
     for _ in range(300):
         f = fragment_formula(rng)
-        assert Solver().check_sat(f).is_sat == brute_force_sat(f, small_model_bound(f))
+        assert Solver().check_sat(f) == brute_force_sat(f, small_model_bound(f))
     for _ in range(150):
         f = tight_formula(rng)
-        assert Solver().check_sat(f).is_sat == brute_force_sat(f, small_model_bound(f))
+        assert Solver().check_sat(f) == brute_force_sat(f, small_model_bound(f))
 
 
 def _bool_equality_formula(rng, depth=3):
@@ -172,7 +170,7 @@ def test_bool_equality_agrees_with_brute_force():
         f = _bool_equality_formula(rng)
         if rng.random() < 0.5:
             f = And((f, _bool_equality_formula(rng)))
-        sat = Solver().check_sat(f).is_sat
+        sat = Solver().check_sat(f)
         assert sat == brute_force_sat(f, small_model_bound(f)), f"disagreement on {f}"
         verdicts.add(sat)
     assert verdicts == {True, False}
@@ -209,12 +207,12 @@ def boxed_disequalities(draw):
 @given(boxed_disequalities())
 @settings(max_examples=150, deadline=None)
 def test_many_disequalities_agree_with_brute_force(f):
-    assert Solver().check_sat(f).is_sat == brute_force_sat(f, BOX)
+    assert Solver().check_sat(f) == brute_force_sat(f, BOX)
 
 
 def test_short_xor_is_decided():
-    assert Solver().check_sat(Xor((P,))).is_sat
-    assert Solver().check_sat(Xor(())).is_unsat
+    assert Solver().check_sat(Xor((P,)))
+    assert not Solver().check_sat(Xor(()))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,7 @@ def test_top_and_bottom(c):
 
 
 # ---------------------------------------------------------------------------
-# external backend plumbing (script format + subprocess protocol)
+# the SMT-LIB2 oracle (tests/smt_oracle.py): script format and solver protocol
 
 
 def test_smtlib_script_shape():
@@ -292,14 +290,21 @@ def _stub_solver(tmp_path, behavior: str):
     return (sys.executable, str(path))
 
 
+def assert_agrees(cmd, formulas):
+    """The solver and the SMT oracle `cmd` give each formula one verdict; an
+    oracle that answers `unknown` disagrees."""
+    session = Solver()
+    for f in formulas:
+        expected = "sat" if session.check_sat(f) else "unsat"
+        assert smt_check(cmd, f) == expected, f"disagreement on {f}"
+
+
 def test_external_backend_sat(tmp_path):
-    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
-    assert Solver(cfg).check_sat(And((Z >= 10, eq_(Z, 9)))).is_sat
+    assert smt_check(_stub_solver(tmp_path, "sat"), And((Z >= 10, eq_(Z, 9)))) == "sat"
 
 
 def test_external_backend_unsat(tmp_path):
-    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "unsat"))
-    assert Solver(cfg).check_unsat(TRUE)
+    assert smt_check(_stub_solver(tmp_path, "unsat"), TRUE) == "unsat"
 
 
 def test_dnf_blowup_failover():
@@ -308,88 +313,78 @@ def test_dnf_blowup_failover():
     # lazy search decides them itself, in agreement with brute force
     diseqs = tuple(ne_(X, k) for k in range(13))
     for f, sat in ((And(diseqs), True), (And(diseqs + (X >= 0, X < 13)), False)):
-        assert Solver().check_sat(f).is_sat is sat
+        assert Solver().check_sat(f) is sat
         assert brute_force_sat(f, small_model_bound(f)) is sat
 
 
 def test_sort_conflict_is_rejected_by_both_backends(tmp_path):
     f = And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0))
-    external = SolverConfig(external_cmd=_stub_solver(tmp_path, "sat"))
-    for cfg in (SolverConfig(), external):
-        with pytest.raises(SortConflict):
-            Solver(cfg).check_sat(f)
+    with pytest.raises(SortConflict):
+        Solver().check_sat(f)
+    with pytest.raises(SortConflict):
+        smt_check(_stub_solver(tmp_path, "sat"), f)
 
 
 def test_unknown_policy_error(tmp_path):
-    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "unknown"))
-    with pytest.raises(SolverInconclusive):
-        Solver(cfg).check_unsat(TRUE)
+    with pytest.raises(AssertionError, match="disagreement on true"):
+        assert_agrees(_stub_solver(tmp_path, "unknown"), [TRUE])
+    assert_agrees(_stub_solver(tmp_path, "sat"), [TRUE])
 
 
 def test_unknown_policy_paper(tmp_path):
-    cfg = SolverConfig(
-        external_cmd=_stub_solver(tmp_path, "unknown"),
-        unknown_policy="paper",
-    )
-    # unknown counts as not-satisfiable: check_unsat true, entailment holds
-    assert Solver(cfg).check_unsat(TRUE)
-    assert Solver(cfg).entails(TRUE, FALSE)
+    # the retired paper policy read `unknown` as unsat, so entails(true, false)
+    # held; the agreement check takes `unknown` for neither verdict
+    with pytest.raises(AssertionError, match="disagreement on false"):
+        assert_agrees(_stub_solver(tmp_path, "unknown"), [FALSE])
+    assert_agrees(_stub_solver(tmp_path, "unsat"), [FALSE])
+    assert not Solver().entails(TRUE, FALSE)
+
+
+def test_oracle_sends_the_whole_script_on_stdin(tmp_path):
+    seen = tmp_path / "seen.smt2"
+    stub = tmp_path / "recorder.py"
+    stub.write_text(f"import sys\nopen({str(seen)!r}, 'w').write(sys.stdin.read())\nprint('sat')\n")
+    f = And((Z >= 10, Not(P), X < -3))
+    assert smt_check((sys.executable, str(stub)), f) == "sat"
+    assert seen.read_text() == smtlib_script(f)
+    assert "(< X (- 3))" in smtlib_script(f)
 
 
 def test_timeout_maps_to_unknown(tmp_path):
-    cfg = SolverConfig(external_cmd=_stub_solver(tmp_path, "hang"), timeout_ms=300)
-    result = Solver(cfg).check_sat(TRUE)
-    assert result.kind == "unknown"
-    assert "timeout" in result.reason
+    # the stub prints no verdict ("hang") if it is not stopped in time
+    assert smt_check(_stub_solver(tmp_path, "hang"), TRUE, timeout_s=1) == "unknown"
 
 
 def test_missing_solver_binary():
-    cfg = SolverConfig(external_cmd=("definitely-not-a-solver-xyz",))
-    with pytest.raises(ExternalSolverError):
-        Solver(cfg).check_sat(TRUE)
+    with pytest.raises(RuntimeError, match="^cannot run definitely-not-a-solver-xyz: "):
+        smt_check(("definitely-not-a-solver-xyz",), TRUE)
 
 
 def test_garbage_solver_output(tmp_path):
     path = tmp_path / "garbage.py"
     path.write_text("print('flubber')\n")
-    cfg = SolverConfig(external_cmd=(sys.executable, str(path)))
-    with pytest.raises(ExternalSolverError):
-        Solver(cfg).check_sat(TRUE)
+    with pytest.raises(RuntimeError, match="^no verdict from "):
+        smt_check((sys.executable, str(path)), TRUE)
 
 
 REAL_SOLVER = next(
-    (
-        (name, ("-in",) if name == "z3" else ())
-        for name in ("z3", "cvc5", "yices-smt2")
-        if shutil.which(name)
-    ),
+    ((name, "-in") if name == "z3" else (name,) for name in ("z3", "cvc5", "yices-smt2") if shutil.which(name)),
     None,
 )
 
 
-@pytest.mark.skipif(REAL_SOLVER is None, reason="no SMT solver installed")
+@pytest.mark.skipif(REAL_SOLVER is None, reason="no SMT solver (z3, cvc5 or yices-smt2) on PATH")
 def test_backend_agreement_against_real_solver():
-    name, extra = REAL_SOLVER
-    cfg = SolverConfig(external_cmd=(name, *extra))
-    external = Solver(cfg)
-    internal = Solver()
     rng = random.Random(5)
-    for _ in range(100):
-        f = fragment_formula(rng)
-        assert internal.check_sat(f).kind == external.check_sat(f).kind
-
-
-# ---------------------------------------------------------------------------
-# config validation
+    assert_agrees(REAL_SOLVER, [fragment_formula(rng) for _ in range(100)])
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(external_cmd=())
-    with pytest.raises(ValueError):
-        SolverConfig(timeout_ms=0)
-    with pytest.raises(ValueError):
-        SolverConfig(unknown_policy="shrug")
+        smt_check((), TRUE)
+    for timeout_s in (0, 0.5):
+        with pytest.raises(ValueError):
+            smt_check((sys.executable, "-c", "print('sat')"), TRUE, timeout_s=timeout_s)
 
 
 @given(formulas, formulas)
@@ -400,11 +395,15 @@ def test_entailment_memo_is_transparent(c, d):
         f = conjoin(left, negate(right))
         verdict = not brute_force_sat(f, small_model_bound(f))
         assert session.entails(left, right) is verdict
-        assert Solver().check_unsat(f) is verdict
+        assert (not Solver().check_sat(f)) is verdict
 
 
-class UnknownOnce(Solver):
-    """A session whose backend answers `unknown` to its first formula."""
+class Interrupted(Exception):
+    """A satisfiability check cut short, as by an interrupt or a resource limit."""
+
+
+class FailsOnce(Solver):
+    """A session whose first satisfiability check gives no answer."""
 
     def __init__(self):
         super().__init__()
@@ -412,21 +411,31 @@ class UnknownOnce(Solver):
 
     def check_sat(self, c):
         self.asked += 1
-        return unknown("timeout") if self.asked == 1 else super().check_sat(c)
+        if self.asked == 1:
+            raise Interrupted("check cut short")
+        return super().check_sat(c)
 
 
 def test_an_inconclusive_entailment_is_not_memoized():
-    session = UnknownOnce()
-    with pytest.raises(SolverInconclusive):
+    session = FailsOnce()
+    with pytest.raises(Interrupted):
         session.entails(Y < 5, Y < 20)
     assert session.entails(Y < 5, Y < 20)
     assert session.entails(Y < 5, Y < 20)
     assert session.asked == 2  # the third answer came from the entailment table
 
 
+def test_solver_takes_no_configuration():
+    # the external backend and its config are gone: one built-in procedure
+    with pytest.raises(TypeError):
+        Solver(None)
+    assert type(Solver().check_sat(Y < 5)) is bool
+    assert type(Solver().entails(Y < 5, Y < 20)) is bool
+
+
 def test_session_caching_is_transparent():
     s = Solver()
     f = And((Z >= 10, eq_(Z, 9)))
-    assert s.check_sat(f).is_unsat
-    assert s.check_sat(f).is_unsat
-    assert s.check_sat(And((eq_(Z, 9), Z >= 10))).is_unsat  # canonical-form hit
+    assert not s.check_sat(f)
+    assert not s.check_sat(f)
+    assert not s.check_sat(And((eq_(Z, 9), Z >= 10)))  # canonical-form hit
