@@ -14,22 +14,26 @@ conjunction -- and six observable rules drive execution:
 * recursion unfolds a recursive definition by substitution;
 * extrusion moves a process from an agent's space up to its parent.
 
-``step`` enumerates all single-rule successors of a state.  States are
-canonical by construction: each successor is built from its normalized
-parent by removing the rewritten process object and putting at most two
-new objects in key order (or replacing a store in place), reusing every
-other object and its stored hash and key, so ``step`` never re-normalizes
-a whole state.  It builds each successor (and ``normalize`` its result)
-with the key, hash and canonical flag taken straight from its objects'
-stored ones, without the checks of ``Node.__init__``; ``SysState(...)``
-and its ``_canon_here`` scan run only on raw states.  ``normalize`` stays
-total on raw states built by hand, and returns a state that is already
-normal as it is.  The rules are local (as in CCP: Saraswat, Rinard &
-Panangaden, POPL 1991), so ``explore`` and ``run`` hand ``step`` one memo
-of each process object's moves per store, which lasts for their call.
+``_transitions`` enumerates the moves of a state, one per rule applied at
+one position, and ``step`` and ``explore`` share it.  States are canonical
+by construction: each successor's objects are its normalized parent's
+with the rewritten process object removed and at most two new objects
+put in key order (or a store replaced in place), reusing every other
+object and its stored hash and key, so no successor is ever re-normalized
+as a whole.  A successor (and ``normalize``'s result) is built with the
+key, hash and canonical flag taken straight from its objects' stored
+ones, without the checks of ``Node.__init__``; ``SysState(...)`` and its
+``_canon_here`` scan run only on raw states.  ``normalize`` stays total on
+raw states built by hand, and returns a state that is already normal as
+it is.  The rules are local (as in CCP: Saraswat, Rinard & Panangaden,
+POPL 1991), so ``explore`` and ``run`` keep one memo of each process
+object's moves per store, which lasts for their call.
 
+``step`` builds every successor of a state, sorted; ``run`` uses it.
 ``explore`` is the breadth-first loop over all reachable states, the
-engine of ``search.search``.  ``run`` follows a single path instead: the
+engine of ``search.search``; it builds a successor as a state only when
+it is new, found by an O(1) fingerprint and its object tuple (see
+``explore``).  ``run`` follows a single path instead: the
 calculus has no choice operator, stores only grow and distinct
 transitions rewrite distinct objects, so any two distinct successors of a
 state have a common successor (the one-step diamond property).  Then
@@ -406,6 +410,46 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
     )
 
 
+def _transitions(objs: tuple, solver: Solver, memo: dict):
+    """The moves of the normalized state with objects objs, one rule at one
+    position each: (index of the rewritten process object, index of the
+    store it replaces or None, the new store or None, objects added).
+
+    A rule's result depends only on the process object, its agent's store
+    (or its absence) and, for a space, whether the child's store exists;
+    never on the rest of the state.  `memo` maps that triple to the
+    object's moves, so a caller that passes one dict to many calls rewrites
+    each process in each store once.  Of two equal process objects
+    (adjacent, since the objects are sorted) only the first is rewritten:
+    the second would give the same moves.
+    """
+    stores = {o.aid.path: (i, o.constraint) for i, o in enumerate(objs) if type(o) is StoreObj}
+    for i, o in enumerate(objs):
+        if type(o) is not ProcObj or (i and o == objs[i - 1]):
+            continue
+        path, p = o.aid.path, o.program
+        j, current = stores.get(path, (None, None))
+        key = (o, current, type(p) is Space and (p.agent,) + path in stores)
+        moves = memo.get(key)
+        if moves is None:
+            moves = memo[key] = _moves(o, current, key[2], solver)
+        for store, added in moves:
+            yield i, (None if store is None else j), store, added
+
+
+def _successor(objs: tuple, i: int, j, store, added: tuple) -> tuple:
+    """The objects of the successor that a move of `_transitions` makes:
+    objs with object i removed, store j replaced in place (stores are
+    ordered by agent) and the added objects put in key order."""
+    new = list(objs)
+    if j is not None:
+        new[j] = store
+    del new[i]
+    for a in added:
+        insort(new, a, key=obj_key)
+    return tuple(new)
+
+
 def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     """All states reachable from s by one rule applied at one position.
 
@@ -414,71 +458,83 @@ def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     most two new objects put in key order, or a store replaced in place;
     every other object is reused as it is.  So a successor is canonical as
     built, and gets its key, hash and flag from its objects' stored ones
-    (`_canonical_state`).  Of two equal process objects (adjacent, since the
-    objects are sorted) only the first is rewritten: the second would give
-    the same successors.
-
-    A rule's result depends only on the process object, its agent's store
-    (or its absence) and, for a space, whether the child's store exists;
-    never on the rest of the state.  `memo` maps that triple to the
-    object's moves, so a caller that passes one dict to many calls (as
-    `explore` and `run` do, for one call of theirs) rewrites each process
-    in each store once.
+    (`_canonical_state`).  `memo` is `_transitions`' memo of moves: a
+    caller that passes one dict to many calls (as `run` does, for one call
+    of its own) rewrites each process in each store once.
     """
     objs = normalize(s).objects
-    stores = {o.aid: (i, o.constraint) for i, o in enumerate(objs) if isinstance(o, StoreObj)}
-    memo = {} if memo is None else memo
-    out = set()
-    for i, o in enumerate(objs):
-        if not isinstance(o, ProcObj) or (i and o == objs[i - 1]):
-            continue
-        j, current = stores.get(o.aid, (None, None))
-        p = o.program
-        key = (o, current, isinstance(p, Space) and o.aid.child(p.agent) in stores)
-        moves = memo.get(key)
-        if moves is None:
-            moves = memo[key] = _moves(o, current, key[2], solver)
-        for store, added in moves:
-            new = list(objs)
-            if store is not None:
-                new[j] = store  # a store keeps its place: stores are ordered by agent
-            del new[i]
-            for a in added:
-                insort(new, a, key=obj_key)
-            out.add(_canonical_state(tuple(new)))
+    moves = _transitions(objs, solver, {} if memo is None else memo)
+    out = {_canonical_state(_successor(objs, *move)) for move in moves}
     return sorted(out, key=state_key)
+
+
+def _shift(fp: int, out: tuple, into: tuple) -> int:
+    """The fingerprint of the state whose objects are those of a state with
+    fingerprint fp, less the objects `out`, plus the objects `into`.  A
+    state's fingerprint is the sum of its objects' stored hashes, so it is
+    updated in O(1) per move (Zobrist, 1970); equal states have equal
+    fingerprints, and unequal ones may share one."""
+    return fp - sum(map(_obj_hash, out)) + sum(map(_obj_hash, into))
 
 
 def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> tuple:
     """Breadth-first search of every state reachable from normalize(init)
     within max_depth steps.
 
-    States are numbered in discovery order (init is 0, successors come in
-    key order), and `visit(state, index, successors)` is called on each in
-    that order before its successors are queued; a true return stops there.
-    Returns (states explored, depth reached, whether the depth bound kept a
-    new state out, whether `visit` stopped the search).
+    States are numbered in discovery order (init is 0, the new successors
+    of a state come in key order), and `visit(state, index, has_successor)`
+    is called on each in that order before its successors are queued; a
+    true return stops there.  Returns (states explored, depth reached,
+    whether the depth bound kept a new state out, whether `visit` stopped
+    the search).
+
+    A successor is built as a `SysState` only when it is new.  Each state
+    carries a fingerprint (`_shift`), and each move gives its successor's
+    fingerprint from its parent's in O(1) and the successor's object tuple
+    from its parent's (`_successor`).  A per-call table maps each
+    fingerprint to the object tuples of the states met with it, and a
+    successor whose tuple is already there is skipped.  Tuples are
+    compared, so two states that share a fingerprint are never merged.
+    The new successors of a state at the depth bound are never built.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     start = normalize(init)
-    memo: dict = {}  # the local moves of step, for this call only
-    seen = {start: 0}  # state -> discovery number
-    queue = deque([(start, 0)])
-    cut = False
+    memo: dict = {}  # the local moves of _transitions, for this call only
+    fp = _shift(0, (), start.objects)
+    table = {fp: [start.objects]}  # fingerprint -> object tuples met, for this call only
+    queue = deque([(start, 0, 0, fp)])  # (state, discovery number, depth, fingerprint)
+    explored, cut = 1, False
     while queue:
-        state, depth = queue.popleft()
-        succs = step(state, solver, memo)
-        if visit(state, seen[state], succs):
-            return len(seen), depth, cut, True
-        for t in succs:
-            if t not in seen:
-                if depth >= max_depth:
-                    cut = True
-                    continue
-                seen[t] = len(seen)
-                queue.append((t, depth + 1))
-    return len(seen), depth, cut, False
+        state, index, depth, fp = queue.popleft()
+        objs = state.objects
+        fresh, moved = [], False
+        for i, j, store, added in _transitions(objs, solver, memo):
+            moved = True
+            if j is None:
+                f = _shift(fp, (objs[i],), added)
+            else:
+                f = _shift(fp, (objs[i], objs[j]), (store,))
+            new = _successor(objs, i, j, store, added)
+            bucket = table.get(f)
+            if bucket is None:
+                table[f] = [new]
+            elif new in bucket:
+                continue
+            else:
+                bucket.append(new)
+            fresh.append((new, f))
+        if visit(state, index, moved):
+            return explored, depth, cut, True
+        if fresh and depth >= max_depth:
+            cut = True
+            continue
+        succs = [(_canonical_state(new), f) for new, f in fresh]
+        succs.sort(key=lambda pair: pair[0]._key)
+        for t, f in succs:
+            queue.append((t, explored, depth + 1, f))
+            explored += 1
+    return explored, depth, cut, False
 
 
 class RunResult(Record):

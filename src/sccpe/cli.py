@@ -190,8 +190,8 @@ def _cmd_search(args, out, err) -> int:
         max_solutions=args.max_solutions,
     )
     if args.format == "json":
-        # the witnesses repeat a few (agent, store) pairs many times: build
-        # each once, so that render.dumps encodes it once
+        # the witnesses repeat a few (agent, store) pairs and bindings many
+        # times: build each once, so that render.dumps encodes it once
         witness = cache(
             lambda aid, c: {
                 "aid": list(aid.path),
@@ -199,6 +199,7 @@ def _cmd_search(args, out, err) -> int:
                 "store_term": render.formula_to_obj(c),
             }
         )
+        witnesses = cache(lambda binding: [witness(aid, c) for aid, c in binding])
         doc = {
             "command": "search",
             "query": query_label,
@@ -206,7 +207,7 @@ def _cmd_search(args, out, err) -> int:
                 {
                     "solution": i,
                     "state": m.state_index,
-                    "witnesses": [witness(aid, c) for aid, c in m.witnesses],
+                    "witnesses": witnesses(m.witnesses),
                 }
                 for i, m in enumerate(outcome.matches, start=1)
             ],

@@ -12,10 +12,12 @@ Three built-in safety queries plus a user predicate hook:
 ``search`` is a front end of ``calculus.explore``, the one breadth-first
 loop over canonical states: it evaluates the query on the states explore
 visits and reports every witness binding inside every matching state, in
-a fully deterministic order: states in discovery order (successors sorted
-by canonical key), witnesses in canonical (agent, store) order.  The
-built-in queries read only the stores, so one call of ``search``
-evaluates each of them once per distinct tuple of store objects.
+a fully deterministic order: states in discovery order (new successors
+sorted by canonical key), witnesses in canonical (agent, store) order.
+Explore tells ``search`` whether a state has a successor, not which: in
+'terminal' mode only successor-free states are tested.  The built-in
+queries read only the stores, so one call of ``search`` evaluates each of
+them once per distinct tuple of store objects.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ def search(
     matches: list[Match] = []
     memo: dict = {}  # the bindings of each store tuple, for this call only
 
-    def visit(state: SysState, index: int, succs: list) -> bool:
-        if mode == "terminal" and succs:
+    def visit(state: SysState, index: int, has_successor: bool) -> bool:
+        if mode == "terminal" and has_successor:
             return False
         # The built-in queries read the stores and nothing else; a Predicate
         # sees the whole state, which explore visits once.

@@ -60,6 +60,17 @@ def reference_bfs(init, solver, max_depth):
     return seen, bool(layer), terminal
 
 
+def reference_depth(init, solver, max_depth):
+    """The greatest distance from normalize(init), in steps, of a state
+    within max_depth steps."""
+    seen, layer, far = set(), {normalize(init)}, -1
+    while layer and far < max_depth:
+        seen |= layer
+        far += 1
+        layer = set().union(*(oracle_step(s, solver) for s in layer)) - seen
+    return far
+
+
 def reference_path_length(init, solver, max_steps):
     """Number of states on the path that takes the least successor in key
     order at each step, up to a successor-free or repeated state or
@@ -163,6 +174,60 @@ def test_step_builds_each_successor_once(solver, monkeypatch):
         assert not checked, f"step built a successor of {s} through SysState.__init__"
         assert len(built) == len(succs), f"a successor of {s} was built twice"
         assert set(succs) == oracle_step(s, solver)
+
+
+# The acceptance systems and the cycle program, whose states never close.
+EXPLORED = {**ACCEPTANCE_SYSTEMS, "cycle-program": lambda: elaborate(parse(CYCLE_PROGRAM))}
+
+
+def numbered(init, solver, max_depth):
+    """explore's result and its visits, as (state, index, has_successor)."""
+    visits = []
+    result = explore(init, solver, max_depth, lambda *args: visits.append(args))
+    return result, visits
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORED))
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_explore_builds_each_state_once(name, depth, solver, monkeypatch):
+    """`explore` builds a state only when it numbers it: a successor that
+    was seen before is found by its objects, never built as a state."""
+    init = EXPLORED[name]()
+    module = importlib.import_module("sccpe.calculus")
+    built, checked = [], []
+    trusted, checked_init = module._canonical_state, SysState.__init__
+    monkeypatch.setattr(module, "_canonical_state", lambda objs: built.append(objs) or trusted(objs))
+    monkeypatch.setattr(SysState, "__init__", lambda s, *a: checked.append(a) or checked_init(s, *a))
+    (explored, _, _, _), visits = numbered(init, solver, depth)
+    monkeypatch.undo()
+    assert not checked, "explore built a state through SysState.__init__"
+    # one build per numbered state but the initial one, which `normalize`
+    # builds only when it is not normal yet
+    assert len(built) == explored - init._canon
+    assert set(built) == {s.objects for s, _, _ in visits[init._canon :]}
+    assert [more for _, _, more in visits] == [bool(step(s, solver)) for s, _, _ in visits]
+
+
+# Within 64 steps the cycle program has 7,761 states, too many to compare
+# each new one with every state met so far.
+COLLIDING = [(name, depth) for name in sorted(ACCEPTANCE_SYSTEMS) for depth in DEPTHS]
+COLLIDING += [("cycle-program", depth) for depth in (0, 1, 2, 3, 4, 8)]
+
+
+@pytest.mark.parametrize("name, depth", COLLIDING)
+def test_fingerprint_collisions_never_merge_states(name, depth, solver, monkeypatch):
+    """With every state's fingerprint the same, `explore` tells states apart
+    by their objects alone and numbers, cuts and stops as before."""
+    init = EXPLORED[name]()
+    result, visits = numbered(init, solver, depth)
+    module = importlib.import_module("sccpe.calculus")
+    monkeypatch.setattr(module, "_shift", lambda fp, out, into: 0)
+    assert numbered(init, solver, depth) == (result, visits)
+    seen, truncated, _ = reference_bfs(init, solver, depth)
+    explored, reached, cut, stopped = result
+    assert {s for s, _, _ in visits} == seen
+    assert [i for _, i, _ in visits] == list(range(explored)) == list(range(len(seen)))
+    assert (reached, cut, stopped) == (reference_depth(init, solver, depth), truncated, False)
 
 
 class Interrupted(Exception):
