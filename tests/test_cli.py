@@ -218,18 +218,81 @@ def test_depth_warning_fires_when_the_cap_also_stopped_the_search():
             assert len(doc["solutions"]) == 1
 
 
-def test_bad_bounds_are_usage_errors():
-    for argv in (
-        ["run", MESSAGE, "--max-depth", "-1"],
-        ["search", MESSAGE, "--query", "inconsistent", "--max-depth", "-1"],
-        ["search", MESSAGE, "--query", "inconsistent", "--max-solutions", "0"],
-        ["search", MESSAGE, "--query", "inconsistent", "--max-solutions", "-1"],
-        ["search", MESSAGE, "--query", "inconsistent", "--max-solutions", "many"],
-    ):
-        code, out, err = invoke(argv)
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: argument {argv[-2]}: ")
+# Every usage error, pinned byte for byte: an argv and the one line it prints
+# to stderr, with exit code 1 and empty stdout.
+Q = ["--query", "inconsistent"]
+COMMANDS = "(choose from 'run', 'search', 'check')"
+FORMATS = "(choose from 'text', 'json')"
+SOLUTIONS = "argument --max-solutions"
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], f"argument command: invalid choice: 'frobnicate' {COMMANDS}"),
+    (["--format", "json", "run", MESSAGE], f"argument command: invalid choice: 'json' {COMMANDS}"),
+    (["run"], "the following arguments are required: FILE"),
+    (["search"], "the following arguments are required: FILE, --query"),
+    (["search", MESSAGE], "the following arguments are required: --query"),
+    (["search", "--query", "equiv", MESSAGE], "the following arguments are required: FILE"),
+    (["search", MESSAGE, "--query"], "argument --query: expected at least one argument"),
+    (["check", "-", "--entails", "X > 1"], "argument --entails: expected 2 arguments"),
+    (["check", "-", "--entails=X > 1", "X > 0"], "argument --entails: expected 2 arguments"),
+    (["run", MESSAGE, "--format"], "argument --format: expected one argument"),
+    (["run", MESSAGE, "--format", "xml"], f"argument --format: invalid choice: 'xml' {FORMATS}"),
+    (["run", MESSAGE, "--format=xml"], f"argument --format: invalid choice: 'xml' {FORMATS}"),
+    (
+        ["search", MESSAGE, "--query", "equiv", "--mode", "sometimes"],
+        "argument --mode: invalid choice: 'sometimes' (choose from 'any', 'final')",
+    ),
+    (["run", MESSAGE, "--max-depth", "x"], "argument --max-depth: invalid int value: 'x'"),
+    (["run", MESSAGE, "--max-depth", "-1"], "argument --max-depth: must be at least 0, got -1"),
+    (["search", MESSAGE, *Q, "--max-depth", "-1"], "argument --max-depth: must be at least 0, got -1"),
+    (["search", MESSAGE, *Q, "--max-solutions", "0"], f"{SOLUTIONS}: must be at least 1, got 0"),
+    (["search", MESSAGE, *Q, "--max-solutions", "-1"], f"{SOLUTIONS}: must be at least 1, got -1"),
+    (["search", MESSAGE, *Q, "--max-solutions", "many"], f"{SOLUTIONS}: invalid int value: 'many'"),
+    (["run", MESSAGE, "extra"], "unrecognized arguments: extra"),
+    (["--verbose", "run", MESSAGE, "-x", "1"], "unrecognized arguments: --verbose -x 1"),
+    (["run", MESSAGE, "--", "--format"], "unrecognized arguments: --format"),
+    (
+        ["search", MESSAGE, "--query", "equiv", "--max", "3"],
+        "ambiguous option: --max could match --max-depth, --max-solutions",
+    ),
+    (
+        ["search", MESSAGE, "--max-depth", "x", "--m=3"],  # every option is read before any value
+        "ambiguous option: --m=3 could match --mode, --max-depth, --max-solutions",
+    ),
+    (["run", MESSAGE, "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (
+        ["search", MESSAGE, "--query", "nonsense"],
+        "unknown query 'nonsense' (expected inconsistent, entails, or equiv)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    USAGE_ERRORS,
+    ids=[" ".join(map(os.path.basename, argv)) or "no arguments" for argv, _ in USAGE_ERRORS],
+)
+def test_usage_errors(argv, message):
+    assert invoke(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["run", MESSAGE, "--max-depth=3"],
+        ["run", MESSAGE, "--max-d", "3"],
+        ["run", "--max-depth", "3", "--format", "json", MESSAGE],
+        ["run", "--max-depth", "3", "--", MESSAGE],
+        ["run", "-", "--max-depth", "3"],
+    ),
+    ids=lambda argv: " ".join(map(os.path.basename, argv)),
+)
+def test_accepted_argument_forms(argv):
+    # each form reads --max-depth 3: the warning names the bound
+    stdin = (PROGRAMS / "message.sccp").read_text() if "-" in argv else ""
+    code, out, err = invoke(argv, stdin)
+    assert (code, err) == (0, "warning: depth bound 3 reached before closure\n")
+    assert out.startswith("{") == ("json" in argv)
 
 
 # The solver backend flags are gone: the built-in solver decides every formula.
@@ -366,15 +429,6 @@ def test_warning_does_not_block(tmp_path):
     code, out, err = invoke(["run", str(program)])
     assert code == 0
     assert "warning" in err
-
-
-def test_usage_error_exit_code():
-    code, out, err = invoke(["search", MESSAGE])  # missing --query
-    assert code == 1
-    code, out, err = invoke(["frobnicate"])
-    assert code == 1
-    code, out, err = invoke(["search", MESSAGE, "--query", "nonsense"])
-    assert code == 1
 
 
 def test_missing_file_exit_code():
