@@ -1,27 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: the subcommands ``run``, ``search`` and ``check``,
+with the flags that USAGE lists and ``-h`` or ``--help`` prints.
 
-Subcommands:
-
-* ``run FILE``     parse, validate, elaborate, and follow one path to the
-                   terminal state, printed as a space tree (or JSON);
-* ``search FILE --query inconsistent | entails FORMULA | equiv``
-                   reachability queries with numbered solutions and a
-                   ``states: N  solutions: M`` summary;
-* ``check FILE --entails C1 C2``
-                   a one-off entailment check (prints true/false).
-
-``FILE`` is a program path or ``-`` for standard input.  Every formula is
-decided by the built-in solver, which never answers "unknown".  Exit codes:
-0 success (a "No solution." outcome is a success), 1 usage/parse/validate
-error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 3 internal
-error.
+``run`` follows one path to the terminal state and prints it as a space tree
+(or JSON); ``search`` answers a reachability query with numbered solutions
+and a ``states: N  solutions: M`` summary; ``check`` prints whether C1
+entails C2.  ``FILE`` is a program path or ``-`` for standard input.  A
+flag's value follows it (``--max-depth 3``) or is attached by ``=``
+(``--max-depth=3``), a unique prefix names a flag (``--max-d 3``), flags may
+come before ``FILE``, and after ``--`` every argument is a value.  Every
+formula is decided by the built-in solver, which never answers "unknown".
+Exit codes: 0 success (a "No solution." outcome is a success), 1 usage/parse/
+validate error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 3
+internal error.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from . import lang, render
 from .calculus import run as run_engine
@@ -43,53 +41,102 @@ class _InputError(Exception):
     """Diagnostics already printed; abort with the usage exit code."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        raise _UsageError(message)
+# What -h and --help print: the usage block of the README's "Command line".
+USAGE = '''\
+sccpe run FILE [--max-depth N] [--format text|json]
+sccpe search FILE --query inconsistent | entails "FORMULA" | equiv
+            [--mode any|final] [--max-depth N] [--max-solutions N] [--format text|json]
+sccpe check FILE --entails "C1" "C2"'''
+
+# Each subcommand's flags, in the order an "ambiguous option" error lists
+# them: flag -> (arity, check, default).  Arity "+" takes every value that
+# follows; a check is a tuple of choices or an integer lower bound.
+_HELP = {"-h": (0, None, None), "--help": (0, None, None)}
+_FORMAT = {**_HELP, "--format": (1, ("text", "json"), "text")}
+_FLAGS = {
+    "run": {**_FORMAT, "--max-depth": (1, 0, 64)},
+    "search": {**_FORMAT, "--query": ("+", None, None), "--mode": (1, ("any", "final"), "any"),
+               "--max-depth": (1, 0, 64), "--max-solutions": (1, 1, None)},
+    "check": {**_FORMAT, "--entails": (2, None, None)},
+}
+_REQUIRED = ("--query", "--entails")
+_EXPECTED = {1: "one argument", 2: "2 arguments", "+": "at least one argument"}
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option
 
 
-def _at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
+def _option(arg: str, flags: dict):
+    """None for a value, () for "--", else the flag that `arg` names or
+    abbreviates (None if none) and the value "=" attaches (None if none)."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return () if arg == "--" else None
+    name, eq, value = arg.partition("=")
+    if name not in flags and arg[1] != "-" and arg[:2] in flags:  # -hX, and -hh is -h twice
+        value = arg[2:].lstrip(arg[1])
+        name, eq = arg[:2], value != ""
+    hits = [name] if name in flags else [f for f in flags if f.startswith(name) and arg[1] == "-"]
+    if len(hits) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits or not (_NUMBER.match(arg) or " " in arg):
+        return (hits[0] if hits else None), (value if eq else None)
+    return None
 
-    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
-    return parse
+
+def _value(name: str, check, text: str):
+    """`text` checked against a tuple of choices or an integer lower bound."""
+    if isinstance(check, tuple):
+        if text in check:
+            return text
+        listed = ", ".join(map(repr, check))
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} (choose from {listed})")
+    try:
+        number = int(text)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if number < check:
+        raise _UsageError(f"argument {name}: must be at least {check}, got {number}")
+    return number
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", metavar="FILE", help="program file, or - for stdin")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sccpe", description="Run and analyze spatial constraint programs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a program to its terminal states")
-    _common_flags(p_run)
-    p_run.add_argument("--max-depth", type=_at_least(0), default=64, metavar="N")
-
-    p_search = sub.add_parser("search", help="reachability query over all executions")
-    _common_flags(p_search)
-    p_search.add_argument(
-        "--query",
-        nargs="+",
-        required=True,
-        metavar="QUERY",
-        help="inconsistent | entails FORMULA | equiv",
-    )
-    p_search.add_argument("--mode", choices=("any", "final"), default="any")
-    p_search.add_argument("--max-depth", type=_at_least(0), default=64, metavar="N")
-    p_search.add_argument("--max-solutions", type=_at_least(1), default=None, metavar="N")
-
-    p_check = sub.add_parser("check", help="one-off entailment between two constraints")
-    _common_flags(p_check)
-    p_check.add_argument("--entails", nargs=2, required=True, metavar=("C1", "C2"))
-
-    return parser
+def _read_args(argv: list):
+    """The subcommand and its arguments, or None if help is asked for.  All
+    of a subcommand's options are told from its values before any value is
+    read, so an ambiguous option is reported before a bad value."""
+    args, flags, extras, input_at = SimpleNamespace(command=None, input=None), _HELP, [], 0
+    rest = [(arg, _option(arg, flags)) for arg in argv]
+    while rest:
+        arg, kind = rest.pop(0)
+        if args.command is None and (kind is None or kind == () and rest):  # a last "--" is none
+            args.command, flags = _value("command", tuple(_FLAGS), arg), _FLAGS[arg]
+            vars(args).update((f[2:].replace("-", "_"), d) for f, (n, _, d) in flags.items() if n)
+            cut = next((j for j, (a, _) in enumerate(rest) if a == "--"), len(rest))
+            rest = [(a, _option(a, flags) if j <= cut else None) for j, (a, _) in enumerate(rest)]
+        elif kind == ():  # "--": every argument after it is a value
+            if args.input is not None and len(rest) != input_at - 1:  # unless FILE is next to it
+                extras.append(arg)
+        elif kind is None and args.input is None:
+            args.input, input_at = arg, len(rest)
+        elif kind is None or kind[0] is None:
+            extras.append(arg)
+        else:
+            (flag, value), (arity, check, _) = kind, flags[kind[0]]
+            if arity == 0 and value is None:
+                return None
+            if arity == 0:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            values = [] if value is None else [value]
+            while value is None and rest and rest[0][1] is None and (arity == "+" or len(values) < arity):
+                values.append(rest.pop(0)[0])
+            if len(values) < (1 if arity == "+" else arity):
+                raise _UsageError(f"argument {flag}: expected {_EXPECTED[arity]}")
+            got = _value(flag, check, values[0]) if arity == 1 else values
+            setattr(args, flag[2:].replace("-", "_"), got)
+    missing = ["FILE" if args.command else "command"] * (args.input is None)
+    missing += [flag for flag in _REQUIRED if flag in flags and getattr(args, flag[2:]) is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _load_program(path: str):
@@ -256,9 +303,11 @@ def _cmd_check(args, out, err) -> int:
 
 def main(argv=None) -> int:
     out, err = sys.stdout, sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _read_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(USAGE, file=out)
+            return EXIT_OK
         if args.command == "run":
             return _cmd_run(args, out, err)
         if args.command == "search":

@@ -218,7 +218,7 @@ def test_depth_warning_fires_when_the_cap_also_stopped_the_search():
             assert len(doc["solutions"]) == 1
 
 
-# Every usage error, pinned byte for byte: an argv and the one line it prints
+# The usage errors, pinned byte for byte: an argv and the one line it prints
 # to stderr, with exit code 1 and empty stdout.
 Q = ["--query", "inconsistent"]
 COMMANDS = "(choose from 'run', 'search', 'check')"
@@ -251,6 +251,8 @@ USAGE_ERRORS = [
     (["run", MESSAGE, "extra"], "unrecognized arguments: extra"),
     (["--verbose", "run", MESSAGE, "-x", "1"], "unrecognized arguments: --verbose -x 1"),
     (["run", MESSAGE, "--", "--format"], "unrecognized arguments: --format"),
+    (["run", MESSAGE, "--format", "json", "--", "G"], "unrecognized arguments: -- G"),
+    (["--"], "the following arguments are required: command"),
     (
         ["search", MESSAGE, "--query", "equiv", "--max", "3"],
         "ambiguous option: --max could match --max-depth, --max-solutions",
@@ -293,6 +295,21 @@ def test_accepted_argument_forms(argv):
     code, out, err = invoke(argv, stdin)
     assert (code, err) == (0, "warning: depth bound 3 reached before closure\n")
     assert out.startswith("{") == ("json" in argv)
+
+
+def test_help_prints_the_readme_usage_block():
+    # the block under "## Command line" in the README, fence to fence
+    readme = (PROGRAMS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```\n", 2)[1]
+    for argv in (
+        ["--help"],
+        ["-h"],
+        ["search", "-h"],
+        ["run", MESSAGE, "--he"],
+        ["run", "-hh"],
+        ["--x", "check", "-h"],
+    ):
+        assert invoke(argv) == (0, block, "")
 
 
 # The solver backend flags are gone: the built-in solver decides every formula.

@@ -2,9 +2,10 @@
 
 Start-up is most of a CLI call on small programs, so the modules that cost
 it most must stay out: `dataclasses` (which pulls in `inspect`, `ast` and
-`dis`), `inspect` itself, and `subprocess` and `shlex`, which nothing in the
-package needs.  The test checks the set of loaded modules, not a timing, so
-it does not depend on the machine's speed.
+`dis`), `inspect` itself, `argparse` (which pulls in `gettext` and `locale`),
+and `subprocess` and `shlex`, which nothing in the package needs.  The tests
+check the set of loaded modules, not a timing, so they do not depend on the
+machine's speed.
 """
 
 from __future__ import annotations
@@ -13,20 +14,24 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import sccpe
+from conftest import PROGRAMS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sccpe.__file__)))
+MESSAGE = (PROGRAMS / "message.sccp").read_text(encoding="utf-8")
 
 
-HEAVY = {"dataclasses", "inspect", "subprocess", "shlex"}
+HEAVY = {"dataclasses", "inspect", "subprocess", "shlex", "argparse", "gettext", "locale"}
 
 
-def _loaded_after(code: str) -> set:
+def _loaded_after(code: str, stdin: str = "") -> set:
     """The modules loaded after `code` runs in a new isolated interpreter
-    that finds sccpe in SRC."""
+    that finds sccpe in SRC and reads `stdin`."""
     code = f"import sys; sys.path.insert(0, {SRC!r}); {code}; print(sorted(sys.modules))"
     argv = [sys.executable, "-I", "-c", code]
-    proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(argv, input=stdin, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(eval(proc.stdout.splitlines()[-1]))
 
@@ -45,4 +50,17 @@ def test_a_check_call_loads_no_subprocess():
         "assert main(['check', '-', '--entails', 'X > 1', 'X > 0']) == 0"
     )
     assert "sccpe.solver" in loaded
+    assert not loaded & HEAVY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["run", "-"], ["search", "-", "--query", "equiv", "--format", "json"]),
+    ids=lambda argv: argv[0],
+)
+def test_a_whole_run_or_search_call_stays_light(argv):
+    # a whole call on a program from stdin: reading the arguments, the
+    # engine and the output load none of the heavy modules either
+    loaded = _loaded_after(f"from sccpe.cli import main; assert main({argv!r}) == 0", MESSAGE)
+    assert "sccpe.calculus" in loaded
     assert not loaded & HEAVY
