@@ -48,11 +48,10 @@ from .formula import (
     negate,
 )
 from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, validate
-from .render import render_tree, state_from_json, state_to_json
+from .render import render_tree
 from .search import (
     InconsistentStore,
     Match,
-    Predicate,
     Query,
     SearchOutcome,
     StoreEntails,

@@ -611,6 +611,8 @@ def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
     elif isinstance(f, (BoolEq, BoolNeq)):  # l = r is not(l xor r), l =/= r is l xor r
         _lower(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), goal, sorts)
     elif isinstance(f, Cmp):
+        if f.op not in _NEG_OP:
+            raise TypeError(f"unknown comparison operator {f.op!r}")
         _compare(f.op if pos else _NEG_OP[f.op], f.left, f.right, goal, sorts)
     else:
         raise TypeError(f"not a formula: {f!r}")

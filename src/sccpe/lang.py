@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .calculus import (
+    PROC_KINDS,
     ROOT,
     AgentId,
     Ask,
@@ -56,6 +57,7 @@ from .formula import (
     Sort,
     Var,
     canonicalize,
+    children,
     conjoin,
 )
 
@@ -497,31 +499,25 @@ def validate(ast: ProgramAst) -> list:
     return diags
 
 
+def _subprocesses(p: Process) -> list:
+    """The processes directly inside p, in field order."""
+    return [c for c in children(p) if type(c) in PROC_KINDS]
+
+
 def _check_scopes(p: Process, bound: frozenset, line: ProcessLine, diags: list) -> None:
-    if isinstance(p, ProcVar):
-        if p.var not in bound:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    line.line,
-                    line.col,
-                    f"process variable v({p.var}) is not bound by an enclosing r({p.var}, ...)",
-                )
+    if isinstance(p, ProcVar) and p.var not in bound:
+        diags.append(
+            Diagnostic(
+                "error",
+                line.line,
+                line.col,
+                f"process variable v({p.var}) is not bound by an enclosing r({p.var}, ...)",
             )
-        return
+        )
     if isinstance(p, Rec):
-        _check_scopes(p.body, bound | {p.var}, line, diags)
-        return
-    if isinstance(p, Ask):
-        _check_scopes(p.then, bound, line, diags)
-        return
-    if isinstance(p, Par):
-        for a in p.args:
-            _check_scopes(a, bound, line, diags)
-        return
-    if isinstance(p, (Space, Extr)):
-        _check_scopes(p.body, bound, line, diags)
-        return
+        bound = bound | {p.var}
+    for q in _subprocesses(p):
+        _check_scopes(q, bound, line, diags)
 
 
 def _check_recursion(p: Process, line: ProcessLine, diags: list) -> None:
@@ -548,18 +544,8 @@ def _check_recursion(p: Process, line: ProcessLine, diags: list) -> None:
                     f"recursion r({p.var}, ...): v({p.var}) is not guarded by an ask",
                 )
             )
-        _check_recursion(p.body, line, diags)
-        return
-    if isinstance(p, Ask):
-        _check_recursion(p.then, line, diags)
-        return
-    if isinstance(p, Par):
-        for a in p.args:
-            _check_recursion(a, line, diags)
-        return
-    if isinstance(p, (Space, Extr)):
-        _check_recursion(p.body, line, diags)
-        return
+    for q in _subprocesses(p):
+        _check_recursion(q, line, diags)
 
 
 def _unguarded_occurrence(p: Process, var: int, saw_true_ask: bool):
@@ -569,24 +555,18 @@ def _unguarded_occurrence(p: Process, var: int, saw_true_ask: bool):
             return "true-ask" if saw_true_ask else "bare"
         return None
     if isinstance(p, Ask):
-        if canonicalize(p.guard) == TRUE:
-            return _unguarded_occurrence(p.then, var, True)
-        return None  # a real guard bounds every occurrence below it
-    if isinstance(p, Par):
-        worst = None
-        for a in p.args:
-            got = _unguarded_occurrence(a, var, saw_true_ask)
-            if got == "bare":
-                return "bare"
-            worst = worst or got
-        return worst
-    if isinstance(p, (Space, Extr)):
-        return _unguarded_occurrence(p.body, var, saw_true_ask)
-    if isinstance(p, Rec):
-        if p.var == var:
-            return None  # rebound inside
-        return _unguarded_occurrence(p.body, var, saw_true_ask)
-    return None
+        if canonicalize(p.guard) != TRUE:
+            return None  # a real guard bounds every occurrence below it
+        saw_true_ask = True
+    if isinstance(p, Rec) and p.var == var:
+        return None  # rebound inside
+    worst = None
+    for q in _subprocesses(p):
+        got = _unguarded_occurrence(q, var, saw_true_ask)
+        if got == "bare":
+            return "bare"
+        worst = worst or got
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ resident process on a ``* ``-prefixed line before the child spaces:
 The JSON schema is ``{"objects": [{"kind": "store"|"process",
 "aid": [n, ...], "payload": <tagged term>}]}`` with the agent path
 innermost-first and payloads as nested ``{"op": ...}`` objects in
-canonical order; ``state_from_json(state_to_json(s)) == s`` for every
-normalized state.
+canonical order.  The document determines the state: the reader in the
+test suite, ``tests/state_reader.py``, rebuilds every normalized state
+from it.
 
 The CLI's ``--format json`` documents are written by ``dumps``, which
 prints the bytes of ``json.dumps(doc, indent=2)`` but encodes each shared
@@ -27,17 +28,13 @@ each of them again every time.
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .calculus import (
-    PROC_KINDS,
-    AgentId,
     Ask,
     Extr,
     Nil,
     Par,
-    ProcObj,
     ProcVar,
     Rec,
     Space,
@@ -45,33 +42,24 @@ from .calculus import (
     SysState,
     Tell,
     format_process,
-    normalize,
     process_key,
 )
 from .formula import (
-    BOOL_KINDS,
-    INT_KINDS,
     And,
     BoolConst,
     BoolEq,
     BoolNeq,
     Cmp,
-    FALSE,
     Formula,
     Implies,
     IntLit,
     Not,
     Or,
-    Sort,
     TRUE,
     Var,
     Xor,
     format_formula,
 )
-
-
-class JsonFormatError(ValueError):
-    """Malformed state document; the message carries the offending path."""
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +160,6 @@ def state_to_obj(s: SysState) -> dict:
     return {"objects": objects}
 
 
-def state_to_json(s: SysState) -> str:
-    return json.dumps(state_to_obj(s), separators=(", ", ": "))
-
-
 _FLOAT_WORDS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
@@ -230,97 +214,3 @@ def dumps(doc) -> str:
         return text
 
     return encode(doc, "")
-
-
-# ---------------------------------------------------------------------------
-# JSON decoding
-
-
-def _need(obj: dict, key: str, path: str):
-    if not isinstance(obj, dict):
-        raise JsonFormatError(f"{path}: expected an object, found {type(obj).__name__}")
-    if key not in obj:
-        raise JsonFormatError(f"{path}: missing key {key!r}")
-    return obj[key]
-
-
-def _int_at(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise JsonFormatError(f"{path}: expected an integer")
-    return value
-
-
-_CLASS_OF = {op: cls for cls, op in _OP_NAME.items()} | {"true": BoolConst, "false": BoolConst}
-_CMP_OPS = ("<", "<=", ">", ">=", "===", "=/==")
-
-
-def obj_to_formula(obj, path: str = "$", kinds: set = BOOL_KINDS):
-    """Node decoded from its tagged JSON object, of one of `kinds`: a
-    formula (the default), an integer expression or a process.  A node
-    of another kind, or a variable of the other sort, is rejected."""
-    op = _need(obj, "op", path)
-    cls = _CLASS_OF.get(op) if isinstance(op, str) else None
-    if cls is None:
-        raise JsonFormatError(f"{path}.op: unknown constructor {op!r}")
-    if cls not in kinds:
-        noun = "an integer expression" if kinds is INT_KINDS else "a formula"
-        noun = "a process" if kinds is PROC_KINDS else noun
-        raise JsonFormatError(f"{path}.op: expected {noun}, found {op!r}")
-    if cls is BoolConst:
-        return TRUE if op == "true" else FALSE
-    kids = {name: kid_kinds for name, kid_kinds, _ in cls._kids}
-    fields = []
-    for name in cls.__match_args__:
-        key = _JSON_KEY.get(name, name)
-        value, at = _need(obj, key, path), f"{path}.{key}"
-        if name == "args":
-            if not isinstance(value, list) or len(value) < 2:
-                noun = "processes" if kids[name] is PROC_KINDS else "terms"
-                raise JsonFormatError(f"{at}: expected a list of at least two {noun}")
-            value = tuple(obj_to_formula(a, f"{at}[{i}]", kids[name]) for i, a in enumerate(value))
-        elif name in kids:
-            value = obj_to_formula(value, at, kids[name])
-        elif name == "op" and value not in _CMP_OPS:
-            raise JsonFormatError(f"{at}: unknown comparison {value!r}")
-        elif name == "sort":
-            sort = "Int" if kinds is INT_KINDS else "Bool"
-            if value != sort:
-                raise JsonFormatError(f"{at}: expected {sort}, found {value!r}")
-            value = Sort(value)
-        elif name == "name":
-            if not isinstance(value, str):
-                raise JsonFormatError(f"{at}: expected a string")
-        elif name != "op":
-            value = _int_at(value, at)
-        fields.append(value)
-    return cls(*fields)
-
-
-def obj_to_state(doc) -> SysState:
-    objects = _need(doc, "objects", "$")
-    if not isinstance(objects, list):
-        raise JsonFormatError("$.objects: expected a list")
-    out = []
-    for i, entry in enumerate(objects):
-        path = f"$.objects[{i}]"
-        kind = _need(entry, "kind", path)
-        aid_raw = _need(entry, "aid", path)
-        if not isinstance(aid_raw, list):
-            raise JsonFormatError(f"{path}.aid: expected a list of agent indices")
-        aid = AgentId(tuple(_int_at(n, f"{path}.aid[{j}]") for j, n in enumerate(aid_raw)))
-        payload = _need(entry, "payload", path)
-        if kind == "store":
-            out.append(StoreObj(aid, obj_to_formula(payload, f"{path}.payload")))
-        elif kind == "process":
-            out.append(ProcObj(aid, obj_to_formula(payload, f"{path}.payload", PROC_KINDS)))
-        else:
-            raise JsonFormatError(f"{path}.kind: expected 'store' or 'process', found {kind!r}")
-    return normalize(SysState(tuple(out)))
-
-
-def state_from_json(text: str) -> SysState:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JsonFormatError(f"invalid JSON: {exc}") from exc
-    return obj_to_state(doc)

@@ -1,13 +1,12 @@
 """Breadth-first reachability over the transition system.
 
-Three built-in safety queries plus a user predicate hook:
+Three safety queries, each read off the stores alone:
 
 * ``InconsistentStore``   -- some store has become unsatisfiable;
 * ``StoreEntails(tau)``   -- some store has gained enough information to
                              entail the formula tau;
 * ``StoresEquivalent``    -- two different agents hold mutually entailing,
-                             non-trivial stores (the same knowledge);
-* ``Predicate(fn)``       -- arbitrary state condition.
+                             non-trivial stores (the same knowledge).
 
 ``search`` is a front end of ``calculus.explore``, the one breadth-first
 loop over canonical states: it evaluates the query on the states explore
@@ -15,15 +14,16 @@ visits and reports every witness binding inside every matching state, in
 a fully deterministic order: states in discovery order (new successors
 sorted by canonical key), witnesses in canonical (agent, store) order.
 Explore tells ``search`` whether a state has a successor, not which: in
-'terminal' mode only successor-free states are tested.  The built-in
-queries read only the stores, so one call of ``search`` evaluates each of
-them once per distinct tuple of store objects.
+'terminal' mode only successor-free states are tested.  A query reads
+only the stores, so one call of ``search`` evaluates it once per distinct
+tuple of store objects.  To watch every state an exploration visits, call
+``calculus.explore`` with a callback of one's own.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .calculus import StoreObj, SysState, explore, store_map
 from .formula import Formula, Record, TRUE, term_key
@@ -42,11 +42,7 @@ class StoresEquivalent(Record):
     pass
 
 
-class Predicate(Record):
-    fn: Callable[[SysState], bool]
-
-
-Query = Union[InconsistentStore, StoreEntails, StoresEquivalent, Predicate]
+Query = Union[InconsistentStore, StoreEntails, StoresEquivalent]
 
 
 class Match(Record):
@@ -73,10 +69,8 @@ def evaluate_query(s: SysState, q: Query, solver: Solver) -> list:
 
     Each binding is a tuple of (agent, store) pairs: one pair for the
     single-store queries, two for StoresEquivalent (reported in both
-    orders), none for Predicate matches.
+    orders).  The bindings depend on the stores of s alone.
     """
-    if isinstance(q, Predicate):
-        return [()] if q.fn(s) else []
     stores = sorted(store_map(s).items(), key=lambda kv: (kv[0].path, term_key(kv[1])))
     if isinstance(q, InconsistentStore):
         return [((aid, c),) for aid, c in stores if not solver.check_sat(c)]
@@ -119,11 +113,7 @@ def search(
     def visit(state: SysState, index: int, has_successor: bool) -> bool:
         if mode == "terminal" and has_successor:
             return False
-        # The built-in queries read the stores and nothing else; a Predicate
-        # sees the whole state, which explore visits once.
-        key = state
-        if not isinstance(q, Predicate):
-            key = tuple(o for o in state.objects if type(o) is StoreObj)
+        key = tuple(o for o in state.objects if type(o) is StoreObj)
         bindings = memo.get(key)
         if bindings is None:
             bindings = memo[key] = evaluate_query(state, q, solver)

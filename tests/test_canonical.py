@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import fragment_formula, process, raw_state, small_state
+from state_reader import round_trip
 from systems import ACCEPTANCE_SYSTEMS
 from sccpe import (
     NIL,
@@ -37,8 +38,6 @@ from sccpe import (
     canon_process,
     canonicalize,
     normalize,
-    state_from_json,
-    state_to_json,
     step,
 )
 from sccpe.calculus import explore
@@ -217,7 +216,7 @@ def test_normalize_reuses_every_object_of_a_normal_state(rng):
 @given(SEEDS)
 def test_json_round_trip_is_canonical_as_built(rng):
     s = small_state(rng)
-    back = state_from_json(state_to_json(s))
+    back = round_trip(s)
     assert back == s
     assert back._canon
     assert normalize(back) is back

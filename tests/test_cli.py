@@ -11,7 +11,7 @@ import sccpe
 from conftest import PROGRAMS
 from test_explore import CYCLE_PROGRAM
 from sccpe import cli
-from sccpe.schemas import CLI_OUTPUT_SCHEMA
+from schemas import CLI_OUTPUT_SCHEMA
 
 MESSAGE = str(PROGRAMS / "message.sccp")
 SPACES = str(PROGRAMS / "spaces.sccp")

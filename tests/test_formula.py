@@ -28,8 +28,6 @@ from sccpe import (
     lower,
     negate,
     normalize,
-    state_from_json,
-    state_to_json,
 )
 from sccpe.formula import (
     BOOL_KINDS,
@@ -49,6 +47,7 @@ from sccpe.formula import (
     term_key,
 )
 from smt_oracle import smtlib_script
+from state_reader import round_trip
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 P, Q = (boolvar(n) for n in "PQ")
@@ -285,6 +284,21 @@ def test_to_dnf_rejects_bool_equality():
         lower(Cmp("<", P, IntLit(0)))
 
 
+@pytest.mark.parametrize(
+    "call, op",
+    [
+        (lambda: lower(Cmp("==", X, IntLit(1))), "=="),
+        (lambda: Solver().check_sat(Cmp("==", X, IntLit(1))), "=="),
+        (lambda: Solver().entails(TRUE, Cmp("<<", X, IntLit(1))), "<<"),  # lowered negated
+    ],
+    ids=["lower", "check_sat", "entails"],
+)
+def test_an_unknown_comparison_operator_is_refused(call, op):
+    # the parser builds only the six operators; a hand-built Cmp may hold any string
+    with pytest.raises(TypeError, match=f"^unknown comparison operator '{op}'$"):
+        call()
+
+
 def test_ill_sorted_comparison_is_never_canonical():
     # the constructor accepts it, so that `lower` and the oracle are tested
     # on it; `canonicalize`, and so the solver, reject it
@@ -413,5 +427,5 @@ def test_every_term_class_lowers_prints_reads_stores_and_renders(cls):
     assert read_formula(format_formula(f)) == f
     s = normalize(SysState((StoreObj(ROOT, f),)))
     assert s.objects[0].constraint == f
-    assert state_from_json(state_to_json(s)) == s
+    assert round_trip(s) == s
     assert smtlib_script(f).endswith("(check-sat)\n")

@@ -3,10 +3,13 @@
 The brute-force model enumerator and the SMT-LIB2 oracle decide the same
 question as the solver, so they must share no code with the solver or the
 difference-logic lowering; the printed-syntax reader keeps its own
-precedence table, so it must share none with the printer; and the oracles
-live here, not in the package, which holds only what the analyzer runs.
-The package has one decision path: the names of the retired external
-backend must not come back.
+precedence table, so it must share none with the printer; the state
+document reader keeps its own table of op names and fields, so it must
+share none with the encoder; and the oracles live here, not in the
+package, which holds only what the analyzer runs.  The package has one
+decision path: the names of the retired external backend must not come
+back, nor those of the state reader, the schemas and the predicate query,
+which no path of the analyzer used.
 """
 
 import ast
@@ -25,6 +28,9 @@ LOWERING_NAMES = {"lower", "to_dnf", "DLGoal", "DLAtom"}
 # The printer in sccpe.formula, besides its `_fmt*` functions and `_B_*`
 # binding powers.
 PRINTER_NAMES = {"format_formula", "format_int_expr", "_CHAIN_FMT"}
+
+# The encoder's tables in sccpe.render, and the function that builds them.
+ENCODER_NAMES = {"_OP_NAME", "_JSON_KEY", "_PLAN", "_plan"}
 
 # Test-only helpers, which no module of the package may define; `holds` is
 # the old literal-semantics method of the DNF literal classes, and the
@@ -52,11 +58,26 @@ TEST_ONLY_NAMES = {
     "_smt",
     "smt_check",
     "_run_external",
+    "read_state",
+    "read_term",
 }
 
 # The external backend's API, removed from the package when the built-in
 # solver became complete: its config, three-valued result and exceptions.
 RETIRED_NAMES = {"SolverInconclusive", "ExternalSolverError", "SatResult", "SolverConfig", "check_unsat"}
+
+# Capabilities no analyzer path reached, removed from the package: the user
+# predicate query, the state document reader and its error, and the JSON
+# Schemas (now `tests/schemas.py`).
+RETIRED_CAPABILITY_NAMES = {
+    "Predicate",
+    "state_from_json",
+    "obj_to_state",
+    "obj_to_formula",
+    "JsonFormatError",
+    "STATE_SCHEMA",
+    "CLI_OUTPUT_SCHEMA",
+}
 
 
 def imports(path: pathlib.Path) -> list:
@@ -107,6 +128,17 @@ def test_formula_reader_shares_no_code_with_the_printer():
         assert not (name or "").startswith(("_fmt", "_B_")), (module, name)
 
 
+def test_state_reader_shares_no_table_with_the_encoder():
+    found = imports(TESTS / "state_reader.py")
+    assert ("sccpe.render", "state_to_obj") in found
+    for module, name in found:
+        assert name not in ENCODER_NAMES, (module, name)
+    assert not ENCODER_NAMES & definitions(TESTS / "state_reader.py")
+    # nor does it read the node classes' field lists in place of its own table
+    text = (TESTS / "state_reader.py").read_text()
+    assert "__match_args__" not in text and "_kids" not in text
+
+
 def assert_package_defines_none_of(names: set):
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
@@ -123,12 +155,25 @@ def test_package_defines_no_retired_solver_name():
     assert_package_defines_none_of(RETIRED_NAMES)
 
 
-def test_package_exports_no_retired_solver_name():
+def assert_package_exports_none_of(names: set):
     # also catches a name brought back by import or assignment under another binding
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem != "__main__":
             name = "sccpe" if path.stem == "__init__" else f"sccpe.{path.stem}"
             module = importlib.import_module(name)
-            assert not RETIRED_NAMES & set(dir(module)), name
+            assert not names & set(dir(module)), name
+
+
+def test_package_exports_no_retired_solver_name():
+    assert_package_exports_none_of(RETIRED_NAMES)
     assert not {"SAT", "UNSAT", "unknown"} & set(dir(importlib.import_module("sccpe.solver")))
     assert not RETIRED_NAMES & set(dir(sccpe.Solver))
+
+
+def test_package_defines_no_retired_capability():
+    assert_package_defines_none_of(RETIRED_CAPABILITY_NAMES)
+    assert not (PACKAGE / "schemas.py").exists()
+
+
+def test_package_exports_no_retired_capability():
+    assert_package_exports_none_of(RETIRED_CAPABILITY_NAMES)

@@ -30,7 +30,6 @@ from sccpe import (
     InconsistentStore,
     Match,
     Par,
-    Predicate,
     ProcObj,
     ProcVar,
     ProgramAst,
@@ -101,7 +100,6 @@ SAMPLES = [
     InconsistentStore(),
     StoreEntails(X > 2),
     StoresEquivalent(),
-    Predicate(bool),
     Match(STATE, 3, ((A0, TRUE),)),
     SearchOutcome((), 5, 2, True, False),
     Diagnostic("warning", 3, 7, "unused"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randgen import small_state
+from state_reader import read_state, round_trip, write_state
 from systems import AID20, base_system
 from sccpe import (
     ROOT,
@@ -18,11 +19,9 @@ from sccpe import (
     normalize,
     render_tree,
     run,
-    state_from_json,
-    state_to_json,
 )
 from sccpe.formula import Xor
-from sccpe.render import JsonFormatError, dumps, state_to_obj
+from sccpe.render import dumps, state_to_obj
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 
@@ -93,17 +92,17 @@ def test_render_implied_store_shows_true():
 
 def test_json_round_trip_initial_state():
     s = base_system()
-    assert state_from_json(state_to_json(s)) == s
+    assert round_trip(s) == s
 
 
 def test_json_round_trip_final_state(solver):
     result = run(base_system(), solver)
     s = result.terminal_states[0]
-    assert state_from_json(state_to_json(s)) == s
+    assert round_trip(s) == s
 
 
 def test_json_empty_state():
-    assert state_from_json('{"objects": []}') == SysState(())
+    assert read_state('{"objects": []}') == SysState(())
 
 
 def test_json_schema_shape():
@@ -119,7 +118,7 @@ def test_json_schema_shape():
 def test_json_validates_against_published_schema():
     import jsonschema
 
-    from sccpe.schemas import STATE_SCHEMA
+    from schemas import STATE_SCHEMA
 
     jsonschema.validate(state_to_obj(base_system()), STATE_SCHEMA)
 
@@ -128,25 +127,25 @@ def test_json_validates_against_published_schema():
 @settings(max_examples=150)
 def test_json_round_trip_random_states(seed):
     s = small_state(random.Random(seed))
-    assert state_from_json(state_to_json(s)) == s
+    assert round_trip(s) == s
 
 
 def test_json_round_trip_of_a_store_built_from_a_short_xor():
     s = normalize(SysState((StoreObj(ROOT, Xor((boolvar("P"),))),)))
-    assert state_from_json(state_to_json(s)) == s
+    assert round_trip(s) == s
 
 
 def test_json_big_integers_round_trip():
     big = 10**40
     s = normalize(SysState((StoreObj(ROOT, eq_(X, big)),)))
-    assert state_from_json(state_to_json(s)) == s
+    assert round_trip(s) == s
 
 
 def test_json_serialization_is_deterministic(solver):
     result = run(base_system(), solver)
     for s in (base_system(), result.terminal_states[0]):
-        assert state_to_json(s) == state_to_json(s)
-        assert state_to_json(state_from_json(state_to_json(s))) == state_to_json(s)
+        assert write_state(s) == write_state(s)
+        assert write_state(round_trip(s)) == write_state(s)
 
 
 # ---------------------------------------------------------------------------
@@ -214,46 +213,3 @@ def _aliased_documents(draw):
 @settings(max_examples=300)
 def test_dumps_matches_the_stdlib_on_aliased_documents(doc):
     assert dumps(doc) == json.dumps(doc, indent=2)
-
-
-# ---------------------------------------------------------------------------
-# decode errors carry paths
-
-
-_P, _ONE = '{"op": "var", "name": "P", "sort": "Bool"}', '{"op": "int", "value": 1}'
-_CMP = '{"op": "cmp", "fn": "<", "left": %s, "right": %s}'
-
-
-def _store(payload: str) -> str:
-    return '{"objects": [{"kind": "store", "aid": [], "payload": %s}]}' % payload
-
-
-@pytest.mark.parametrize(
-    "doc, fragment",
-    [
-        ("[]", "$"),
-        ('{"objects": 3}', "$.objects"),
-        ('{"objects": [{"kind": "store"}]}', "$.objects[0]"),
-        ('{"objects": [{"kind": "blob", "aid": [], "payload": {"op": "true"}}]}', "kind"),
-        ('{"objects": [{"kind": "store", "aid": [0], "payload": {"op": "wat"}}]}', "payload.op"),
-        ('{"objects": [{"kind": "store", "aid": ["x"], "payload": {"op": "true"}}]}', "aid[0]"),
-        (
-            '{"objects": [{"kind": "process", "aid": [], "payload": {"op": "par", "args": []}}]}',
-            "args",
-        ),
-        ("{not json", "invalid JSON"),
-        # each position admits one kind of term, and a variable of one sort
-        (_store(_CMP % (_P, _ONE)), "payload.left.sort"),
-        (_store('{"op": "var", "name": "X", "sort": "Int"}'), "payload.sort"),
-        (_store(_CMP % ('{"op": "true"}', _ONE)), "payload.left.op"),
-        (_store(_ONE), "payload.op"),
-        (
-            _store('{"op": "arith", "fn": "+", "left": %s, "right": %s}' % (_ONE, _ONE)),
-            "payload.op",
-        ),
-    ],
-)
-def test_json_errors_name_the_path(doc, fragment):
-    with pytest.raises(JsonFormatError) as exc:
-        state_from_json(doc)
-    assert fragment in str(exc.value)

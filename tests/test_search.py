@@ -9,7 +9,6 @@ from sccpe import (
     ROOT,
     TRUE,
     InconsistentStore,
-    Predicate,
     ProcObj,
     Solver,
     StoreEntails,
@@ -27,6 +26,7 @@ from sccpe import (
     step,
     store_map,
 )
+from sccpe.calculus import explore
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 
@@ -82,10 +82,9 @@ def test_equivalent_stores_excludes_constant_true(solver):
     assert evaluate_query(state, StoresEquivalent(), solver) == []
 
 
-def test_predicate_query(solver):
-    state = base_system()
-    assert evaluate_query(state, Predicate(lambda s: True), solver) == [()]
-    assert evaluate_query(state, Predicate(lambda s: False), solver) == []
+def test_a_non_query_is_rejected(solver):
+    with pytest.raises(TypeError, match="not a query"):
+        evaluate_query(base_system(), Z > 9, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def test_search_same_knowledge_positive(solver):
 
 
 def test_terminal_mode_only_tests_final_states(solver):
-    outcome = search(base_system(), Predicate(lambda s: True), mode="terminal", solver=solver)
+    outcome = search(base_system(), StoreEntails(TRUE), mode="terminal", solver=solver)
     matched = {m.state for m in outcome.matches}
     assert len(matched) == 1
     (terminal,) = matched
@@ -148,9 +147,7 @@ def test_terminal_mode_only_tests_final_states(solver):
 
 
 def test_max_solutions_truncates(solver):
-    outcome = search(
-        base_system(), Predicate(lambda s: True), max_solutions=3, solver=solver
-    )
+    outcome = search(base_system(), StoreEntails(TRUE), max_solutions=3, solver=solver)
     assert len(outcome.matches) == 3
     assert outcome.truncated
     assert outcome.capped
@@ -158,8 +155,8 @@ def test_max_solutions_truncates(solver):
 
 
 def test_max_depth_truncates(solver):
-    full = search(base_system(), Predicate(lambda s: False), solver=solver)
-    shallow = search(base_system(), Predicate(lambda s: False), max_depth=2, solver=solver)
+    full = search(base_system(), InconsistentStore(), solver=solver)
+    shallow = search(base_system(), InconsistentStore(), max_depth=2, solver=solver)
     assert shallow.truncated
     assert shallow.depth_cut
     assert not shallow.capped
@@ -174,7 +171,7 @@ def test_search_deterministic(solver):
 
 
 def _reachable_count(init, solver):
-    return search(init, Predicate(lambda s: False), solver=solver).states_explored
+    return explore(init, solver, 64, lambda state, index, has_successor: False)[0]
 
 
 def test_reachable_count_fixed_point(solver):
