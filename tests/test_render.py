@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randgen import small_state
-from state_reader import read_state, round_trip, write_state
+from state_reader import _CONSTANTS, _NODES, read_state, round_trip, write_state
 from systems import AID20, base_system
 from sccpe import (
+    FALSE,
     ROOT,
     TRUE,
     AgentId,
@@ -20,7 +21,8 @@ from sccpe import (
     render_tree,
     run,
 )
-from sccpe.formula import Xor
+from sccpe.calculus import NIL, Ask, Extr, Par, ProcObj, ProcVar, Rec, Space, Tell
+from sccpe.formula import And, BoolEq, BoolNeq, Cmp, Implies, Not, Or, Xor
 from sccpe.render import dumps, state_to_obj
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -138,6 +140,61 @@ def test_json_round_trip_of_a_store_built_from_a_short_xor():
 def test_json_big_integers_round_trip():
     big = 10**40
     s = normalize(SysState((StoreObj(ROOT, eq_(X, big)),)))
+    assert round_trip(s) == s
+
+
+P, Q = boolvar("P"), boolvar("Q")
+_GUARD = Ask(P, Tell(Q))
+
+# One state per op of the document, built by hand: the random states never
+# hold some of them (`not`, `or`, `xor`, `implies`, `beq`, `bneq`).
+OP_SAMPLES = {
+    "true": StoreObj(ROOT, TRUE),
+    "false": StoreObj(ROOT, FALSE),
+    "var": StoreObj(ROOT, P),
+    "int": StoreObj(ROOT, X < 1),
+    "not": StoreObj(ROOT, Not(P)),
+    "and": StoreObj(ROOT, And((P, X < 1))),
+    "or": StoreObj(ROOT, Or((P, Q))),
+    "xor": StoreObj(ROOT, Xor((P, Q))),
+    "implies": StoreObj(ROOT, Implies(P, Q)),
+    "beq": StoreObj(ROOT, BoolEq(P, Q)),
+    "bneq": StoreObj(ROOT, BoolNeq(P, TRUE)),
+    "cmp": StoreObj(ROOT, Cmp("=/==", X, Y)),
+    "nil": ProcObj(ROOT, Ask(P, NIL)),
+    "tell": ProcObj(ROOT, Tell(Q)),
+    "ask": ProcObj(ROOT, _GUARD),
+    "par": ProcObj(ROOT, Par((_GUARD, Ask(Q, Tell(P))))),
+    "space": ProcObj(ROOT, Space(1, _GUARD)),
+    "rec": ProcObj(ROOT, Rec(0, Ask(P, ProcVar(0)))),
+    "xtr": ProcObj(ROOT, Extr(0, _GUARD)),
+    "procvar": ProcObj(ROOT, Rec(1, Space(0, Ask(Q, ProcVar(1))))),
+}
+
+
+def _ops(obj) -> set:
+    if isinstance(obj, dict):
+        found = {obj["op"]} if "op" in obj else set()
+        return found.union(*(_ops(v) for v in obj.values()))
+    if isinstance(obj, list):
+        return set().union(*(_ops(v) for v in obj))
+    return set()
+
+
+def test_every_op_of_the_reader_has_a_sample():
+    assert set(OP_SAMPLES) == set(_NODES) | set(_CONSTANTS)
+
+
+@pytest.mark.parametrize("op", OP_SAMPLES)
+def test_json_round_trip_of_each_op(op):
+    import jsonschema
+
+    from schemas import STATE_SCHEMA
+
+    s = normalize(SysState((StoreObj(ROOT, TRUE), OP_SAMPLES[op])))
+    doc = state_to_obj(s)
+    assert op in _ops(doc)
+    jsonschema.validate(doc, STATE_SCHEMA)
     assert round_trip(s) == s
 
 
