@@ -510,7 +510,7 @@ def free_vars(c: Formula) -> frozenset:
 
 def _collect_vars(t, acc: dict) -> None:
     if isinstance(t, Var):
-        _note_sort(t, acc)
+        note_sort(t.name, t.sort, acc)
         return
     if type(t) not in BOOL_KINDS and type(t) not in INT_KINDS:
         raise TypeError(f"not a term: {t!r}")
@@ -518,12 +518,12 @@ def _collect_vars(t, acc: dict) -> None:
         _collect_vars(kid, acc)
 
 
-def _note_sort(v: Var, sorts: dict) -> None:
-    """Record v's sort in sorts (name -> sort); raises SortConflict when
+def note_sort(name: str, sort: Sort, sorts: dict) -> None:
+    """Record name's sort in sorts (name -> sort); raises SortConflict when
     the name already has the other sort."""
-    seen = sorts.setdefault(v.name, v.sort)
-    if seen is not v.sort:
-        raise SortConflict(f"variable {v.name} used with sorts {seen.value} and {v.sort.value}")
+    seen = sorts.setdefault(name, sort)
+    if seen is not sort:
+        raise SortConflict(f"variable {name} used with sorts {seen.value} and {sort.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +559,17 @@ class DLGoal(NamedTuple):
     splits: list
 
 
-def lower(c: Formula) -> DLGoal:
-    """c as a DLGoal with the same integer models.  Walking with polarity,
-    a conjunctive goal adds its atoms (an equality two), and a disjunctive
-    one (or, negated and, implies, xor, Boolean = and =/=, a disequality,
-    split into left < right, then left > right) adds one split.  Raises
-    SortConflict when a name is used at both sorts (the two uses would
-    share a vertex), checked on each variable as the walk meets it, or a
-    variable sits in a position of the other sort, and TypeError on
-    anything that is not a formula."""
-    return _goal({}, (c, True))
+def lower(c: Formula, pos: bool = True, sorts: dict | None = None) -> DLGoal:
+    """c, or not(c) when pos is false, as a DLGoal with the same integer
+    models.  Walking with polarity, a conjunctive goal adds its atoms (an
+    equality two), and a disjunctive one (or, negated and, implies, xor,
+    Boolean = and =/=, a disequality, split into left < right, then left >
+    right) adds one split.  Raises SortConflict when a name is used at both
+    sorts (the two uses would share a vertex), checked on each variable as
+    the walk meets it, or a variable sits in a position of the other sort,
+    and TypeError on anything that is not a formula.  Names met go into
+    `sorts` (name -> sort), when given."""
+    return _goal({} if sorts is None else sorts, (c, pos))
 
 
 # The perfbench tracer times the lowering under its former name.
@@ -587,7 +588,7 @@ def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
         if f.value != pos:
             goal.splits.append(())
     elif isinstance(f, Var):
-        _note_sort(f, sorts)
+        note_sort(f.name, f.sort, sorts)
         if f.sort is not Sort.BOOL:
             raise SortConflict(f"integer variable {f.name} used as a formula")
         goal.atoms.append(DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0))
@@ -638,7 +639,7 @@ def _operand(e: IntExpr, sorts: dict) -> tuple:
     if isinstance(e, IntLit):
         return None, e.value
     if isinstance(e, Var):
-        _note_sort(e, sorts)
+        note_sort(e.name, e.sort, sorts)
         if e.sort is not Sort.INT:
             raise SortConflict(f"Boolean variable {e.name} used as an integer")
         return e.name, 0

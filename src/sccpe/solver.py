@@ -13,44 +13,67 @@ external SMT-LIB2 solver driven by ``tests/smt_oracle.py`` when one is
 installed.
 
 ``Solver.entails(c, d)`` is unsatisfiability of ``c and not(d)``.  A session
-holds two tables: one verdict per canonical formula, and one per ``(c, d)``
-entailment, so a guard asked again of the same store costs one lookup.
+holds two tables: one lowering per ``(formula, polarity)``, a conjunction's
+joined from its conjuncts' (so a grown store lowers only its new conjunct),
+and one verdict per ``(c, d)``, searched on c's lowering joined to not(d)'s.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
-from .formula import DLAtom, DLGoal, Formula, canonicalize, conjoin, lower, negate
+from .formula import FALSE, And, DLAtom, DLGoal, Formula, lower, note_sort
 
 
 class Solver:
-    """A solving session: the verdict tables of one analysis.
-
-    Sessions are not thread-safe; concurrent explorations should each use
-    their own session.
-    """
+    """A solving session: the lowering and verdict tables of one analysis.
+    Not thread-safe: concurrent explorations should each use their own."""
 
     def __init__(self):
-        self._memo: dict[Formula, bool] = {}  # canonical formula -> satisfiable
+        self._lowered: dict[tuple, tuple] = {}  # (f, polarity) -> (goal, name -> sort)
         self._entailed: dict[tuple, bool] = {}  # (c, d) -> entails(c, d)
 
     def check_sat(self, c: Formula) -> bool:
-        key = canonicalize(c)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._memo[key] = _search(lower(key))
-        return cached
+        return not self.entails(c, FALSE)
 
     def entails(self, c: Formula, d: Formula) -> bool:
         verdict = self._entailed.get((c, d))
         if verdict is None:
-            verdict = self._entailed[c, d] = not self.check_sat(conjoin(c, negate(d)))
+            goal, _ = _join((self._lower(c, True), self._lower(d, False)))
+            verdict = self._entailed[c, d] = not _search(goal)
         return verdict
+
+    def _lower(self, f: Formula, pos: bool) -> tuple:
+        """f (not(f) when pos is false) lowered, with its sort map."""
+        lowered = self._lowered.get((f, pos))
+        if lowered is None:
+            if pos and type(f) is And:
+                lowered = _join([self._lower(g, True) for g in f.args])
+            else:
+                lowered = _frozen(lower(f, pos, sorts := {})), sorts
+            self._lowered[f, pos] = lowered
+        return lowered
 
 
 # ---------------------------------------------------------------------------
 # Internal procedure
+
+
+def _join(parts) -> tuple:
+    """The conjunction of lowered parts: their atoms and splits concatenated,
+    their sort maps merged (SortConflict on a name they use at two sorts)."""
+    sorts: dict = {}
+    for _, part in parts:
+        for name, sort in part.items():
+            note_sort(name, sort, sorts)
+    atoms = tuple(chain.from_iterable(goal.atoms for goal, _ in parts))
+    return DLGoal(atoms, tuple(chain.from_iterable(goal.splits for goal, _ in parts))), sorts
+
+
+def _frozen(goal: DLGoal) -> DLGoal:
+    """goal with tuples for its lists at every level: a cached goal is shared."""
+    return DLGoal(tuple(goal.atoms), tuple(tuple(map(_frozen, split)) for split in goal.splits))
 
 
 def _search(goal: DLGoal) -> bool:

@@ -17,6 +17,7 @@ from sccpe import (
     SortConflict,
     Var,
     boolvar,
+    canonicalize,
     conjoin,
     dl_conjunct_sat,
     eq_,
@@ -24,7 +25,8 @@ from sccpe import (
     ne_,
     negate,
 )
-from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Not, Xor
+import sccpe.solver as solver_module
+from sccpe.formula import And, BoolEq, BoolNeq, Cmp, Implies, IntLit, Node, Not, Or, Xor
 from smt_oracle import smt_check, smtlib_script
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -399,30 +401,95 @@ def test_entailment_memo_is_transparent(c, d):
 
 
 class Interrupted(Exception):
-    """A satisfiability check cut short, as by an interrupt or a resource limit."""
+    """A decision cut short, as by an interrupt or a resource limit."""
 
 
-class FailsOnce(Solver):
-    """A session whose first satisfiability check gives no answer."""
+def test_an_inconclusive_entailment_is_not_memoized(monkeypatch):
+    decide, asked = solver_module._search, []
 
-    def __init__(self):
-        super().__init__()
-        self.asked = 0
+    def fails_once(goal):  # the first decision gives no answer
+        asked.append(goal)
+        if len(asked) == 1:
+            raise Interrupted("decision cut short")
+        return decide(goal)
 
-    def check_sat(self, c):
-        self.asked += 1
-        if self.asked == 1:
-            raise Interrupted("check cut short")
-        return super().check_sat(c)
-
-
-def test_an_inconclusive_entailment_is_not_memoized():
-    session = FailsOnce()
+    monkeypatch.setattr(solver_module, "_search", fails_once)
+    session = Solver()
     with pytest.raises(Interrupted):
         session.entails(Y < 5, Y < 20)
     assert session.entails(Y < 5, Y < 20)
     assert session.entails(Y < 5, Y < 20)
-    assert session.asked == 2  # the third answer came from the entailment table
+    assert len(asked) == 2  # the third answer came from the entailment table
+
+
+def _tell(rng):
+    """A constraint as a program tells it: a disequality, a bound, a Boolean
+    variable, or an or/xor/implies of two of these."""
+    x, y = (intvar(n) for n in rng.sample("XY", 2))
+    atoms = (
+        lambda: ne_(x, rng.choice((y, rng.randint(0, 3)))),
+        lambda: Cmp(rng.choice(("<", "<=", ">", ">=")), x, IntLit(rng.randint(0, 3))),
+        lambda: boolvar(rng.choice("PQ")),
+    )
+    if rng.random() < 0.7:
+        return rng.choice(atoms)()
+    left, right, kind = rng.choice(atoms)(), rng.choice(atoms)(), rng.choice((Or, Xor, Implies))
+    return Implies(left, right) if kind is Implies else kind((left, right))
+
+
+def test_one_session_agrees_with_the_oracle_as_stores_grow():
+    # one session for every store, each grown one tell at a time, as the
+    # engine grows them, so later stores reuse the lowerings of earlier ones
+    rng = random.Random(2006)
+    session, queries = Solver(), []
+    for _ in range(5):
+        store = TRUE
+        for _ in range(6):
+            store = canonicalize(conjoin(store, _tell(rng)))
+            guards = (_tell(rng), Not(And((_tell(rng), _tell(rng)))), And((_tell(rng), _tell(rng))))
+            queries += [(store, d) for d in guards + (store.args[-1] if type(store) is And else store,)]
+    expected = {}
+    for c, d in queries:
+        f = conjoin(c, negate(d))
+        expected[c, d] = verdict = not brute_force_sat(f, small_model_bound(f))
+        assert session.entails(c, d) is verdict, f"{c} entails {d}"
+        assert Solver().entails(c, d) is verdict
+    assert set(expected.values()) == {True, False}
+    # the same queries backwards: each store's cached lowering is searched
+    # again under a new key, so a goal that a search changed gives itself away
+    for c, d in queries[::-1]:
+        assert session.entails(c, d) is expected[c, d]
+        assert session.check_sat(And((c, Not(d)))) is not expected[c, d]
+
+
+def test_a_sort_conflict_across_cached_parts_is_raised_and_not_stored():
+    a_bool, a_int = Var("A", Sort.BOOL), Var("A", Sort.INT) < 0
+    session = Solver()
+    assert session.check_sat(a_bool)  # the Boolean use is lowered and cached
+    for _ in range(2):  # nothing was stored for the failed calls
+        with pytest.raises(SortConflict):
+            session.entails(a_bool, a_int)  # store and guard
+        with pytest.raises(SortConflict):
+            session.check_sat(And((a_bool, a_int)))  # two conjuncts
+
+
+def test_a_decision_builds_no_term(monkeypatch):
+    # the store and the guard are lowered apart and joined: no conjunction
+    # or negation of them is built (lowering itself builds none for these)
+    store = And(tuple(ne_(X, k) for k in range(5)) + (Or((P, X > 9)), Implies(Q, Y < X)))
+    guard, entailed = Not(And((X > 0, P))), ne_(X, 2)
+    built, init = [], Node.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__init__", counted)
+    session = Solver()
+    assert not session.entails(store, guard)
+    assert session.entails(store, entailed)
+    assert session.check_sat(store)
+    assert built == []
 
 
 def test_solver_takes_no_configuration():
@@ -438,4 +505,4 @@ def test_session_caching_is_transparent():
     f = And((Z >= 10, eq_(Z, 9)))
     assert not s.check_sat(f)
     assert not s.check_sat(f)
-    assert not s.check_sat(And((eq_(Z, 9), Z >= 10)))  # canonical-form hit
+    assert not s.check_sat(And((eq_(Z, 9), Z >= 10)))  # reordered: each conjunct's lowering is cached
