@@ -27,7 +27,11 @@ ones, without the checks of ``Node.__init__``; ``SysState(...)`` and its
 raw states built by hand, and returns a state that is already normal as
 it is.  The rules are local (as in CCP: Saraswat, Rinard & Panangaden,
 POPL 1991), so ``explore`` and ``run`` keep one memo of each process
-object's moves per store, which lasts for their call.
+object's moves per store, which lasts for their call.  A canonical
+state's store objects are the key-ordered prefix of its objects (a
+store's key starts ``(0, path)``, a process's ``(1, path)``), so
+``store_count`` finds them by bisection and ``_transitions`` walks only
+the process objects.
 
 ``step`` builds every successor of a state, sorted; ``run`` uses it.
 ``explore`` is the breadth-first loop over all reachable states, the
@@ -48,7 +52,7 @@ when the process sits in the space named by its own argument.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from operator import attrgetter
 from typing import Callable, Union
@@ -329,6 +333,16 @@ def _canonical_state(objects: tuple) -> SysState:
     return s
 
 
+_FIRST_PROC = (ProcObj._tag,)  # above every store object's key, below every process's
+
+
+def store_count(objs: tuple) -> int:
+    """The number of store objects among a canonical state's objects, which
+    are their key-ordered prefix: a store's key starts (0, path), a
+    process's (1, path)."""
+    return bisect_left(objs, _FIRST_PROC, key=obj_key)
+
+
 def store_map(s: SysState) -> dict:
     """Agent -> store constraint for every store object in the state."""
     return {o.aid: o.constraint for o in s.objects if isinstance(o, StoreObj)}
@@ -413,28 +427,41 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
 def _transitions(objs: tuple, solver: Solver, memo: dict):
     """The moves of the normalized state with objects objs, one rule at one
     position each: (index of the rewritten process object, index of the
-    store it replaces or None, the new store or None, objects added).
+    store it replaces or None, the new store or None, objects added, the
+    move's fingerprint shift, `_shift(0, out, into)`).
 
     A rule's result depends only on the process object, its agent's store
     (or its absence) and, for a space, whether the child's store exists;
     never on the rest of the state.  `memo` maps that triple to the
     object's moves, so a caller that passes one dict to many calls rewrites
-    each process in each store once.  Of two equal process objects
+    each process in each store once.  Only the process objects, which
+    follow the stores (`store_count`), are walked; of two equal ones
     (adjacent, since the objects are sorted) only the first is rewritten:
     the second would give the same moves.
     """
-    stores = {o.aid.path: (i, o.constraint) for i, o in enumerate(objs) if type(o) is StoreObj}
-    for i, o in enumerate(objs):
-        if type(o) is not ProcObj or (i and o == objs[i - 1]):
+    n = store_count(objs)
+    stores = {objs[j].aid.path: (j, objs[j].constraint) for j in range(n)}
+    prev = None
+    for i in range(n, len(objs)):
+        o = objs[i]
+        if prev is not None and o._hash == prev._hash and o == prev:
             continue
+        prev = o
         path, p = o.aid.path, o.program
         j, current = stores.get(path, (None, None))
         key = (o, current, type(p) is Space and (p.agent,) + path in stores)
         moves = memo.get(key)
         if moves is None:
-            moves = memo[key] = _moves(o, current, key[2], solver)
-        for store, added in moves:
-            yield i, (None if store is None else j), store, added
+            # a tell replaces the store StoreObj(o.aid, current), so each
+            # move's fingerprint shift too depends on the key alone
+            moves = memo[key] = tuple(
+                (store, added, _shift(0, (o,), added))
+                if store is None
+                else (store, added, _shift(0, (o, objs[j]), (store,)))
+                for store, added in _moves(o, current, key[2], solver)
+            )
+        for store, added, shift in moves:
+            yield i, (None if store is None else j), store, added, shift
 
 
 def _successor(objs: tuple, i: int, j, store, added: tuple) -> tuple:
@@ -464,7 +491,7 @@ def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
     """
     objs = normalize(s).objects
     moves = _transitions(objs, solver, {} if memo is None else memo)
-    out = {_canonical_state(_successor(objs, *move)) for move in moves}
+    out = {_canonical_state(_successor(objs, *move[:4])) for move in moves}
     return sorted(out, key=state_key)
 
 
@@ -490,7 +517,8 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
 
     A successor is built as a `SysState` only when it is new.  Each state
     carries a fingerprint (`_shift`), and each move gives its successor's
-    fingerprint from its parent's in O(1) and the successor's object tuple
+    fingerprint from its parent's by adding the move's shift, which the
+    memo of moves holds with the move, and the successor's object tuple
     from its parent's (`_successor`).  A per-call table maps each
     fingerprint to the object tuples of the states met with it, and a
     successor whose tuple is already there is skipped.  Tuples are
@@ -509,12 +537,9 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
         state, index, depth, fp = queue.popleft()
         objs = state.objects
         fresh, moved = [], False
-        for i, j, store, added in _transitions(objs, solver, memo):
+        for i, j, store, added, shift in _transitions(objs, solver, memo):
             moved = True
-            if j is None:
-                f = _shift(fp, (objs[i],), added)
-            else:
-                f = _shift(fp, (objs[i], objs[j]), (store,))
+            f = fp + shift
             new = _successor(objs, i, j, store, added)
             bucket = table.get(f)
             if bucket is None:

@@ -180,6 +180,11 @@ def _elaborate(text: str, name: str, err):
     return ast, lang.elaborate(ast)
 
 
+def _print_json(doc, out) -> None:
+    render.dump(doc, out.write)
+    out.write("\n")
+
+
 def _cmd_run(args, out, err) -> int:
     text, name = _load_program(args.input)
     _, state = _elaborate(text, name, err)
@@ -191,7 +196,7 @@ def _cmd_run(args, out, err) -> int:
             "states": result.states_explored,
             "truncated": result.truncated,
         }
-        print(render.dumps(doc), file=out)
+        _print_json(doc, out)
     else:
         for i, s in enumerate(result.terminal_states, start=1):
             print(f"Terminal state {i}:", file=out)
@@ -238,7 +243,7 @@ def _cmd_search(args, out, err) -> int:
     )
     if args.format == "json":
         # the witnesses repeat a few (agent, store) pairs and bindings many
-        # times: build each once, so that render.dumps encodes it once
+        # times: build each once, so that render.dump encodes it once
         witness = cache(
             lambda aid, c: {
                 "aid": list(aid.path),
@@ -263,7 +268,7 @@ def _cmd_search(args, out, err) -> int:
             "depth_cut": outcome.depth_cut,
             "capped": outcome.capped,
         }
-        print(render.dumps(doc), file=out)
+        _print_json(doc, out)
     else:
         store = cache(format_formula)
         for i, m in enumerate(outcome.matches, start=1):
@@ -295,7 +300,7 @@ def _cmd_check(args, out, err) -> int:
             "left": format_formula(left),
             "right": format_formula(right),
         }
-        print(render.dumps(doc), file=out)
+        _print_json(doc, out)
     else:
         print("true" if verdict else "false", file=out)
     return EXIT_OK

@@ -343,13 +343,19 @@ class BoolNeq(_Bool):
 
 
 class Cmp(_Bool):
-    """Integer comparison; op is one of < <= > >= === =/==."""
+    """Integer comparison; op is one of < <= > >= === =/==, and any other
+    is refused when the node is built."""
 
     op: str
     left: "IntExpr"
     right: "IntExpr"
     _tag = 13
     _kids = (("left", INT_KINDS, False), ("right", INT_KINDS, False))
+
+    def _head(self) -> tuple:  # the key's payload, read as the node is built
+        if self.op not in _NEG_OP:
+            raise TypeError(f"unknown comparison operator {self.op!r}")
+        return (self.op,)
 
     def _canon_here(self) -> bool:  # an ill-sorted comparison is never canonical
         return Sort.BOOL not in (getattr(self.left, "sort", 0), getattr(self.right, "sort", 0))
@@ -612,8 +618,6 @@ def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
     elif isinstance(f, (BoolEq, BoolNeq)):  # l = r is not(l xor r), l =/= r is l xor r
         _lower(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), goal, sorts)
     elif isinstance(f, Cmp):
-        if f.op not in _NEG_OP:
-            raise TypeError(f"unknown comparison operator {f.op!r}")
         _compare(f.op if pos else _NEG_OP[f.op], f.left, f.right, goal, sorts)
     else:
         raise TypeError(f"not a formula: {f!r}")

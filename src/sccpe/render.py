@@ -19,16 +19,18 @@ canonical order.  The document determines the state: the reader in the
 test suite, ``tests/state_reader.py``, rebuilds every normalized state
 from it.
 
-The CLI's ``--format json`` documents are written by ``dumps``, which
-prints the bytes of ``json.dumps(doc, indent=2)`` but encodes each shared
-dict or list once: a search's witnesses share a few objects hundreds of
-times, and the standard indented encoder, written in Python, would walk
-each of them again every time.
+The CLI's ``--format json`` documents are written by ``dump``, which
+writes the bytes of ``json.dumps(doc, indent=2)`` piece by piece, so a
+search's long list of solutions is never held as one string, and encodes
+each shared dict or list once: a search's witnesses share a few objects
+hundreds of times, and the standard indented encoder, written in Python,
+would walk each of them again every time.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable
 
 from .calculus import (
     Ask,
@@ -177,12 +179,21 @@ def _scalar(v) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def dumps(doc) -> str:
-    """Exactly `json.dumps(doc, indent=2)`, with each dict or list object
-    encoded once however often it occurs in doc.
+def _key(k) -> str:
+    """A dict key as the encoder writes it, with the separator after it."""
+    return _quote(k if isinstance(k, str) else _scalar(k)) + ": "
 
-    The indented encoder puts a nested value's lines after a newline and
-    its nesting level's indent, and nowhere else (a string's newline is
+
+def dump(doc, write: Callable[[str], object]) -> None:
+    """Write exactly the text of `json.dumps(doc, indent=2)` through `write`,
+    piece by piece, with each dict or list object encoded once however
+    often it occurs in doc.
+
+    The document and the containers directly inside it are written one
+    member per call, so a long list of solutions is never joined into one
+    string; each value below them is encoded to text once (`encode`).  The
+    indented encoder puts a nested value's lines after a newline and its
+    nesting level's indent, and nowhere else (a string's newline is
     escaped).  So the text of an object written at one indent becomes its
     text at another by swapping the indent after each newline.
     """
@@ -203,14 +214,28 @@ def dumps(doc) -> str:
         done[id(v)] = (None, indent)
         inner = indent + "  "
         if isinstance(v, dict):
-            ends, items = "{}", [
-                _quote(k if isinstance(k, str) else _scalar(k)) + ": " + encode(x, inner)
-                for k, x in v.items()
-            ]
+            ends, items = "{}", [_key(k) + encode(x, inner) for k, x in v.items()]
         else:
             ends, items = "[]", [encode(x, inner) for x in v]
         text = f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
         done[id(v)] = (text, indent)
         return text
 
-    return encode(doc, "")
+    def emit(prefix: str, v, indent: str, depth: int) -> None:
+        if depth == 2 or not isinstance(v, (list, tuple, dict)) or not v or id(v) in done:
+            write(prefix + encode(v, indent))
+            return
+        done[id(v)] = (None, indent)  # a cycle back to v is refused
+        inner = indent + "  "
+        if isinstance(v, dict):
+            ends, items = "{}", [(_key(k), x) for k, x in v.items()]
+        else:
+            ends, items = "[]", [("", x) for x in v]
+        sep = f"{prefix}{ends[0]}\n{inner}"
+        for key, x in items:
+            emit(sep + key, x, inner, depth + 1)
+            sep = f",\n{inner}"
+        write(f"\n{indent}{ends[1]}")
+        del done[id(v)]  # written, not kept: met again, it is encoded anew
+
+    emit("", doc, "", 0)

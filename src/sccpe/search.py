@@ -16,8 +16,10 @@ sorted by canonical key), witnesses in canonical (agent, store) order.
 Explore tells ``search`` whether a state has a successor, not which: in
 'terminal' mode only successor-free states are tested.  A query reads
 only the stores, so one call of ``search`` evaluates it once per distinct
-tuple of store objects.  To watch every state an exploration visits, call
-``calculus.explore`` with a callback of one's own.
+tuple of store objects, the prefix of a canonical state's objects
+(``calculus.store_count``), and reads the witnesses in that order.  To
+watch every state an exploration visits, call ``calculus.explore`` with a
+callback of one's own.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Union
 
-from .calculus import StoreObj, SysState, explore, store_map
-from .formula import Formula, Record, TRUE, term_key
+from .calculus import SysState, explore, normalize, store_count
+from .formula import Formula, Record, TRUE
 from .solver import Solver
 
 
@@ -69,9 +71,11 @@ def evaluate_query(s: SysState, q: Query, solver: Solver) -> list:
 
     Each binding is a tuple of (agent, store) pairs: one pair for the
     single-store queries, two for StoresEquivalent (reported in both
-    orders).  The bindings depend on the stores of s alone.
+    orders).  The bindings depend on the stores of s alone, read in the
+    order of normalize(s)'s objects: one store per agent, by agent.
     """
-    stores = sorted(store_map(s).items(), key=lambda kv: (kv[0].path, term_key(kv[1])))
+    objs = normalize(s).objects
+    stores = [(o.aid, o.constraint) for o in objs[: store_count(objs)]]
     if isinstance(q, InconsistentStore):
         return [((aid, c),) for aid, c in stores if not solver.check_sat(c)]
     if isinstance(q, StoreEntails):
@@ -113,7 +117,8 @@ def search(
     def visit(state: SysState, index: int, has_successor: bool) -> bool:
         if mode == "terminal" and has_successor:
             return False
-        key = tuple(o for o in state.objects if type(o) is StoreObj)
+        objs = state.objects
+        key = objs[: store_count(objs)]
         bindings = memo.get(key)
         if bindings is None:
             bindings = memo[key] = evaluate_query(state, q, solver)

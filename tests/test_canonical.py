@@ -40,7 +40,7 @@ from sccpe import (
     normalize,
     step,
 )
-from sccpe.calculus import explore
+from sccpe.calculus import explore, store_count
 from sccpe.formula import (
     FALSE,
     TRUE,
@@ -256,6 +256,33 @@ def test_step_builds_normal_successors_of_every_acceptance_state():
             check_built_as_checked(s)
             for t in step(s, Solver()):
                 check_built_as_checked(t)
+
+
+def check_stores_first(s):
+    """Every store object of the canonical state s precedes every process
+    object, and `store_count` counts exactly the stores: `_transitions`
+    and the search's query memo read the stores as that prefix."""
+    assert s._canon, s
+    n = store_count(s.objects)
+    assert [type(o) for o in s.objects] == [StoreObj] * n + [ProcObj] * (len(s.objects) - n), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_stores_are_the_prefix_of_random_states(rng):
+    for s in (normalize(small_state(rng)), normalize(raw_state(rng))):
+        check_stores_first(s)
+        for t in step(s, Solver()):
+            check_stores_first(t)
+
+
+def test_stores_are_the_prefix_of_every_explored_state():
+    for make in ACCEPTANCE_SYSTEMS.values():
+        seen = []
+        explore(make(), Solver(), 64, lambda s, i, succs: seen.append(s))
+        assert len(seen) > 1
+        for s in seen:
+            check_stores_first(s)
 
 
 def test_every_node_class_stores_its_hash_key_and_flag():

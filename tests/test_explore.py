@@ -42,6 +42,7 @@ from sccpe import (
     step,
 )
 from sccpe.calculus import explore, state_key
+from sccpe.formula import Cmp
 
 SYSTEMS = [base_system, inconsistent_variant, same_knowledge_variant]
 DEPTHS = [0, 1, 2, 3, 4, 64]
@@ -297,3 +298,18 @@ def test_the_query_memo_is_exact(name, mode, solver, monkeypatch):
         tuples = {tuple(o for o in s.objects if isinstance(o, StoreObj)) for s in calls}
         assert len(calls) == len(tuples)
 
+
+def test_search_builds_no_comparison(monkeypatch):
+    """`Cmp` checks its operator as it is built; a search builds none, so the
+    check costs exploration and query evaluation nothing."""
+    from test_output_digests import KNOWLEDGE
+
+    inits = [make() for make in ACCEPTANCE_SYSTEMS.values()]
+    inits.append(elaborate(parse(KNOWLEDGE)))
+    built = []
+    head = Cmp._head
+    monkeypatch.setattr(Cmp, "_head", lambda c: built.append(c) or head(c))
+    for init in inits:
+        for q in QUERIES:
+            search(init, q, solver=Solver())
+    assert built == []

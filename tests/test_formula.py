@@ -287,14 +287,16 @@ def test_to_dnf_rejects_bool_equality():
 @pytest.mark.parametrize(
     "call, op",
     [
+        (lambda: Cmp("=", X, IntLit(1)), "="),
         (lambda: lower(Cmp("==", X, IntLit(1))), "=="),
         (lambda: Solver().check_sat(Cmp("==", X, IntLit(1))), "=="),
         (lambda: Solver().entails(TRUE, Cmp("<<", X, IntLit(1))), "<<"),  # lowered negated
     ],
-    ids=["lower", "check_sat", "entails"],
+    ids=["constructor", "lower", "check_sat", "entails"],
 )
 def test_an_unknown_comparison_operator_is_refused(call, op):
-    # the parser builds only the six operators; a hand-built Cmp may hold any string
+    # the parser builds only the six operators; `Cmp` refuses any other
+    # string as it is built, so no solver entry point ever meets one
     with pytest.raises(TypeError, match=f"^unknown comparison operator '{op}'$"):
         call()
 

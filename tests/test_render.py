@@ -23,7 +23,7 @@ from sccpe import (
 )
 from sccpe.calculus import NIL, Ask, Extr, Par, ProcObj, ProcVar, Rec, Space, Tell
 from sccpe.formula import And, BoolEq, BoolNeq, Cmp, Implies, Not, Or, Xor
-from sccpe.render import dumps, state_to_obj
+from sccpe.render import dump, state_to_obj
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 
@@ -208,6 +208,14 @@ def test_json_serialization_is_deterministic(solver):
 # ---------------------------------------------------------------------------
 # the CLI's JSON writer prints the standard library's indented bytes
 
+
+def dumps(doc) -> str:
+    """The text that `dump` writes, collected from its `write` calls."""
+    pieces = []
+    dump(doc, pieces.append)
+    return "".join(pieces)
+
+
 _SHARED = {"x": [1, {"y": None}]}
 _LIST = [1, {"k": "v"}]
 _DICT = {"l": _LIST, "again": _LIST}
@@ -270,3 +278,15 @@ def _aliased_documents(draw):
 @settings(max_examples=300)
 def test_dumps_matches_the_stdlib_on_aliased_documents(doc):
     assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dump_writes_a_long_document_piece_by_piece():
+    """A document with many members arrives in many `write` calls, and the
+    list of them in one call per member, so it is never joined first."""
+    witness = {"aid": [0], "store": "X:Integer >= 1"}
+    doc = {"solutions": [{"solution": i, "witnesses": [witness]} for i in range(300)], "states": 9}
+    pieces = []
+    dump(doc, pieces.append)
+    assert "".join(pieces) == json.dumps(doc, indent=2)
+    assert len(pieces) > 300
+    assert max(map(len, pieces)) < len("".join(pieces)) / 100
