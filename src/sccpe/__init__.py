@@ -45,7 +45,6 @@ from .formula import (
     intvar,
     lower,
     ne_,
-    negate,
 )
 from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, validate
 from .render import render_tree

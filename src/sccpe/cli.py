@@ -11,11 +11,13 @@ come before ``FILE``, and after ``--`` every argument is a value.  Every
 formula is decided by the built-in solver, which never answers "unknown".
 Exit codes: 0 success (a "No solution." outcome is a success), 1 usage/parse/
 validate error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 3
-internal error.
+internal error, 141 the reader closed standard output early (128 + SIGPIPE,
+as a shell reports for a tool cut off the same way; nothing is printed).
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from functools import cache
@@ -31,6 +33,7 @@ from .solver import Solver
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -306,23 +309,28 @@ def _cmd_check(args, out, err) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"run": _cmd_run, "search": _cmd_search, "check": _cmd_check}
+
+
 def main(argv=None) -> int:
     out, err = sys.stdout, sys.stderr
     try:
         args = _read_args(sys.argv[1:] if argv is None else argv)
         if args is None:
             print(USAGE, file=out)
-            return EXIT_OK
-        if args.command == "run":
-            return _cmd_run(args, out, err)
-        if args.command == "search":
-            return _cmd_search(args, out, err)
-        return _cmd_check(args, out, err)
+            code = EXIT_OK
+        else:
+            code = _COMMANDS[args.command](args, out, err)
+        out.flush()  # a reader that closed the pipe early is met here, not at exit
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except _InputError:
         return EXIT_USAGE
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the flush at exit stays silent
+        return EXIT_PIPE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=err)
         return EXIT_INTERNAL

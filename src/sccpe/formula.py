@@ -1,7 +1,10 @@
 """Quantifier-free Boolean/integer constraint terms.
 
-Constraints are immutable trees over Boolean connectives and comparisons
-between integer variables and literals.  Every node (`Node`, the `Record`
+Constraints are immutable trees of the forms the surface language writes:
+the Boolean constants and variables, conjunction, Boolean equality and
+disequality, and comparisons between integer variables and literals.
+These are functionally complete (``not f`` is ``f =/== true``), so there
+is no other connective.  Every node (`Node`, the `Record`
 shared with the processes, objects and states of `calculus`) computes its
 hash, its order key and whether it is in canonical form once, when it is
 built, from its fields and its children's stored values; nothing is
@@ -9,19 +12,19 @@ mutated afterwards and nothing is interned.  The module provides:
 
 * `Record`, the slotted immutable base of the package's values, whose
   fields are its annotations, and `Node`;
-* ``conjoin``/``negate`` with the unit and absorbing identities applied at
-  the top (``c and true = c``, ``c and false = false``, constant folding
-  for ``not``), so stores never accumulate redundant ``true`` conjuncts;
-* ``canonicalize``, a purely syntactic normal form: associative-commutative
-  chains are flattened and sorted under a fixed total term order, ``true``
-  conjuncts dropped, ``false`` absorbing, syntactic duplicates in a
-  conjunction removed.  Canonical terms are the engine's state-identity
-  currency; a canonical term is returned as it is, so canonical inputs
-  cost one flag test;
+* ``conjoin`` with the unit and absorbing identities applied at the top
+  (``c and true = c``, ``c and false = false``), so stores never
+  accumulate redundant ``true`` conjuncts;
+* ``canonicalize``, a purely syntactic normal form: conjunctions are
+  flattened and sorted under a fixed total term order, ``true`` conjuncts
+  dropped, ``false`` absorbing, syntactic duplicates removed.  Canonical
+  terms are the engine's state-identity currency; a canonical term is
+  returned as it is, so canonical inputs cost one flag test;
 * ``lower``, which lowers every well-sorted term to one literal form,
   the difference atom ``x - y <= k`` (`DLAtom`: a bound is a difference
   against 0, a Boolean an integer positive exactly when it holds), and each
-  disjunction to one split (`DLGoal`) expanded only when the solver asks;
+  disjunctive choice (a negated conjunction, a Boolean equality, a
+  disequality) to one split (`DLGoal`) expanded only when the solver asks;
 * a printer for the concrete constraint syntax used in logs
   (``X:Integer === 25 and Y:Integer < 5``).
 
@@ -285,15 +288,6 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-class Not(_Bool):
-    arg: "Formula"
-    _tag = 6
-    _kids = (("arg", BOOL_KINDS, False),)
-
-    def _canon_here(self) -> bool:
-        return type(self.arg) is not BoolConst
-
-
 class And(_Bool):
     args: tuple  # >= 2 formulas
     _tag = 7
@@ -303,43 +297,18 @@ class And(_Bool):
         return chain_canonical(self, (And, BoolConst), strict=True)
 
 
-class Or(_Bool):
-    args: tuple
-    _tag = 8
-    _kids = (("args", BOOL_KINDS, True),)
-
-    def _canon_here(self) -> bool:
-        return chain_canonical(self, (Or, BoolConst), strict=False)
-
-
-class Xor(_Bool):
-    args: tuple
-    _tag = 9
-    _kids = (("args", BOOL_KINDS, True),)
-
-    def _canon_here(self) -> bool:
-        return chain_canonical(self, (Xor,), strict=False) and FALSE not in self.args
-
-
-class Implies(_Bool):
-    left: "Formula"
-    right: "Formula"
-    _tag = 10
-    _kids = (("left", BOOL_KINDS, False), ("right", BOOL_KINDS, False))
-
-
 class BoolEq(_Bool):
     left: "Formula"
     right: "Formula"
     _tag = 11
-    _kids = Implies._kids
+    _kids = (("left", BOOL_KINDS, False), ("right", BOOL_KINDS, False))
 
 
 class BoolNeq(_Bool):
     left: "Formula"
     right: "Formula"
     _tag = 12
-    _kids = Implies._kids
+    _kids = BoolEq._kids
 
 
 class Cmp(_Bool):
@@ -362,10 +331,10 @@ class Cmp(_Bool):
 
 
 IntExpr = Union[Var, IntLit]
-Formula = Union[BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp]
+Formula = Union[BoolConst, Var, And, BoolEq, BoolNeq, Cmp]
 
 INT_KINDS.update((Var, IntLit))
-BOOL_KINDS.update((BoolConst, Var, Not, And, Or, Xor, Implies, BoolEq, BoolNeq, Cmp))
+BOOL_KINDS.update((BoolConst, Var, And, BoolEq, BoolNeq, Cmp))
 
 
 def intvar(name: str) -> Var:
@@ -412,7 +381,7 @@ def _operand_sort(x) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Conjunction and negation identities
+# Conjunction identities
 
 
 def conjoin(c: Formula, d: Formula) -> Formula:
@@ -427,15 +396,6 @@ def conjoin(c: Formula, d: Formula) -> Formula:
     return And(parts)
 
 
-def negate(c: Formula) -> Formula:
-    """Negation with constant folding for the two Boolean constants."""
-    if c == TRUE:
-        return FALSE
-    if c == FALSE:
-        return TRUE
-    return Not(c)
-
-
 # ---------------------------------------------------------------------------
 # Total term order and canonical form
 
@@ -447,19 +407,13 @@ def canonicalize(c: Formula) -> Formula:
     """Syntactic canonical form; idempotent.
 
     Conjunctions are flattened, stripped of ``true``, collapsed on
-    ``false``, deduplicated, and sorted; the other associative-commutative
-    chains (or, xor) are flattened, stripped of ``false`` and sorted, and
-    ``or`` collapses on ``true``; a chain left with one argument is that
-    argument, and one left with none is its unit.  ``not`` folds
-    constants.  No semantic reasoning happens here.  A term
+    ``false``, deduplicated, and sorted; one left with one argument is that
+    argument, and one left with none is ``true``.  No semantic reasoning
+    happens here.  A term
     that is already canonical is returned as it is, and only the parts of
     one that is not are rebuilt.
     """
     return _canon_bool(c)
-
-
-# Per chain class: the unit that is dropped and the zero that absorbs.
-_CHAIN = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (FALSE, None)}
 
 
 def _canon_bool(f: Formula) -> Formula:
@@ -467,28 +421,21 @@ def _canon_bool(f: Formula) -> Formula:
         raise TypeError(f"not a formula: {f!r}")
     if f._canon:
         return f
-    if isinstance(f, Not):
-        a = _canon_bool(f.arg)
-        return negate(a) if isinstance(a, BoolConst) else Not(a)
-    if type(f) not in _CHAIN:
+    if type(f) is not And:
         return rebuild(f, _canon_kid)
-    cls = type(f)
-    unit, zero = _CHAIN[cls]
     parts = []
     for raw in f.args:
         a = _canon_bool(raw)
-        if type(a) is cls:
+        if type(a) is And:
             parts.extend(a.args)
-        elif a == zero:
-            return zero
-        elif a != unit:
+        elif a == FALSE:
+            return FALSE
+        elif a != TRUE:
             parts.append(a)
-    if cls is And:
-        parts = list(dict.fromkeys(parts))
-    parts.sort(key=term_key)
+    parts = sorted(dict.fromkeys(parts), key=term_key)
     if len(parts) < 2:
-        return parts[0] if parts else unit
-    return cls(tuple(parts))
+        return parts[0] if parts else TRUE
+    return And(tuple(parts))
 
 
 def _canon_int(e: IntExpr) -> IntExpr:
@@ -559,7 +506,9 @@ class DLAtom(Record):
 
 class DLGoal(NamedTuple):
     """Atoms and splits, all of which must hold: a split holds when one of
-    its alternative goals does, so a split with no alternative is false."""
+    its alternative goals does, so a split with no alternative is false.
+    A negated conjunction splits into one alternative per conjunct, a
+    Boolean equality or a disequality into two."""
 
     atoms: list
     splits: list
@@ -568,9 +517,11 @@ class DLGoal(NamedTuple):
 def lower(c: Formula, pos: bool = True, sorts: dict | None = None) -> DLGoal:
     """c, or not(c) when pos is false, as a DLGoal with the same integer
     models.  Walking with polarity, a conjunctive goal adds its atoms (an
-    equality two), and a disjunctive one (or, negated and, implies, xor,
-    Boolean = and =/=, a disequality, split into left < right, then left >
-    right) adds one split.  Raises SortConflict when a name is used at both
+    equality two), and a disjunctive one adds one split: a negated and
+    (one alternative per conjunct), a Boolean = (both sides true, then both
+    false) or =/= (left true and right false, then the converse), either
+    one negated (the other's alternatives), or a disequality (left < right,
+    then left > right).  Raises SortConflict when a name is used at both
     sorts (the two uses would share a vertex), checked on each variable as
     the walk meets it, or a variable sits in a position of the other sort,
     and TypeError on anything that is not a formula.  Names met go into
@@ -598,25 +549,18 @@ def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
         if f.sort is not Sort.BOOL:
             raise SortConflict(f"integer variable {f.name} used as a formula")
         goal.atoms.append(DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0))
-    elif isinstance(f, Not):
-        _lower(f.arg, not pos, goal, sorts)
-    elif isinstance(f, (And, Or, Implies)):  # l implies r is (not l) or r
-        implies = isinstance(f, Implies)
-        parts = [(f.left, not pos), (f.right, pos)] if implies else [(a, pos) for a in f.args]
-        if isinstance(f, And) == pos:  # conjunctive: an and, a negated or or implies
-            for g, p in parts:
-                _lower(g, p, goal, sorts)
+    elif isinstance(f, And):
+        if pos:
+            for g in f.args:
+                _lower(g, True, goal, sorts)
         else:
-            goal.splits.append(tuple(_goal(sorts, part) for part in parts))
-    elif isinstance(f, Xor) and len(f.args) < 2:  # the fold of a short chain
-        _lower(f.args[0] if f.args else FALSE, pos, goal, sorts)
-    elif isinstance(f, Xor):
-        head, rest = f.args[0], f.args[1] if len(f.args) == 2 else Xor(f.args[1:])
+            goal.splits.append(tuple(_goal(sorts, (g, False)) for g in f.args))
+    elif isinstance(f, (BoolEq, BoolNeq)):  # the sides agree, or they differ
+        same = pos == isinstance(f, BoolEq)
         goal.splits.append(
-            (_goal(sorts, (head, True), (rest, not pos)), _goal(sorts, (head, False), (rest, pos)))
+            (_goal(sorts, (f.left, True), (f.right, same)),
+             _goal(sorts, (f.left, False), (f.right, not same)))
         )
-    elif isinstance(f, (BoolEq, BoolNeq)):  # l = r is not(l xor r), l =/= r is l xor r
-        _lower(Xor((f.left, f.right)), pos == isinstance(f, BoolNeq), goal, sorts)
     elif isinstance(f, Cmp):
         _compare(f.op if pos else _NEG_OP[f.op], f.left, f.right, goal, sorts)
     else:
@@ -662,10 +606,11 @@ def _le(x: str | None, y: str | None, k: int, goal: DLGoal) -> DLGoal:
 # ---------------------------------------------------------------------------
 # Concrete syntax: printer
 
-# Binding powers, loosest first; a comparison binds tighter than all of
-# them, so it is never parenthesized.
-_B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ = range(1, 6)
-_CHAIN_FMT = {And: (" and ", _B_AND), Or: (" or ", _B_OR), Xor: (" xor ", _B_XOR)}
+# Binding powers: ``and`` binds looser than ``===`` and ``=/==``, which do
+# not chain; a comparison binds as they do, so that it is parenthesized as
+# the side of a Boolean (dis)equality (``(X:Integer === 1) =/== true``).
+_B_AND, _B_EQ = 1, 2
+_EQ_WORD = {BoolEq: " === ", BoolNeq: " =/== "}
 
 
 def format_formula(f: Formula) -> str:
@@ -690,22 +635,13 @@ def _fmt_bool(f: Formula, parent: int) -> str:
         return str(f)
     if isinstance(f, Var):
         return f"{f.name}:Boolean"
-    if isinstance(f, Not):
-        return f"not({_fmt_bool(f.arg, 0)})"
-    if type(f) in _CHAIN_FMT:
-        if not f.args:  # an empty chain is its unit
-            return str(_CHAIN[type(f)][0])
-        word, bp = _CHAIN_FMT[type(f)]
-        return _wrap(word.join(_fmt_bool(a, bp + 1) for a in f.args), bp, parent)
-    if isinstance(f, Implies):
-        s = f"{_fmt_bool(f.left, _B_IMPLIES + 1)} implies {_fmt_bool(f.right, _B_IMPLIES + 1)}"
-        return _wrap(s, _B_IMPLIES, parent)
-    if isinstance(f, BoolEq):
-        s = f"{_fmt_bool(f.left, _B_EQ + 1)} === {_fmt_bool(f.right, _B_EQ + 1)}"
-        return _wrap(s, _B_EQ, parent)
-    if isinstance(f, BoolNeq):
-        s = f"{_fmt_bool(f.left, _B_EQ + 1)} =/== {_fmt_bool(f.right, _B_EQ + 1)}"
+    if isinstance(f, And):
+        if not f.args:  # an empty conjunction is its unit
+            return "true"
+        return _wrap(" and ".join(_fmt_bool(a, _B_AND + 1) for a in f.args), _B_AND, parent)
+    if type(f) in _EQ_WORD:
+        s = _EQ_WORD[type(f)].join((_fmt_bool(f.left, _B_EQ + 1), _fmt_bool(f.right, _B_EQ + 1)))
         return _wrap(s, _B_EQ, parent)
     if isinstance(f, Cmp):
-        return f"{format_int_expr(f.left)} {f.op} {format_int_expr(f.right)}"
+        return _wrap(f"{format_int_expr(f.left)} {f.op} {format_int_expr(f.right)}", _B_EQ, parent)
     raise TypeError(f"not a formula: {f!r}")

@@ -142,6 +142,8 @@ class _Token(Record):
 
 
 def _lex(text: str) -> list:
+    """The tokens of text.  The grammar is ASCII: an integer is [0-9]+ and a
+    word [A-Za-z][A-Za-z0-9]*, and any other character is unexpected."""
     tokens = []
     line, col, i = 1, 1, 0
     n = len(text)
@@ -164,23 +166,23 @@ def _lex(text: str) -> list:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             j = i
-            while j < n and text[j].isalnum():
+            while j < n and text[j].isascii() and text[j].isalnum():
                 j += 1
             word = text[i:j]
             if word in _KEYWORDS:
                 tokens.append(_Token("kw", word, line, col))
-            elif word[0].isupper() and all(c.isupper() or c.isdigit() for c in word):
+            elif word.isupper():
                 tokens.append(_Token("id", word, line, col))
             else:
                 error(f"unexpected word {word!r} (identifiers are uppercase, like X or B0)")
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i

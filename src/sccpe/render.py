@@ -53,13 +53,9 @@ from .formula import (
     BoolNeq,
     Cmp,
     Formula,
-    Implies,
     IntLit,
-    Not,
-    Or,
     TRUE,
     Var,
-    Xor,
     format_formula,
 )
 
@@ -69,7 +65,9 @@ from .formula import (
 
 
 def render_tree(s: SysState) -> str:
-    """Deterministic indented tree of the state's spatial hierarchy."""
+    """Deterministic indented tree of the state's spatial hierarchy.  The
+    agents are listed in the order of their root-first paths, which is the
+    preorder with the children of each agent by index."""
     stores: dict[tuple, Formula] = {}
     procs: dict[tuple, list] = {}
     for o in s.objects:
@@ -77,31 +75,16 @@ def render_tree(s: SysState) -> str:
             stores[o.aid.path] = o.constraint
         else:
             procs.setdefault(o.aid.path, []).append(o.program)
-    nodes = {()} | set(stores) | set(procs)
-    for path in list(nodes):
-        while path:
-            path = path[1:]
-            nodes.add(path)
-    children: dict[tuple, list] = {path: [] for path in nodes}
-    for path in nodes:
-        if path:
-            children[path[1:]].append(path)
-    for kids in children.values():
-        kids.sort(key=lambda p: p[0])
-
+    nodes = {()}  # every agent with an object, and its ancestors
+    for path in (*stores, *procs):
+        nodes.update(path[i:] for i in range(len(path)))
     lines: list[str] = []
-
-    def visit(path: tuple, depth: int) -> None:
-        indent = "  " * depth
-        label = "root" if not path else str(path[0])
-        constraint = stores.get(path, TRUE)
-        lines.append(f"{indent}{label}: {format_formula(constraint)}")
+    for path in sorted(nodes, key=lambda p: p[::-1]):
+        indent = "  " * len(path)
+        label = str(path[0]) if path else "root"
+        lines.append(f"{indent}{label}: {format_formula(stores.get(path, TRUE))}")
         for p in sorted(procs.get(path, ()), key=process_key):
             lines.append(f"{indent}  * {format_process(p)}")
-        for child in children[path]:
-            visit(child, depth + 1)
-
-    visit((), 0)
     return "\n".join(lines) + "\n"
 
 
@@ -111,9 +94,9 @@ def render_tree(s: SysState) -> str:
 # The op name of each node class; fields follow in declaration order, under
 # their own names except for the comparison's operator.
 _OP_NAME = {
-    Var: "var", IntLit: "int", Not: "not", And: "and", Or: "or", Xor: "xor", Implies: "implies",
-    BoolEq: "beq", BoolNeq: "bneq", Cmp: "cmp", Nil: "nil", Tell: "tell", Ask: "ask", Par: "par",
-    Space: "space", Rec: "rec", Extr: "xtr", ProcVar: "procvar",
+    Var: "var", IntLit: "int", And: "and", BoolEq: "beq", BoolNeq: "bneq", Cmp: "cmp",
+    Nil: "nil", Tell: "tell", Ask: "ask", Par: "par", Space: "space", Rec: "rec", Extr: "xtr",
+    ProcVar: "procvar",
 }
 _JSON_KEY = {"op": "fn"}
 _LIT, _ONE, _MANY, _SORT = range(4)  # how a field is encoded

@@ -1,7 +1,7 @@
 """Satisfiability and entailment of constraint formulas.
 
 A `Solver` session decides them with a decision procedure that is complete
-for every term the engine can build (difference logic): `formula.lower`
+for every term of `sccpe.formula` (difference logic): `formula.lower`
 turns a formula into difference atoms ``x - y <= k`` and open splits; the
 atoms' graph is checked for a negative cycle (Bellman-Ford), and a split
 is branched on only when the model this yields satisfies none of its
@@ -12,10 +12,12 @@ it: the brute-force model enumerator in ``tests/model_oracle.py``, and an
 external SMT-LIB2 solver driven by ``tests/smt_oracle.py`` when one is
 installed.
 
-``Solver.entails(c, d)`` is unsatisfiability of ``c and not(d)``.  A session
-holds two tables: one lowering per ``(formula, polarity)``, a conjunction's
-joined from its conjuncts' (so a grown store lowers only its new conjunct),
-and one verdict per ``(c, d)``, searched on c's lowering joined to not(d)'s.
+``Solver.entails(c, d)`` is unsatisfiability of ``c and (d =/== true)``,
+with d lowered at negative polarity, so that no negation is built.  A
+session holds two tables: one lowering per ``(formula, polarity)``, a
+conjunction's joined from its conjuncts' (so a grown store lowers only its
+new conjunct), and one verdict per ``(c, d)``, searched on c's lowering
+joined to d's negated one.
 """
 
 from __future__ import annotations

@@ -19,18 +19,14 @@ from sccpe.formula import (
     BoolNeq,
     Cmp,
     Formula,
-    Implies,
     IntExpr,
     IntLit,
-    Not,
-    Or,
     Sort,
     Var,
-    Xor,
 )
 
 # Binding powers, loosest first.
-_B_IMPLIES, _B_OR, _B_XOR, _B_AND, _B_EQ, _B_CMP = 1, 2, 3, 4, 5, 6
+_B_AND, _B_EQ, _B_CMP = 1, 2, 3
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)"
@@ -38,7 +34,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>===|=/==|<=|>=|[<>\-:().]))"
 )
 
-_KEYWORDS = {"and", "or", "xor", "implies", "not", "true", "false", "Integer", "Boolean"}
+_KEYWORDS = {"and", "true", "false", "Integer", "Boolean"}
 
 
 def _tokenize(text: str) -> list:
@@ -91,7 +87,7 @@ class _Reader:
         kind, node = self.parse_prefix()
         while True:
             tk, tv, _ = self.peek()
-            if tk == "name" and tv in ("and", "or", "xor", "implies"):
+            if tk == "name" and tv == "and":
                 opname = tv
             elif tk == "op" and tv in ("===", "=/==", "<=", ">=", "<", ">"):
                 opname = tv
@@ -101,29 +97,26 @@ class _Reader:
             if bp < min_bp:
                 break
             self.next()
-            if opname in ("and", "or", "xor"):
-                kind, node = self.parse_chain(opname, kind, node, bp)
+            if opname == "and":
+                kind, node = self.parse_chain(kind, node, bp)
                 continue
             rk, rn = self.parse(bp + 1)
             kind, node = self.combine(opname, kind, node, rk, rn)
         return kind, node
 
-    def parse_chain(self, opname: str, kind, node, bp: int):
+    def parse_chain(self, kind, node, bp: int):
         args = [self.require_bool(kind, node)]
         while True:
             rk, rn = self.parse(bp + 1)
             args.append(self.require_bool(rk, rn))
             tk, tv, _ = self.peek()
-            if tk == "name" and tv == opname:
+            if tk == "name" and tv == "and":
                 self.next()
                 continue
             break
-        cls = {"and": And, "or": Or, "xor": Xor}[opname]
-        return "bool", cls(tuple(args))
+        return "bool", And(tuple(args))
 
     def combine(self, op: str, lk, ln, rk, rn):
-        if op == "implies":
-            return "bool", Implies(self.require_bool(lk, ln), self.require_bool(rk, rn))
         if op in ("<", "<=", ">", ">="):
             return "bool", Cmp(op, self.require_int(lk, ln), self.require_int(rk, rn))
         if op in ("===", "=/=="):
@@ -169,11 +162,6 @@ class _Reader:
                 return "bool", TRUE
             if tv == "false":
                 return "bool", FALSE
-            if tv == "not":
-                self.expect("(")
-                kind, node = self.parse(0)
-                self.expect(")")
-                return "bool", Not(self.require_bool(kind, node))
             if tv in _KEYWORDS:
                 raise ValueError(f"column {at}: unexpected keyword {tv!r}")
             pk, pv, _ = self.peek()
@@ -190,9 +178,6 @@ class _Reader:
 
 
 _READ_BP = {
-    "implies": _B_IMPLIES,
-    "or": _B_OR,
-    "xor": _B_XOR,
     "and": _B_AND,
     "===": _B_EQ,
     "=/==": _B_EQ,

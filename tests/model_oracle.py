@@ -22,14 +22,10 @@ from sccpe.formula import (
     BoolEq,
     BoolNeq,
     Cmp,
-    Implies,
     IntLit,
-    Not,
-    Or,
     Sort,
     SortConflict,
     Var,
-    Xor,
     children,
     free_vars,
 )
@@ -60,14 +56,11 @@ def _assert_fragment(t) -> None:
         if t.sort is not Sort.BOOL:
             raise SortConflict(f"integer variable {t.name} in formula position")
         return
-    if isinstance(t, Not):
-        _assert_fragment(t.arg)
-        return
-    if isinstance(t, (And, Or, Xor)):
+    if isinstance(t, And):
         for a in t.args:
             _assert_fragment(a)
         return
-    if isinstance(t, (Implies, BoolEq, BoolNeq)):
+    if isinstance(t, (BoolEq, BoolNeq)):
         _assert_fragment(t.left)
         _assert_fragment(t.right)
         return
@@ -102,20 +95,11 @@ def compile_term(t) -> Callable[[dict], object]:
     if isinstance(t, Var):
         name = t.name
         return lambda env: env[name]
-    if isinstance(t, Not):
-        g = compile_term(t.arg)
-        return lambda env: not g(env)
-    if isinstance(t, (And, Or, Xor)):
+    if isinstance(t, And):
         gs = tuple(compile_term(a) for a in t.args)
-        if isinstance(t, And):
-            return lambda env: all(g(env) for g in gs)
-        if isinstance(t, Or):
-            return lambda env: any(g(env) for g in gs)
-        return lambda env: sum(g(env) for g in gs) % 2 == 1
-    if isinstance(t, (Implies, BoolEq, BoolNeq)):
+        return lambda env: all(g(env) for g in gs)
+    if isinstance(t, (BoolEq, BoolNeq)):
         gl, gr = compile_term(t.left), compile_term(t.right)
-        if isinstance(t, Implies):
-            return lambda env: (not gl(env)) or gr(env)
         if isinstance(t, BoolEq):
             return lambda env: gl(env) == gr(env)
         return lambda env: gl(env) != gr(env)

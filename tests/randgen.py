@@ -29,7 +29,7 @@ from sccpe import (
     Var,
     normalize,
 )
-from sccpe.formula import And, Cmp, Implies, IntLit, Not, Or, Sort, Xor
+from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Sort
 
 INT_NAMES = ("X", "Y", "Z")
 BOOL_NAMES = ("P", "Q")
@@ -56,7 +56,9 @@ def fragment_formula(
     int_names=INT_NAMES,
     bool_names=BOOL_NAMES,
 ):
-    """Random formula in the decidable fragment with at most max_atoms atoms."""
+    """Random formula in the decidable fragment with at most max_atoms atoms:
+    atoms joined by and, Boolean === and =/==, with negation written as
+    ``f =/== true``."""
 
     def build(n: int):
         if n <= 1:
@@ -68,13 +70,11 @@ def fragment_formula(
             if conn < 0.45:
                 f = And((left, right))
             elif conn < 0.75:
-                f = Or((left, right))
-            elif conn < 0.87:
-                f = Xor((left, right))
+                f = BoolNeq(left, right)
             else:
-                f = Implies(left, right)
+                f = BoolEq(left, right)
         if rng.random() < 0.25:
-            f = Not(f)
+            f = BoolNeq(f, TRUE)
         return f
 
     return build(rng.randint(1, max_atoms))

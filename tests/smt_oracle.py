@@ -24,13 +24,9 @@ from sccpe.formula import (
     BoolEq,
     BoolNeq,
     Cmp,
-    Implies,
     IntLit,
-    Not,
-    Or,
     Sort,
     Var,
-    Xor,
     free_vars,
 )
 
@@ -63,13 +59,8 @@ def _smt(t) -> str:
         return t.name
     if isinstance(t, IntLit):
         return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, Not):
-        return f"(not {_smt(t.arg)})"
-    if isinstance(t, (And, Or, Xor)):
-        op = {And: "and", Or: "or", Xor: "xor"}[type(t)]
-        return f"({op} {' '.join(_smt(a) for a in t.args)})"
-    if isinstance(t, Implies):
-        return f"(=> {_smt(t.left)} {_smt(t.right)})"
+    if isinstance(t, And):
+        return f"(and {' '.join(_smt(a) for a in t.args)})"
     if isinstance(t, (BoolEq, BoolNeq)):
         inner = f"(= {_smt(t.left)} {_smt(t.right)})"
         return inner if isinstance(t, BoolEq) else f"(not {inner})"

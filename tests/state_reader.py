@@ -12,18 +12,14 @@ import json
 
 from sccpe import FALSE, TRUE, AgentId, ProcObj, StoreObj, SysState, normalize
 from sccpe.calculus import Ask, Extr, Nil, Par, ProcVar, Rec, Space, Tell
-from sccpe.formula import And, BoolEq, BoolNeq, Cmp, Implies, IntLit, Not, Or, Sort, Var, Xor
+from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Sort, Var
 from sccpe.render import state_to_obj
 
 # op -> (class, the keys of its fields in constructor order)
 _NODES = {
     "var": (Var, "name", "sort"),
     "int": (IntLit, "value"),
-    "not": (Not, "arg"),
     "and": (And, "args"),
-    "or": (Or, "args"),
-    "xor": (Xor, "args"),
-    "implies": (Implies, "left", "right"),
     "beq": (BoolEq, "left", "right"),
     "bneq": (BoolNeq, "left", "right"),
     "cmp": (Cmp, "fn", "left", "right"),
@@ -38,7 +34,7 @@ _NODES = {
 }
 _CONSTANTS = {"true": TRUE, "false": FALSE}
 _OBJECTS = {"store": StoreObj, "process": ProcObj}
-_TERM_KEYS = {"arg", "left", "right", "constraint", "guard", "then", "body"}
+_TERM_KEYS = {"left", "right", "constraint", "guard", "then", "body"}
 
 
 def read_term(obj: dict):

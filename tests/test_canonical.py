@@ -49,21 +49,14 @@ from sccpe.formula import (
     BoolEq,
     BoolNeq,
     Cmp,
-    Implies,
     IntLit,
     Node,
-    Not,
-    Or,
     Sort,
     Var,
-    Xor,
 )
 
 SEEDS = st.randoms(use_true_random=False)
-_TAG = {
-    And: 7, Or: 8, Xor: 9, Implies: 10, BoolEq: 11, BoolNeq: 12,
-    Space: 104, Rec: 105, Extr: 106,
-}
+_TAG = {BoolEq: 11, BoolNeq: 12, Space: 104, Rec: 105, Extr: 106}
 
 
 def shape(t, f):
@@ -75,13 +68,11 @@ def shape(t, f):
         return (1, 0 if t.sort is Sort.INT else 1, t.name)
     if isinstance(t, IntLit):
         return (2, t.value)
-    if isinstance(t, Not):
-        return (6, f(t.arg))
     if isinstance(t, Cmp):
         return (13, t.op, f(t.left), f(t.right))
-    if isinstance(t, (And, Or, Xor)):
-        return (_TAG[type(t)], tuple(f(a) for a in t.args))
-    if isinstance(t, (Implies, BoolEq, BoolNeq)):
+    if isinstance(t, And):
+        return (7, tuple(f(a) for a in t.args))
+    if isinstance(t, (BoolEq, BoolNeq)):
         return (_TAG[type(t)], f(t.left), f(t.right))
     if isinstance(t, Nil):
         return (100,)
@@ -134,25 +125,18 @@ def check_stored(t):
 def ref_canon(f):
     if isinstance(f, (BoolConst, Var, IntLit)):
         return f
-    if isinstance(f, Not):
-        a = ref_canon(f.arg)
-        return FALSE if a == TRUE else TRUE if a == FALSE else Not(a)
-    if isinstance(f, (And, Or, Xor)):
-        cls = type(f)
-        unit, zero = {And: (TRUE, FALSE), Or: (FALSE, TRUE), Xor: (FALSE, None)}[cls]
+    if isinstance(f, And):
         parts = []
         for raw in f.args:
             a = ref_canon(raw)
-            if isinstance(a, cls):
+            if isinstance(a, And):
                 parts.extend(a.args)
-            elif zero is not None and a == zero:
-                return zero
-            elif a != unit:
+            elif a == FALSE:
+                return FALSE
+            elif a != TRUE:
                 parts.append(a)
-        if cls is And:
-            parts = list(dict.fromkeys(parts))
-        parts.sort(key=ref_key)
-        return unit if not parts else parts[0] if len(parts) == 1 else cls(tuple(parts))
+        parts = sorted(dict.fromkeys(parts), key=ref_key)
+        return TRUE if not parts else parts[0] if len(parts) == 1 else And(tuple(parts))
     if isinstance(f, Cmp):
         return Cmp(f.op, ref_canon(f.left), ref_canon(f.right))
     return type(f)(ref_canon(f.left), ref_canon(f.right))
@@ -289,12 +273,13 @@ def test_every_node_class_stores_its_hash_key_and_flag():
     X, Y, P, Q = Var("X", Sort.INT), Var("Y", Sort.INT), Var("P", Sort.BOOL), Var("Q", Sort.BOOL)
     terms = [
         And((Cmp("<", X, IntLit(-2)), Cmp("=/==", Y, X), BoolEq(Q, P))),
-        Implies(BoolEq(P, Q), BoolNeq(Q, Not(TRUE))),
-        Xor((Q,)),
-        Xor((Xor((Q, P)), TRUE)),
-        Or((Or((Q, FALSE)), P, P)),
+        BoolNeq(BoolEq(P, Q), BoolNeq(Q, BoolNeq(TRUE, TRUE))),
+        And((Q,)),
+        And(()),
+        And((And((Q, P)), FALSE)),
+        And((And((Q, TRUE)), P, P)),
         And((P, And((Q, P)), TRUE)),
-        Not(Not(P)),
+        BoolNeq(BoolNeq(P, TRUE), TRUE),
     ]
     for t in terms:
         c = canonicalize(t)

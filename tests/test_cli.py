@@ -453,6 +453,21 @@ def test_missing_file_exit_code():
     assert code == 1
 
 
+# The grammar is ASCII: a superscript digit is no integer and a letter
+# with a diacritic no identifier, though Python's isdigit and isalpha
+# accept them.
+NON_ASCII_PROGRAMS = [
+    ("begin [ tell(true) ]_\u00b2 . end\n", "<stdin>:1:22: error: unexpected character '\u00b2'\n"),
+    ("var \u00c4 Int\nbegin\ntell(true) .\nend\n", "<stdin>:1:5: error: unexpected character '\u00c4'\n"),
+]
+
+
+@pytest.mark.parametrize("text, diagnostic", NON_ASCII_PROGRAMS, ids=["superscript-two", "a-umlaut"])
+def test_a_character_outside_the_ascii_grammar_is_a_diagnostic(text, diagnostic):
+    code, out, err = invoke(["run", "-"], stdin=text)
+    assert (code, out, err) == (1, "", diagnostic)
+
+
 def test_query_formula_parse_error():
     code, out, err = invoke(["search", MESSAGE, "--query", "entails", "Z >"])
     assert (code, out) == (1, "")
@@ -538,16 +553,40 @@ def test_json_output_is_the_stdlib_indented_layout(argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_module_entry_point():
-    # the child finds the package where this process found it, installed or not
+def _module_env() -> dict:
+    """The environment of a `python -m sccpe.cli` child, which finds the
+    package where this process found it, installed or not."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sccpe.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sccpe.cli", "check", "-", "--entails", "Y < X", "Y < 3"],
         input="",
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_module_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "false"
+
+
+def test_a_closed_reader_ends_the_call_with_141_and_no_message():
+    # as `| head -c 10` does: the reader takes 10 bytes of a 454 KB document
+    # and closes the pipe while the writer is still writing
+    from test_output_digests import KNOWLEDGE
+
+    argv = [sys.executable, "-m", "sccpe.cli", "search", "-", "--query", "equiv", "--format", "json"]
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with subprocess.Popen(argv, env=_module_env(), **pipes) as proc:
+        proc.stdin.write(KNOWLEDGE.encode())
+        proc.stdin.close()
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head == b'{\n  "comma'
+    assert (code, err) == (cli.EXIT_PIPE, b"")
+    assert cli.EXIT_PIPE == 141

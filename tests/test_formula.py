@@ -26,7 +26,6 @@ from sccpe import (
     intvar,
     ne_,
     lower,
-    negate,
     normalize,
 )
 from sccpe.formula import (
@@ -39,11 +38,7 @@ from sccpe.formula import (
     Cmp,
     DLAtom,
     DLGoal,
-    Implies,
     IntLit,
-    Not,
-    Or,
-    Xor,
     term_key,
 )
 from smt_oracle import smtlib_script
@@ -54,7 +49,7 @@ P, Q = (boolvar(n) for n in "PQ")
 
 
 # ---------------------------------------------------------------------------
-# conjoin / negate identities
+# conjoin identities and negation
 
 
 def test_conjoin_true_unit():
@@ -77,13 +72,16 @@ def test_conjoin_plain_pair():
     assert format_formula(got) == "Z:Integer >= 10 and Z:Integer === 9"
 
 
-def test_negate_constants():
-    assert negate(TRUE) == FALSE
-    assert negate(FALSE) == TRUE
-
-
-def test_negate_structural():
-    assert negate(Y < 20) == Not(Y < 20)
+def test_negation_is_a_disequality_with_true():
+    # not f is written f =/== true (or f === false): a model satisfies it
+    # exactly when it does not satisfy f
+    for f in (Y < 20, P, And((P, X > 2)), TRUE, FALSE):
+        for neg in (BoolNeq(f, TRUE), BoolEq(f, FALSE)):
+            for env in ({"X": 3, "Y": 19, "P": True}, {"X": 0, "Y": 20, "P": False}):
+                assert compile_term(neg)(env) is not compile_term(f)(env)
+            assert not Solver().check_sat(And((f, neg)))
+    assert Solver().check_sat(BoolNeq(Y < 20, TRUE))
+    assert not Solver().check_sat(BoolNeq(TRUE, TRUE))
 
 
 def test_equality_sort_comes_from_both_operands():
@@ -133,16 +131,14 @@ def test_canonicalize_dedups_conjuncts():
     assert canonicalize(And((Y < 5, Y < 5))) == (Y < 5)
 
 
-def test_canonicalize_or_identities():
-    assert canonicalize(Or((FALSE, P))) == P
-    assert canonicalize(Or((TRUE, P))) == TRUE
-    assert canonicalize(Not(TRUE)) == FALSE
-
-
-def test_canonicalize_folds_short_xor():
-    assert canonicalize(Xor((P,))) == P
-    assert canonicalize(Xor((FALSE, P, FALSE))) == P
-    assert format_formula(canonicalize(Xor(()))) == "false"
+def test_canonicalize_folds_short_and():
+    assert canonicalize(And((P,))) == P
+    assert canonicalize(And((TRUE, P, TRUE))) == P
+    assert canonicalize(And((TRUE,))) == TRUE
+    assert canonicalize(And(())) == TRUE
+    # an equality is rebuilt from canonical sides and never folded
+    assert canonicalize(BoolNeq(And((TRUE, P)), TRUE)) == BoolNeq(P, TRUE)
+    assert canonicalize(BoolEq(TRUE, TRUE)) == BoolEq(TRUE, TRUE)
 
 
 formulas = st.builds(
@@ -209,8 +205,8 @@ def test_dl_atom_prints_zero_for_none():
 
 def test_to_dnf_boolean_variables_are_bounds():
     assert lower(P) == _atoms(DLAtom(None, "P", -1))
-    assert lower(Not(P)) == _atoms(DLAtom("P", None, 0))
-    assert lower(And((P, Not(P)))) == _atoms(DLAtom(None, "P", -1), DLAtom("P", None, 0))
+    assert lower(P, False) == _atoms(DLAtom("P", None, 0))
+    assert lower(And((P, Q)), True) == _atoms(DLAtom(None, "P", -1), DLAtom(None, "Q", -1))
 
 
 def test_to_dnf_literal_on_the_left():
@@ -220,11 +216,11 @@ def test_to_dnf_literal_on_the_left():
     assert lower(Cmp("===", IntLit(2), IntLit(3))) == FALSE_GOAL
 
 
-def test_to_dnf_folds_short_xor():
-    assert lower(Xor((P,))) == lower(P)
-    assert lower(Not(Xor((P,)))) == lower(Not(P))
-    assert lower(Xor(())) == FALSE_GOAL
-    assert lower(Not(Xor(()))) == TRUE_GOAL
+def test_lower_of_a_short_and():
+    assert lower(And((P,))) == lower(P)
+    assert lower(And((P,)), False) == DLGoal([], [(lower(P, False),)])
+    assert lower(And(())) == TRUE_GOAL
+    assert lower(And(()), False) == FALSE_GOAL
 
 
 def test_to_dnf_rejects_a_name_used_at_both_sorts():
@@ -232,11 +228,14 @@ def test_to_dnf_rejects_a_name_used_at_both_sorts():
         lower(And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0)))
     # every subformula is lowered, so a disjunct that would never be split still counts
     with pytest.raises(SortConflict):
-        lower(Or((P, Var("P", Sort.INT) < 0)))
+        lower(And((P, Var("P", Sort.INT) < 0)), False)
+    with pytest.raises(SortConflict):
+        lower(BoolNeq(P, Var("P", Sort.INT) < 0))
 
 
 def test_to_dnf_flips_negation():
-    assert lower(Not(Y < 20)) == _atoms(DLAtom(None, "Y", -20))
+    assert lower(Y < 20, False) == _atoms(DLAtom(None, "Y", -20))
+    assert lower(ne_(Y, 20), False) == lower(eq_(Y, 20))
 
 
 def test_to_dnf_equality_splits_bounds():
@@ -264,10 +263,25 @@ def test_lower_keeps_each_disjunction_one_split():
     assert goal.atoms == []
     assert len(goal.splits) == 12
     assert all(len(split) == 2 and all(len(alt.atoms) == 1 for alt in split) for split in goal.splits)
-    # only the disjunctive polarity splits: not(P or Q) is two atoms, P implies Q one split
-    assert lower(Not(Or((P, Q)))) == _atoms(DLAtom("P", None, 0), DLAtom("Q", None, 0))
-    assert lower(Implies(P, Q)) == DLGoal(
-        [], [(_atoms(DLAtom("P", None, 0)), _atoms(DLAtom(None, "Q", -1)))]
+    # only the disjunctive polarity splits: P and Q is two atoms, its negation one split
+    assert lower(And((P, Q))) == _atoms(DLAtom(None, "P", -1), DLAtom(None, "Q", -1))
+    assert lower(And((P, Q)), False) == DLGoal(
+        [], [(_atoms(DLAtom("P", None, 0)), _atoms(DLAtom("Q", None, 0)))]
+    )
+
+
+def test_lower_splits_a_boolean_equality_two_ways():
+    p, q = DLAtom(None, "P", -1), DLAtom(None, "Q", -1)
+    not_p, not_q = DLAtom("P", None, 0), DLAtom("Q", None, 0)
+    # ===: both sides true, then both false; =/==: left true and right
+    # false, then the converse; a negated equality has the other's split
+    same = DLGoal([], [(_atoms(p, q), _atoms(not_p, not_q))])
+    mixed = DLGoal([], [(_atoms(p, not_q), _atoms(not_p, q))])
+    assert lower(BoolEq(P, Q)) == lower(BoolNeq(P, Q), False) == same
+    assert lower(BoolNeq(P, Q)) == lower(BoolEq(P, Q), False) == mixed
+    # compound sides are lowered inside each alternative, with its polarity
+    assert lower(BoolNeq(And((P, Q)), TRUE)) == DLGoal(
+        [], [(DLGoal([p, q], [()]), DLGoal([], [(_atoms(not_p), _atoms(not_q))]))]
     )
 
 
@@ -279,7 +293,7 @@ def test_to_dnf_same_variable_folds():
 def test_to_dnf_rejects_bool_equality():
     # a variable in a position of the other sort
     with pytest.raises(SortConflict):
-        lower(Not(X))
+        lower(BoolNeq(X, TRUE))
     with pytest.raises(SortConflict):
         lower(Cmp("<", P, IntLit(0)))
 
@@ -307,7 +321,7 @@ def test_ill_sorted_comparison_is_never_canonical():
     bad = Cmp("<", P, IntLit(1))
     assert not bad._canon and not Cmp("===", X, Q)._canon
     assert Cmp("<", X, IntLit(1))._canon
-    for term in (bad, And((X > 0, bad)), Not(Cmp("===", X, Q))):
+    for term in (bad, And((X > 0, bad)), BoolNeq(Cmp("===", X, Q), TRUE)):
         with pytest.raises(SortConflict, match="Boolean variable . used as an integer"):
             canonicalize(term)
     with pytest.raises(SortConflict):
@@ -338,15 +352,20 @@ def test_to_dnf_preserves_semantics(f, seed):
 def test_format_examples():
     assert format_formula(eq_(X, 25)) == "X:Integer === 25"
     assert format_formula(P) == "P:Boolean"
-    assert format_formula(Not(Y < 20)) == "not(Y:Integer < 20)"
-    assert format_formula(Or((And((P, Q)), FALSE))) == "P:Boolean and Q:Boolean or false"
-    assert format_formula(And((Or((P, Q)), P))) == "(P:Boolean or Q:Boolean) and P:Boolean"
+    # and binds looser than === and =/==, which do not chain; a comparison
+    # is parenthesized as the side of a Boolean (dis)equality
+    assert format_formula(BoolNeq(Y < 20, TRUE)) == "(Y:Integer < 20) =/== true"
+    assert format_formula(BoolEq(eq_(Y, X), P)) == "(Y:Integer === X:Integer) === P:Boolean"
+    assert format_formula(And((eq_(Y, X), P))) == "Y:Integer === X:Integer and P:Boolean"
+    assert format_formula(BoolNeq(And((P, Q)), FALSE)) == "(P:Boolean and Q:Boolean) =/== false"
+    assert format_formula(And((BoolEq(P, Q), P))) == "P:Boolean === Q:Boolean and P:Boolean"
+    assert format_formula(BoolEq(BoolNeq(P, Q), P)) == "(P:Boolean =/== Q:Boolean) === P:Boolean"
+    assert format_formula(And((And((P, Q)), P))) == "(P:Boolean and Q:Boolean) and P:Boolean"
 
 
-def test_format_empty_chain_prints_its_unit():
-    for f, text in ((And(()), "true"), (Or(()), "false"), (Xor(()), "false")):
-        assert format_formula(f) == text
-        assert read_formula(text) == canonicalize(f)
+def test_format_empty_and_prints_its_unit():
+    assert format_formula(And(())) == "true"
+    assert read_formula("true") == canonicalize(And(()))
 
 
 def test_read_examples():
@@ -354,8 +373,7 @@ def test_read_examples():
     assert read_formula("Z:Integer >= (10).Integer and Z:Integer === (9).Integer") == And(
         (Z >= 10, eq_(Z, 9))
     )
-    assert read_formula("not((true).Boolean)") == Not(TRUE)
-    assert canonicalize(read_formula("not((true).Boolean)")) == FALSE
+    assert read_formula("(true).Boolean =/== true") == BoolNeq(TRUE, TRUE)
     assert read_formula("-5 < X:Integer") == Cmp("<", IntLit(-5), X)
 
 
@@ -376,8 +394,9 @@ def test_print_read_round_trip(f):
 
 def test_print_read_round_trip_exotic():
     exotic = [
-        Implies(P, Xor((Q, P))),
-        Not(And((Or((P, Q)), Xor((P, Q, P))))),
+        BoolNeq(P, BoolEq(Q, P)),
+        BoolNeq(And((BoolEq(P, Q), BoolNeq(And((P, Q, P)), P))), TRUE),
+        And((And((P, Q)), BoolEq(eq_(X, 1), Q))),
     ]
     for f in exotic:
         assert read_formula(format_formula(f)) == f
@@ -405,11 +424,7 @@ SAMPLES = {
     BoolConst: FALSE,
     Var: P,
     IntLit: IntLit(-3),
-    Not: Not(P),
     And: And((P, X < 1)),
-    Or: Or((P, Q)),
-    Xor: Xor((P, Q)),
-    Implies: Implies(P, Q),
     BoolEq: BoolEq(P, Q),
     BoolNeq: BoolNeq(P, TRUE),
     Cmp: Cmp("=/==", X, Y),
@@ -431,3 +446,60 @@ def test_every_term_class_lowers_prints_reads_stores_and_renders(cls):
     assert s.objects[0].constraint == f
     assert round_trip(s) == s
     assert smtlib_script(f).endswith("(check-sat)\n")
+
+
+# ---------------------------------------------------------------------------
+# the retired connectives, written with the forms that remain
+
+# not, or, xor and implies left the term language; each is written with
+# and, ===, =/== and the constants. The entry holds the connective's truth
+# function and its encoding.
+RETIRED = {
+    "not": (lambda a, b: not a, lambda f, g: BoolNeq(f, TRUE)),
+    "or": (
+        lambda a, b: a or b,
+        lambda f, g: BoolNeq(And((BoolNeq(f, TRUE), BoolNeq(g, TRUE))), TRUE),
+    ),
+    "xor": (lambda a, b: a != b, lambda f, g: BoolNeq(f, g)),
+    "implies": (
+        lambda a, b: not a or b,
+        lambda f, g: BoolNeq(And((f, BoolNeq(g, TRUE))), TRUE),
+    ),
+}
+# operand pairs whose four truth combinations are all satisfiable: two
+# atoms, and two compound operands that lower to splits of their own
+OPERANDS = [(P, Q), (Y < 20, And((Q, X > 2)))]
+
+
+@pytest.mark.parametrize("op", RETIRED)
+def test_a_retired_connective_is_written_with_the_remaining_forms(op):
+    table, encode = RETIRED[op]
+    rng = random.Random(op)
+    for f, g in OPERANDS:
+        e = encode(f, g)
+        # the oracle and the lowering evaluate the encoding to the truth table
+        goal = lower(e)
+        for _ in range(40):
+            env = {n: rng.randint(-12, 12) for n in INT_NAMES}
+            env.update({n: rng.random() < 0.5 for n in BOOL_NAMES})
+            want = table(compile_term(f)(env), compile_term(g)(env))
+            assert compile_term(e)(env) is want
+            assert _goal_true(goal, env) is want
+        # the solver agrees once both operands are fixed
+        for a, b in itertools.product((True, False), repeat=2):
+            fix = And((BoolEq(f, TRUE if a else FALSE), BoolEq(g, TRUE if b else FALSE)))
+            assert Solver().check_sat(And((e, fix))) is table(a, b)
+            assert Solver().entails(fix, e) is table(a, b)
+
+
+@pytest.mark.parametrize("op", RETIRED)
+def test_a_retired_connective_encoding_prints_reads_stores_and_renders(op):
+    _, encode = RETIRED[op]
+    for f, g in OPERANDS:
+        e = canonicalize(encode(f, g))
+        assert canonicalize(e) is e
+        assert read_formula(format_formula(e)) == e
+        s = normalize(SysState((StoreObj(ROOT, e),)))
+        assert s.objects[0].constraint == e
+        assert round_trip(s) == s
+        assert smtlib_script(e).endswith("(check-sat)\n")

@@ -89,6 +89,24 @@ def test_parse_unknown_word():
     assert "uppercase" in str(exc.value) or "expected" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("begin [ tell(true) ]_\u00b2 . end\n", (1, 22)),  # a superscript two is no digit
+        ("var \u00c4 Int\nbegin\ntell(true) .\nend\n", (1, 5)),  # nor an A-umlaut a letter
+        ("var X Int\nbegin\ntell(X > \u0661) .\nend\n", (3, 10)),  # an Arabic-Indic one
+        ("var X\u00b2 Int\nbegin\ntell(true) .\nend\n", (1, 6)),  # a name ends before it
+    ],
+    ids=["superscript-two", "a-umlaut", "arabic-indic-one", "superscript-in-a-name"],
+)
+def test_the_lexer_reads_only_the_ascii_grammar(text, where):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    (diag,) = exc.value.diagnostics
+    assert (diag.line, diag.col) == where
+    assert diag.message.startswith("unexpected character")
+
+
 def test_parse_comments_and_crlf():
     text = "-- header comment\r\nvar X Int\r\nbegin\r\ntell(X > 0) . -- trailing\r\nend\r\n"
     ast = parse(text)

@@ -8,8 +8,9 @@ document reader keeps its own table of op names and fields, so it must
 share none with the encoder; and the oracles live here, not in the
 package, which holds only what the analyzer runs.  The package has one
 decision path: the names of the retired external backend must not come
-back, nor those of the state reader, the schemas and the predicate query,
-which no path of the analyzer used.
+back, nor those of the state reader, the schemas, the predicate query and
+the connectives beyond and, === and =/==, which no path of the analyzer
+used.
 """
 
 import ast
@@ -17,6 +18,7 @@ import importlib
 import pathlib
 
 import sccpe
+from sccpe.formula import BOOL_KINDS, INT_KINDS, And, BoolConst, BoolEq, BoolNeq, Cmp, IntLit, Var
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = pathlib.Path(sccpe.__file__).resolve().parent
@@ -27,7 +29,7 @@ LOWERING_NAMES = {"lower", "to_dnf", "DLGoal", "DLAtom"}
 
 # The printer in sccpe.formula, besides its `_fmt*` functions and `_B_*`
 # binding powers.
-PRINTER_NAMES = {"format_formula", "format_int_expr", "_CHAIN_FMT"}
+PRINTER_NAMES = {"format_formula", "format_int_expr", "_EQ_WORD"}
 
 # The encoder's tables in sccpe.render, and the function that builds them.
 ENCODER_NAMES = {"_OP_NAME", "_JSON_KEY", "_PLAN", "_plan"}
@@ -67,9 +69,15 @@ TEST_ONLY_NAMES = {
 RETIRED_NAMES = {"SolverInconclusive", "ExternalSolverError", "SatResult", "SolverConfig", "check_unsat"}
 
 # Capabilities no analyzer path reached, removed from the package: the user
-# predicate query, the state document reader and its error, and the JSON
-# Schemas (now `tests/schemas.py`).
+# predicate query, the state document reader and its error, the JSON
+# Schemas (now `tests/schemas.py`), and the connectives that no program,
+# query or check can write (negation is ``f =/== true``).
 RETIRED_CAPABILITY_NAMES = {
+    "Not",
+    "Or",
+    "Xor",
+    "Implies",
+    "negate",
     "Predicate",
     "state_from_json",
     "obj_to_state",
@@ -177,3 +185,14 @@ def test_package_defines_no_retired_capability():
 
 def test_package_exports_no_retired_capability():
     assert_package_exports_none_of(RETIRED_CAPABILITY_NAMES)
+
+
+def test_every_term_class_is_sampled_and_no_retired_one():
+    # the per-class test of every consumer (lowering, printer, reader, state
+    # document, SMT oracle) runs on exactly the classes of the term language
+    from test_formula import SAMPLES, test_every_term_class_lowers_prints_reads_stores_and_renders
+
+    (mark,) = test_every_term_class_lowers_prints_reads_stores_and_renders.pytestmark
+    assert BOOL_KINDS == {BoolConst, Var, And, BoolEq, BoolNeq, Cmp}
+    assert INT_KINDS == {Var, IntLit}
+    assert set(mark.args[1]) == set(SAMPLES) == BOOL_KINDS | INT_KINDS

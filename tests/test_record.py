@@ -19,7 +19,6 @@ import pytest
 import sccpe
 from randgen import fragment_atom, process, small_state, store_formula
 from sccpe import (
-    FALSE,
     NIL,
     ROOT,
     TRUE,
@@ -53,13 +52,9 @@ from sccpe.formula import (
     BoolNeq,
     Cmp,
     DLAtom,
-    Implies,
     IntLit,
     Node,
-    Not,
-    Or,
     Record,
-    Xor,
 )
 from sccpe.lang import AgentDecl, ProcessLine, _Token
 from test_canonical import ref_key
@@ -75,11 +70,7 @@ SAMPLES = [
     X,
     IntLit(-4),
     TRUE,
-    Not(P),
     And((P, X < 3)),
-    Or((P, Q)),
-    Xor((P, Q, FALSE)),
-    Implies(P, Q),
     BoolEq(P, Q),
     BoolNeq(Q, P),
     Cmp("=/==", X, Y),
@@ -114,6 +105,16 @@ IDS = [type(r).__name__ for r in SAMPLES]
 # repr; the sample above leaves `deferred` empty, so this one sets it.
 SAMPLES.append(ProgramAst((), (), (Diagnostic("warning", 2, 5, "unused"),)))
 IDS.append("ProgramAst-deferred")
+# The one chain of the term language, empty: its key and hash hold an
+# empty tuple of children, and it stands for true.
+SAMPLES.append(And(()))
+IDS.append("And-empty")
+# Terms over terms, the way negation and the retired connectives are now
+# written: a negated conjunction, and an equality of a comparison.
+SAMPLES.append(BoolNeq(And((P, X < 3)), TRUE))
+IDS.append("BoolNeq-negation")
+SAMPLES.append(BoolEq(X < 3, Q))
+IDS.append("BoolEq-compound")
 
 
 def test_every_record_class_has_a_sample():

@@ -23,14 +23,20 @@ from sccpe import (
     eq_,
     intvar,
     ne_,
-    negate,
 )
 import sccpe.solver as solver_module
-from sccpe.formula import And, BoolEq, BoolNeq, Cmp, Implies, IntLit, Node, Not, Or, Xor
+from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Node
 from smt_oracle import smt_check, smtlib_script
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 P, Q = (boolvar(n) for n in "PQ")
+
+
+def oracle_entails(c, d) -> bool:
+    """Entailment as the brute-force oracle decides it: c and (d =/== true)
+    has no model."""
+    f = And((c, BoolNeq(d, TRUE)))
+    return not brute_force_sat(f, small_model_bound(f))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +157,7 @@ def test_oracle_agreement_sample():
 
 def _bool_equality_formula(rng, depth=3):
     """Boolean = or =/= between two sides, each a Boolean variable, a
-    small fragment formula, or another such equality."""
+    small fragment formula, or another such equality; sometimes negated."""
     sides = []
     for _ in range(2):
         roll = rng.random()
@@ -162,7 +168,7 @@ def _bool_equality_formula(rng, depth=3):
         else:
             sides.append(_bool_equality_formula(rng, depth - 1))
     f = rng.choice((BoolEq, BoolNeq))(*sides)
-    return Not(f) if rng.random() < 0.2 else f
+    return BoolNeq(f, TRUE) if rng.random() < 0.2 else f
 
 
 def test_bool_equality_agrees_with_brute_force():
@@ -202,7 +208,8 @@ def boxed_disequalities(draw):
     parts = atoms(("=/==",), 13, 20) + atoms(("<", "<=", ">", ">="), 0, 4)
     parts += [c for n in names for c in (intvar(n) >= 0, intvar(n) <= BOX)]
     if draw(st.booleans()):
-        parts.append(Not(And(tuple(atoms(("<", "<=", ">", ">=", "===", "=/=="), 1, 3)))))
+        guard = And(tuple(atoms(("<", "<=", ">", ">=", "===", "=/=="), 1, 3)))
+        parts.append(BoolNeq(guard, TRUE))
     return And(tuple(parts))
 
 
@@ -212,9 +219,11 @@ def test_many_disequalities_agree_with_brute_force(f):
     assert Solver().check_sat(f) == brute_force_sat(f, BOX)
 
 
-def test_short_xor_is_decided():
-    assert Solver().check_sat(Xor((P,)))
-    assert not Solver().check_sat(Xor(()))
+def test_short_and_is_decided():
+    assert Solver().check_sat(And((P,)))
+    assert not Solver().check_sat(And((P, BoolNeq(And((P,)), TRUE))))
+    assert Solver().check_sat(And(()))
+    assert not Solver().check_sat(BoolNeq(And(()), TRUE))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +355,11 @@ def test_oracle_sends_the_whole_script_on_stdin(tmp_path):
     seen = tmp_path / "seen.smt2"
     stub = tmp_path / "recorder.py"
     stub.write_text(f"import sys\nopen({str(seen)!r}, 'w').write(sys.stdin.read())\nprint('sat')\n")
-    f = And((Z >= 10, Not(P), X < -3))
+    f = And((Z >= 10, BoolNeq(P, TRUE), X < -3))
     assert smt_check((sys.executable, str(stub)), f) == "sat"
     assert seen.read_text() == smtlib_script(f)
     assert "(< X (- 3))" in smtlib_script(f)
+    assert "(not (= P true))" in smtlib_script(f)
 
 
 def test_timeout_maps_to_unknown(tmp_path):
@@ -394,10 +404,9 @@ def test_config_validation():
 def test_entailment_memo_is_transparent(c, d):
     session = Solver()
     for left, right in ((c, d), (d, c), (c, d)):  # the last one from the table
-        f = conjoin(left, negate(right))
-        verdict = not brute_force_sat(f, small_model_bound(f))
+        verdict = oracle_entails(left, right)
         assert session.entails(left, right) is verdict
-        assert (not Solver().check_sat(f)) is verdict
+        assert (not Solver().check_sat(And((left, BoolNeq(right, TRUE))))) is verdict
 
 
 class Interrupted(Exception):
@@ -424,7 +433,7 @@ def test_an_inconclusive_entailment_is_not_memoized(monkeypatch):
 
 def _tell(rng):
     """A constraint as a program tells it: a disequality, a bound, a Boolean
-    variable, or an or/xor/implies of two of these."""
+    variable, or a Boolean === or =/== of two of these."""
     x, y = (intvar(n) for n in rng.sample("XY", 2))
     atoms = (
         lambda: ne_(x, rng.choice((y, rng.randint(0, 3)))),
@@ -433,8 +442,8 @@ def _tell(rng):
     )
     if rng.random() < 0.7:
         return rng.choice(atoms)()
-    left, right, kind = rng.choice(atoms)(), rng.choice(atoms)(), rng.choice((Or, Xor, Implies))
-    return Implies(left, right) if kind is Implies else kind((left, right))
+    left, right = rng.choice(atoms)(), rng.choice(atoms)()
+    return rng.choice((BoolEq, BoolNeq))(left, right)
 
 
 def test_one_session_agrees_with_the_oracle_as_stores_grow():
@@ -446,12 +455,12 @@ def test_one_session_agrees_with_the_oracle_as_stores_grow():
         store = TRUE
         for _ in range(6):
             store = canonicalize(conjoin(store, _tell(rng)))
-            guards = (_tell(rng), Not(And((_tell(rng), _tell(rng)))), And((_tell(rng), _tell(rng))))
+            negated = BoolNeq(And((_tell(rng), _tell(rng))), TRUE)
+            guards = (_tell(rng), negated, And((_tell(rng), _tell(rng))))
             queries += [(store, d) for d in guards + (store.args[-1] if type(store) is And else store,)]
     expected = {}
     for c, d in queries:
-        f = conjoin(c, negate(d))
-        expected[c, d] = verdict = not brute_force_sat(f, small_model_bound(f))
+        expected[c, d] = verdict = oracle_entails(c, d)
         assert session.entails(c, d) is verdict, f"{c} entails {d}"
         assert Solver().entails(c, d) is verdict
     assert set(expected.values()) == {True, False}
@@ -459,7 +468,7 @@ def test_one_session_agrees_with_the_oracle_as_stores_grow():
     # again under a new key, so a goal that a search changed gives itself away
     for c, d in queries[::-1]:
         assert session.entails(c, d) is expected[c, d]
-        assert session.check_sat(And((c, Not(d)))) is not expected[c, d]
+        assert session.check_sat(And((c, BoolNeq(d, TRUE)))) is not expected[c, d]
 
 
 def test_a_sort_conflict_across_cached_parts_is_raised_and_not_stored():
@@ -476,8 +485,8 @@ def test_a_sort_conflict_across_cached_parts_is_raised_and_not_stored():
 def test_a_decision_builds_no_term(monkeypatch):
     # the store and the guard are lowered apart and joined: no conjunction
     # or negation of them is built (lowering itself builds none for these)
-    store = And(tuple(ne_(X, k) for k in range(5)) + (Or((P, X > 9)), Implies(Q, Y < X)))
-    guard, entailed = Not(And((X > 0, P))), ne_(X, 2)
+    store = And(tuple(ne_(X, k) for k in range(5)) + (BoolEq(P, X > 9), BoolNeq(Q, Y < X)))
+    guard, entailed = BoolNeq(And((X > 0, P)), TRUE), ne_(X, 2)
     built, init = [], Node.__init__
 
     def counted(self, *args, **kwargs):
