@@ -26,7 +26,6 @@ from .calculus import (
     replace,
     run,
     step,
-    store_map,
 )
 from .formula import (
     FALSE,
@@ -36,15 +35,10 @@ from .formula import (
     Sort,
     SortConflict,
     Var,
-    boolvar,
     canonicalize,
     conjoin,
-    eq_,
     format_formula,
-    free_vars,
-    intvar,
     lower,
-    ne_,
 )
 from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, validate
 from .render import render_tree

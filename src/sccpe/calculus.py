@@ -343,11 +343,6 @@ def store_count(objs: tuple) -> int:
     return bisect_left(objs, _FIRST_PROC, key=obj_key)
 
 
-def store_map(s: SysState) -> dict:
-    """Agent -> store constraint for every store object in the state."""
-    return {o.aid: o.constraint for o in s.objects if isinstance(o, StoreObj)}
-
-
 def normalize(s: SysState) -> SysState:
     """Exhaustive application of the invisible transitions plus canonical
     ordering: drop nil processes, merge same-agent stores by conjunction,

@@ -143,13 +143,14 @@ def _read_args(argv: list):
 
 
 def _load_program(path: str):
-    if path == "-":
-        return sys.stdin.read(), "<stdin>"
+    name = "<stdin>" if path == "-" else path
     try:
+        if path == "-":
+            return sys.stdin.read(), name
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(), path
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
+            return fh.read(), name
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {name}: {exc}")
 
 
 def _reject(exc: lang.ParseError, name: str, err):

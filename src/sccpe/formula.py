@@ -4,14 +4,17 @@ Constraints are immutable trees of the forms the surface language writes:
 the Boolean constants and variables, conjunction, Boolean equality and
 disequality, and comparisons between integer variables and literals.
 These are functionally complete (``not f`` is ``f =/== true``), so there
-is no other connective.  Every node (`Node`, the `Record`
-shared with the processes, objects and states of `calculus`) computes its
-hash, its order key and whether it is in canonical form once, when it is
-built, from its fields and its children's stored values; nothing is
-mutated afterwards and nothing is interned.  The module provides:
+is no other connective.  A term is built from its class, fields by
+position (``Cmp("<", Var("X", Sort.INT), IntLit(1))``), and terms have no
+ordering.  Every node (`Node`, the `Record` shared with the processes,
+objects and states of `calculus`) computes its hash, its order key and
+whether it is in canonical form once, when it is built, from its fields
+and its children's stored values; nothing is mutated afterwards and
+nothing is interned.  The module provides:
 
 * `Record`, the slotted immutable base of the package's values, whose
-  fields are its annotations, and `Node`;
+  fields are its annotations, taken by position and all compared, and
+  `Node`;
 * ``conjoin`` with the unit and absorbing identities applied at the top
   (``c and true = c``, ``c and false = false``), so stores never
   accumulate redundant ``true`` conjuncts;
@@ -59,19 +62,15 @@ class SortConflict(ValueError):
 class _Slotted(type):
     """Metaclass of `Record`.  A class's own public annotations, in order,
     are its fields: after its base's fields, they are its `__match_args__`
-    and `_setters` (slot setters), and their class-body defaults move to
-    `_defaults`.  Equality and hashing use `_compared`: the tuple of the
-    fields not named in `_uncompared`, or with `_bare` the one such value."""
+    and `_setters` (slot setters).  Equality and hashing use `_compared`:
+    the tuple of the fields, or with `_bare` the one field's value."""
 
     def __new__(mcs, name, bases, ns):
         own = tuple(n for n in ns.get("__annotations__", ()) if not n.startswith("_"))
-        defaults = {n: ns.pop(n) for n in own if n in ns}
         ns.setdefault("__slots__", own)
-        ns["__match_args__"] = getattr(bases[0], "__match_args__", ()) + own if bases else own
+        names = ns["__match_args__"] = getattr(bases[0], "__match_args__", ()) + own if bases else own
         cls = super().__new__(mcs, name, bases, ns)
-        cls._setters = tuple([getattr(cls, n).__set__ for n in cls.__match_args__])
-        cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
-        names = [n for n in cls.__match_args__ if n not in cls._uncompared]
+        cls._setters = tuple([getattr(cls, n).__set__ for n in names])
         cls._compared = attrgetter(*names) if names else staticmethod(lambda r: ())
         cls._bare = len(names) == 1
         return cls
@@ -80,36 +79,24 @@ class _Slotted(type):
 class Record(metaclass=_Slotted):
     """Immutable value with named fields, declared as class annotations.
 
-    It is built from positional and keyword arguments, with the class-body
-    defaults.  Records of one class with equal compared fields are equal
-    and hash alike; a record prints as ``Name(field=value, ...)``; copy and
-    pickle rebuild it through `__init__`.
+    It is built from its fields by position, all of them; a wrong count
+    raises TypeError.  Records of one class with equal fields are equal
+    and hash alike; a record prints as ``Name(field=value, ...)``; copy
+    and pickle rebuild it through `__init__`.
     """
 
-    _uncompared: tuple = ()
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._setters):
-            args = self._bind(args, kwargs)
+    def __init__(self, *args):
+        if len(args) != len(self._setters):
+            raise TypeError(f"{type(self).__name__}() takes {self.__match_args__} by position")
         for put, value in zip(self._setters, args):
             put(self, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values, in order, of a call not giving all by position."""
-        names, values = cls.__match_args__, {**cls._defaults, **kwargs}
-        values.update(zip(names, args))
-        repeated = set(kwargs) & set(names[: len(args)])
-        if len(args) > len(names) or set(values) != set(names) or repeated:
-            raise TypeError(f"{cls.__name__}() takes {', '.join(names)}, got {args} and {kwargs}")
-        return tuple([values[n] for n in names])
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return self._compared(self) == self._compared(other)
 
-    def __hash__(self) -> int:  # the hash of the tuple of compared fields
+    def __hash__(self) -> int:  # the hash of the tuple of fields
         return hash((self._compared(self),) if self._bare else self._compared(self))
 
     def __repr__(self) -> str:
@@ -151,9 +138,9 @@ class Node(Record):
         kids = [name for name, _, _ in cls._kids]
         cls._lits = tuple(n for n in cls.__match_args__ if n not in kids)
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._setters):
-            args = self._bind(args, kwargs)
+    def __init__(self, *args):
+        if len(args) != len(self._setters):
+            raise TypeError(f"{type(self).__name__}() takes {self.__match_args__} by position")
         for put, value in zip(self._setters, args):
             put(self, value)
         head = (self._tag,) + self._head()
@@ -230,27 +217,7 @@ BOOL_KINDS: set = set()
 INT_KINDS: set = set()
 
 
-class _IntOps(Node):
-    """Base of the integer expressions: operator sugar for building
-    comparisons."""
-
-    def __str__(self) -> str:
-        return format_int_expr(self)
-
-    def __lt__(self, other):
-        return Cmp("<", _as_int(self), _as_int(other))
-
-    def __le__(self, other):
-        return Cmp("<=", _as_int(self), _as_int(other))
-
-    def __gt__(self, other):
-        return Cmp(">", _as_int(self), _as_int(other))
-
-    def __ge__(self, other):
-        return Cmp(">=", _as_int(self), _as_int(other))
-
-
-class Var(_IntOps):
+class Var(Node):
     """A sorted variable; Bool variables double as atomic formulas."""
 
     name: str
@@ -264,9 +231,12 @@ class Var(_IntOps):
         return format_formula(self) if self.sort is Sort.BOOL else format_int_expr(self)
 
 
-class IntLit(_IntOps):
+class IntLit(Node):
     value: int
     _tag = 2
+
+    def __str__(self) -> str:
+        return str(self.value)
 
 
 class _Bool(Node):
@@ -337,49 +307,6 @@ INT_KINDS.update((Var, IntLit))
 BOOL_KINDS.update((BoolConst, Var, And, BoolEq, BoolNeq, Cmp))
 
 
-def intvar(name: str) -> Var:
-    return Var(name, Sort.INT)
-
-
-def boolvar(name: str) -> Var:
-    return Var(name, Sort.BOOL)
-
-
-def _as_int(x) -> IntExpr:
-    if isinstance(x, int) and not isinstance(x, bool):
-        return IntLit(x)
-    if isinstance(x, Var) and x.sort is not Sort.INT:
-        raise SortConflict(f"Boolean variable {x.name} used as an integer")
-    if type(x) in INT_KINDS:
-        return x
-    raise TypeError(f"not an integer expression: {x!r}")
-
-
-def eq_(left, right) -> Formula:
-    """Equality atom: integer `===` or Boolean `===` depending on operands."""
-    return _equality("===", BoolEq, left, right)
-
-
-def ne_(left, right) -> Formula:
-    return _equality("=/==", BoolNeq, left, right)
-
-
-def _equality(op: str, bool_cls: type, left, right) -> Formula:
-    (lsort, lterm), (rsort, rterm) = _operand_sort(left), _operand_sort(right)
-    if lsort is not rsort:
-        raise TypeError(f"cannot equate {left} ({lsort.value}) with {right} ({rsort.value})")
-    return Cmp(op, lterm, rterm) if lsort is Sort.INT else bool_cls(lterm, rterm)
-
-
-def _operand_sort(x) -> tuple:
-    """(sort, term) of an equality operand, a Python bool or int made a constant."""
-    if isinstance(x, (bool, int)):
-        x = (TRUE if x else FALSE) if isinstance(x, bool) else IntLit(x)
-    if type(x) not in BOOL_KINDS and type(x) not in INT_KINDS:
-        raise TypeError(f"not a term: {x!r}")
-    return x.sort if isinstance(x, Var) else Sort.INT if type(x) in INT_KINDS else Sort.BOOL, x
-
-
 # ---------------------------------------------------------------------------
 # Conjunction identities
 
@@ -448,27 +375,6 @@ def _canon_int(e: IntExpr) -> IntExpr:
 
 def _canon_kid(kinds: set, t):
     return _canon_int(t) if kinds is INT_KINDS else _canon_bool(t)
-
-
-# ---------------------------------------------------------------------------
-# Free variables
-
-
-def free_vars(c: Formula) -> frozenset:
-    """All variables of c with their sorts; rejects inconsistent sorts."""
-    acc: dict[str, Sort] = {}
-    _collect_vars(c, acc)
-    return frozenset(Var(n, s) for n, s in acc.items())
-
-
-def _collect_vars(t, acc: dict) -> None:
-    if isinstance(t, Var):
-        note_sort(t.name, t.sort, acc)
-        return
-    if type(t) not in BOOL_KINDS and type(t) not in INT_KINDS:
-        raise TypeError(f"not a term: {t!r}")
-    for kid in children(t):
-        _collect_vars(kid, acc)
 
 
 def note_sort(name: str, sort: Sort, sorts: dict) -> None:

@@ -19,12 +19,15 @@ become stores, process lines start at the root, and every referenced but
 undeclared ancestor space gets an empty (``true``) store so the transition
 rules always find their store object.
 
-``||`` associates to the right and ``ask`` takes the longest possible
-body, so ``a || ask c -> b || d`` reads ``a || (ask c -> (b || d))``.
+The operands of a chain of ``||`` form one parallel composition, and
+``ask`` takes the longest possible body, so ``a || ask c -> b || d`` reads
+``a || (ask c -> (b || d))``.  An integer literal has at most as many
+digits as the interpreter converts (4,300 by default).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Optional, Union
 
 from .calculus import (
@@ -81,16 +84,14 @@ class ParseError(Exception):
 class AgentDecl(Record):
     location: tuple  # agent indices, innermost first; empty = root
     constraint: Formula
-    line: int = 0
-    col: int = 0
-    _uncompared = ("line", "col")
+    line: int
+    col: int
 
 
 class ProcessLine(Record):
     process: Process
-    line: int = 0
-    col: int = 0
-    _uncompared = ("line", "col")
+    line: int
+    col: int
 
 
 Line = Union[AgentDecl, ProcessLine]
@@ -99,8 +100,7 @@ Line = Union[AgentDecl, ProcessLine]
 class ProgramAst(Record):
     var_decls: tuple  # of (names tuple, Sort)
     lines: tuple  # of Line
-    deferred: tuple = ()  # parse-time semantic diagnostics
-    _uncompared = ("deferred",)
+    deferred: tuple  # parse-time semantic diagnostics
 
     @property
     def var_table(self) -> dict:
@@ -239,6 +239,15 @@ class _Parser:
             self.error(tok, f"expected {want!r}, found {tok.value or tok.kind!r}")
         return self.next()
 
+    def integer(self) -> int:
+        """Consume an integer literal, no longer than `int` converts."""
+        tok = self.expect("int")
+        try:
+            return int(tok.value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            self.error(tok, f"integer literal too long: {len(tok.value)} digits, at most {limit}")
+
     def error(self, tok: _Token, msg: str):
         raise ParseError([Diagnostic("error", tok.line, tok.col, msg)])
 
@@ -297,7 +306,7 @@ class _Parser:
         if tok.kind == "int" or (tok.kind == "kw" and tok.value == "root"):
             location = []
             while self.at("int"):
-                location.append(int(self.next().value))
+                location.append(self.integer())
                 self.expect("sym", ".")
             self.expect("kw", "root")
             self.expect("sym", ";")
@@ -311,13 +320,11 @@ class _Parser:
     # -- processes -----------------------------------------------------------
 
     def parse_process(self) -> Process:
-        left = self.parse_process_prefix()
-        if self.at("sym", "||"):
+        parts = [self.parse_process_prefix()]
+        while self.at("sym", "||"):
             self.next()
-            right = self.parse_process()
-            rest = right.args if isinstance(right, Par) else (right,)
-            return Par((left,) + rest)
-        return left
+            parts.append(self.parse_process_prefix())
+        return Par(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def parse_process_prefix(self) -> Process:
         tok = self.peek()
@@ -337,26 +344,24 @@ class _Parser:
             body = self.parse_process()
             self.expect("sym", "]")
             self.expect("sym", "_")
-            index = int(self.expect("int").value)
-            return Space(index, body)
+            return Space(self.integer(), body)
         if self.at("kw", "x"):
             self.next()
             self.expect("sym", "(")
             body = self.parse_process()
             self.expect("sym", ")")
             self.expect("sym", "_")
-            index = int(self.expect("int").value)
-            return Extr(index, body)
+            return Extr(self.integer(), body)
         if self.at("kw", "v"):
             self.next()
             self.expect("sym", "(")
-            index = int(self.expect("int").value)
+            index = self.integer()
             self.expect("sym", ")")
             return ProcVar(index)
         if self.at("kw", "r"):
             self.next()
             self.expect("sym", "(")
-            index = int(self.expect("int").value)
+            index = self.integer()
             self.expect("sym", ",")
             body = self.parse_process()
             self.expect("sym", ")")
@@ -401,7 +406,7 @@ class _Parser:
         op = {"=": "===", "=/=": "=/=="}.get(op_tok.value, op_tok.value)
         rhs_tok = self.peek()
         if self.at("int"):
-            self.next()
+            value = self.integer()
             left_sort = self.resolve(left_tok, Sort.INT)
             if left_sort is Sort.BOOL:
                 self.defer(
@@ -410,7 +415,7 @@ class _Parser:
                     f"Boolean variable {left_tok.value} cannot be compared with an integer",
                 )
                 return TRUE
-            return Cmp(op, Var(left_tok.value, Sort.INT), IntLit(int(rhs_tok.value)))
+            return Cmp(op, Var(left_tok.value, Sort.INT), IntLit(value))
         if self.at("id"):
             self.next()
             left_sort = self.resolve(left_tok, Sort.INT)

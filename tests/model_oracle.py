@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
+from builders import free_vars
 from sccpe.formula import (
     And,
     BoolConst,
@@ -27,7 +28,6 @@ from sccpe.formula import (
     SortConflict,
     Var,
     children,
-    free_vars,
 )
 
 

@@ -1,5 +1,7 @@
 """Printer of a parsed program back into the surface language, the
-round-trip oracle of `sccpe.lang.parse`: `parse(print_program(ast)) == ast`.
+round-trip oracle of `sccpe.lang.parse`: the printed program parses to the
+same program, up to the line and column of each line, which the printer
+lays out anew: ``unplaced(parse(print_program(ast))) == unplaced(ast)``.
 
 Nothing in the analyzer prints the surface language (the command line
 prints the constraint syntax of `sccpe.formula.format_formula`), so the
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from sccpe.calculus import Ask, Extr, Par, Process, ProcVar, Rec, Space, Tell
 from sccpe.formula import And, BoolConst, BoolEq, BoolNeq, Cmp, Formula, IntLit, Var
-from sccpe.lang import AgentDecl, ProgramAst
+from sccpe.lang import AgentDecl, ProcessLine, ProgramAst
 
 
 def print_program(ast: ProgramAst) -> str:
@@ -26,6 +28,17 @@ def print_program(ast: ProgramAst) -> str:
             out.append(f"{format_surface_process(line.process)} .")
     out.append("end")
     return "\n".join(out) + "\n"
+
+
+def unplaced(ast: ProgramAst) -> ProgramAst:
+    """ast with every line placed at line 0, column 0."""
+    lines = tuple(
+        AgentDecl(line.location, line.constraint, 0, 0)
+        if isinstance(line, AgentDecl)
+        else ProcessLine(line.process, 0, 0)
+        for line in ast.lines
+    )
+    return ProgramAst(ast.var_decls, lines, ast.deferred)
 
 
 def format_surface_formula(f: Formula) -> str:

@@ -18,17 +18,8 @@ from __future__ import annotations
 
 import subprocess
 
-from sccpe.formula import (
-    And,
-    BoolConst,
-    BoolEq,
-    BoolNeq,
-    Cmp,
-    IntLit,
-    Sort,
-    Var,
-    free_vars,
-)
+from builders import free_vars
+from sccpe.formula import And, BoolConst, BoolEq, BoolNeq, Cmp, IntLit, Sort, Var
 
 
 def smt_check(cmd, formula, timeout_s: float = 5) -> str:

@@ -7,6 +7,7 @@ source program's initial state).
 
 from __future__ import annotations
 
+from builders import eq_, ge, gt, intvar, lt
 from conftest import PROGRAMS
 from sccpe import (
     ROOT,
@@ -21,8 +22,6 @@ from sccpe import (
     Tell,
     TRUE,
     elaborate,
-    eq_,
-    intvar,
     normalize,
     parse,
 )
@@ -39,9 +38,9 @@ def messenger(first=None, last=None):
     """The process of the message program: tells `first` in space 1, then,
     once Y < 20 is readable under 1.0, extrudes twice and tells `last`
     inside a new space 2.0."""
-    first = first if first is not None else Tell(Z >= 10)
-    last = last if last is not None else Tell(W < Y)
-    inner = Space(0, Ask(Y < 20, Extr(0, Extr(1, Space(0, Space(2, last))))))
+    first = first if first is not None else Tell(ge(Z, 10))
+    last = last if last is not None else Tell(lt(W, Y))
+    inner = Space(0, Ask(lt(Y, 20), Extr(0, Extr(1, Space(0, Space(2, last))))))
     return Extr(0, Space(1, Par((first, inner))))
 
 
@@ -52,7 +51,7 @@ def base_system(first=None, last=None) -> SysState:
                 StoreObj(ROOT, TRUE),
                 StoreObj(AID0, eq_(X, 25)),
                 StoreObj(AID1, TRUE),
-                StoreObj(AID01, Y < 5),
+                StoreObj(AID01, lt(Y, 5)),
                 ProcObj(AID0, messenger(first, last)),
             )
         )
@@ -61,12 +60,12 @@ def base_system(first=None, last=None) -> SysState:
 
 def inconsistent_variant() -> SysState:
     """tell(Z >= 10) replaced by tell(Z >= 10) || tell(Z === 9)."""
-    return base_system(first=Par((Tell(Z >= 10), Tell(eq_(Z, 9)))))
+    return base_system(first=Par((Tell(ge(Z, 10)), Tell(eq_(Z, 9)))))
 
 
 def same_knowledge_variant() -> SysState:
     """tell(W < Y) replaced by tell(Z > 9)."""
-    return base_system(last=Tell(Z > 9))
+    return base_system(last=Tell(gt(Z, 9)))
 
 
 # The five systems of the acceptance examples, by name: the two programs'

@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from builders import eq_, ge, intvar, lt, store_map
 from engine_oracle import oracle_step
 from randgen import small_state, raw_state
 from systems import AID0, AID01, AID1, AID20, base_system
@@ -23,14 +24,11 @@ from sccpe import (
     Tell,
     canon_process,
     conjoin,
-    eq_,
-    intvar,
     normalize,
     par,
     replace,
     run,
     step,
-    store_map,
 )
 from sccpe.calculus import format_process, state_key
 
@@ -79,14 +77,14 @@ def test_normalize_drops_nil_processes():
 
 
 def test_normalize_merges_stores():
-    s = SysState((StoreObj(AID1, Z >= 10), StoreObj(AID1, eq_(Z, 9))))
+    s = SysState((StoreObj(AID1, ge(Z, 10)), StoreObj(AID1, eq_(Z, 9))))
     merged = normalize(s)
-    assert merged.objects == (StoreObj(AID1, conjoin(eq_(Z, 9), Z >= 10)),)
+    assert merged.objects == (StoreObj(AID1, conjoin(eq_(Z, 9), ge(Z, 10))),)
 
 
 def test_normalize_merge_true_is_identity():
-    s = SysState((StoreObj(AID0, TRUE), StoreObj(AID0, Y < 5)))
-    assert normalize(s).objects == (StoreObj(AID0, Y < 5),)
+    s = SysState((StoreObj(AID0, TRUE), StoreObj(AID0, lt(Y, 5))))
+    assert normalize(s).objects == (StoreObj(AID0, lt(Y, 5)),)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -119,32 +117,32 @@ def test_normalize_invariants(seed):
 
 
 def test_tell_requires_store():
-    s = normalize(SysState((ProcObj(ROOT, Tell(Y < 5)),)))
+    s = normalize(SysState((ProcObj(ROOT, Tell(lt(Y, 5))),)))
     assert step(s, Solver()) == []
 
 
 def test_tell_merges_into_store():
-    s = normalize(SysState((StoreObj(AID1, TRUE), ProcObj(AID1, Tell(Z >= 10)))))
+    s = normalize(SysState((StoreObj(AID1, TRUE), ProcObj(AID1, Tell(ge(Z, 10))))))
     (succ,) = step(s, Solver())
-    assert succ == SysState((StoreObj(AID1, Z >= 10),))
+    assert succ == SysState((StoreObj(AID1, ge(Z, 10)),))
 
 
 def test_ask_fires_on_entailment():
     s = normalize(
-        SysState((StoreObj(AID01, Y < 5), ProcObj(AID01, Ask(Y < 20, Tell(W < Y)))))
+        SysState((StoreObj(AID01, lt(Y, 5)), ProcObj(AID01, Ask(lt(Y, 20), Tell(lt(W, Y))))))
     )
     (succ,) = step(s, Solver())
-    assert succ.objects == (StoreObj(AID01, Y < 5), ProcObj(AID01, Tell(W < Y)))
+    assert succ.objects == (StoreObj(AID01, lt(Y, 5)), ProcObj(AID01, Tell(lt(W, Y))))
 
 
 def test_ask_blocked_without_entailment():
-    s = normalize(SysState((StoreObj(AID1, Y < X), ProcObj(AID1, Ask(Y < 3, Tell(TRUE))))))
+    s = normalize(SysState((StoreObj(AID1, lt(Y, X)), ProcObj(AID1, Ask(lt(Y, 3), Tell(TRUE))))))
     assert step(s, Solver()) == []
 
 
 def test_ask_fires_under_inconsistent_store():
-    bad = conjoin(Z >= 10, eq_(Z, 9))
-    s = normalize(SysState((StoreObj(AID1, bad), ProcObj(AID1, Ask(Y < 3, Tell(TRUE))))))
+    bad = conjoin(ge(Z, 10), eq_(Z, 9))
+    s = normalize(SysState((StoreObj(AID1, bad), ProcObj(AID1, Ask(lt(Y, 3), Tell(TRUE))))))
     succs = step(s, Solver())  # an inconsistent store entails every guard
     assert any(ProcObj(AID1, Tell(TRUE)) in t.objects for t in succs)
 
@@ -171,10 +169,10 @@ def test_parallel_three_way_splits():
 
 
 def test_space_creates_child_store():
-    s = normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, Space(1, Tell(Z >= 10))))))
+    s = normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, Space(1, Tell(ge(Z, 10)))))))
     (succ,) = step(s, Solver())
     assert store_map(succ)[AID1] == TRUE
-    assert ProcObj(AID1, Tell(Z >= 10)) in succ.objects
+    assert ProcObj(AID1, Tell(ge(Z, 10))) in succ.objects
 
 
 def test_space_requires_store():
@@ -185,11 +183,11 @@ def test_space_requires_store():
 def test_space_preserves_existing_child_store():
     s = normalize(
         SysState(
-            (StoreObj(ROOT, TRUE), StoreObj(AID1, Y < X), ProcObj(ROOT, Space(1, Tell(TRUE))))
+            (StoreObj(ROOT, TRUE), StoreObj(AID1, lt(Y, X)), ProcObj(ROOT, Space(1, Tell(TRUE))))
         )
     )
     (succ,) = step(s, Solver())
-    assert store_map(succ)[AID1] == (Y < X)
+    assert store_map(succ)[AID1] == lt(Y, X)
 
 
 def test_recursion_unfolds():
@@ -203,7 +201,7 @@ def test_recursion_unfolds():
 
 
 def test_extrusion_moves_to_parent():
-    body = Tell(W < Y)
+    body = Tell(lt(W, Y))
     s = normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(AID0, Extr(0, body)))))
     (succ,) = step(s, Solver())
     assert ProcObj(ROOT, body) in succ.objects
@@ -232,13 +230,13 @@ def test_step_tell_updates_space1_store(solver):
                 StoreObj(ROOT, TRUE),
                 StoreObj(AID0, eq_(X, 25)),
                 StoreObj(AID1, TRUE),
-                StoreObj(AID01, Y < 5),
-                ProcObj(AID1, Tell(Z >= 10)),
+                StoreObj(AID01, lt(Y, 5)),
+                ProcObj(AID1, Tell(ge(Z, 10))),
             )
         )
     )
     (succ,) = step(s, solver)
-    assert store_map(succ)[AID1] == (Z >= 10)
+    assert store_map(succ)[AID1] == ge(Z, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +273,9 @@ def test_run_base_program_unique_terminal(solver):
     assert stores == {
         ROOT: TRUE,
         AID0: eq_(X, 25),
-        AID1: Z >= 10,
-        AID01: Y < 5,
-        AID20: W < Y,
+        AID1: ge(Z, 10),
+        AID01: lt(Y, 5),
+        AID20: lt(W, Y),
     }
 
 

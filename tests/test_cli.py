@@ -10,6 +10,7 @@ import pytest
 import sccpe
 from conftest import PROGRAMS
 from test_explore import CYCLE_PROGRAM
+from test_lang import wide_parallel
 from sccpe import cli
 from schemas import CLI_OUTPUT_SCHEMA
 
@@ -312,6 +313,20 @@ def test_help_prints_the_readme_usage_block():
         assert invoke(argv) == (0, block, "")
 
 
+def test_the_readme_library_use_block_runs(monkeypatch, capsys):
+    # the block under "## Library use" in the README, fence to fence, run
+    # from the repository root as its paths are written
+    readme = (PROGRAMS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    monkeypatch.chdir(PROGRAMS.parent)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out == (
+        "root: true\n  0: X:Integer === 25\n    2: W:Integer < Y:Integer\n"
+        "  1: Z:Integer >= 10\n    0: Y:Integer < 5\n\nstates: 20  solutions: 0\n"
+    )
+
+
 # The solver backend flags are gone: the built-in solver decides every formula.
 REMOVED_FLAG_ARGVS = (
     ["run", MESSAGE],
@@ -451,6 +466,37 @@ def test_warning_does_not_block(tmp_path):
 def test_missing_file_exit_code():
     code, out, err = invoke(["run", "/nonexistent/nowhere.sccp"])
     assert code == 1
+
+
+def test_a_program_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    path = tmp_path / "latin1.sccp"
+    path.write_bytes(b"var X Int\n-- caf\xff\nbegin\ntell(X > 1) .\nend\n")
+    code, out, err = invoke(["run", str(path)])
+    reason = "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
+    assert (code, out, err) == (1, "", f"error: cannot read {path}: {reason}\n")
+
+
+def test_standard_input_that_is_not_utf8_is_a_usage_error(monkeypatch, capsys):
+    stdin = io.BytesIO(b"begin\n-- \xff\ntell(true) .\nend\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin, encoding="utf-8"))
+    assert cli.main(["run", "-"]) == 1
+    reason = "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
+    assert capsys.readouterr() == ("", f"error: cannot read <stdin>: {reason}\n")
+
+
+def test_an_overlong_integer_literal_is_a_diagnostic(tmp_path):
+    path = tmp_path / "long.sccp"
+    path.write_text(f"var X Int\nbegin\ntell(X > {'9' * 5000}) .\nend\n")
+    message = f"integer literal too long: 5000 digits, at most {sys.get_int_max_str_digits()}"
+    assert invoke(["run", str(path)]) == (1, "", f"{path}:3:10: error: {message}\n")
+    argv = ["check", "-", "--entails", "X > 0", f"X > {'9' * 5000}"]
+    assert invoke(argv) == (1, "", f"C2:1:5: error: {message}\n")
+
+
+def test_check_reads_a_wide_parallel_program(tmp_path):
+    path = tmp_path / "wide.sccp"
+    path.write_text(wide_parallel(2000))
+    assert invoke(["check", str(path), "--entails", "X > 1", "X > 0"]) == (0, "true\n", "")
 
 
 # The grammar is ASCII: a superscript digit is no integer and a letter

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from builders import gt
 from engine_oracle import oracle_step
 from randgen import small_state
 from systems import (
@@ -158,9 +159,12 @@ def test_step_builds_each_successor_once(solver, monkeypatch):
     through `_canonical_state`, never through `SysState.__init__`."""
     states = [
         normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, par(*tells)))))
-        for tells in ([Tell(X > 0), Tell(X > 0)], [Tell(X > 0), Tell(X > 0), Tell(X > 1)])
+        for tells in (
+            [Tell(gt(X, 0)), Tell(gt(X, 0))],
+            [Tell(gt(X, 0)), Tell(gt(X, 0)), Tell(gt(X, 1))],
+        )
     ]
-    twice = ProcObj(ROOT, Tell(X > 0))
+    twice = ProcObj(ROOT, Tell(gt(X, 0)))
     states.append(normalize(SysState((StoreObj(ROOT, TRUE), twice, twice))))
     for make in ACCEPTANCE_SYSTEMS.values():
         states.extend(reference_bfs(make(), solver, 64)[0])
@@ -252,7 +256,7 @@ class FailsOnce(Solver):
 
 def test_an_inconclusive_rewrite_is_not_memoized(solver):
     s = base_system()
-    ask = ProcObj(ROOT, Ask(X > 5, NIL))
+    ask = ProcObj(ROOT, Ask(gt(X, 5), NIL))
     s = normalize(SysState(s.objects + (ask,)))
     flaky, memo = FailsOnce(), {}
     with pytest.raises(Interrupted):
@@ -278,7 +282,7 @@ def reference_matches(init, q, mode, solver):
     return tuple(out)
 
 
-QUERIES = [InconsistentStore(), StoreEntails(Z > 9), StoreEntails(X > 1), StoresEquivalent()]
+QUERIES = [InconsistentStore(), StoreEntails(gt(Z, 9)), StoreEntails(gt(X, 1)), StoresEquivalent()]
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTANCE_SYSTEMS))

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import boolvar, eq_, free_vars, ge, gt, intvar, le, lt, ne_
 from formula_reader import read_formula
 from model_oracle import compile_term, literal_holds
 from randgen import BOOL_NAMES, INT_NAMES, fragment_formula
@@ -17,14 +18,9 @@ from sccpe import (
     StoreObj,
     SysState,
     Var,
-    boolvar,
     canonicalize,
     conjoin,
-    eq_,
     format_formula,
-    free_vars,
-    intvar,
-    ne_,
     lower,
     normalize,
 )
@@ -53,8 +49,8 @@ P, Q = (boolvar(n) for n in "PQ")
 
 
 def test_conjoin_true_unit():
-    assert conjoin(Y < 5, TRUE) == (Y < 5)
-    assert conjoin(TRUE, Y < 5) == (Y < 5)
+    assert conjoin(lt(Y, 5), TRUE) == lt(Y, 5)
+    assert conjoin(TRUE, lt(Y, 5)) == lt(Y, 5)
 
 
 def test_conjoin_true_true():
@@ -62,25 +58,25 @@ def test_conjoin_true_true():
 
 
 def test_conjoin_false_absorbs():
-    assert conjoin(Y < 5, FALSE) == FALSE
-    assert conjoin(FALSE, Y < 5) == FALSE
+    assert conjoin(lt(Y, 5), FALSE) == FALSE
+    assert conjoin(FALSE, lt(Y, 5)) == FALSE
 
 
 def test_conjoin_plain_pair():
-    got = conjoin(Z >= 10, eq_(Z, 9))
-    assert got == And((Z >= 10, eq_(Z, 9)))
+    got = conjoin(ge(Z, 10), eq_(Z, 9))
+    assert got == And((ge(Z, 10), eq_(Z, 9)))
     assert format_formula(got) == "Z:Integer >= 10 and Z:Integer === 9"
 
 
 def test_negation_is_a_disequality_with_true():
     # not f is written f =/== true (or f === false): a model satisfies it
     # exactly when it does not satisfy f
-    for f in (Y < 20, P, And((P, X > 2)), TRUE, FALSE):
+    for f in (lt(Y, 20), P, And((P, gt(X, 2))), TRUE, FALSE):
         for neg in (BoolNeq(f, TRUE), BoolEq(f, FALSE)):
             for env in ({"X": 3, "Y": 19, "P": True}, {"X": 0, "Y": 20, "P": False}):
                 assert compile_term(neg)(env) is not compile_term(f)(env)
             assert not Solver().check_sat(And((f, neg)))
-    assert Solver().check_sat(BoolNeq(Y < 20, TRUE))
+    assert Solver().check_sat(BoolNeq(lt(Y, 20), TRUE))
     assert not Solver().check_sat(BoolNeq(TRUE, TRUE))
 
 
@@ -100,6 +96,18 @@ def test_equality_of_mixed_sorts_names_both_operands():
         eq_(X, "3")
 
 
+def test_terms_have_no_ordering():
+    # no operator builds a comparison, so sorting terms fails instead of
+    # taking a truthy comparison term for "less"
+    for terms in ([Y, X], [X, Z, Y], [IntLit(2), IntLit(1)], [X, IntLit(1)]):
+        with pytest.raises(TypeError):
+            sorted(terms)
+        with pytest.raises(TypeError):
+            max(terms)
+    with pytest.raises(TypeError):
+        X < 1
+
+
 # ---------------------------------------------------------------------------
 # canonicalize
 
@@ -110,11 +118,11 @@ def test_canonicalize_drops_true_units():
 
 
 def test_canonicalize_false_absorbs():
-    assert canonicalize(And((FALSE, Y < 5))) == FALSE
+    assert canonicalize(And((FALSE, lt(Y, 5)))) == FALSE
 
 
 def test_canonicalize_sorts_all_permutations():
-    atoms = [Y < 5, eq_(X, 25), Z >= 10, P]
+    atoms = [lt(Y, 5), eq_(X, 25), ge(Z, 10), P]
     for size in (2, 3, 4):
         expected = None
         for perm in itertools.permutations(atoms[:size]):
@@ -128,7 +136,7 @@ def test_canonicalize_sorts_all_permutations():
 
 
 def test_canonicalize_dedups_conjuncts():
-    assert canonicalize(And((Y < 5, Y < 5))) == (Y < 5)
+    assert canonicalize(And((lt(Y, 5), lt(Y, 5)))) == lt(Y, 5)
 
 
 def test_canonicalize_folds_short_and():
@@ -174,13 +182,13 @@ def test_free_vars_empty():
 
 
 def test_free_vars_collects_sorts():
-    assert free_vars(And((Z >= 10, eq_(Z, 9)))) == frozenset({Var("Z", Sort.INT)})
-    assert free_vars(W < Y) == frozenset({Var("W", Sort.INT), Var("Y", Sort.INT)})
+    assert free_vars(And((ge(Z, 10), eq_(Z, 9)))) == frozenset({Var("Z", Sort.INT)})
+    assert free_vars(lt(W, Y)) == frozenset({Var("W", Sort.INT), Var("Y", Sort.INT)})
 
 
 def test_free_vars_sort_conflict():
     with pytest.raises(SortConflict):
-        free_vars(And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 5)))
+        free_vars(And((Var("A", Sort.BOOL), lt(Var("A", Sort.INT), 5))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,7 @@ def _atoms(*atoms) -> DLGoal:
 
 
 def test_to_dnf_tightens_strict():
-    assert lower(Y < 5) == _atoms(DLAtom("Y", None, 4))
+    assert lower(lt(Y, 5)) == _atoms(DLAtom("Y", None, 4))
 
 
 def test_dl_atom_prints_zero_for_none():
@@ -210,7 +218,7 @@ def test_to_dnf_boolean_variables_are_bounds():
 
 
 def test_to_dnf_literal_on_the_left():
-    assert lower(Cmp("<", IntLit(3), X)) == lower(X > 3) == _atoms(DLAtom(None, "X", -4))
+    assert lower(Cmp("<", IntLit(3), X)) == lower(gt(X, 3)) == _atoms(DLAtom(None, "X", -4))
     # 2 - 3 <= -1 holds and 3 - 2 <= -1 does not
     assert lower(Cmp("=/==", IntLit(2), IntLit(3))) == DLGoal([], [(TRUE_GOAL, FALSE_GOAL)])
     assert lower(Cmp("===", IntLit(2), IntLit(3))) == FALSE_GOAL
@@ -225,21 +233,21 @@ def test_lower_of_a_short_and():
 
 def test_to_dnf_rejects_a_name_used_at_both_sorts():
     with pytest.raises(SortConflict):
-        lower(And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0)))
+        lower(And((Var("A", Sort.BOOL), lt(Var("A", Sort.INT), 0))))
     # every subformula is lowered, so a disjunct that would never be split still counts
     with pytest.raises(SortConflict):
-        lower(And((P, Var("P", Sort.INT) < 0)), False)
+        lower(And((P, lt(Var("P", Sort.INT), 0))), False)
     with pytest.raises(SortConflict):
-        lower(BoolNeq(P, Var("P", Sort.INT) < 0))
+        lower(BoolNeq(P, lt(Var("P", Sort.INT), 0)))
 
 
 def test_to_dnf_flips_negation():
-    assert lower(Y < 20, False) == _atoms(DLAtom(None, "Y", -20))
+    assert lower(lt(Y, 20), False) == _atoms(DLAtom(None, "Y", -20))
     assert lower(ne_(Y, 20), False) == lower(eq_(Y, 20))
 
 
 def test_to_dnf_equality_splits_bounds():
-    got = lower(And((Z >= 10, eq_(Z, 9))))
+    got = lower(And((ge(Z, 10), eq_(Z, 9))))
     assert got == _atoms(DLAtom(None, "Z", -10), DLAtom("Z", None, 9), DLAtom(None, "Z", -9))
     # brute force over Z in [0, 20] agrees this is unsatisfiable
     assert not any(z >= 10 and z == 9 for z in range(21))
@@ -286,8 +294,8 @@ def test_lower_splits_a_boolean_equality_two_ways():
 
 
 def test_to_dnf_same_variable_folds():
-    assert lower(X < X) == FALSE_GOAL
-    assert lower(X <= X) == TRUE_GOAL
+    assert lower(lt(X, X)) == FALSE_GOAL
+    assert lower(le(X, X)) == TRUE_GOAL
 
 
 def test_to_dnf_rejects_bool_equality():
@@ -321,7 +329,7 @@ def test_ill_sorted_comparison_is_never_canonical():
     bad = Cmp("<", P, IntLit(1))
     assert not bad._canon and not Cmp("===", X, Q)._canon
     assert Cmp("<", X, IntLit(1))._canon
-    for term in (bad, And((X > 0, bad)), BoolNeq(Cmp("===", X, Q), TRUE)):
+    for term in (bad, And((gt(X, 0), bad)), BoolNeq(Cmp("===", X, Q), TRUE)):
         with pytest.raises(SortConflict, match="Boolean variable . used as an integer"):
             canonicalize(term)
     with pytest.raises(SortConflict):
@@ -354,7 +362,7 @@ def test_format_examples():
     assert format_formula(P) == "P:Boolean"
     # and binds looser than === and =/==, which do not chain; a comparison
     # is parenthesized as the side of a Boolean (dis)equality
-    assert format_formula(BoolNeq(Y < 20, TRUE)) == "(Y:Integer < 20) =/== true"
+    assert format_formula(BoolNeq(lt(Y, 20), TRUE)) == "(Y:Integer < 20) =/== true"
     assert format_formula(BoolEq(eq_(Y, X), P)) == "(Y:Integer === X:Integer) === P:Boolean"
     assert format_formula(And((eq_(Y, X), P))) == "Y:Integer === X:Integer and P:Boolean"
     assert format_formula(BoolNeq(And((P, Q)), FALSE)) == "(P:Boolean and Q:Boolean) =/== false"
@@ -371,7 +379,7 @@ def test_format_empty_and_prints_its_unit():
 def test_read_examples():
     assert read_formula("X:Integer === 25") == eq_(X, 25)
     assert read_formula("Z:Integer >= (10).Integer and Z:Integer === (9).Integer") == And(
-        (Z >= 10, eq_(Z, 9))
+        (ge(Z, 10), eq_(Z, 9))
     )
     assert read_formula("(true).Boolean =/== true") == BoolNeq(TRUE, TRUE)
     assert read_formula("-5 < X:Integer") == Cmp("<", IntLit(-5), X)
@@ -424,7 +432,7 @@ SAMPLES = {
     BoolConst: FALSE,
     Var: P,
     IntLit: IntLit(-3),
-    And: And((P, X < 1)),
+    And: And((P, lt(X, 1))),
     BoolEq: BoolEq(P, Q),
     BoolNeq: BoolNeq(P, TRUE),
     Cmp: Cmp("=/==", X, Y),
@@ -468,7 +476,7 @@ RETIRED = {
 }
 # operand pairs whose four truth combinations are all satisfiable: two
 # atoms, and two compound operands that lower to splits of their own
-OPERANDS = [(P, Q), (Y < 20, And((Q, X > 2)))]
+OPERANDS = [(P, Q), (lt(Y, 20), And((Q, gt(X, 2))))]
 
 
 @pytest.mark.parametrize("op", RETIRED)

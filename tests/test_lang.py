@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
-from program_printer import print_program
+from builders import boolvar, eq_, ge, gt, intvar, lt, ne_, store_map
+from program_printer import print_program, unplaced
 from systems import AID0, AID01, AID1
 from sccpe import (
     ROOT,
@@ -16,14 +18,10 @@ from sccpe import (
     Rec,
     Space,
     Tell,
-    boolvar,
     elaborate,
-    eq_,
-    intvar,
-    ne_,
+    format_formula,
     parse,
     run,
-    store_map,
     validate,
 )
 from sccpe.lang import AgentDecl, ProcessLine, parse_constraint_text
@@ -44,8 +42,8 @@ def test_parse_message_program(message_text):
     assert len(processes) == 1
     assert ast.var_table == {n: Sort.INT for n in "WXYZ"}
     assert agents[0].location == ()
-    assert agents[1] == AgentDecl((0,), eq_(X, 25))
-    assert agents[3] == AgentDecl((0, 1), Y < 5)
+    assert agents[1] == AgentDecl((0,), eq_(X, 25), 7, 1)
+    assert agents[3] == AgentDecl((0, 1), lt(Y, 5), 9, 1)
     p = processes[0].process
     assert isinstance(p, Space) and p.agent == 0
     assert isinstance(p.body, Extr) and p.body.agent == 0
@@ -110,12 +108,12 @@ def test_the_lexer_reads_only_the_ascii_grammar(text, where):
 def test_parse_comments_and_crlf():
     text = "-- header comment\r\nvar X Int\r\nbegin\r\ntell(X > 0) . -- trailing\r\nend\r\n"
     ast = parse(text)
-    assert ast.lines == (ProcessLine(Tell(X > 0)),)
+    assert ast.lines == (ProcessLine(Tell(gt(X, 0)), 4, 1),)
 
 
 def test_parse_root_alone_location():
     ast = parse("begin\nroot ; true .\ntell(true) .\nend\n")
-    assert ast.lines[0] == AgentDecl((), TRUE)
+    assert ast.lines[0] == AgentDecl((), TRUE, 2, 1)
 
 
 def test_parallel_is_right_associative_and_flattened():
@@ -124,6 +122,52 @@ def test_parallel_is_right_associative_and_flattened():
     p = line.process
     assert isinstance(p, Par)
     assert len(p.args) == 3
+
+
+def wide_parallel(n: int) -> str:
+    """A program whose one line puts n tells in parallel."""
+    tells = " || ".join(f"tell(X > {i})" for i in range(n))
+    return f"var X Int\nbegin\n{tells} .\nend\n"
+
+
+def test_a_wide_parallel_composition_parses_and_elaborates():
+    # the operands of a || chain are collected in a loop, with no call per ||
+    ast = parse(wide_parallel(2000))
+    (line,) = ast.lines
+    assert isinstance(line.process, Par) and len(line.process.args) == 2000
+    (proc,) = [o for o in elaborate(ast).objects if isinstance(o, ProcObj)]
+    assert proc.program == line.process
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (f"var X Int\nbegin\ntell(X > {LONG}) .\nend\n", (3, 10)),
+        (f"begin\n{LONG} . root ; true .\ntell(true) .\nend\n", (2, 1)),
+        (f"begin\n[tell(true)]_{LONG} .\nend\n", (2, 14)),
+        (f"begin\nx(tell(true))_{LONG} .\nend\n", (2, 15)),
+        (f"begin\nr({LONG}, ask true -> v(1)) .\nend\n", (2, 3)),
+        (f"begin\nr(1, ask true -> v({LONG})) .\nend\n", (2, 20)),
+    ],
+    ids=["comparison", "agent", "space", "extrusion", "recursion", "process-variable"],
+)
+def test_an_overlong_integer_literal_is_a_syntax_error_at_the_literal(text, where):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    (diag,) = exc.value.diagnostics
+    assert (diag.severity, diag.line, diag.col) == ("error", *where)
+    limit = sys.get_int_max_str_digits()
+    assert diag.message == f"integer literal too long: 5000 digits, at most {limit}"
+
+
+def test_the_longest_integer_literal_parses_and_prints():
+    digits = "9" * sys.get_int_max_str_digits()
+    f = parse_constraint_text(f"X > {digits}")
+    assert f == gt(X, int(digits))
+    assert format_formula(f) == f"X:Integer > {digits}"
 
 
 def test_ask_takes_maximal_body():
@@ -206,7 +250,7 @@ def test_bool_equality_atoms_parse():
 def test_elaborate_message_program_matches_reference_state(message_text):
     state = elaborate(parse(message_text))
     stores = store_map(state)
-    assert stores == {ROOT: TRUE, AID0: eq_(X, 25), AID1: TRUE, AID01: Y < 5}
+    assert stores == {ROOT: TRUE, AID0: eq_(X, 25), AID1: TRUE, AID01: lt(Y, 5)}
     procs = [o for o in state.objects if isinstance(o, ProcObj)]
     assert len(procs) == 1
     assert procs[0].aid == ROOT
@@ -219,20 +263,20 @@ def test_elaborate_adds_implicit_root_store():
 
 def test_elaborate_adds_undeclared_ancestors():
     state = elaborate(parse("var Y Int\nbegin\n0 . 1 . root ; Y < 5 .\ntell(true) .\nend\n"))
-    assert store_map(state) == {ROOT: TRUE, AID1: TRUE, AID01: Y < 5}
+    assert store_map(state) == {ROOT: TRUE, AID1: TRUE, AID01: lt(Y, 5)}
 
 
 def test_elaborate_merges_duplicate_agent_declarations():
     state = elaborate(
         parse("var X Int\nbegin\n0 . root ; X > 1 .\n0 . root ; X < 5 .\ntell(true) .\nend\n")
     )
-    assert store_map(state)[AID0] == And((X < 5, X > 1))
+    assert store_map(state)[AID0] == And((lt(X, 5), gt(X, 1)))
 
 
 def test_multidigit_agent_indices():
     ast = parse("begin\n[tell(true)]_12 .\n10 . root ; true .\nend\n")
     assert ast.lines[0].process == Space(12, Tell(TRUE))
-    assert ast.lines[1] == AgentDecl((10,), TRUE)
+    assert ast.lines[1] == AgentDecl((10,), TRUE, 3, 1)
 
 
 def test_elaborate_line_permutation_invariant(message_text):
@@ -254,10 +298,10 @@ def test_elaborate_spaces_program_runs_to_reference_state(spaces_text, solver):
     terminal = result.terminal_states[0]
     stores = store_map(terminal)
     B0, B1, C = boolvar("B0"), boolvar("B1"), intvar("C")
-    assert solver.entails(stores[ROOT], And((X >= 5, B1)))
-    assert solver.entails(And((X >= 5, B1)), stores[ROOT])
-    assert stores[AID1] == (Y < X)
-    assert stores[AgentId((2,))] == (X >= 5)
+    assert solver.entails(stores[ROOT], And((ge(X, 5), B1)))
+    assert solver.entails(And((ge(X, 5), B1)), stores[ROOT])
+    assert stores[AID1] == lt(Y, X)
+    assert stores[AgentId((2,))] == ge(X, 5)
     assert solver.entails(stores[AgentId((1, 1))], And((ne_(C, 5), B0)))
     blocked = [o for o in terminal.objects if isinstance(o, ProcObj)]
     assert len(blocked) == 1
@@ -272,7 +316,7 @@ def test_elaborate_spaces_program_runs_to_reference_state(spaces_text, solver):
 def test_print_parse_round_trip_reference(message_text, spaces_text):
     for text in (message_text, spaces_text):
         ast = parse(text)
-        assert parse(print_program(ast)) == ast
+        assert unplaced(parse(print_program(ast))) == unplaced(ast)
 
 
 def test_print_parse_round_trip_handmade():
@@ -285,12 +329,12 @@ def test_print_parse_round_trip_handmade():
         "end\n"
     )
     ast = parse(text)
-    assert parse(print_program(ast)) == ast
+    assert unplaced(parse(print_program(ast))) == unplaced(ast)
 
 
 def test_print_program_rejects_double_ask_parallel():
     ast = parse("var X Int\nbegin\ntell(true) .\nend\n")
-    bad = ProcessLine(Par((Ask(TRUE, Tell(TRUE)), Ask(X > 1, Tell(TRUE)))))
+    bad = ProcessLine(Par((Ask(TRUE, Tell(TRUE)), Ask(gt(X, 1), Tell(TRUE)))), 3, 1)
     broken = type(ast)(ast.var_decls, (bad,), ())
     with pytest.raises(ValueError):
         print_program(broken)
@@ -302,12 +346,12 @@ def test_print_program_rejects_double_ask_parallel():
 
 def test_parse_constraint_text_with_table():
     table = {"Z": Sort.INT}
-    assert parse_constraint_text("Z > 9", table) == (Z > 9)
+    assert parse_constraint_text("Z > 9", table) == gt(Z, 9)
 
 
 def test_parse_constraint_text_infers_sorts():
     f = parse_constraint_text("Y < U")
-    assert f == (Y < intvar("U"))
+    assert f == (lt(Y, intvar("U")))
     assert parse_constraint_text("P") == boolvar("P")
 
 

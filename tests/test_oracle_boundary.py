@@ -10,7 +10,7 @@ package, which holds only what the analyzer runs.  The package has one
 decision path: the names of the retired external backend must not come
 back, nor those of the state reader, the schemas, the predicate query and
 the connectives beyond and, === and =/==, which no path of the analyzer
-used.
+used, nor the term builders and the record binding that only tests used.
 """
 
 import ast
@@ -87,6 +87,23 @@ RETIRED_CAPABILITY_NAMES = {
     "CLI_OUTPUT_SCHEMA",
 }
 
+# Term builders that no CLI call runs, moved to `tests/builders.py`, and
+# the keyword and default binding of records, which only tests used.
+RETIRED_BUILDER_NAMES = {
+    "intvar",
+    "boolvar",
+    "eq_",
+    "ne_",
+    "free_vars",
+    "store_map",
+    "_as_int",
+    "_equality",
+    "_operand_sort",
+    "_collect_vars",
+    "_bind",
+    "_IntOps",
+}
+
 
 def imports(path: pathlib.Path) -> list:
     """(module, name) for every name a module imports; name is None for a
@@ -124,10 +141,12 @@ def assert_shares_no_code_with_the_solver(oracle: str):
 
 def test_model_oracle_shares_no_code_with_the_solver():
     assert_shares_no_code_with_the_solver("model_oracle.py")
+    assert_shares_no_code_with_the_solver("builders.py")  # its free_vars
 
 
 def test_smt_oracle_shares_no_code_with_the_solver():
     assert_shares_no_code_with_the_solver("smt_oracle.py")
+    assert_shares_no_code_with_the_solver("builders.py")
 
 
 def test_formula_reader_shares_no_code_with_the_printer():
@@ -185,6 +204,15 @@ def test_package_defines_no_retired_capability():
 
 def test_package_exports_no_retired_capability():
     assert_package_exports_none_of(RETIRED_CAPABILITY_NAMES)
+
+
+def test_package_defines_no_retired_builder():
+    assert_package_defines_none_of(RETIRED_BUILDER_NAMES)
+
+
+def test_package_exports_no_retired_builder():
+    assert_package_exports_none_of(RETIRED_BUILDER_NAMES)
+    assert not RETIRED_BUILDER_NAMES & set(dir(sccpe.formula.Record))
 
 
 def test_every_term_class_is_sampled_and_no_retired_one():

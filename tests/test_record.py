@@ -17,6 +17,7 @@ import random
 import pytest
 
 import sccpe
+from builders import boolvar, gt, intvar, lt
 from randgen import fragment_atom, process, small_state, store_formula
 from sccpe import (
     NIL,
@@ -41,8 +42,6 @@ from sccpe import (
     StoresEquivalent,
     SysState,
     Tell,
-    boolvar,
-    intvar,
 )
 from sccpe import calculus, formula, lang, solver
 from sccpe.formula import (
@@ -64,45 +63,45 @@ search = importlib.import_module("sccpe.search")  # the package's `search` is th
 X, Y = intvar("X"), intvar("Y")
 P, Q = boolvar("P"), boolvar("Q")
 A0 = AgentId((0,))
-STATE = SysState((StoreObj(ROOT, X < 3), StoreObj(A0, TRUE), ProcObj(A0, Tell(P))))
+STATE = SysState((StoreObj(ROOT, lt(X, 3)), StoreObj(A0, TRUE), ProcObj(A0, Tell(P))))
 
 SAMPLES = [
     X,
     IntLit(-4),
     TRUE,
-    And((P, X < 3)),
+    And((P, lt(X, 3))),
     BoolEq(P, Q),
     BoolNeq(Q, P),
     Cmp("=/==", X, Y),
     NIL,
-    Tell(X < 3),
+    Tell(lt(X, 3)),
     Ask(P, Tell(Q)),
     Par((Tell(P), ProcVar(1))),
     Space(2, Tell(P)),
     Rec(1, ProcVar(1)),
     Extr(0, Tell(P)),
     ProcVar(3),
-    StoreObj(A0, Y > 1),
+    StoreObj(A0, gt(Y, 1)),
     ProcObj(ROOT, Space(0, NIL)),
     STATE,
     A0,
     RunResult((STATE,), False, 4),
     DLAtom("X", None, -2),
     InconsistentStore(),
-    StoreEntails(X > 2),
+    StoreEntails(gt(X, 2)),
     StoresEquivalent(),
     Match(STATE, 3, ((A0, TRUE),)),
     SearchOutcome((), 5, 2, True, False),
     Diagnostic("warning", 3, 7, "unused"),
-    AgentDecl((0,), X < 3, 2, 1),
+    AgentDecl((0,), lt(X, 3), 2, 1),
     ProcessLine(Tell(P), 4, 1),
     ProgramAst(((("X",), formula.Sort.INT),), (ProcessLine(Tell(P), 4, 1),), ()),
     _Token("id", "X", 1, 1),
 ]
 IDS = [type(r).__name__ for r in SAMPLES]
 
-# A field left out of equality must still survive a copy, a pickle and a
-# repr; the sample above leaves `deferred` empty, so this one sets it.
+# The sample above leaves `deferred` empty; this one sets it, and so
+# compares and copies a diagnostic inside a program.
 SAMPLES.append(ProgramAst((), (), (Diagnostic("warning", 2, 5, "unused"),)))
 IDS.append("ProgramAst-deferred")
 # The one chain of the term language, empty: its key and hash hold an
@@ -111,14 +110,14 @@ SAMPLES.append(And(()))
 IDS.append("And-empty")
 # Terms over terms, the way negation and the retired connectives are now
 # written: a negated conjunction, and an equality of a comparison.
-SAMPLES.append(BoolNeq(And((P, X < 3)), TRUE))
+SAMPLES.append(BoolNeq(And((P, lt(X, 3))), TRUE))
 IDS.append("BoolNeq-negation")
-SAMPLES.append(BoolEq(X < 3, Q))
+SAMPLES.append(BoolEq(lt(X, 3), Q))
 IDS.append("BoolEq-compound")
 
 
 def test_every_record_class_has_a_sample():
-    bases = {Record, Node, formula._IntOps, formula._Bool, calculus._Proc}
+    bases = {Record, Node, formula._Bool, calculus._Proc}
     found = {
         v
         for module in (formula, calculus, search, solver, lang)
@@ -160,33 +159,28 @@ def test_repr_names_every_field_in_order(r):
 
 @pytest.mark.parametrize("r", SAMPLES, ids=IDS)
 def test_constructor_arguments(r):
-    cls, values = type(r), [getattr(r, n) for n in r.__match_args__]
+    # every field by position, none by keyword, and no default
+    cls, names = type(r), r.__match_args__
+    values = [getattr(r, n) for n in names]
     assert cls(*values) == r
-    assert cls(**dict(zip(r.__match_args__, values))) == r
     with pytest.raises(TypeError):
         cls(*values, None)
     with pytest.raises(TypeError):
         cls(*values, no_such_field=None)
     if values:
         with pytest.raises(TypeError):
-            cls(*values, **{r.__match_args__[0]: values[0]})  # given twice
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{names[-1]: values[-1]})
 
 
-def test_defaults_and_validation():
-    line = ProcessLine(Tell(P), col=4)
-    assert (line.process, line.line, line.col) == (Tell(P), 0, 4)
-    assert ProcessLine(Tell(P)).line == 0 and ProgramAst((), ()).deferred == ()
-    with pytest.raises(TypeError):
-        ProcessLine()
-
-
-def test_positions_and_deferred_diagnostics_are_not_compared():
-    assert AgentDecl((0,), P, 1, 2) == AgentDecl((0,), P, 9, 9)
-    assert hash(AgentDecl((0,), P, 1, 2)) == hash(AgentDecl((0,), P))
-    assert ProcessLine(Tell(P), 1, 2) == ProcessLine(Tell(P), 3, 4)
+def test_positions_and_deferred_diagnostics_are_compared():
+    assert AgentDecl((0,), P, 1, 2) == AgentDecl((0,), P, 1, 2)
+    assert AgentDecl((0,), P, 1, 2) != AgentDecl((0,), P, 9, 9)
+    assert ProcessLine(Tell(P), 1, 2) != ProcessLine(Tell(P), 1, 4)
     warning = Diagnostic("warning", 1, 1, "unused")
-    assert ProgramAst((), (), (warning,)) == ProgramAst((), ())
-    assert AgentDecl((0,), P) != AgentDecl((1,), P)
+    assert ProgramAst((), (), (warning,)) != ProgramAst((), (), ())
+    assert hash(AgentDecl((0,), P, 1, 2)) == hash(((0,), P, 1, 2))
 
 
 def test_hash_is_that_of_the_compared_fields():

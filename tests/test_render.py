@@ -4,23 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import boolvar, eq_, intvar, lt
 from randgen import small_state
 from state_reader import _CONSTANTS, _NODES, read_state, round_trip, write_state
 from systems import AID20, base_system
-from sccpe import (
-    FALSE,
-    ROOT,
-    TRUE,
-    AgentId,
-    StoreObj,
-    SysState,
-    boolvar,
-    eq_,
-    intvar,
-    normalize,
-    render_tree,
-    run,
-)
+from sccpe import FALSE, ROOT, TRUE, AgentId, StoreObj, SysState, normalize, render_tree, run
 from sccpe.calculus import NIL, Ask, Extr, Par, ProcObj, ProcVar, Rec, Space, Tell
 from sccpe.formula import And, BoolEq, BoolNeq, Cmp
 from sccpe.render import dump, state_to_obj
@@ -44,7 +32,7 @@ def test_render_store_hierarchy_four_nodes():
                 StoreObj(ROOT, TRUE),
                 StoreObj(AgentId((0,)), eq_(X, 25)),
                 StoreObj(AgentId((1,)), TRUE),
-                StoreObj(AgentId((0, 1)), intvar("Y") < 5),
+                StoreObj(AgentId((0, 1)), lt(intvar("Y"), 5)),
             )
         )
     )
@@ -153,8 +141,8 @@ OP_SAMPLES = {
     "true": StoreObj(ROOT, TRUE),
     "false": StoreObj(ROOT, FALSE),
     "var": StoreObj(ROOT, P),
-    "int": StoreObj(ROOT, X < 1),
-    "and": StoreObj(ROOT, And((P, X < 1))),
+    "int": StoreObj(ROOT, lt(X, 1)),
+    "and": StoreObj(ROOT, And((P, lt(X, 1)))),
     "beq": StoreObj(ROOT, BoolEq(P, Q)),
     "bneq": StoreObj(ROOT, BoolNeq(P, TRUE)),
     "cmp": StoreObj(ROOT, Cmp("=/==", X, Y)),

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import eq_, ge, gt, intvar, lt, store_map
 from randgen import small_state
 from systems import AID0, AID01, AID1, AID20, base_system, inconsistent_variant, same_knowledge_variant
 from sccpe import (
@@ -17,14 +18,11 @@ from sccpe import (
     SysState,
     Tell,
     conjoin,
-    eq_,
     evaluate_query,
-    intvar,
     normalize,
     run,
     search,
     step,
-    store_map,
 )
 from sccpe.calculus import explore
 
@@ -41,7 +39,7 @@ def test_consistent_state_has_no_inconsistent_witness(solver):
 
 
 def test_inconsistent_witness_found(solver):
-    bad = conjoin(Z >= 10, eq_(Z, 9))
+    bad = conjoin(ge(Z, 10), eq_(Z, 9))
     state = normalize(SysState((StoreObj(ROOT, TRUE), StoreObj(AID1, bad))))
     witnesses = evaluate_query(state, InconsistentStore(), solver)
     assert len(witnesses) == 1
@@ -56,24 +54,24 @@ def test_store_entails_witness_on_final_state(solver):
             (
                 StoreObj(ROOT, TRUE),
                 StoreObj(AID0, eq_(X, 25)),
-                StoreObj(AID1, Z >= 10),
-                StoreObj(AID01, Y < 5),
-                StoreObj(AID20, W < Y),
+                StoreObj(AID1, ge(Z, 10)),
+                StoreObj(AID01, lt(Y, 5)),
+                StoreObj(AID20, lt(W, Y)),
             )
         )
     )
-    witnesses = evaluate_query(final, StoreEntails(Z > 9), solver)
-    assert witnesses == [((AID1, Z >= 10),)]
+    witnesses = evaluate_query(final, StoreEntails(gt(Z, 9)), solver)
+    assert witnesses == [((AID1, ge(Z, 10)),)]
 
 
 def test_equivalent_stores_reported_in_both_orders(solver):
     state = normalize(
-        SysState((StoreObj(ROOT, TRUE), StoreObj(AID1, Z >= 10), StoreObj(AID20, Z > 9)))
+        SysState((StoreObj(ROOT, TRUE), StoreObj(AID1, ge(Z, 10)), StoreObj(AID20, gt(Z, 9))))
     )
     witnesses = evaluate_query(state, StoresEquivalent(), solver)
     assert witnesses == [
-        ((AID1, Z >= 10), (AID20, Z > 9)),
-        ((AID20, Z > 9), (AID1, Z >= 10)),
+        ((AID1, ge(Z, 10)), (AID20, gt(Z, 9))),
+        ((AID20, gt(Z, 9)), (AID1, ge(Z, 10))),
     ]
 
 
@@ -84,7 +82,7 @@ def test_equivalent_stores_excludes_constant_true(solver):
 
 def test_a_non_query_is_rejected(solver):
     with pytest.raises(TypeError, match="not a query"):
-        evaluate_query(base_system(), Z > 9, solver)
+        evaluate_query(base_system(), gt(Z, 9), solver)
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +106,16 @@ def test_search_finds_injected_inconsistency(solver):
 
 
 def test_search_knowledge_never_y9(solver):
-    outcome = search(base_system(), StoreEntails(Y > 9), solver=solver)
+    outcome = search(base_system(), StoreEntails(gt(Y, 9)), solver=solver)
     assert outcome.matches == ()
     assert outcome.states_explored == 19
 
 
 def test_search_knowledge_z9_eight_solutions(solver):
-    outcome = search(base_system(), StoreEntails(Z > 9), solver=solver)
+    outcome = search(base_system(), StoreEntails(gt(Z, 9)), solver=solver)
     assert len(outcome.matches) == 8
     for m in outcome.matches:
-        assert m.witnesses == ((AID1, Z >= 10),)
+        assert m.witnesses == ((AID1, ge(Z, 10)),)
 
 
 def test_search_same_knowledge_negative(solver):
@@ -130,8 +128,8 @@ def test_search_same_knowledge_positive(solver):
     assert len(outcome.matches) == 2
     first, second = outcome.matches
     assert first.state == second.state
-    assert first.witnesses == ((AID1, Z >= 10), (AID20, Z > 9))
-    assert second.witnesses == ((AID20, Z > 9), (AID1, Z >= 10))
+    assert first.witnesses == ((AID1, ge(Z, 10)), (AID20, gt(Z, 9)))
+    assert second.witnesses == ((AID20, gt(Z, 9)), (AID1, ge(Z, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ def test_bad_bounds_rejected(solver):
 
 def test_search_normalizes_the_initial_state(solver):
     # two root stores merge into one unsatisfiable store only once normalized
-    raw = SysState((StoreObj(ROOT, X > 1), StoreObj(ROOT, X < 0)))
+    raw = SysState((StoreObj(ROOT, gt(X, 1)), StoreObj(ROOT, lt(X, 0))))
     outcome = search(raw, InconsistentStore(), solver=solver)
     assert [(m.state, m.state_index) for m in outcome.matches] == [(normalize(raw), 0)]
 
@@ -259,6 +257,6 @@ class BrokenSolver(Solver):
 
 def test_solver_failure_aborts_with_context():
     # no partial outcome: the solver's own exception, with its message, ends the search
-    state = normalize(SysState((StoreObj(ROOT, Y < 5), ProcObj(ROOT, Tell(Z >= 10)))))
+    state = normalize(SysState((StoreObj(ROOT, lt(Y, 5)), ProcObj(ROOT, Tell(ge(Z, 10))))))
     with pytest.raises(RuntimeError, match=r"^solver failed on "):
         search(state, InconsistentStore(), solver=BrokenSolver())

@@ -6,6 +6,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import boolvar, eq_, ge, gt, intvar, le, lt, ne_
 from model_oracle import brute_force_sat, small_model_bound
 from randgen import fragment_formula, tight_formula
 from sccpe import (
@@ -16,13 +17,9 @@ from sccpe import (
     Sort,
     SortConflict,
     Var,
-    boolvar,
     canonicalize,
     conjoin,
     dl_conjunct_sat,
-    eq_,
-    intvar,
-    ne_,
 )
 import sccpe.solver as solver_module
 from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Node
@@ -48,11 +45,11 @@ def test_check_sat_true():
 
 
 def test_check_sat_inconsistent_store():
-    assert not Solver().check_sat(And((Z >= 10, eq_(Z, 9))))
+    assert not Solver().check_sat(And((ge(Z, 10), eq_(Z, 9))))
 
 
 def test_check_sat_negative_cycle():
-    f = And((X < Y, Y < X))
+    f = And((lt(X, Y), lt(Y, X)))
     assert not Solver().check_sat(f)
     assert not any(
         x < y and y < x for x in range(-3, 4) for y in range(-3, 4)
@@ -61,21 +58,21 @@ def test_check_sat_negative_cycle():
 
 def test_check_unsat_examples():
     assert not Solver().check_sat(FALSE)
-    assert not Solver().check_sat(And((Z >= 10, eq_(Z, 9))))
-    assert Solver().check_sat(Y < 5)
+    assert not Solver().check_sat(And((ge(Z, 10), eq_(Z, 9))))
+    assert Solver().check_sat(lt(Y, 5))
 
 
 def test_entails_examples():
-    assert Solver().entails(Y < 5, Y < 20)
-    assert not Solver().entails(Y < X, Y < 3)
-    assert Solver().entails(Z >= 10, Z > 9)
-    assert Solver().entails(Y < 5, TRUE)
-    assert Solver().entails(And((Z >= 10, eq_(Z, 9))), TRUE)
+    assert Solver().entails(lt(Y, 5), lt(Y, 20))
+    assert not Solver().entails(lt(Y, X), lt(Y, 3))
+    assert Solver().entails(ge(Z, 10), gt(Z, 9))
+    assert Solver().entails(lt(Y, 5), TRUE)
+    assert Solver().entails(And((ge(Z, 10), eq_(Z, 9))), TRUE)
 
 
 def test_entails_bool_atoms():
-    assert Solver().entails(And((X >= 5, P)), P)
-    assert not Solver().entails(X >= 5, P)
+    assert Solver().entails(And((ge(X, 5), P)), P)
+    assert not Solver().entails(ge(X, 5), P)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +127,8 @@ def test_dl_chain_through_zero():
 
 def test_brute_force_examples():
     assert brute_force_sat(TRUE, 1)
-    assert not brute_force_sat(And((Z >= 10, eq_(Z, 9))), 21)
-    assert brute_force_sat(Y < 5, 6)
+    assert not brute_force_sat(And((ge(Z, 10), eq_(Z, 9))), 21)
+    assert brute_force_sat(lt(Y, 5), 6)
 
 
 def test_brute_force_rejects_arithmetic():
@@ -141,7 +138,7 @@ def test_brute_force_rejects_arithmetic():
 
 
 def test_small_model_bound():
-    assert small_model_bound(And((Z >= 10, eq_(Z, 9)))) == 10 + 9 + 1 + 1
+    assert small_model_bound(And((ge(Z, 10), eq_(Z, 9)))) == 10 + 9 + 1 + 1
     assert small_model_bound(TRUE) == 1
 
 
@@ -206,7 +203,7 @@ def boxed_disequalities(draw):
         ]
 
     parts = atoms(("=/==",), 13, 20) + atoms(("<", "<=", ">", ">="), 0, 4)
-    parts += [c for n in names for c in (intvar(n) >= 0, intvar(n) <= BOX)]
+    parts += [c for n in names for c in (ge(intvar(n), 0), le(intvar(n), BOX))]
     if draw(st.booleans()):
         guard = And(tuple(atoms(("<", "<=", ">", ">=", "===", "=/=="), 1, 3)))
         parts.append(BoolNeq(guard, TRUE))
@@ -274,7 +271,7 @@ def test_top_and_bottom(c):
 
 
 def test_smtlib_script_shape():
-    script = smtlib_script(And((Z >= 10, eq_(Z, 9), P)))
+    script = smtlib_script(And((ge(Z, 10), eq_(Z, 9), P)))
     assert script.splitlines()[0] == "(set-logic QF_LIA)"
     assert "(declare-const P Bool)" in script
     assert "(declare-const Z Int)" in script
@@ -311,7 +308,7 @@ def assert_agrees(cmd, formulas):
 
 
 def test_external_backend_sat(tmp_path):
-    assert smt_check(_stub_solver(tmp_path, "sat"), And((Z >= 10, eq_(Z, 9)))) == "sat"
+    assert smt_check(_stub_solver(tmp_path, "sat"), And((ge(Z, 10), eq_(Z, 9)))) == "sat"
 
 
 def test_external_backend_unsat(tmp_path):
@@ -323,13 +320,13 @@ def test_dnf_blowup_failover():
     # solver once refused (handing them to an external solver if any); the
     # lazy search decides them itself, in agreement with brute force
     diseqs = tuple(ne_(X, k) for k in range(13))
-    for f, sat in ((And(diseqs), True), (And(diseqs + (X >= 0, X < 13)), False)):
+    for f, sat in ((And(diseqs), True), (And(diseqs + (ge(X, 0), lt(X, 13))), False)):
         assert Solver().check_sat(f) is sat
         assert brute_force_sat(f, small_model_bound(f)) is sat
 
 
 def test_sort_conflict_is_rejected_by_both_backends(tmp_path):
-    f = And((Var("A", Sort.BOOL), Var("A", Sort.INT) < 0))
+    f = And((Var("A", Sort.BOOL), lt(Var("A", Sort.INT), 0)))
     with pytest.raises(SortConflict):
         Solver().check_sat(f)
     with pytest.raises(SortConflict):
@@ -355,7 +352,7 @@ def test_oracle_sends_the_whole_script_on_stdin(tmp_path):
     seen = tmp_path / "seen.smt2"
     stub = tmp_path / "recorder.py"
     stub.write_text(f"import sys\nopen({str(seen)!r}, 'w').write(sys.stdin.read())\nprint('sat')\n")
-    f = And((Z >= 10, BoolNeq(P, TRUE), X < -3))
+    f = And((ge(Z, 10), BoolNeq(P, TRUE), lt(X, -3)))
     assert smt_check((sys.executable, str(stub)), f) == "sat"
     assert seen.read_text() == smtlib_script(f)
     assert "(< X (- 3))" in smtlib_script(f)
@@ -425,9 +422,9 @@ def test_an_inconclusive_entailment_is_not_memoized(monkeypatch):
     monkeypatch.setattr(solver_module, "_search", fails_once)
     session = Solver()
     with pytest.raises(Interrupted):
-        session.entails(Y < 5, Y < 20)
-    assert session.entails(Y < 5, Y < 20)
-    assert session.entails(Y < 5, Y < 20)
+        session.entails(lt(Y, 5), lt(Y, 20))
+    assert session.entails(lt(Y, 5), lt(Y, 20))
+    assert session.entails(lt(Y, 5), lt(Y, 20))
     assert len(asked) == 2  # the third answer came from the entailment table
 
 
@@ -472,7 +469,7 @@ def test_one_session_agrees_with_the_oracle_as_stores_grow():
 
 
 def test_a_sort_conflict_across_cached_parts_is_raised_and_not_stored():
-    a_bool, a_int = Var("A", Sort.BOOL), Var("A", Sort.INT) < 0
+    a_bool, a_int = Var("A", Sort.BOOL), lt(Var("A", Sort.INT), 0)
     session = Solver()
     assert session.check_sat(a_bool)  # the Boolean use is lowered and cached
     for _ in range(2):  # nothing was stored for the failed calls
@@ -485,8 +482,8 @@ def test_a_sort_conflict_across_cached_parts_is_raised_and_not_stored():
 def test_a_decision_builds_no_term(monkeypatch):
     # the store and the guard are lowered apart and joined: no conjunction
     # or negation of them is built (lowering itself builds none for these)
-    store = And(tuple(ne_(X, k) for k in range(5)) + (BoolEq(P, X > 9), BoolNeq(Q, Y < X)))
-    guard, entailed = BoolNeq(And((X > 0, P)), TRUE), ne_(X, 2)
+    store = And(tuple(ne_(X, k) for k in range(5)) + (BoolEq(P, gt(X, 9)), BoolNeq(Q, lt(Y, X))))
+    guard, entailed = BoolNeq(And((gt(X, 0), P)), TRUE), ne_(X, 2)
     built, init = [], Node.__init__
 
     def counted(self, *args, **kwargs):
@@ -505,13 +502,13 @@ def test_solver_takes_no_configuration():
     # the external backend and its config are gone: one built-in procedure
     with pytest.raises(TypeError):
         Solver(None)
-    assert type(Solver().check_sat(Y < 5)) is bool
-    assert type(Solver().entails(Y < 5, Y < 20)) is bool
+    assert type(Solver().check_sat(lt(Y, 5))) is bool
+    assert type(Solver().entails(lt(Y, 5), lt(Y, 20))) is bool
 
 
 def test_session_caching_is_transparent():
     s = Solver()
-    f = And((Z >= 10, eq_(Z, 9)))
+    f = And((ge(Z, 10), eq_(Z, 9)))
     assert not s.check_sat(f)
     assert not s.check_sat(f)
-    assert not s.check_sat(And((eq_(Z, 9), Z >= 10)))  # reordered: each conjunct's lowering is cached
+    assert not s.check_sat(And((eq_(Z, 9), ge(Z, 10))))  # reordered: each conjunct's lowering is cached
