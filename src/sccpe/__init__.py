@@ -44,7 +44,6 @@ from .lang import Diagnostic, ParseError, ProgramAst, elaborate, parse, validate
 from .render import render_tree
 from .search import (
     InconsistentStore,
-    Match,
     Query,
     SearchOutcome,
     StoreEntails,

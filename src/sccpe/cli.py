@@ -2,9 +2,10 @@
 with the flags that USAGE lists and ``-h`` or ``--help`` prints.
 
 ``run`` follows one path to the terminal state and prints it as a space tree
-(or JSON); ``search`` answers a reachability query with numbered solutions
-and a ``states: N  solutions: M`` summary; ``check`` prints whether C1
-entails C2.  ``FILE`` is a program path or ``-`` for standard input.  A
+(or JSON); ``search`` answers a reachability query with numbered solutions,
+each printed as the search finds it (in text or JSON), and a ``states: N
+solutions: M`` summary; ``check`` prints whether C1 entails C2.  ``FILE`` is
+a program path or ``-`` for standard input, either read as strict UTF-8.  A
 flag's value follows it (``--max-depth 3``) or is attached by ``=``
 (``--max-depth=3``), a unique prefix names a flag (``--max-d 3``), flags may
 come before ``FILE``, and after ``--`` every argument is a value.  Every
@@ -13,14 +14,18 @@ Exit codes: 0 success (a "No solution." outcome is a success), 1 usage/parse/
 validate error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 3
 internal error, 141 the reader closed standard output early (128 + SIGPIPE,
 as a shell reports for a tool cut off the same way; nothing is printed).
+A search that fails after its first solutions leaves them on standard
+output, and reports the failure as any other.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import sys
 from functools import cache
+from itertools import count
 from types import SimpleNamespace
 
 from . import lang, render
@@ -146,6 +151,8 @@ def _load_program(path: str):
     name = "<stdin>" if path == "-" else path
     try:
         if path == "-":
+            # decoded and split into lines as a file is, in any locale
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
             return sys.stdin.read(), name
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read(), name
@@ -185,8 +192,7 @@ def _elaborate(text: str, name: str, err):
 
 
 def _print_json(doc, out) -> None:
-    render.dump(doc, out.write)
-    out.write("\n")
+    out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_run(args, out, err) -> int:
@@ -237,55 +243,69 @@ def _cmd_search(args, out, err) -> int:
     text, name = _load_program(args.input)
     ast, state = _elaborate(text, name, err)
     query, query_label = _parse_query(args, ast.var_table, err)
-    mode = "terminal" if args.mode == "final" else "any"
+    as_json = args.format == "json"
+    if as_json:  # the document's head; its tail follows "solutions"
+        head = json.dumps({"command": "search", "query": query_label}, indent=2)
+        out.write(head[:-2] + ',\n  "solutions": [')
+    solution = _json_solution() if as_json else _text_solution()
+    number = count(1)
     outcome = search_states(
         state,
         query,
-        mode=mode,
+        lambda _, index, binding: out.write(solution(next(number), index, binding)),
+        mode="terminal" if args.mode == "final" else "any",
         max_depth=args.max_depth,
         max_solutions=args.max_solutions,
     )
-    if args.format == "json":
-        # the witnesses repeat a few (agent, store) pairs and bindings many
-        # times: build each once, so that render.dump encodes it once
-        witness = cache(
-            lambda aid, c: {
-                "aid": list(aid.path),
-                "store": format_formula(c),
-                "store_term": render.formula_to_obj(c),
-            }
-        )
-        witnesses = cache(lambda binding: [witness(aid, c) for aid, c in binding])
-        doc = {
-            "command": "search",
-            "query": query_label,
-            "solutions": [
-                {
-                    "solution": i,
-                    "state": m.state_index,
-                    "witnesses": witnesses(m.witnesses),
-                }
-                for i, m in enumerate(outcome.matches, start=1)
-            ],
+    if as_json:
+        tail = {
             "states": outcome.states_explored,
             "truncated": outcome.truncated,
             "depth_cut": outcome.depth_cut,
             "capped": outcome.capped,
         }
-        _print_json(doc, out)
+        out.write(("\n  ]," if outcome.solutions else "],") + json.dumps(tail, indent=2)[1:] + "\n")
     else:
-        store = cache(format_formula)
-        for i, m in enumerate(outcome.matches, start=1):
-            print(f"Solution {i} (state {m.state_index})", file=out)
-            for aid, c in m.witnesses:
-                print(f"  aid: {aid}", file=out)
-                print(f"  store: {store(c)}", file=out)
-        if not outcome.matches:
+        if not outcome.solutions:
             print("No solution.", file=out)
         elif not outcome.capped:
             print("No more solutions.", file=out)
-        print(f"states: {outcome.states_explored}  solutions: {len(outcome.matches)}", file=out)
+        print(f"states: {outcome.states_explored}  solutions: {outcome.solutions}", file=out)
     return _finish(outcome.depth_cut, args, err)
+
+
+def _text_solution():
+    """The text of a search's solution, from its number, its state's number
+    and its witness binding."""
+    store = cache(format_formula)
+    return lambda i, index, binding: f"Solution {i} (state {index})\n" + "".join(
+        f"  aid: {aid}\n  store: {store(c)}\n" for aid, c in binding
+    )
+
+
+def _json_solution():
+    """As `_text_solution`, the text of a solution in the "solutions" list of
+    `json.dumps(doc, indent=2)`, with the comma before all but the first.
+    Each distinct binding's witnesses are encoded once and indented to their
+    place: the indented encoder puts a nested value's lines after a newline
+    and nowhere else (a string's newline is escaped)."""
+    witnesses = cache(
+        lambda binding: json.dumps(
+            [
+                {
+                    "aid": list(aid.path),
+                    "store": format_formula(c),
+                    "store_term": render.formula_to_obj(c),
+                }
+                for aid, c in binding
+            ],
+            indent=2,
+        ).replace("\n", "\n      ")
+    )
+    return lambda i, index, binding: (
+        f'{"," * (i > 1)}\n    {{\n      "solution": {i},\n      "state": {index},'
+        f'\n      "witnesses": {witnesses(binding)}\n    }}'
+    )
 
 
 def _cmd_check(args, out, err) -> int:

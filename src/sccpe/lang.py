@@ -22,7 +22,11 @@ rules always find their store object.
 The operands of a chain of ``||`` form one parallel composition, and
 ``ask`` takes the longest possible body, so ``a || ask c -> b || d`` reads
 ``a || (ask c -> (b || d))``.  An integer literal has at most as many
-digits as the interpreter converts (4,300 by default).
+digits as the interpreter converts (4,300 by default), and a process is
+nested in at most ``MAX_NESTING`` bodies of ``ask``, ``[...]_i``,
+``x(...)_i`` and ``r(i, ...)``, so that every recursive walk of a program
+and of the states it reaches stays within the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -204,6 +208,12 @@ def _lex(text: str) -> list:
 # Parser
 
 
+# The most bodies a process may be nested in.  A walk of a process takes a
+# few frames per level (a `||` inside a body adds one), so a program at
+# the limit leaves most of the interpreter's 1,000 frames to its caller.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(
         self,
@@ -219,6 +229,7 @@ class _Parser:
         self.deferred: list[Diagnostic] = []
         self.reported: set[str] = set()
         self.lenient = lenient  # CLI formulas: infer undeclared names silently
+        self.nesting = 0  # the bodies around the process being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -326,6 +337,15 @@ class _Parser:
             parts.append(self.parse_process_prefix())
         return Par(tuple(parts)) if len(parts) > 1 else parts[0]
 
+    def parse_body(self, form: _Token) -> Process:
+        """The process in the body of the form that `form` starts."""
+        if self.nesting == MAX_NESTING:
+            self.error(form, f"process nested too deeply: more than {MAX_NESTING} levels")
+        self.nesting += 1
+        body = self.parse_process()
+        self.nesting -= 1
+        return body
+
     def parse_process_prefix(self) -> Process:
         tok = self.peek()
         if self.at("kw", "tell"):
@@ -338,17 +358,17 @@ class _Parser:
             self.next()
             guard = self.parse_constraint()
             self.expect("sym", "->")
-            return Ask(guard, self.parse_process())
+            return Ask(guard, self.parse_body(tok))
         if self.at("sym", "["):
             self.next()
-            body = self.parse_process()
+            body = self.parse_body(tok)
             self.expect("sym", "]")
             self.expect("sym", "_")
             return Space(self.integer(), body)
         if self.at("kw", "x"):
             self.next()
             self.expect("sym", "(")
-            body = self.parse_process()
+            body = self.parse_body(tok)
             self.expect("sym", ")")
             self.expect("sym", "_")
             return Extr(self.integer(), body)
@@ -363,7 +383,7 @@ class _Parser:
             self.expect("sym", "(")
             index = self.integer()
             self.expect("sym", ",")
-            body = self.parse_process()
+            body = self.parse_body(tok)
             self.expect("sym", ")")
             return Rec(index, body)
         self.error(tok, f"expected a process, found {tok.value or tok.kind!r}")

@@ -19,18 +19,12 @@ canonical order.  The document determines the state: the reader in the
 test suite, ``tests/state_reader.py``, rebuilds every normalized state
 from it.
 
-The CLI's ``--format json`` documents are written by ``dump``, which
-writes the bytes of ``json.dumps(doc, indent=2)`` piece by piece, so a
-search's long list of solutions is never held as one string, and encodes
-each shared dict or list once: a search's witnesses share a few objects
-hundreds of times, and the standard indented encoder, written in Python,
-would walk each of them again every time.
+The CLI writes its ``--format json`` documents with the standard
+library's ``json.dumps(doc, indent=2)``; a search's document is written
+one solution at a time, as the search finds them (``sccpe.cli``).
 """
 
 from __future__ import annotations
-
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable
 
 from .calculus import (
     Ask,
@@ -143,82 +137,3 @@ def state_to_obj(s: SysState) -> dict:
             kind, payload = "process", o.program
         objects.append({"kind": kind, "aid": list(o.aid.path), "payload": formula_to_obj(payload)})
     return {"objects": objects}
-
-
-_FLOAT_WORDS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
-
-
-def _scalar(v) -> str:
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return "NaN" if v != v else _FLOAT_WORDS.get(v) or float.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key as the encoder writes it, with the separator after it."""
-    return _quote(k if isinstance(k, str) else _scalar(k)) + ": "
-
-
-def dump(doc, write: Callable[[str], object]) -> None:
-    """Write exactly the text of `json.dumps(doc, indent=2)` through `write`,
-    piece by piece, with each dict or list object encoded once however
-    often it occurs in doc.
-
-    The document and the containers directly inside it are written one
-    member per call, so a long list of solutions is never joined into one
-    string; each value below them is encoded to text once (`encode`).  The
-    indented encoder puts a nested value's lines after a newline and its
-    nesting level's indent, and nowhere else (a string's newline is
-    escaped).  So the text of an object written at one indent becomes its
-    text at another by swapping the indent after each newline.
-    """
-    done: dict = {}  # id of a list or dict in doc -> (its text, the indent it has there)
-
-    def encode(v, indent: str) -> str:
-        if isinstance(v, str):
-            return _quote(v)
-        if not isinstance(v, (list, tuple, dict)):
-            return _scalar(v)
-        if not v:
-            return "{}" if isinstance(v, dict) else "[]"
-        if id(v) in done:
-            text, at = done[id(v)]
-            if text is None:
-                raise ValueError("Circular reference detected")
-            return text if at == indent else text.replace("\n" + at, "\n" + indent)
-        done[id(v)] = (None, indent)
-        inner = indent + "  "
-        if isinstance(v, dict):
-            ends, items = "{}", [_key(k) + encode(x, inner) for k, x in v.items()]
-        else:
-            ends, items = "[]", [encode(x, inner) for x in v]
-        text = f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
-        done[id(v)] = (text, indent)
-        return text
-
-    def emit(prefix: str, v, indent: str, depth: int) -> None:
-        if depth == 2 or not isinstance(v, (list, tuple, dict)) or not v or id(v) in done:
-            write(prefix + encode(v, indent))
-            return
-        done[id(v)] = (None, indent)  # a cycle back to v is refused
-        inner = indent + "  "
-        if isinstance(v, dict):
-            ends, items = "{}", [(_key(k), x) for k, x in v.items()]
-        else:
-            ends, items = "[]", [("", x) for x in v]
-        sep = f"{prefix}{ends[0]}\n{inner}"
-        for key, x in items:
-            emit(sep + key, x, inner, depth + 1)
-            sep = f",\n{inner}"
-        write(f"\n{indent}{ends[1]}")
-        del done[id(v)]  # written, not kept: met again, it is encoded anew
-
-    emit("", doc, "", 0)

@@ -10,9 +10,12 @@ Three safety queries, each read off the stores alone:
 
 ``search`` is a front end of ``calculus.explore``, the one breadth-first
 loop over canonical states: it evaluates the query on the states explore
-visits and reports every witness binding inside every matching state, in
-a fully deterministic order: states in discovery order (new successors
-sorted by canonical key), witnesses in canonical (agent, store) order.
+visits and hands every witness binding inside every matching state to
+the caller's consumer as soon as it is found, in a fully deterministic
+order: states in discovery order (new successors sorted by canonical
+key), witnesses in canonical (agent, store) order.  It keeps no answer:
+the outcome holds only the counts, and what the consumer keeps is the
+caller's to bound.
 Explore tells ``search`` whether a state has a successor, not which: in
 'terminal' mode only successor-free states are tested.  A query reads
 only the stores, so one call of ``search`` evaluates it once per distinct
@@ -25,7 +28,7 @@ callback of one's own.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .calculus import SysState, explore, normalize, store_count
 from .formula import Formula, Record, TRUE
@@ -47,18 +50,12 @@ class StoresEquivalent(Record):
 Query = Union[InconsistentStore, StoreEntails, StoresEquivalent]
 
 
-class Match(Record):
-    state: SysState
-    state_index: int
-    witnesses: tuple  # of (AgentId, Formula); one pair per witness binding
-
-
 class SearchOutcome(Record):
-    matches: tuple
+    solutions: int  # the number of `found` calls
     states_explored: int
     depth_reached: int
     depth_cut: bool  # the depth bound kept some state out
-    capped: bool  # stopped on reaching max_solutions matches
+    capped: bool  # stopped on reaching max_solutions solutions
 
     @property
     def truncated(self) -> bool:
@@ -93,6 +90,7 @@ def evaluate_query(s: SysState, q: Query, solver: Solver) -> list:
 def search(
     init: SysState,
     q: Query,
+    found: Callable[[SysState, int, tuple], object],
     mode: str = "any",
     max_depth: int = 64,
     max_solutions: Optional[int] = None,
@@ -101,9 +99,11 @@ def search(
     """Explore breadth-first from init, testing q on every visited state
     (mode 'any') or on every successor-free state (mode 'terminal').
 
-    A state with several witness bindings yields one match per binding.
-    Exploration stops at closure, or once max_solutions matches are
-    collected (`capped`); `depth_cut` reports that the max_depth bound
+    Each solution is passed on as it is found, as `found(state, index,
+    binding)`: the state, its discovery number and one witness binding,
+    as `evaluate_query` gives it; a state with several bindings is several
+    solutions.  Exploration stops at closure, or after max_solutions
+    solutions (`capped`); `depth_cut` reports that the max_depth bound
     kept some state out.
     """
     if mode not in ("any", "terminal"):
@@ -111,10 +111,11 @@ def search(
     if max_solutions is not None and max_solutions < 1:
         raise ValueError(f"max_solutions must be >= 1, got {max_solutions}")
     solver = solver or Solver()
-    matches: list[Match] = []
+    solutions = 0
     memo: dict = {}  # the bindings of each store tuple, for this call only
 
     def visit(state: SysState, index: int, has_successor: bool) -> bool:
+        nonlocal solutions
         if mode == "terminal" and has_successor:
             return False
         objs = state.objects
@@ -123,10 +124,11 @@ def search(
         if bindings is None:
             bindings = memo[key] = evaluate_query(state, q, solver)
         for b in bindings:
-            matches.append(Match(state, index, b))
-            if len(matches) == max_solutions:
+            found(state, index, b)
+            solutions += 1
+            if solutions == max_solutions:
                 return True
         return False
 
     explored, depth, cut, capped = explore(init, solver, max_depth, visit)
-    return SearchOutcome(tuple(matches), explored, depth, cut, capped)
+    return SearchOutcome(solutions, explored, depth, cut, capped)

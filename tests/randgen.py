@@ -29,6 +29,7 @@ from sccpe import (
     Var,
     normalize,
 )
+from program_printer import format_surface_formula, format_surface_process
 from sccpe.formula import And, BoolEq, BoolNeq, Cmp, IntLit, Sort
 
 INT_NAMES = ("X", "Y", "Z")
@@ -153,3 +154,25 @@ def raw_state(rng: random.Random) -> SysState:
 def small_state(rng: random.Random) -> SysState:
     """Normalized state with <= 3 processes of depth <= 3."""
     return normalize(raw_state(rng))
+
+
+def program(rng: random.Random) -> str:
+    """Random program text over the fragment's variables: stores at some
+    agents of AID_POOL and one to three process lines of depth <= 3.  A
+    store or process that the surface syntax cannot write (a negative
+    literal, two asks in one parallel composition) is drawn again."""
+    def printable(draw, fmt):
+        while True:
+            try:
+                return fmt(draw())
+            except ValueError:
+                continue
+
+    lines = [f"var {', '.join(INT_NAMES)} Int", f"var {', '.join(BOOL_NAMES)} Bool", "begin"]
+    for aid in AID_POOL[1:]:
+        if rng.random() < 0.5:
+            store = printable(lambda: store_formula(rng), format_surface_formula)
+            lines.append("".join(f"{n} . " for n in aid.path) + f"root ; {store} .")
+    for _ in range(rng.randint(1, 3)):
+        lines.append(printable(lambda: process(rng), format_surface_process) + " .")
+    return "\n".join(lines + ["end"]) + "\n"

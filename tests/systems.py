@@ -24,6 +24,7 @@ from sccpe import (
     elaborate,
     normalize,
     parse,
+    search,
 )
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -77,3 +78,11 @@ ACCEPTANCE_SYSTEMS = {
     "same-knowledge-variant": same_knowledge_variant,
     "spaces-program": lambda: elaborate(parse((PROGRAMS / "spaces.sccp").read_text())),
 }
+
+
+def solutions(init: SysState, q, **options) -> tuple:
+    """The solutions of `search` and its outcome: the arguments of each
+    `found` call, as (state, index, binding), kept in order."""
+    kept = []
+    outcome = search(init, q, lambda *solution: kept.append(solution), **options)
+    return kept, outcome

@@ -15,7 +15,16 @@ from engine_oracle import oracle_step
 from model_oracle import brute_force_sat, small_model_bound
 from program_printer import print_program, unplaced
 from randgen import fragment_formula, raw_state, small_state, tight_formula
-from systems import AID0, AID01, AID1, AID20, base_system, inconsistent_variant, same_knowledge_variant
+from systems import (
+    AID0,
+    AID01,
+    AID1,
+    AID20,
+    base_system,
+    inconsistent_variant,
+    same_knowledge_variant,
+    solutions,
+)
 from conftest import PROGRAMS
 from sccpe import (
     FALSE,
@@ -35,7 +44,6 @@ from sccpe import (
     normalize,
     parse,
     run,
-    search,
     step,
     validate,
 )
@@ -101,34 +109,34 @@ def test_criterion_01_golden_trace(capsys, solver):
 
 
 def test_criterion_02_inconsistency_negative(capsys, solver):
-    outcome = search(base_system(), InconsistentStore(), solver=solver)
-    assert len(outcome.matches) == 0  # strict
+    found, outcome = solutions(base_system(), InconsistentStore(), solver=solver)
+    assert len(found) == outcome.solutions == 0  # strict
     states = outcome.states_explored
     detail = f"0 solutions; states={states} (target 19: {'matches' if states == 19 else 'DIVERGES'})"
     report(capsys, 2, "PASS", detail)
 
 
 def test_criterion_03_inconsistency_positive(capsys, solver):
-    outcome = search(inconsistent_variant(), InconsistentStore(), solver=solver)
-    assert len(outcome.matches) >= 1  # strict
-    for m in outcome.matches:
-        ((aid, store),) = m.witnesses
+    found, outcome = solutions(inconsistent_variant(), InconsistentStore(), solver=solver)
+    assert len(found) == outcome.solutions >= 1  # strict
+    for _, _, binding in found:
+        ((aid, store),) = binding
         assert aid == AID1
         assert not solver.check_sat(store)  # rechecks as unsatisfiable
-    sols, states = len(outcome.matches), outcome.states_explored
+    sols, states = outcome.solutions, outcome.states_explored
     flag_s = "matches" if sols == 16 else "DIVERGES: canonical conjunct order merges mirrored stores"
     flag_n = "matches" if states == 55 else "DIVERGES, same cause"
     report(capsys, 3, "PASS", f"solutions={sols} (target 16: {flag_s}); states={states} (target 55: {flag_n})")
 
 
 def test_criterion_04_knowledge_inference(capsys, solver):
-    negative = search(base_system(), StoreEntails(gt(Y, 9)), solver=solver)
-    assert len(negative.matches) == 0  # strict
-    positive = search(base_system(), StoreEntails(gt(Z, 9)), solver=solver)
-    assert len(positive.matches) >= 1
-    for m in positive.matches:
-        assert m.witnesses == ((AID1, ge(Z, 10)),)  # strict: store Z>=10 at 1.root
-    count = len(positive.matches)
+    found, negative = solutions(base_system(), StoreEntails(gt(Y, 9)), solver=solver)
+    assert len(found) == negative.solutions == 0  # strict
+    found, positive = solutions(base_system(), StoreEntails(gt(Z, 9)), solver=solver)
+    assert len(found) == positive.solutions >= 1
+    for _, _, binding in found:
+        assert binding == ((AID1, ge(Z, 10)),)  # strict: store Z>=10 at 1.root
+    count = positive.solutions
     report(
         capsys,
         4,
@@ -139,14 +147,14 @@ def test_criterion_04_knowledge_inference(capsys, solver):
 
 
 def test_criterion_05_same_knowledge(capsys, solver):
-    negative = search(base_system(), StoresEquivalent(), solver=solver)
-    assert len(negative.matches) == 0  # strict
-    positive = search(same_knowledge_variant(), StoresEquivalent(), solver=solver)
-    assert len(positive.matches) >= 1
-    for m in positive.matches:
-        stores = {str(c) for _, c in m.witnesses}
+    found, negative = solutions(base_system(), StoresEquivalent(), solver=solver)
+    assert len(found) == negative.solutions == 0  # strict
+    found, positive = solutions(same_knowledge_variant(), StoresEquivalent(), solver=solver)
+    assert len(found) == positive.solutions >= 1
+    for _, _, binding in found:
+        stores = {str(c) for _, c in binding}
         assert stores == {"Z:Integer >= 10", "Z:Integer > 9"}  # strict pairing
-    count = len(positive.matches)
+    count = positive.solutions
     report(
         capsys,
         5,

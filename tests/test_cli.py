@@ -1,6 +1,10 @@
+import errno
+import importlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -10,8 +14,12 @@ import pytest
 import sccpe
 from conftest import PROGRAMS
 from test_explore import CYCLE_PROGRAM
-from test_lang import wide_parallel
-from sccpe import cli
+from randgen import program
+from state_reader import read_term
+from systems import solutions
+from test_lang import NESTING_FORMS, nested, wide_parallel
+from sccpe import InconsistentStore, StoreEntails, StoresEquivalent, cli, elaborate, lang, parse
+from sccpe.formula import format_formula
 from schemas import CLI_OUTPUT_SCHEMA
 
 MESSAGE = str(PROGRAMS / "message.sccp")
@@ -19,9 +27,14 @@ SPACES = str(PROGRAMS / "spaces.sccp")
 
 
 def invoke(argv, stdin=""):
+    """Run the CLI in this process: its exit code and what it printed.  Its
+    standard input is `stdin` encoded as UTF-8 and read back through a text
+    layer that splits lines at "\n" alone, as the interpreter's on POSIX,
+    so the CLI can decode its bytes as it does the real one's."""
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdout, sys.stderr, sys.stdin
-    sys.stdout, sys.stderr, sys.stdin = out, err, io.StringIO(stdin)
+    sys.stdout, sys.stderr = out, err
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8", newline="\n")
     try:
         code = cli.main(argv)
     finally:
@@ -321,9 +334,10 @@ def test_the_readme_library_use_block_runs(monkeypatch, capsys):
     monkeypatch.chdir(PROGRAMS.parent)
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
+    solutions = "".join(f"state {i}: 1 . root: Z:Integer >= 10\n" for i in (6, 8, 10, 12, 14, 16, 18, 19))
     assert out == (
         "root: true\n  0: X:Integer === 25\n    2: W:Integer < Y:Integer\n"
-        "  1: Z:Integer >= 10\n    0: Y:Integer < 5\n\nstates: 20  solutions: 0\n"
+        "  1: Z:Integer >= 10\n    0: Y:Integer < 5\n\n" + solutions + "states: 20  solutions: 8\n"
     )
 
 
@@ -484,6 +498,57 @@ def test_standard_input_that_is_not_utf8_is_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr() == ("", f"error: cannot read <stdin>: {reason}\n")
 
 
+def test_standard_input_is_decoded_strictly_in_the_c_locale():
+    # the C locale makes the interpreter read standard input with
+    # surrogateescape, which would let a stray byte in a comment through
+    data = b"begin\n-- caf\xff\ntell(true) .\nend\n"
+    env = {k: v for k, v in _module_env().items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    argv = [sys.executable, "-m", "sccpe.cli", "run", "-"]
+    proc = subprocess.run(argv, input=data, capture_output=True, env={**env, "LC_ALL": "C"}, timeout=60)
+    reason = "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"error: cannot read <stdin>: {reason}\n"
+
+
+def test_standard_input_and_a_file_end_lines_alike(tmp_path):
+    # a lone carriage return ends a line in either, so a diagnostic's
+    # position does not depend on where the program came from
+    path = tmp_path / "cr.sccp"
+    path.write_bytes(b"begin\rtell(X > 1) .\rend\r")
+    assert invoke(["run", str(path)]) == (1, "", f"{path}:2:6: error: undeclared variable X\n")
+    assert invoke(["run", "-"], "begin\rtell(X > 1) .\rend\r") == (1, "", "<stdin>:2:6: error: undeclared variable X\n")
+
+
+NESTING_CALLS = {
+    "run text": ["run", "-"],
+    "run json": ["run", "-", "--format", "json"],
+    "search text": ["search", "-", "--query", "entails", "X > 0"],
+    "search json": ["search", "-", "--query", "entails", "X > 0", "--format", "json"],
+    "check": ["check", "-", "--entails", "X > 1", "X > 0"],
+}
+NESTING_KINDS = [(k,) for k in NESTING_FORMS] + [tuple(NESTING_FORMS)]
+
+
+@pytest.mark.parametrize("call", NESTING_CALLS)
+@pytest.mark.parametrize("kinds", NESTING_KINDS, ids="-".join)
+def test_a_program_nested_to_the_limit_runs_through_every_command(kinds, call):
+    # every walk of the program and of the states it reaches stays within
+    # the recursion limit; a depth warning is the only message
+    code, out, err = invoke(NESTING_CALLS[call], nested(kinds, lang.MAX_NESTING))
+    assert (code, err.replace("warning: depth bound 64 reached before closure\n", "")) == (0, "")
+    if call.endswith("json"):
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("call", NESTING_CALLS)
+def test_a_program_nested_past_the_limit_is_a_diagnostic(call):
+    # each form past the limit is reported where it starts (test_lang.py)
+    code, out, err = invoke(NESTING_CALLS[call], nested(tuple(NESTING_FORMS), lang.MAX_NESTING + 1))
+    message = f"error: process nested too deeply: more than {lang.MAX_NESTING} levels\n"
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"<stdin>:3:\d+: " + re.escape(message), err)
+
+
 def test_an_overlong_integer_literal_is_a_diagnostic(tmp_path):
     path = tmp_path / "long.sccp"
     path.write_text(f"var X Int\nbegin\ntell(X > {'9' * 5000}) .\nend\n")
@@ -621,7 +686,7 @@ def test_module_entry_point():
 
 def test_a_closed_reader_ends_the_call_with_141_and_no_message():
     # as `| head -c 10` does: the reader takes 10 bytes of a 454 KB document
-    # and closes the pipe while the writer is still writing
+    # and closes the pipe while the search is still writing its solutions
     from test_output_digests import KNOWLEDGE
 
     argv = [sys.executable, "-m", "sccpe.cli", "search", "-", "--query", "equiv", "--format", "json"]
@@ -636,3 +701,88 @@ def test_a_closed_reader_ends_the_call_with_141_and_no_message():
     assert head == b'{\n  "comma'
     assert (code, err) == (cli.EXIT_PIPE, b"")
     assert cli.EXIT_PIPE == 141
+
+
+class _GoneAtFirstSolution(io.StringIO):
+    """A standard output whose reader goes away once the first solution is
+    written to it: that write, and every later one, raises BrokenPipeError."""
+
+    gone = False
+
+    def write(self, text):
+        self.gone = self.gone or "Solution 1 " in text or '"solution": 1,' in text
+        if self.gone:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_gone_at_the_first_solution_stops_the_search(fmt, monkeypatch):
+    from test_output_digests import KNOWLEDGE
+
+    module = importlib.import_module("sccpe.search")  # `sccpe.search` is the function
+    explore, visited = module.explore, []
+    monkeypatch.setattr(
+        module,
+        "explore",
+        lambda init, solver, depth, visit: explore(init, solver, depth, lambda *a: visited.append(a) or visit(*a)),
+    )
+    # the CLI points file descriptor 1 at the null device; record that
+    # instead, so that this process keeps its own standard output
+    silenced = []
+    monkeypatch.setattr(cli.os, "open", lambda *args: -1)
+    monkeypatch.setattr(cli.os, "dup2", lambda fd, fd2: silenced.append((fd, fd2)))
+    out, err = _GoneAtFirstSolution(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(KNOWLEDGE.encode()), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = cli.main(["search", "-", "--query", "equiv", "--format", fmt])
+    monkeypatch.undo()
+    assert (code, err.getvalue(), silenced) == (cli.EXIT_PIPE, "", [(-1, 1)])
+    # the first solution is in state 142 of 612, and the search stopped there
+    assert [index for _, index, _ in visited] == list(range(143))
+
+
+# Random programs with every query and mode, to closure and capped at one
+# and two solutions; the entailment query asks for a formula over the
+# variables every random program declares.
+RANDOM_QUERIES = [(["inconsistent"], InconsistentStore()), (["equiv"], StoresEquivalent())]
+RANDOM_QUERIES += [(["entails", f], StoreEntails(lang.parse_constraint_text(f))) for f in ("X > 0", "P")]
+
+
+def test_the_search_writer_prints_the_library_solutions_in_the_stdlib_layout():
+    """The JSON of `search` is `json.dumps(doc, indent=2)` of the document it
+    spells, and its solutions are the library's `found` calls, in order."""
+    met = set()  # (solutions found, capped) of each call
+    for seed in range(8):
+        text = program(random.Random(seed))
+        init = elaborate(parse(text))
+        for words, query in RANDOM_QUERIES:
+            for mode in ("any", "final"):
+                for cap in (None, 1, 2):
+                    argv = ["search", "-", "--query", *words, "--mode", mode, "--max-depth", "6"]
+                    argv += ["--format", "json"] + (["--max-solutions", str(cap)] if cap else [])
+                    code, out, _ = invoke(argv, text)
+                    assert code == 0
+                    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+                    doc = json.loads(out)
+                    found, outcome = solutions(
+                        init, query, mode="terminal" if mode == "final" else "any", max_depth=6, max_solutions=cap
+                    )
+                    jsonschema.validate(doc, CLI_OUTPUT_SCHEMA)
+                    got = [
+                        (sol["solution"], sol["state"])
+                        + tuple((tuple(w["aid"]), w["store"], read_term(w["store_term"])) for w in sol["witnesses"])
+                        for sol in doc["solutions"]
+                    ]
+                    want = [
+                        (i, index) + tuple((aid.path, format_formula(c), c) for aid, c in binding)
+                        for i, (_, index, binding) in enumerate(found, start=1)
+                    ]
+                    assert got == want and outcome.solutions == len(found)
+                    tail = [doc[k] for k in ("states", "truncated", "depth_cut", "capped")]
+                    assert tail == [outcome.states_explored, outcome.truncated, outcome.depth_cut, outcome.capped]
+                    met.add((min(outcome.solutions, 2), outcome.capped))
+    # empty, single and longer results, to closure and capped, were all met
+    assert met >= {(0, False), (1, True), (2, True), (2, False)}

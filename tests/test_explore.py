@@ -18,13 +18,13 @@ from systems import (
     base_system,
     inconsistent_variant,
     same_knowledge_variant,
+    solutions,
 )
 from sccpe import (
     ROOT,
     TRUE,
     Ask,
     InconsistentStore,
-    Match,
     NIL,
     ProcObj,
     Solver,
@@ -39,7 +39,6 @@ from sccpe import (
     par,
     parse,
     run,
-    search,
     step,
 )
 from sccpe.calculus import explore, state_key
@@ -104,13 +103,13 @@ def test_run_and_search_agree_with_reference_bfs(system, depth, solver):
 
     # every store entails true, so each state matches once per store, in order
     anything = StoreEntails(TRUE)
-    final = search(init, anything, mode="terminal", max_depth=depth, solver=solver)
+    found, final = solutions(init, anything, mode="terminal", max_depth=depth, solver=solver)
     assert (final.states_explored, final.depth_cut, final.capped) == (len(seen), truncated, False)
-    assert {m.state for m in final.matches} == terminal
+    assert {state for state, _, _ in found} == terminal
 
-    every = search(init, anything, max_depth=depth, solver=solver)
-    assert list(dict.fromkeys(m.state_index for m in every.matches)) == list(range(len(seen)))
-    assert {m.state for m in every.matches} == seen
+    found, _ = solutions(init, anything, max_depth=depth, solver=solver)
+    assert list(dict.fromkeys(index for _, index, _ in found)) == list(range(len(seen)))
+    assert {state for state, _, _ in found} == seen
 
 
 # One recursion that cycles (r(1) comes back to itself) beside one that
@@ -270,16 +269,17 @@ def test_an_inconclusive_rewrite_is_not_memoized(solver):
 
 
 def reference_matches(init, q, mode, solver):
-    """The matches of `search`, with the query evaluated on every state."""
+    """The solutions of `search`, as its `found` receives them, with the
+    query evaluated on every state."""
     out = []
 
     def visit(state, index, succs):
         if mode == "any" or not succs:
-            out.extend(Match(state, index, b) for b in evaluate_query(state, q, solver))
+            out.extend((state, index, b) for b in evaluate_query(state, q, solver))
         return False
 
     explore(init, solver, 64, visit)
-    return tuple(out)
+    return out
 
 
 QUERIES = [InconsistentStore(), StoreEntails(gt(Z, 9)), StoreEntails(gt(X, 1)), StoresEquivalent()]
@@ -296,8 +296,9 @@ def test_the_query_memo_is_exact(name, mode, solver, monkeypatch):
     )
     for q in QUERIES:
         calls.clear()
-        outcome = search(init, q, mode=mode, solver=solver)
-        assert outcome.matches == reference_matches(init, q, mode, solver)
+        found, outcome = solutions(init, q, mode=mode, solver=solver)
+        assert found == reference_matches(init, q, mode, solver)
+        assert outcome.solutions == len(found)
         # the query ran once per distinct store tuple among the states it saw
         tuples = {tuple(o for o in s.objects if isinstance(o, StoreObj)) for s in calls}
         assert len(calls) == len(tuples)
@@ -315,5 +316,5 @@ def test_search_builds_no_comparison(monkeypatch):
     monkeypatch.setattr(Cmp, "_head", lambda c: built.append(c) or head(c))
     for init in inits:
         for q in QUERIES:
-            search(init, q, solver=Solver())
+            solutions(init, q, solver=Solver())
     assert built == []

@@ -11,6 +11,7 @@ from sccpe import (
     TRUE,
     AgentId,
     Ask,
+    Diagnostic,
     Extr,
     Par,
     ParseError,
@@ -24,7 +25,7 @@ from sccpe import (
     run,
     validate,
 )
-from sccpe.lang import AgentDecl, ProcessLine, parse_constraint_text
+from sccpe.lang import MAX_NESTING, AgentDecl, ProcessLine, parse_constraint_text
 from sccpe.formula import And, BoolNeq, Sort
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -128,6 +129,45 @@ def wide_parallel(n: int) -> str:
     """A program whose one line puts n tells in parallel."""
     tells = " || ".join(f"tell(X > {i})" for i in range(n))
     return f"var X Int\nbegin\n{tells} .\nend\n"
+
+
+# The process forms with a body, each as the text before and after it; an
+# ask's body is a || of a tell and the next form, so that a walk of the
+# term meets a `Par` at every level, and no ask is ever entailed.
+NESTING_FORMS = {
+    "ask": ("tell(X > 0) || ask X > 5 -> ", ""),
+    "space": ("[ ", " ]_0"),
+    "extrusion": ("x( ", " )_0"),
+    "recursion": ("r(1, ", ")"),
+}
+
+
+def nested(kinds, n: int) -> str:
+    """A program whose one line nests n bodies, of the forms in `kinds` in turn."""
+    forms = [NESTING_FORMS[kinds[i % len(kinds)]] for i in range(n)]
+    body = "".join(o for o, _ in forms) + "tell(X > 0)" + "".join(c for _, c in reversed(forms))
+    return f"var X Int\nbegin\n{body} .\nend\n"
+
+
+@pytest.mark.parametrize("kinds", [(k,) for k in NESTING_FORMS] + [tuple(NESTING_FORMS)], ids="-".join)
+def test_nesting_is_limited_and_reported_at_the_form_past_the_limit(kinds):
+    ast = parse(nested(kinds, MAX_NESTING))
+    assert validate(ast) == []
+    depth, p = 0, ast.lines[0].process
+    while not isinstance(p, Tell):
+        if isinstance(p, Par):
+            (p,) = [a for a in p.args if not isinstance(a, Tell)]
+        depth += 1
+        p = p.then if isinstance(p, Ask) else p.body
+    assert depth == MAX_NESTING
+    with pytest.raises(ParseError) as info:
+        parse(nested(kinds, MAX_NESTING + 1))
+    # at the form past the limit: its `ask`, `[`, `x` or `r`
+    kind = kinds[MAX_NESTING % len(kinds)]
+    before = "".join(NESTING_FORMS[kinds[i % len(kinds)]][0] for i in range(MAX_NESTING))
+    col = len(before) + max(NESTING_FORMS[kind][0].find("ask"), 0) + 1
+    message = f"process nested too deeply: more than {MAX_NESTING} levels"
+    assert info.value.diagnostics == (Diagnostic("error", 3, col, message),)
 
 
 def test_a_wide_parallel_composition_parses_and_elaborates():

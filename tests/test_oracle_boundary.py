@@ -10,7 +10,8 @@ package, which holds only what the analyzer runs.  The package has one
 decision path: the names of the retired external backend must not come
 back, nor those of the state reader, the schemas, the predicate query and
 the connectives beyond and, === and =/==, which no path of the analyzer
-used, nor the term builders and the record binding that only tests used.
+used, nor the term builders and the record binding that only tests used,
+nor the kept search answers and their JSON writer.
 """
 
 import ast
@@ -70,9 +71,15 @@ RETIRED_NAMES = {"SolverInconclusive", "ExternalSolverError", "SatResult", "Solv
 
 # Capabilities no analyzer path reached, removed from the package: the user
 # predicate query, the state document reader and its error, the JSON
-# Schemas (now `tests/schemas.py`), and the connectives that no program,
-# query or check can write (negation is ``f =/== true``).
+# Schemas (now `tests/schemas.py`), the connectives that no program, query
+# or check can write (negation is ``f =/== true``), and the kept search
+# answer and the hand-written JSON writer with its helpers, which answers
+# handed on as they are found made unneeded.
 RETIRED_CAPABILITY_NAMES = {
+    "Match",
+    "dump",
+    "_scalar",
+    "_FLOAT_WORDS",
     "Not",
     "Or",
     "Xor",

@@ -28,7 +28,6 @@ from sccpe import (
     Diagnostic,
     Extr,
     InconsistentStore,
-    Match,
     Par,
     ProcObj,
     ProcVar,
@@ -90,8 +89,7 @@ SAMPLES = [
     InconsistentStore(),
     StoreEntails(gt(X, 2)),
     StoresEquivalent(),
-    Match(STATE, 3, ((A0, TRUE),)),
-    SearchOutcome((), 5, 2, True, False),
+    SearchOutcome(3, 5, 2, True, False),
     Diagnostic("warning", 3, 7, "unused"),
     AgentDecl((0,), lt(X, 3), 2, 1),
     ProcessLine(Tell(P), 4, 1),

@@ -1,3 +1,5 @@
+import gc
+import importlib
 import random
 
 import pytest
@@ -5,12 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from builders import eq_, ge, gt, intvar, lt, store_map
 from randgen import small_state
-from systems import AID0, AID01, AID1, AID20, base_system, inconsistent_variant, same_knowledge_variant
+from systems import (
+    AID0,
+    AID01,
+    AID1,
+    AID20,
+    base_system,
+    inconsistent_variant,
+    same_knowledge_variant,
+    solutions,
+)
 from sccpe import (
     ROOT,
     TRUE,
     InconsistentStore,
     ProcObj,
+    SearchOutcome,
     Solver,
     StoreEntails,
     StoreObj,
@@ -90,46 +102,46 @@ def test_a_non_query_is_rejected(solver):
 
 
 def test_search_no_inconsistency_in_base_system(solver):
-    outcome = search(base_system(), InconsistentStore(), solver=solver)
-    assert outcome.matches == ()
+    found, outcome = solutions(base_system(), InconsistentStore(), solver=solver)
+    assert found == [] and outcome.solutions == 0
     assert outcome.states_explored == 19
     assert not outcome.truncated
 
 
 def test_search_finds_injected_inconsistency(solver):
-    outcome = search(inconsistent_variant(), InconsistentStore(), solver=solver)
-    assert len(outcome.matches) >= 1
-    for m in outcome.matches:
-        ((aid, store),) = m.witnesses
+    found, outcome = solutions(inconsistent_variant(), InconsistentStore(), solver=solver)
+    assert len(found) == outcome.solutions >= 1
+    for _, _, binding in found:
+        ((aid, store),) = binding
         assert aid == AID1
         assert not solver.check_sat(store)
 
 
 def test_search_knowledge_never_y9(solver):
-    outcome = search(base_system(), StoreEntails(gt(Y, 9)), solver=solver)
-    assert outcome.matches == ()
+    found, outcome = solutions(base_system(), StoreEntails(gt(Y, 9)), solver=solver)
+    assert found == [] and outcome.solutions == 0
     assert outcome.states_explored == 19
 
 
 def test_search_knowledge_z9_eight_solutions(solver):
-    outcome = search(base_system(), StoreEntails(gt(Z, 9)), solver=solver)
-    assert len(outcome.matches) == 8
-    for m in outcome.matches:
-        assert m.witnesses == ((AID1, ge(Z, 10)),)
+    found, outcome = solutions(base_system(), StoreEntails(gt(Z, 9)), solver=solver)
+    assert len(found) == outcome.solutions == 8
+    for _, _, binding in found:
+        assert binding == ((AID1, ge(Z, 10)),)
 
 
 def test_search_same_knowledge_negative(solver):
-    outcome = search(base_system(), StoresEquivalent(), solver=solver)
-    assert outcome.matches == ()
+    found, outcome = solutions(base_system(), StoresEquivalent(), solver=solver)
+    assert found == [] and outcome.solutions == 0
 
 
 def test_search_same_knowledge_positive(solver):
-    outcome = search(same_knowledge_variant(), StoresEquivalent(), solver=solver)
-    assert len(outcome.matches) == 2
-    first, second = outcome.matches
-    assert first.state == second.state
-    assert first.witnesses == ((AID1, ge(Z, 10)), (AID20, gt(Z, 9)))
-    assert second.witnesses == ((AID20, gt(Z, 9)), (AID1, ge(Z, 10)))
+    found, outcome = solutions(same_knowledge_variant(), StoresEquivalent(), solver=solver)
+    assert outcome.solutions == 2
+    (state, index, first), second = found
+    assert second[:2] == (state, index)
+    assert first == ((AID1, ge(Z, 10)), (AID20, gt(Z, 9)))
+    assert second[2] == ((AID20, gt(Z, 9)), (AID1, ge(Z, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +149,24 @@ def test_search_same_knowledge_positive(solver):
 
 
 def test_terminal_mode_only_tests_final_states(solver):
-    outcome = search(base_system(), StoreEntails(TRUE), mode="terminal", solver=solver)
-    matched = {m.state for m in outcome.matches}
+    found, _ = solutions(base_system(), StoreEntails(TRUE), mode="terminal", solver=solver)
+    matched = {state for state, _, _ in found}
     assert len(matched) == 1
     (terminal,) = matched
     assert step(terminal, solver) == []
 
 
 def test_max_solutions_truncates(solver):
-    outcome = search(base_system(), StoreEntails(TRUE), max_solutions=3, solver=solver)
-    assert len(outcome.matches) == 3
+    found, outcome = solutions(base_system(), StoreEntails(TRUE), max_solutions=3, solver=solver)
+    assert len(found) == outcome.solutions == 3
     assert outcome.truncated
     assert outcome.capped
     assert not outcome.depth_cut
 
 
 def test_max_depth_truncates(solver):
-    full = search(base_system(), InconsistentStore(), solver=solver)
-    shallow = search(base_system(), InconsistentStore(), max_depth=2, solver=solver)
+    _, full = solutions(base_system(), InconsistentStore(), solver=solver)
+    _, shallow = solutions(base_system(), InconsistentStore(), max_depth=2, solver=solver)
     assert shallow.truncated
     assert shallow.depth_cut
     assert not shallow.capped
@@ -163,9 +175,56 @@ def test_max_depth_truncates(solver):
 
 
 def test_search_deterministic(solver):
-    a = search(inconsistent_variant(), InconsistentStore(), solver=Solver())
-    b = search(inconsistent_variant(), InconsistentStore(), solver=Solver())
+    a = solutions(inconsistent_variant(), InconsistentStore(), solver=Solver())
+    b = solutions(inconsistent_variant(), InconsistentStore(), solver=Solver())
     assert a == b
+
+
+def test_solutions_arrive_while_the_search_runs(solver):
+    """Each solution reaches `found` before the search visits a later state."""
+    events = []
+    searched = importlib.import_module("sccpe.search")  # `sccpe.search` is the function
+
+    def visit_first(init, solver, max_depth, visit):
+        return explore(init, solver, max_depth, lambda *a: events.append(("visit", a[1])) or visit(*a))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(searched, "explore", visit_first)
+        outcome = search(
+            base_system(), StoreEntails(gt(Z, 9)), lambda s, i, b: events.append(("found", i)), solver=solver
+        )
+    assert outcome.solutions == 8
+    visited = 0  # the number of visits so far
+    for event, index in events:
+        if event == "visit":
+            assert index == visited
+            visited += 1
+        else:
+            assert index == visited - 1  # found in the state visited last
+    assert visited == outcome.states_explored
+
+
+def test_search_keeps_no_state_alive(solver):
+    """With a consumer that keeps nothing, no state the search built outlives
+    it: afterwards the only `SysState` objects are those alive before."""
+    init = base_system()
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, SysState)]
+    assert any(o is init for o in before)
+    counted = []
+    outcome = search(init, StoreEntails(gt(Z, 9)), lambda s, i, b: counted.append(i), solver=solver)
+    gc.collect()
+    kept = {id(o) for o in before}
+    new = [o for o in gc.get_objects() if isinstance(o, SysState) and id(o) not in kept]
+    assert (outcome.solutions, len(counted), outcome.states_explored) == (8, 8, 19)
+    assert new == []
+
+
+def test_the_consumer_is_required_and_the_outcome_holds_counts_only(solver):
+    with pytest.raises(TypeError):
+        search(base_system(), InconsistentStore(), solver=solver)
+    fields = ("solutions", "states_explored", "depth_reached", "depth_cut", "capped")
+    assert SearchOutcome.__match_args__ == fields
 
 
 def _reachable_count(init, solver):
@@ -182,13 +241,13 @@ def test_reachable_count_base_system(solver):
 
 def test_bad_mode_rejected(solver):
     with pytest.raises(ValueError):
-        search(base_system(), InconsistentStore(), mode="everything", solver=solver)
+        solutions(base_system(), InconsistentStore(), mode="everything", solver=solver)
 
 
 def test_bad_bounds_rejected(solver):
     for kwargs in ({"max_depth": -1}, {"max_solutions": 0}, {"max_solutions": -1}):
         with pytest.raises(ValueError):
-            search(base_system(), InconsistentStore(), solver=solver, **kwargs)
+            solutions(base_system(), InconsistentStore(), solver=solver, **kwargs)
     with pytest.raises(ValueError):
         run(base_system(), solver, max_steps=-1)
 
@@ -196,8 +255,8 @@ def test_bad_bounds_rejected(solver):
 def test_search_normalizes_the_initial_state(solver):
     # two root stores merge into one unsatisfiable store only once normalized
     raw = SysState((StoreObj(ROOT, gt(X, 1)), StoreObj(ROOT, lt(X, 0))))
-    outcome = search(raw, InconsistentStore(), solver=solver)
-    assert [(m.state, m.state_index) for m in outcome.matches] == [(normalize(raw), 0)]
+    found, _ = solutions(raw, InconsistentStore(), solver=solver)
+    assert [(state, index) for state, index, _ in found] == [(normalize(raw), 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +287,20 @@ def test_search_matches_recheck_and_agree_with_dfs(seed):
     solver = Solver()
     init = small_state(random.Random(seed))
     q = InconsistentStore()
-    outcome = search(init, q, max_depth=6, solver=solver)
-    for m in outcome.matches:
-        ((aid, store),) = m.witnesses
+    found, outcome = solutions(init, q, max_depth=6, solver=solver)
+    for state, _, binding in found:
+        ((aid, store),) = binding
         assert not solver.check_sat(store)
-        assert store_map(m.state)[aid] == store
-        assert m.witnesses in evaluate_query(m.state, q, solver)
+        assert store_map(state)[aid] == store
+        assert binding in evaluate_query(state, q, solver)
     if not outcome.truncated:
         dfs = _dfs_matching_states(init, q, solver, max_depth=10**6)
-        assert {m.state for m in outcome.matches} == dfs
+        assert {state for state, _, _ in found} == dfs
 
 
 def test_inconsistency_is_persistent(solver):
-    outcome = search(inconsistent_variant(), InconsistentStore(), solver=solver)
-    matched = {m.state for m in outcome.matches}
+    found, _ = solutions(inconsistent_variant(), InconsistentStore(), solver=solver)
+    matched = {state for state, _, _ in found}
     for state in matched:
         for succ in step(state, solver):
             if AID1 in store_map(succ):
@@ -259,4 +318,4 @@ def test_solver_failure_aborts_with_context():
     # no partial outcome: the solver's own exception, with its message, ends the search
     state = normalize(SysState((StoreObj(ROOT, lt(Y, 5)), ProcObj(ROOT, Tell(ge(Z, 10))))))
     with pytest.raises(RuntimeError, match=r"^solver failed on "):
-        search(state, InconsistentStore(), solver=BrokenSolver())
+        solutions(state, InconsistentStore(), solver=BrokenSolver())
