@@ -15,8 +15,9 @@ conjunction -- and six observable rules drive execution:
 * extrusion moves a process from an agent's space up to its parent.
 
 ``_transitions`` enumerates the moves of a state, one per rule applied at
-one position, and ``step`` and ``explore`` share it.  States are canonical
-by construction: each successor's objects are its normalized parent's
+one position, and ``_successor`` builds the objects of a move's successor;
+``run``, ``explore`` and ``step`` share both.  States are canonical by
+construction: each successor's objects are its normalized parent's
 with the rewritten process object removed and at most two new objects
 put in key order (or a store replaced in place), reusing every other
 object and its stored hash and key, so no successor is ever re-normalized
@@ -33,17 +34,18 @@ store's key starts ``(0, path)``, a process's ``(1, path)``), so
 ``store_count`` finds them by bisection and ``_transitions`` walks only
 the process objects.
 
-``step`` builds every successor of a state, sorted; ``run`` uses it.
 ``explore`` is the breadth-first loop over all reachable states, the
 engine of ``search.search``; it builds a successor as a state only when
 it is new, found by an O(1) fingerprint and its object tuple (see
-``explore``).  ``run`` follows a single path instead: the
-calculus has no choice operator, stores only grow and distinct
-transitions rewrite distinct objects, so any two distinct successors of a
-state have a common successor (the one-step diamond property).  Then
-every maximal run from a state has the same length and ends in the same
-state (van Oostrom, "Random descent", RTA 2007), and the first successor
-at each step reaches it as well as any other.
+``explore``).  ``run`` follows a single path instead, building only the
+successor of the first move at each step: the calculus has no choice
+operator, stores only grow and distinct transitions rewrite distinct
+objects, so any two distinct successors of a state have a common
+successor (the one-step diamond property).  Then every maximal run from a
+state has the same length and ends in the same state (van Oostrom,
+"Random descent", RTA 2007), and the first move at each step reaches it
+as well as any other.  ``step`` builds every successor of a state,
+sorted; no CLI path calls it.
 
 Rule application mirrors pattern-matching semantics: tell, ask, and space
 all require the local store object to exist, and extrusion only fires
@@ -472,21 +474,16 @@ def _successor(objs: tuple, i: int, j, store, added: tuple) -> tuple:
     return tuple(new)
 
 
-def step(s: SysState, solver: Solver, memo: dict | None = None) -> list:
+def step(s: SysState, solver: Solver) -> list:
     """All states reachable from s by one rule applied at one position.
 
-    Returns normalized states, deduplicated and sorted by canonical key.
-    Each successor is s with the rewritten process object removed and at
-    most two new objects put in key order, or a store replaced in place;
-    every other object is reused as it is.  So a successor is canonical as
-    built, and gets its key, hash and flag from its objects' stored ones
-    (`_canonical_state`).  `memo` is `_transitions`' memo of moves: a
-    caller that passes one dict to many calls (as `run` does, for one call
-    of its own) rewrites each process in each store once.
+    Returns normalized states, deduplicated and sorted by canonical key:
+    the moves of `_transitions`, each built by `_successor` and made a
+    state by `_canonical_state`.  No CLI path calls it; the tests and the
+    benchmark's tracer do.
     """
     objs = normalize(s).objects
-    moves = _transitions(objs, solver, {} if memo is None else memo)
-    out = {_canonical_state(_successor(objs, *move[:4])) for move in moves}
+    out = {_canonical_state(_successor(objs, *move[:4])) for move in _transitions(objs, solver, {})}
     return sorted(out, key=state_key)
 
 
@@ -567,8 +564,11 @@ class RunResult(Record):
 
 
 def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
-    """Follow one path from normalize(s), taking the first successor in key
-    order at each step, for at most max_steps steps.
+    """Follow one path from normalize(s) for at most max_steps steps,
+    taking at each step the first move that `_transitions` yields: the
+    first, in `_moves` order, of the first process object in key order that
+    has one.  Only its successor is built, as an object tuple, and only a
+    terminal state as a `SysState`.
 
     By the diamond property (see the module docstring) every maximal run
     ends in the same state, so a successor-free state on the path is the
@@ -578,16 +578,16 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    state = normalize(s)
-    path = {state}
-    memo: dict = {}  # the local moves of step, for this call only
+    objs = normalize(s).objects
+    path = {objs}
+    memo: dict = {}  # the local moves of _transitions, for this call only
     while True:
-        succs = step(state, solver, memo)
-        if not succs:
-            return RunResult((state,), False, len(path))
-        state = succs[0]
-        if state in path:
+        move = next(_transitions(objs, solver, memo), None)
+        if move is None:
+            return RunResult((_canonical_state(objs),), False, len(path))
+        objs = _successor(objs, *move[:4])
+        if objs in path:
             return RunResult((), False, len(path))
         if len(path) > max_steps:
             return RunResult((), True, len(path))
-        path.add(state)
+        path.add(objs)

@@ -1,7 +1,7 @@
 """Independent successor enumerator for cross-checking the engine.
 
 Deliberately written rule by rule, position by position, over the raw
-object list, sharing none of the matching logic of `sccpe.calculus.step`.
+object list, sharing none of the matching logic of `sccpe.calculus`.
 """
 
 from __future__ import annotations
@@ -25,9 +25,16 @@ from sccpe import (
 
 
 def oracle_step(state: SysState, solver) -> set:
+    """Every successor of state."""
+    return set(oracle_moves(state, solver))
+
+
+def oracle_moves(state: SysState, solver):
+    """The successor of each rule applied at each position, in the order of
+    the rewritten object's position and, for a parallel composition, of the
+    argument split off."""
     objs = list(state.objects)
     n = len(objs)
-    found = set()
 
     def store_positions(aid):
         return [j for j in range(n) if isinstance(objs[j], StoreObj) and objs[j].aid == aid]
@@ -42,34 +49,33 @@ def oracle_step(state: SysState, solver) -> set:
                 new = list(objs)
                 new[j] = StoreObj(o.aid, conjoin(objs[j].constraint, p.constraint))
                 new[i] = ProcObj(o.aid, NIL)
-                found.add(normalize(SysState(tuple(new))))
+                yield normalize(SysState(tuple(new)))
         elif isinstance(p, Ask):
             for j in store_positions(o.aid):
                 if solver.entails(objs[j].constraint, p.guard):
                     new = list(objs)
                     new[i] = ProcObj(o.aid, p.then)
-                    found.add(normalize(SysState(tuple(new))))
+                    yield normalize(SysState(tuple(new)))
         elif isinstance(p, Par):
             for k in range(len(p.args)):
                 rest = p.args[:k] + p.args[k + 1 :]
                 sibling = rest[0] if len(rest) == 1 else Par(rest)
                 new = objs[:i] + [ProcObj(o.aid, p.args[k]), ProcObj(o.aid, sibling)] + objs[i + 1 :]
-                found.add(normalize(SysState(tuple(new))))
+                yield normalize(SysState(tuple(new)))
         elif isinstance(p, Space):
             for _ in store_positions(o.aid)[:1]:
                 child = o.aid.child(p.agent)
                 new = list(objs)
                 new[i] = ProcObj(o.aid, NIL)
                 new.extend([StoreObj(child, TRUE), ProcObj(child, p.body)])
-                found.add(normalize(SysState(tuple(new))))
+                yield normalize(SysState(tuple(new)))
         elif isinstance(p, Rec):
             new = list(objs)
             new[i] = ProcObj(o.aid, replace(p.body, p.var, p))
-            found.add(normalize(SysState(tuple(new))))
+            yield normalize(SysState(tuple(new)))
         elif isinstance(p, Extr):
             if o.aid.path and o.aid.path[0] == p.agent:
                 new = list(objs)
                 new[i] = ProcObj(o.aid, NIL)
                 new.append(ProcObj(o.aid.parent, p.body))
-                found.add(normalize(SysState(tuple(new))))
-    return found
+                yield normalize(SysState(tuple(new)))

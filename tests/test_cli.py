@@ -88,11 +88,24 @@ def test_run_stops_at_a_cycle_without_a_depth_warning():
     # the cycle on run's path proves that no run terminates before the
     # bound is reached; a full exploration stopped at 7,761 states and warned
     code, out, err = invoke(["run", "-", "--max-depth", "64"], stdin=CYCLE_PROGRAM)
-    assert (code, out) == (0, "states: 5  terminal: 0\n")
+    assert (code, out) == (0, "states: 3  terminal: 0\n")
     assert "depth bound" not in err
     code, out, err = invoke(["run", "-", "--max-depth", "1"], stdin=CYCLE_PROGRAM)
     assert (code, out) == (0, "states: 2  terminal: 0\n")
     assert err.endswith("warning: depth bound 1 reached before closure\n")
+
+
+def test_whether_run_meets_a_cycle_or_the_bound_depends_on_its_path():
+    # no run of this program terminates; the path of first moves unfolds
+    # r(1) without end, while other paths come back to a state through r(2)
+    program = """var X Int
+begin
+r(1, ask X > 0 -> tell(X > 0) || v(1) || v(1)) || r(2, ask true -> v(2)) || tell(X > 0) .
+end
+"""
+    code, out, err = invoke(["run", "-", "--max-depth", "40"], stdin=program)
+    assert (code, out) == (0, "states: 41  terminal: 0\n")
+    assert err.endswith("warning: depth bound 40 reached before closure\n")
 
 
 def test_run_follows_one_path_through_six_interleaved_spaces():

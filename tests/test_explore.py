@@ -9,7 +9,7 @@ import random
 import pytest
 
 from builders import gt
-from engine_oracle import oracle_step
+from engine_oracle import oracle_moves, oracle_step
 from randgen import small_state
 from systems import (
     ACCEPTANCE_SYSTEMS,
@@ -41,7 +41,7 @@ from sccpe import (
     run,
     step,
 )
-from sccpe.calculus import explore, state_key
+from sccpe.calculus import _successor, _transitions, explore, state_key
 from sccpe.formula import Cmp
 
 SYSTEMS = [base_system, inconsistent_variant, same_knowledge_variant]
@@ -72,19 +72,28 @@ def reference_depth(init, solver, max_depth):
 
 
 def reference_path_length(init, solver, max_steps):
-    """Number of states on the path that takes the least successor in key
-    order at each step, up to a successor-free or repeated state or
-    max_steps steps."""
+    """Number of states on the path that takes the first move at each step
+    (at the first process object that has one, splitting a parallel
+    composition at its first argument), up to a successor-free or repeated
+    state or max_steps steps."""
     path = [normalize(init)]
     while len(path) <= max_steps:
-        succs = oracle_step(path[-1], solver)
-        if not succs:
-            break
-        nxt = min(succs, key=state_key)
-        if nxt in path:
+        nxt = next(oracle_moves(path[-1], solver), None)
+        if nxt is None or nxt in path:
             break
         path.append(nxt)
     return len(path)
+
+
+def successors(s, solver, memo):
+    """The object tuples of the successors of s, from `_transitions` with
+    the given memo of moves."""
+    objs = normalize(s).objects
+    return {_successor(objs, *move[:4]) for move in _transitions(objs, solver, memo)}
+
+
+def oracle_objects(s, solver):
+    return {t.objects for t in oracle_step(s, solver)}
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -135,6 +144,40 @@ def test_run_stops_at_a_cycle_and_reports_no_terminal_state(solver):
     assert result.states_explored == reference_path_length(init, solver, 8) < len(seen)
 
 
+# The shape of the benchmark's interleave-run workload: 3 sibling spaces
+# x 2 tells, the first also extruding a tell to the root.
+INTERLEAVED = """var D4, Q5, Y5, Z6 Int
+begin
+[ tell(Q5 >= 28) || tell(Q5 <= 80) || ask Q5 >= 28 -> x( tell(D4 >= 62) )_1 ]_1 .
+[ tell(Z6 >= 41) || tell(Z6 <= 74) ]_4 .
+[ tell(Y5 >= 13) || tell(Y5 <= 56) ]_9 .
+end
+"""
+
+# A recursion that nests a new space at every unfolding, so that its states
+# grow without end; no run of it terminates.
+NESTING = "var X Int\nbegin r(1, tell(X > 0) || [ v(1) ]_0) . end\n"
+
+
+def test_run_builds_one_successor_per_step(solver, monkeypatch):
+    """`run` builds the successor of the move it takes and no other: one per
+    step, counting the step that meets a revisit or passes the bound.
+    Building every successor would take 55 builds for the 17 states of the
+    interleaved path."""
+    module = importlib.import_module("sccpe.calculus")
+    built, successor = [], module._successor
+    monkeypatch.setattr(module, "_successor", lambda *a: built.append(a) or successor(*a))
+    result = run(elaborate(parse(INTERLEAVED)), solver)
+    assert (result.states_explored, result.truncated, len(result.terminal_states)) == (17, False, 1)
+    assert len(built) == 16
+    for program, steps, states in [(CYCLE_PROGRAM, 64, 3), (NESTING, 1000, 1001)]:
+        built.clear()
+        result = run(elaborate(parse(program)), solver, max_steps=steps)
+        assert (result.states_explored, result.terminal_states) == (states, ())
+        assert result.truncated == (states > steps)
+        assert len(built) == states
+
+
 # The five systems of the acceptance suite.
 def test_a_shared_memo_agrees_with_the_oracle(solver):
     """One memo for unrelated random states and every reachable state of
@@ -145,7 +188,7 @@ def test_a_shared_memo_agrees_with_the_oracle(solver):
     for make in ACCEPTANCE_SYSTEMS.values():
         states.extend(reference_bfs(make(), solver, 64)[0])
     for s in states:
-        assert set(step(s, solver, memo)) == oracle_step(s, solver), f"successor sets differ on {s}"
+        assert successors(s, solver, memo) == oracle_objects(s, solver), f"successors differ on {s}"
     # the memo did get reused: far fewer entries than process visits
     visits = sum(isinstance(o, ProcObj) for s in states for o in normalize(s).objects)
     assert len(memo) < visits / 2
@@ -259,9 +302,9 @@ def test_an_inconclusive_rewrite_is_not_memoized(solver):
     s = normalize(SysState(s.objects + (ask,)))
     flaky, memo = FailsOnce(), {}
     with pytest.raises(Interrupted):
-        step(s, flaky, memo)
+        successors(s, flaky, memo)
     assert not any(key[0] == ask for key in memo)
-    assert set(step(s, flaky, memo)) == oracle_step(s, solver)
+    assert successors(s, flaky, memo) == oracle_objects(s, solver)
     assert flaky.asked == 2  # the second call asked the solver again
     # `explore` lets the solver's own exception through, unwrapped
     with pytest.raises(Interrupted, match=r"^check cut short$"):
