@@ -197,11 +197,7 @@ def par(*args: Process) -> Process:
         return NIL
     if len(flat) == 1:
         return flat[0]
-    return Par(tuple(sorted(flat, key=process_key)))
-
-
-# The keys of the fixed total orders on processes, objects and states.
-process_key = obj_key = state_key = term_key
+    return Par(tuple(sorted(flat, key=term_key)))
 
 
 def canon_process(p: Process) -> Process:
@@ -329,7 +325,7 @@ def _canonical_state(objects: tuple) -> SysState:
     would compute, taken from the objects' stored ones without its checks."""
     s = SysState.__new__(SysState)
     _put_objects(s, objects)
-    _put_key(s, (200, tuple(map(obj_key, objects))))
+    _put_key(s, (200, tuple(map(term_key, objects))))
     _put_hash(s, hash((200, tuple(map(_obj_hash, objects)))))
     _put_canon(s, True)
     return s
@@ -342,7 +338,7 @@ def store_count(objs: tuple) -> int:
     """The number of store objects among a canonical state's objects, which
     are their key-ordered prefix: a store's key starts (0, path), a
     process's (1, path)."""
-    return bisect_left(objs, _FIRST_PROC, key=obj_key)
+    return bisect_left(objs, _FIRST_PROC, key=term_key)
 
 
 def normalize(s: SysState) -> SysState:
@@ -368,7 +364,7 @@ def normalize(s: SysState) -> SysState:
         o if o._canon else StoreObj(o.aid, canonicalize(o.constraint)) for o in stores.values()
     ]
     objects.extend(procs)
-    objects.sort(key=obj_key)
+    objects.sort(key=term_key)
     return _canonical_state(tuple(objects))
 
 
@@ -470,7 +466,7 @@ def _successor(objs: tuple, i: int, j, store, added: tuple) -> tuple:
         new[j] = store
     del new[i]
     for a in added:
-        insort(new, a, key=obj_key)
+        insort(new, a, key=term_key)
     return tuple(new)
 
 
@@ -484,7 +480,7 @@ def step(s: SysState, solver: Solver) -> list:
     """
     objs = normalize(s).objects
     out = {_canonical_state(_successor(objs, *move[:4])) for move in _transitions(objs, solver, {})}
-    return sorted(out, key=state_key)
+    return sorted(out, key=term_key)
 
 
 def _shift(fp: int, out: tuple, into: tuple) -> int:

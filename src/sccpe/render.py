@@ -38,7 +38,6 @@ from .calculus import (
     SysState,
     Tell,
     format_process,
-    process_key,
 )
 from .formula import (
     And,
@@ -51,6 +50,7 @@ from .formula import (
     TRUE,
     Var,
     format_formula,
+    term_key,
 )
 
 
@@ -77,7 +77,7 @@ def render_tree(s: SysState) -> str:
         indent = "  " * len(path)
         label = str(path[0]) if path else "root"
         lines.append(f"{indent}{label}: {format_formula(stores.get(path, TRUE))}")
-        for p in sorted(procs.get(path, ()), key=process_key):
+        for p in sorted(procs.get(path, ()), key=term_key):
             lines.append(f"{indent}  * {format_process(p)}")
     return "\n".join(lines) + "\n"
 

@@ -30,7 +30,8 @@ from sccpe import (
     run,
     step,
 )
-from sccpe.calculus import format_process, state_key
+from sccpe.calculus import format_process
+from sccpe.formula import term_key
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
 
@@ -332,7 +333,7 @@ def test_step_agrees_with_oracle(seed):
 def test_successors_are_normalized_and_sorted(solver):
     s = base_system()
     succs = step(s, solver)
-    assert [state_key(t) for t in succs] == sorted(state_key(t) for t in succs)
+    assert [term_key(t) for t in succs] == sorted(term_key(t) for t in succs)
     for t in succs:
         assert normalize(t) == t
 

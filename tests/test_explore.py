@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from builders import gt
+from builders import eq_, gt
 from engine_oracle import oracle_moves, oracle_step
 from randgen import small_state
 from systems import (
@@ -23,7 +23,9 @@ from systems import (
 from sccpe import (
     ROOT,
     TRUE,
+    AgentId,
     Ask,
+    Extr,
     InconsistentStore,
     NIL,
     ProcObj,
@@ -31,6 +33,7 @@ from sccpe import (
     StoreEntails,
     StoreObj,
     StoresEquivalent,
+    Space,
     SysState,
     Tell,
     elaborate,
@@ -41,8 +44,8 @@ from sccpe import (
     run,
     step,
 )
-from sccpe.calculus import _successor, _transitions, explore, state_key
-from sccpe.formula import Cmp
+from sccpe.calculus import _successor, _transitions, explore
+from sccpe.formula import Cmp, term_key
 
 SYSTEMS = [base_system, inconsistent_variant, same_knowledge_variant]
 DEPTHS = [0, 1, 2, 3, 4, 64]
@@ -108,7 +111,7 @@ def test_run_and_search_agree_with_reference_bfs(system, depth, solver):
     assert result.states_explored <= len(seen)
     assert result.truncated == truncated
     assert set(result.terminal_states) == terminal
-    assert [state_key(s) for s in result.terminal_states] == sorted(map(state_key, terminal))
+    assert [term_key(s) for s in result.terminal_states] == sorted(map(term_key, terminal))
 
     # every store entails true, so each state matches once per store, in order
     anything = StoreEntails(TRUE)
@@ -192,6 +195,43 @@ def test_a_shared_memo_agrees_with_the_oracle(solver):
     # the memo did get reused: far fewer entries than process visits
     visits = sum(isinstance(o, ProcObj) for s in states for o in normalize(s).objects)
     assert len(memo) < visits / 2
+
+
+# Agents whose paths are prefixes, suffixes and siblings of one another,
+# and one whose index (10) shares a digit with others'.  Store i holds
+# X = i, so a process that met a neighbour's store would see another value.
+NESTED_PATHS = ((), (1,), (0, 1), (1, 0), (1, 1), (10,), (1, 0, 1))
+NESTED_PROCS = (
+    ProcObj(AgentId((0, 1)), Tell(gt(Z, 1))),  # a tell into a nested store
+    ProcObj(AgentId((1, 0)), Ask(eq_(X, 3), Tell(gt(Z, 2)))),  # entailed by its own store only
+    ProcObj(AgentId((1, 1)), Ask(eq_(X, 2), NIL)),  # blocked: X = 2 is its sibling's
+    ProcObj(AgentId((1,)), Space(1, Tell(gt(Z, 3)))),  # the child store (1, 1) exists
+    ProcObj(AgentId((0, 1)), Space(1, Tell(gt(Z, 3)))),  # and so does (1, 0, 1), not (0, 1, 1)
+    ProcObj(AgentId((1,)), Space(2, Tell(gt(Z, 4)))),  # (2, 1) has none
+    ProcObj(AgentId((10,)), Space(1, Tell(gt(Z, 5)))),  # nor has (1, 10), though (1,) and (10,) do
+    ProcObj(AgentId((0, 1)), Extr(0, Tell(gt(Z, 6)))),  # extruded to (1,)
+    ProcObj(AgentId((1, 0)), Extr(0, Tell(gt(Z, 7)))),  # stays: its space is 1, not 0
+    ProcObj(AgentId((0,)), Tell(gt(Z, 8))),  # no store at (0,), the parent of (1, 0)
+    ProcObj(AgentId((2,)), Space(0, NIL)),  # nor at (2,)
+)
+
+
+def test_store_lookup_where_paths_nest_and_share_indices(solver):
+    stores = tuple(StoreObj(AgentId(path), eq_(X, i)) for i, path in enumerate(NESTED_PATHS))
+    s = normalize(SysState(stores + NESTED_PROCS))
+    objs = s.objects
+    memo = {}
+    for _ in range(2):  # the second pass takes every move from the memo
+        moves = list(_transitions(objs, solver, memo))
+        assert [_successor(objs, *move[:4]) for move in moves] == [
+            t.objects for t in oracle_moves(s, solver)
+        ]
+        assert len(moves) == 7
+        for i, j, store, _, _ in moves:
+            assert store is None or objs[j].aid == objs[i].aid == store.aid
+    # and so in every state reachable from it, through one shared memo
+    for t in reference_bfs(s, solver, 3)[0]:
+        assert successors(t, solver, memo) == oracle_objects(t, solver), f"successors differ on {t}"
 
 
 def test_step_builds_each_successor_once(solver, monkeypatch):

@@ -11,7 +11,8 @@ decision path: the names of the retired external backend must not come
 back, nor those of the state reader, the schemas, the predicate query and
 the connectives beyond and, === and =/==, which no path of the analyzer
 used, nor the term builders and the record binding that only tests used,
-nor the kept search answers and their JSON writer.
+nor the kept search answers and their JSON writer, nor the aliases of
+the one order key.
 """
 
 import ast
@@ -110,6 +111,9 @@ RETIRED_BUILDER_NAMES = {
     "_bind",
     "_IntOps",
 }
+
+# Every order is `term_key`'s: the three other names of that key are gone.
+RETIRED_ALIAS_NAMES = {"process_key", "obj_key", "state_key"}
 
 
 def imports(path: pathlib.Path) -> list:
@@ -220,6 +224,14 @@ def test_package_defines_no_retired_builder():
 def test_package_exports_no_retired_builder():
     assert_package_exports_none_of(RETIRED_BUILDER_NAMES)
     assert not RETIRED_BUILDER_NAMES & set(dir(sccpe.formula.Record))
+
+
+def test_package_defines_no_retired_alias():
+    assert_package_defines_none_of(RETIRED_ALIAS_NAMES)
+
+
+def test_package_exports_no_retired_alias():
+    assert_package_exports_none_of(RETIRED_ALIAS_NAMES)
 
 
 def test_every_term_class_is_sampled_and_no_retired_one():
