@@ -22,7 +22,6 @@ from .calculus import (
     Tell,
     canon_process,
     normalize,
-    par,
     replace,
     run,
     step,

@@ -14,6 +14,11 @@ conjunction -- and six observable rules drive execution:
 * recursion unfolds a recursive definition by substitution;
 * extrusion moves a process from an agent's space up to its parent.
 
+``canon_process`` is `formula.canonical` at a process position (flat,
+sorted parallel compositions, ``Par._chain``), and ``replace``, the
+substitution of the recursion rule, is `formula.rebuild` over the process
+children, stopping at a nested ``r(j, ...)``.
+
 ``_transitions`` enumerates the moves of a state, one per rule applied at
 one position, and ``_successor`` builds the objects of a move's successor;
 ``run``, ``explore`` and ``step`` share both.  States are canonical by
@@ -63,11 +68,13 @@ from .formula import (
     BOOL_KINDS,
     TRUE,
     Formula,
+    Kinds,
     Node,
     Record,
     _put_canon,
     _put_hash,
     _put_key,
+    canonical,
     canonicalize,
     chain_canonical,
     conjoin,
@@ -114,7 +121,7 @@ ROOT = AgentId(())
 # Processes
 
 # The node classes a process position admits; filled in below.
-PROC_KINDS: set = set()
+PROC_KINDS = Kinds("a process")
 
 
 class _Proc(Node):
@@ -152,6 +159,19 @@ class Par(_Proc):
     def _canon_here(self) -> bool:
         return chain_canonical(self, (Par,), strict=False)
 
+    @staticmethod
+    def _chain(args) -> "Process":
+        """The canonical composition of the canonical processes `args`."""
+        flat = []
+        for p in args:
+            if type(p) is Par:
+                flat.extend(p.args)
+            else:
+                flat.append(p)
+        if len(flat) < 2:
+            return flat[0] if flat else NIL
+        return Par(tuple(sorted(flat, key=term_key)))
+
 
 class Space(_Proc):
     agent: int
@@ -185,60 +205,28 @@ PROC_KINDS.update((Nil, Tell, Ask, Par, Space, Rec, Extr, ProcVar))
 NIL = Nil()
 
 
-def par(*args: Process) -> Process:
-    """Canonical parallel composition of the given processes."""
-    flat = []
-    for p in args:
-        if isinstance(p, Par):
-            flat.extend(p.args)
-        else:
-            flat.append(p)
-    if not flat:
-        return NIL
-    if len(flat) == 1:
-        return flat[0]
-    return Par(tuple(sorted(flat, key=term_key)))
-
-
 def canon_process(p: Process) -> Process:
-    """Canonical form: flat, sorted parallel compositions and canonical
-    constraint subterms, recursively.  A canonical process is returned as
-    it is, and only the parts of one that is not are rebuilt."""
-    if type(p) not in PROC_KINDS:
-        raise TypeError(f"not a process: {p!r}")
-    if p._canon:
-        return p
-    if isinstance(p, Par):
-        return par(*(canon_process(a) for a in p.args))
-    return rebuild(p, _canon_kid)
-
-
-def _canon_kid(kinds: set, t):
-    return canon_process(t) if kinds is PROC_KINDS else canonicalize(t)
+    """Canonical form: flat, sorted parallel compositions (`Par._chain`)
+    and canonical constraint subterms, recursively.  A canonical process is
+    returned as it is, and only the parts of one that is not are rebuilt."""
+    return canonical(p, PROC_KINDS)
 
 
 def replace(p: Process, n: int, q: Process) -> Process:
     """Substitute q for every occurrence of the process variable n.
 
-    Substitution is homomorphic through tell/ask/parallel/space/extrusion
-    but does not descend into recursion bodies, matching the unfolding
-    discipline of the rewrite rules.  Subterms without an occurrence are
-    returned as they are.
+    Substitution maps every process child (`rebuild`) but does not descend
+    into recursion bodies, matching the unfolding discipline of the rewrite
+    rules: a v(n) inside a nested r(j, ...) is never replaced.  Subterms
+    without an occurrence are returned as they are.
     """
     if type(p) not in PROC_KINDS:
         raise TypeError(f"not a process: {p!r}")
-    if isinstance(p, ProcVar):
+    if type(p) is ProcVar:
         return q if p.var == n else p
-    if isinstance(p, Par):
-        args = tuple(replace(a, n, q) for a in p.args)
-        return p if all(a is b for a, b in zip(args, p.args)) else Par(args)
-    if isinstance(p, Ask):
-        then = replace(p.then, n, q)
-        return p if then is p.then else Ask(p.guard, then)
-    if isinstance(p, (Space, Extr)):
-        body = replace(p.body, n, q)
-        return p if body is p.body else type(p)(p.agent, body)
-    return p  # nil, tell, and recursion
+    if type(p) is Rec:
+        return p
+    return rebuild(p, lambda kid, kinds: replace(kid, n, q) if kinds is PROC_KINDS else kid)
 
 
 def format_process(p: Process, parent: int = 0) -> str:
@@ -278,9 +266,6 @@ class StoreObj(Node):
     def _head(self) -> tuple:
         return (self.aid.path,)
 
-    def __str__(self) -> str:
-        return f"[store, {self.aid}, {self.constraint}]"
-
 
 class ProcObj(Node):
     aid: AgentId
@@ -294,9 +279,6 @@ class ProcObj(Node):
     def _canon_here(self) -> bool:
         return type(self.program) is not Nil
 
-    def __str__(self) -> str:
-        return f"[process, {self.aid}, {self.program}]"
-
 
 class SysState(Node):
     """A multiset of objects; canonical once normalized (sorted, one store
@@ -309,10 +291,6 @@ class SysState(Node):
     def _canon_here(self) -> bool:
         keys = self._key[1]  # a store's key starts (0, path), a process's (1, path)
         return all(a <= b and (b[0] or a[1] != b[1]) for a, b in zip(keys, keys[1:]))
-
-    def __str__(self) -> str:
-        inner = " ".join(str(o) for o in self.objects)
-        return "{ " + inner + " }" if inner else "{ }"
 
 
 _put_objects = SysState._setters[0]

@@ -18,11 +18,14 @@ nothing is interned.  The module provides:
 * ``conjoin`` with the unit and absorbing identities applied at the top
   (``c and true = c``, ``c and false = false``), so stores never
   accumulate redundant ``true`` conjuncts;
-* ``canonicalize``, a purely syntactic normal form: conjunctions are
-  flattened and sorted under a fixed total term order, ``true`` conjuncts
-  dropped, ``false`` absorbing, syntactic duplicates removed.  Canonical
-  terms are the engine's state-identity currency; a canonical term is
-  returned as it is, so canonical inputs cost one flag test;
+* ``rebuild``, the one map over a node's children, and ``canonical``, the
+  one canonical form, which both read each class's `_kids` schema;
+  ``canonicalize`` is ``canonical`` at a formula position, a purely
+  syntactic normal form: conjunctions are flattened and sorted under a
+  fixed total term order, ``true`` conjuncts dropped, ``false`` absorbing,
+  syntactic duplicates removed.  Canonical terms are the engine's
+  state-identity currency; a canonical term is returned as it is, so
+  canonical inputs cost one flag test;
 * ``lower``, which lowers every well-sorted term to one literal form,
   the difference atom ``x - y <= k`` (`DLAtom`: a bound is a difference
   against 0, a Boolean an integer positive exactly when it holds), and each
@@ -42,7 +45,7 @@ Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Union
 
 
@@ -118,21 +121,23 @@ class Node(Record):
 
     Each subclass declares its fields, its order `_tag` and its child
     fields in `_kids`, as ``(field, kinds, many)``: `kinds` is the set of
-    node classes that the position admits in canonical form, and `many`
-    marks a tuple of children.  The other fields are payload.  The order
-    key is ``(tag, payload..., child keys...)``, where a tuple of children
-    stands as the tuple of their keys; the hash is the hash of the same
-    shape with the children's hashes in place of their keys.  The key
+    node classes that the position admits in canonical form (`Kinds`), and
+    `many` marks a tuple of children.  The other fields are payload.  The
+    order key is ``(tag, payload..., child keys...)``, where a tuple of
+    children stands as the tuple of their keys; the hash is the hash of the
+    same shape with the children's hashes in place of their keys.  The key
     determines the fields, so nodes of one class are equal when their keys
     are.  A node is canonical when every child is a canonical node of an
-    admitted kind and `_canon_here` holds, and the canonical-form functions
-    then return it as it is.  Nothing is interned.
+    admitted kind and `_canon_here` holds, and `canonical` then returns it
+    as it is; a chain class (`And`, `calculus.Par`) makes its canonical
+    form from canonical arguments in its `_chain`.  Nothing is interned.
     """
 
     __slots__ = ("_hash", "_key", "_canon")
     _tag = -1
     _kids: tuple = ()
     _lits: tuple = ()  # the payload fields
+    _chain = None
 
     def __init_subclass__(cls):
         kids = [name for name, _, _ in cls._kids]
@@ -190,13 +195,15 @@ def children(t: Node) -> list:
 
 
 def rebuild(t: Node, fn: Callable) -> Node:
-    """A node of t's class with every single child c replaced by
-    ``fn(kinds, c)``; for nodes whose canonical form is just that of
-    their children."""
-    kids = {name: kinds for name, kinds, _ in t._kids}
-    return type(t)(
-        *[fn(kids[n], getattr(t, n)) if n in kids else getattr(t, n) for n in t.__match_args__]
-    )
+    """t with each child c replaced by ``fn(c, kinds)``, `kinds` being the
+    set its position admits; a tuple of children is mapped member by
+    member.  Returns t itself when every child comes back as it is."""
+    fields, same = {n: getattr(t, n) for n in t.__match_args__}, True
+    for name, kinds, many in t._kids:
+        old = fields[name]
+        new = fields[name] = tuple([fn(k, kinds) for k in old]) if many else fn(old, kinds)
+        same = same and (all(map(is_, new, old)) if many else new is old)
+    return t if same else type(t)(*fields.values())
 
 
 def chain_canonical(t: Node, banned: tuple, strict: bool) -> bool:
@@ -211,10 +218,19 @@ def chain_canonical(t: Node, banned: tuple, strict: bool) -> bool:
     return all(a <= b for a, b in zip(keys, keys[1:]))
 
 
+class Kinds(set):
+    """The node classes a child position admits in canonical form, and the
+    name `canonical` gives them when it refuses a node (``not a formula``)."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+
 # The node classes a Boolean and an integer position admit; filled in below,
 # once the classes exist.
-BOOL_KINDS: set = set()
-INT_KINDS: set = set()
+BOOL_KINDS = Kinds("a formula")
+INT_KINDS = Kinds("an integer expression")
 
 
 class Var(Node):
@@ -265,6 +281,23 @@ class And(_Bool):
 
     def _canon_here(self) -> bool:
         return chain_canonical(self, (And, BoolConst), strict=True)
+
+    @staticmethod
+    def _chain(args) -> "Formula":
+        """The canonical conjunction of the canonical formulas `args`; the
+        first ``false`` ends the reading."""
+        parts = []
+        for a in args:
+            if type(a) is And:
+                parts.extend(a.args)
+            elif a == FALSE:
+                return FALSE
+            elif a != TRUE:
+                parts.append(a)
+        parts = sorted(dict.fromkeys(parts), key=term_key)
+        if len(parts) < 2:
+            return parts[0] if parts else TRUE
+        return And(tuple(parts))
 
 
 class BoolEq(_Bool):
@@ -330,51 +363,37 @@ def conjoin(c: Formula, d: Formula) -> Formula:
 term_key = attrgetter("_key")  # the fixed total term order's key, stored at construction
 
 
+def canonical(t: Node, kinds: Kinds) -> Node:
+    """The canonical form of t at a position that admits `kinds`; idempotent.
+
+    Raises TypeError when t is not of one of `kinds`, and SortConflict on a
+    Boolean variable at an integer position.  A canonical node is returned
+    as it is.  A chain is its class's `_chain` of its canonical arguments,
+    and any other node is `rebuild` with its canonical children, so only
+    the parts of t that are not canonical are rebuilt.
+    """
+    if type(t) not in kinds:
+        raise TypeError(f"not {kinds.name}: {t!r}")
+    if kinds is INT_KINDS and type(t) is Var and t.sort is Sort.BOOL:
+        raise SortConflict(f"Boolean variable {t.name} used as an integer")
+    if t._canon:
+        return t
+    if t._chain is None:
+        return rebuild(t, canonical)
+    ((_, arg_kinds, _),) = t._kids
+    return t._chain(canonical(a, arg_kinds) for a in t.args)
+
+
 def canonicalize(c: Formula) -> Formula:
-    """Syntactic canonical form; idempotent.
+    """Syntactic canonical form of a formula; idempotent.
 
     Conjunctions are flattened, stripped of ``true``, collapsed on
     ``false``, deduplicated, and sorted; one left with one argument is that
     argument, and one left with none is ``true``.  No semantic reasoning
-    happens here.  A term
-    that is already canonical is returned as it is, and only the parts of
-    one that is not are rebuilt.
+    happens here.  A term that is already canonical is returned as it is,
+    and only the parts of one that is not are rebuilt.
     """
-    return _canon_bool(c)
-
-
-def _canon_bool(f: Formula) -> Formula:
-    if type(f) not in BOOL_KINDS:
-        raise TypeError(f"not a formula: {f!r}")
-    if f._canon:
-        return f
-    if type(f) is not And:
-        return rebuild(f, _canon_kid)
-    parts = []
-    for raw in f.args:
-        a = _canon_bool(raw)
-        if type(a) is And:
-            parts.extend(a.args)
-        elif a == FALSE:
-            return FALSE
-        elif a != TRUE:
-            parts.append(a)
-    parts = sorted(dict.fromkeys(parts), key=term_key)
-    if len(parts) < 2:
-        return parts[0] if parts else TRUE
-    return And(tuple(parts))
-
-
-def _canon_int(e: IntExpr) -> IntExpr:
-    if type(e) not in INT_KINDS:
-        raise TypeError(f"not an integer expression: {e!r}")
-    if isinstance(e, Var) and e.sort is Sort.BOOL:
-        raise SortConflict(f"Boolean variable {e.name} used as an integer")
-    return e  # an integer variable or a literal is canonical as built
-
-
-def _canon_kid(kinds: set, t):
-    return _canon_int(t) if kinds is INT_KINDS else _canon_bool(t)
+    return canonical(c, BOOL_KINDS)
 
 
 def note_sort(name: str, sort: Sort, sorts: dict) -> None:

@@ -13,7 +13,9 @@ be declared with two different types.  Line comments start with ``--``.
 
 ``parse`` raises :class:`ParseError` on syntax and declaration errors;
 semantic issues (undeclared identifiers, unbound process variables,
-unguarded recursion) surface as diagnostics from ``validate``.
+process variables in another recursion's body, which unfolding never
+replaces, and unguarded recursion) surface as diagnostics from
+``validate``, in one walk of each process line.
 ``elaborate`` turns a valid program into the initial state: agent lines
 become stores, process lines start at the root, and every referenced but
 undeclared ancestor space gets an empty (``true``) store so the transition
@@ -515,85 +517,70 @@ def parse_constraint_text(
 # Validation
 
 
+# How the path from a recursion r(i, ...) reaches a node below it, worst
+# first: through no ask, through an ask whose guard is true (which guards
+# nothing), or through an ask with a real guard.
+_BARE, _TRUE_ASK, _GUARDED = range(3)
+
+_UNBOUND = "process variable v({0}) is not bound by an enclosing r({0}, ...)"
+_HIDDEN = (
+    "process variable v({0}) inside r({1}, ...) is never replaced:"
+    " unfolding r({0}, ...) does not substitute into another recursion's body"
+)
+# The warning for a recursion whose variable is reached in each unguarded way.
+_UNGUARDED = {
+    _BARE: "recursion r({0}, ...): v({0}) is not guarded by an ask",
+    _TRUE_ASK: "recursion r({0}, ...): ask(true) -> P is unguarded,"
+    " v({0}) may unfold without bound",
+}
+
+
 def validate(ast: ProgramAst) -> list:
     """Semantic diagnostics: undeclared identifiers and unbound process
-    variables are errors; unguarded recursion variables are warnings."""
+    variables are errors; a process variable inside another recursion's
+    body, which unfolding never replaces, and unguarded recursion variables
+    are warnings.  Each process line is walked once, and gives its scope
+    diagnostics in preorder, then its recursion warnings in the preorder
+    of its recursions."""
     diags = list(ast.deferred)
     for line in ast.lines:
         if isinstance(line, ProcessLine):
-            _check_scopes(line.process, frozenset(), line, diags)
-            _check_recursion(line.process, line, diags)
+            found: list = []
+            recs: list = []
+            _walk(line.process, {}, recs, found)
+            found += [("warning", _UNGUARDED[w].format(i)) for i, w in recs if w != _GUARDED]
+            diags.extend(Diagnostic(severity, line.line, line.col, m) for severity, m in found)
     return diags
 
 
-def _subprocesses(p: Process) -> list:
-    """The processes directly inside p, in field order."""
-    return [c for c in children(p) if type(c) in PROC_KINDS]
-
-
-def _check_scopes(p: Process, bound: frozenset, line: ProcessLine, diags: list) -> None:
-    if isinstance(p, ProcVar) and p.var not in bound:
-        diags.append(
-            Diagnostic(
-                "error",
-                line.line,
-                line.col,
-                f"process variable v({p.var}) is not bound by an enclosing r({p.var}, ...)",
-            )
-        )
-    if isinstance(p, Rec):
-        bound = bound | {p.var}
-    for q in _subprocesses(p):
-        _check_scopes(q, bound, line, diags)
-
-
-def _check_recursion(p: Process, line: ProcessLine, diags: list) -> None:
-    """Warn for each recursion whose variable has an occurrence that no
-    non-trivial ask guards (an ask with guard `true` guards nothing)."""
-    if isinstance(p, Rec):
-        offending = _unguarded_occurrence(p.body, p.var, False)
-        if offending == "true-ask":
-            diags.append(
-                Diagnostic(
-                    "warning",
-                    line.line,
-                    line.col,
-                    f"recursion r({p.var}, ...): ask(true) -> P is unguarded,"
-                    f" v({p.var}) may unfold without bound",
-                )
-            )
-        elif offending == "bare":
-            diags.append(
-                Diagnostic(
-                    "warning",
-                    line.line,
-                    line.col,
-                    f"recursion r({p.var}, ...): v({p.var}) is not guarded by an ask",
-                )
-            )
-    for q in _subprocesses(p):
-        _check_recursion(q, line, diags)
-
-
-def _unguarded_occurrence(p: Process, var: int, saw_true_ask: bool):
-    """Worst unguarded occurrence of v(var): 'bare', 'true-ask', or None."""
-    if isinstance(p, ProcVar):
-        if p.var == var:
-            return "true-ask" if saw_true_ask else "bare"
-        return None
-    if isinstance(p, Ask):
-        if canonicalize(p.guard) != TRUE:
-            return None  # a real guard bounds every occurrence below it
-        saw_true_ask = True
-    if isinstance(p, Rec) and p.var == var:
-        return None  # rebound inside
-    worst = None
-    for q in _subprocesses(p):
-        got = _unguarded_occurrence(q, var, saw_true_ask)
-        if got == "bare":
-            return "bare"
-        worst = worst or got
-    return worst
+def _walk(p: Process, scope: dict, recs: list, found: list) -> None:
+    """Add to `found` the (severity, message) of each process variable at
+    or below p that no recursion replaces, in preorder, and record in
+    `recs` how the worst path reaches each recursion's variable.  `scope`
+    maps each process variable bound above p to (the [var, worst way] entry
+    of its recursion in `recs`, how the path from that recursion reaches
+    p), or, once the body of a nested r(j, ...) hides it from its own
+    recursion's unfolding, to (None, j)."""
+    if type(p) is ProcVar:
+        rec, how = scope.get(p.var, (None, None))
+        if rec is not None:
+            rec[1] = min(rec[1], how)
+        elif how is None:
+            found.append(("error", _UNBOUND.format(p.var)))
+        else:
+            found.append(("warning", _HIDDEN.format(p.var, how)))
+        return
+    if type(p) is Rec:
+        rec = [p.var, _GUARDED]
+        recs.append(rec)
+        scope = {i: (None, p.var if r else how) for i, (r, how) in scope.items()}
+        scope[p.var] = (rec, _BARE)
+    elif type(p) is Ask:
+        way = _TRUE_ASK if canonicalize(p.guard) == TRUE else _GUARDED
+        scope = {i: (r, max(how, way) if r else how) for i, (r, how) in scope.items()}
+    for q in children(p):
+        if type(q) in PROC_KINDS:
+            _walk(q, scope, recs, found)
 
 
 # ---------------------------------------------------------------------------

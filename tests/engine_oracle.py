@@ -1,7 +1,10 @@
 """Independent successor enumerator for cross-checking the engine.
 
 Deliberately written rule by rule, position by position, over the raw
-object list, sharing none of the matching logic of `sccpe.calculus`.
+object list, sharing none of the matching logic of `sccpe.calculus`, and
+with its own substitution for the recursion rule, written out class by
+class (`tests/test_oracle_boundary.py` keeps the engine's child map and
+canonical form out of this module).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from sccpe import (
     Extr,
     Par,
     ProcObj,
+    ProcVar,
     Rec,
     Space,
     StoreObj,
@@ -20,8 +24,24 @@ from sccpe import (
     TRUE,
     conjoin,
     normalize,
-    replace,
 )
+
+
+def substitute(p, n: int, q):
+    """p with q in place of every v(n) that is not inside a recursion body:
+    unfolding r(n, ...) replaces its own variable and stops at any nested
+    r(j, ...), which binds its own."""
+    if isinstance(p, ProcVar):
+        return q if p.var == n else p
+    if isinstance(p, Ask):
+        return Ask(p.guard, substitute(p.then, n, q))
+    if isinstance(p, Par):
+        return Par(tuple(substitute(a, n, q) for a in p.args))
+    if isinstance(p, Space):
+        return Space(p.agent, substitute(p.body, n, q))
+    if isinstance(p, Extr):
+        return Extr(p.agent, substitute(p.body, n, q))
+    return p  # nil, tell and recursion
 
 
 def oracle_step(state: SysState, solver) -> set:
@@ -71,7 +91,7 @@ def oracle_moves(state: SysState, solver):
                 yield normalize(SysState(tuple(new)))
         elif isinstance(p, Rec):
             new = list(objs)
-            new[i] = ProcObj(o.aid, replace(p.body, p.var, p))
+            new[i] = ProcObj(o.aid, substitute(p.body, p.var, p))
             yield normalize(SysState(tuple(new)))
         elif isinstance(p, Extr):
             if o.aid.path and o.aid.path[0] == p.agent:

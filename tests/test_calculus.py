@@ -3,8 +3,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from builders import eq_, ge, intvar, lt, store_map
-from engine_oracle import oracle_step
-from randgen import small_state, raw_state
+from engine_oracle import oracle_step, substitute
+from randgen import process, small_state, raw_state
 from systems import AID0, AID01, AID1, AID20, base_system
 from sccpe import (
     NIL,
@@ -25,7 +25,6 @@ from sccpe import (
     canon_process,
     conjoin,
     normalize,
-    par,
     replace,
     run,
     step,
@@ -66,6 +65,20 @@ def test_replace_skips_rec_subterms():
     inner = Rec(2, ProcVar(1))
     assert replace(inner, 1, Tell(TRUE)) == inner
     assert replace(Space(0, inner), 1, Tell(TRUE)) == Space(0, inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_replace_agrees_with_the_oracle_and_keeps_what_it_leaves(seed):
+    # free v(1) and v(2) at the top as well as under their r's, and every
+    # one of them again inside an r(3, ...), which no substitution enters
+    rng = random.Random(seed)
+    p, q = process(rng, depth=4, bound=(1, 2)), process(rng, depth=2)
+    for t in (p, Par((p, Rec(3, p)))):
+        for n in (1, 2, 3):
+            got = replace(t, n, q)
+            assert got == substitute(t, n, q)
+            assert (got is t) == (got == t)
 
 
 # ---------------------------------------------------------------------------

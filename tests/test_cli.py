@@ -490,6 +490,17 @@ def test_warning_does_not_block(tmp_path):
     assert "warning" in err
 
 
+def test_run_warns_of_a_variable_that_unfolding_never_replaces():
+    program = "var X Int\nbegin r(1, tell(X > 0) || r(2, ask X > 0 -> v(1))) . end\n"
+    code, out, err = invoke(["run", "-"], stdin=program)
+    assert (code, out.splitlines()[-1]) == (0, "states: 6  terminal: 1")
+    assert "* v(1)" in out
+    assert err == (
+        "<stdin>:2:7: warning: process variable v(1) inside r(2, ...) is never replaced:"
+        " unfolding r(1, ...) does not substitute into another recursion's body\n"
+    )
+
+
 def test_missing_file_exit_code():
     code, out, err = invoke(["run", "/nonexistent/nowhere.sccp"])
     assert code == 1

@@ -28,6 +28,7 @@ from sccpe import (
     Extr,
     InconsistentStore,
     NIL,
+    Par,
     ProcObj,
     Solver,
     StoreEntails,
@@ -39,7 +40,6 @@ from sccpe import (
     elaborate,
     evaluate_query,
     normalize,
-    par,
     parse,
     run,
     step,
@@ -240,7 +240,7 @@ def test_step_builds_each_successor_once(solver, monkeypatch):
     rewritten, so `step` builds no successor state twice.  It builds each
     through `_canonical_state`, never through `SysState.__init__`."""
     states = [
-        normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, par(*tells)))))
+        normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, Par(tuple(tells))))))
         for tells in (
             [Tell(gt(X, 0)), Tell(gt(X, 0))],
             [Tell(gt(X, 0)), Tell(gt(X, 0)), Tell(gt(X, 1))],

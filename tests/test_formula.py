@@ -336,6 +336,20 @@ def test_ill_sorted_comparison_is_never_canonical():
         Solver().check_sat(bad)
 
 
+def test_canonical_form_refuses_a_node_of_the_wrong_kind_by_its_name():
+    from sccpe import NIL, Tell, canon_process, replace
+
+    for call, kind in (
+        (lambda: canonicalize(IntLit(1)), "a formula"),
+        (lambda: canonicalize(And((TRUE, Cmp("<", TRUE, IntLit(1))))), "an integer expression"),
+        (lambda: canon_process(TRUE), "a process"),
+        (lambda: canon_process(Tell(NIL)), "a formula"),
+        (lambda: replace(TRUE, 1, NIL), "a process"),
+    ):
+        with pytest.raises(TypeError, match=f"^not {kind}: "):
+            call()
+
+
 def _goal_true(goal, env):
     return all(literal_holds(a, env) for a in goal.atoms) and all(
         any(_goal_true(alt, env) for alt in split) for split in goal.splits

@@ -16,7 +16,9 @@ from sccpe import (
     Par,
     ParseError,
     ProcObj,
+    ProcVar,
     Rec,
+    Solver,
     Space,
     Tell,
     elaborate,
@@ -257,6 +259,58 @@ def test_validate_true_ask_does_not_guard():
 def test_validate_real_guard_silences_warning():
     ast = parse("var X Int\nbegin\nr(1, ask X > 1 -> v(1)) .\nend\n")
     assert validate(ast) == []
+
+
+def never_replaced(i: int, j: int) -> str:
+    return (
+        f"process variable v({i}) inside r({j}, ...) is never replaced:"
+        f" unfolding r({i}, ...) does not substitute into another recursion's body"
+    )
+
+
+@pytest.mark.parametrize("inner", ["ask X > 0 -> v(1)", "v(1)"])
+def test_validate_warns_of_a_variable_under_a_nested_recursion(inner):
+    # unfolding r(1, ...) does not enter r(2, ...), so the v(1) there is
+    # never replaced: the run ends on it, and it does not make r(1, ...) loop
+    text = f"var X Int\nbegin r(1, tell(X > 0) || r(2, {inner})) . end\n"
+    ast = parse(text)
+    assert validate(ast) == [Diagnostic("warning", 2, 7, never_replaced(1, 2))]
+    (terminal,) = run(elaborate(ast), Solver()).terminal_states
+    assert ProcObj(ROOT, ProcVar(1)) in terminal.objects
+
+
+def test_validate_an_inner_recursion_on_the_same_variable_rebinds_it():
+    # the inner r(1, ...) binds v(1) afresh: no never-replaced warning, and
+    # its own guardedness decides
+    ast = parse("var X Int\nbegin r(1, r(1, v(1))) . end\n")
+    assert validate(ast) == [
+        Diagnostic("warning", 2, 7, "recursion r(1, ...): v(1) is not guarded by an ask")
+    ]
+    assert validate(parse("var X Int\nbegin r(1, r(1, ask X > 0 -> v(1))) . end\n")) == []
+
+
+def test_validate_orders_scope_diagnostics_before_recursion_warnings():
+    # per line: the scope diagnostics in preorder of the canonical process,
+    # then the recursion warnings in preorder of the r's
+    text = (
+        "var X Int\nbegin\n"
+        "r(1, v(1) || r(2, v(1) || ask true -> v(2)) || v(3)) .\n"
+        "r(3, r(4, ask X > 0 -> v(3)) || v(3)) .\n"
+        "end\n"
+    )
+    assert validate(parse(text)) == [
+        Diagnostic("warning", 3, 1, never_replaced(1, 2)),
+        Diagnostic("error", 3, 1, "process variable v(3) is not bound by an enclosing r(3, ...)"),
+        Diagnostic("warning", 3, 1, "recursion r(1, ...): v(1) is not guarded by an ask"),
+        Diagnostic(
+            "warning",
+            3,
+            1,
+            "recursion r(2, ...): ask(true) -> P is unguarded, v(2) may unfold without bound",
+        ),
+        Diagnostic("warning", 4, 1, never_replaced(3, 4)),
+        Diagnostic("warning", 4, 1, "recursion r(3, ...): v(3) is not guarded by an ask"),
+    ]
 
 
 def test_validate_undeclared_identifier():

@@ -12,7 +12,9 @@ back, nor those of the state reader, the schemas, the predicate query and
 the connectives beyond and, === and =/==, which no path of the analyzer
 used, nor the term builders and the record binding that only tests used,
 nor the kept search answers and their JSON writer, nor the aliases of
-the one order key.
+the one order key, nor the hand-written traversals that the `_kids`
+schema replaced.  The engine oracle substitutes by its own hand, so it
+must not import the engine's substitution, child map or canonical form.
 """
 
 import ast
@@ -115,6 +117,24 @@ RETIRED_BUILDER_NAMES = {
 # Every order is `term_key`'s: the three other names of that key are gone.
 RETIRED_ALIAS_NAMES = {"process_key", "obj_key", "state_key"}
 
+# Every walk of a term reads its class's `_kids` schema: the per-sort
+# canonical forms, the parallel-composition builder (`canon_process` of a
+# `Par` does its job) and the validator's separate walks are gone.
+RETIRED_TRAVERSAL_NAMES = {
+    "_canon_bool",
+    "_canon_int",
+    "_canon_kid",
+    "par",
+    "_subprocesses",
+    "_check_scopes",
+    "_check_recursion",
+    "_unguarded_occurrence",
+}
+
+# What the engine substitutes and canonicalizes with; `normalize` stays
+# allowed, since `tests/test_canonical.py`'s independent reference gates it.
+ENGINE_REWRITE_NAMES = {"replace", "rebuild", "canonical", "canonicalize", "canon_process"}
+
 
 def imports(path: pathlib.Path) -> list:
     """(module, name) for every name a module imports; name is None for a
@@ -158,6 +178,13 @@ def test_model_oracle_shares_no_code_with_the_solver():
 def test_smt_oracle_shares_no_code_with_the_solver():
     assert_shares_no_code_with_the_solver("smt_oracle.py")
     assert_shares_no_code_with_the_solver("builders.py")
+
+
+def test_engine_oracle_substitutes_on_its_own():
+    found = imports(TESTS / "engine_oracle.py")
+    assert ("sccpe", "normalize") in found
+    for module, name in found:
+        assert name not in ENGINE_REWRITE_NAMES, (module, name)
 
 
 def test_formula_reader_shares_no_code_with_the_printer():
@@ -232,6 +259,14 @@ def test_package_defines_no_retired_alias():
 
 def test_package_exports_no_retired_alias():
     assert_package_exports_none_of(RETIRED_ALIAS_NAMES)
+
+
+def test_package_defines_no_retired_traversal():
+    assert_package_defines_none_of(RETIRED_TRAVERSAL_NAMES)
+
+
+def test_package_exports_no_retired_traversal():
+    assert_package_exports_none_of(RETIRED_TRAVERSAL_NAMES)
 
 
 def test_every_term_class_is_sampled_and_no_retired_one():
