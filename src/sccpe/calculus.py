@@ -26,18 +26,18 @@ construction: each successor's objects are its normalized parent's
 with the rewritten process object removed and at most two new objects
 put in key order (or a store replaced in place), reusing every other
 object and its stored hash and key, so no successor is ever re-normalized
-as a whole.  A successor (and ``normalize``'s result) is built with the
-key, hash and canonical flag taken straight from its objects' stored
-ones, without the checks of ``Node.__init__``; ``SysState(...)`` and its
-``_canon_here`` scan run only on raw states.  ``normalize`` stays total on
-raw states built by hand, and returns a state that is already normal as
-it is.  The rules are local (as in CCP: Saraswat, Rinard & Panangaden,
-POPL 1991), so ``explore`` and ``run`` keep one memo of each process
-object's moves per store, which lasts for their call.  A canonical
-state's store objects are the key-ordered prefix of its objects (a
-store's key starts ``(0, path)``, a process's ``(1, path)``), so
-``store_count`` finds them by bisection and ``_transitions`` walks only
-the process objects.
+as a whole.  A successor (and ``normalize``'s result) is built by
+``_canonical_state``, with the key and hash taken straight from its
+objects' stored ones and the canonical flag set, as `formula.canonical`
+sets it on what it returns; ``SysState(...)`` never sets it.
+``normalize`` stays total on raw states built by hand, and returns a
+flagged state as it is.  The rules are local (as in CCP: Saraswat,
+Rinard & Panangaden, POPL 1991), so ``explore`` and ``run`` keep one memo
+of each process object's moves per store, which lasts for their call.  A
+canonical state's store objects are the key-ordered prefix of its
+objects (a store's key starts ``(0, path)``, a process's ``(1, path)``),
+so ``store_count`` finds them by bisection and ``_transitions`` walks
+only the process objects.
 
 ``explore`` is the breadth-first loop over all reachable states, the
 engine of ``search.search``; it builds a successor as a state only when
@@ -76,7 +76,6 @@ from .formula import (
     _put_key,
     canonical,
     canonicalize,
-    chain_canonical,
     conjoin,
     rebuild,
     term_key,
@@ -155,9 +154,6 @@ class Par(_Proc):
     args: tuple  # >= 2 processes
     _tag = 103
     _kids = (("args", PROC_KINDS, True),)
-
-    def _canon_here(self) -> bool:
-        return chain_canonical(self, (Par,), strict=False)
 
     @staticmethod
     def _chain(args) -> "Process":
@@ -276,8 +272,8 @@ class ProcObj(Node):
     def _head(self) -> tuple:
         return (self.aid.path,)
 
-    def _canon_here(self) -> bool:
-        return type(self.program) is not Nil
+
+OBJ_KINDS = Kinds("an object", StoreObj, ProcObj)
 
 
 class SysState(Node):
@@ -286,11 +282,7 @@ class SysState(Node):
 
     objects: tuple
     _tag = 200
-    _kids = (("objects", {StoreObj, ProcObj}, True),)
-
-    def _canon_here(self) -> bool:
-        keys = self._key[1]  # a store's key starts (0, path), a process's (1, path)
-        return all(a <= b and (b[0] or a[1] != b[1]) for a, b in zip(keys, keys[1:]))
+    _kids = (("objects", OBJ_KINDS, True),)
 
 
 _put_objects = SysState._setters[0]
@@ -298,9 +290,9 @@ _obj_hash = attrgetter("_hash")
 
 
 def _canonical_state(objects: tuple) -> SysState:
-    """The SysState of canonical objects already in canonical order (sorted,
-    one store per agent), with the key, hash and flag that `Node.__init__`
-    would compute, taken from the objects' stored ones without its checks."""
+    """The flagged SysState of canonical objects already in canonical order
+    (sorted, one store per agent), with the key and hash that
+    `Node.__init__` would compute, taken from the objects' stored ones."""
     s = SysState.__new__(SysState)
     _put_objects(s, objects)
     _put_key(s, (200, tuple(map(term_key, objects))))
@@ -323,7 +315,8 @@ def normalize(s: SysState) -> SysState:
     """Exhaustive application of the invisible transitions plus canonical
     ordering: drop nil processes, merge same-agent stores by conjunction,
     canonicalize all payloads, sort.  Idempotent: a normalized state is
-    returned as it is, and so is every canonical object of one that is not."""
+    returned as it is, and each object is `canonical` at an object
+    position, so one with a canonical payload is kept."""
     if s._canon:
         return s
     stores: dict[AgentId, StoreObj] = {}
@@ -335,12 +328,10 @@ def normalize(s: SysState) -> SysState:
                 o = StoreObj(o.aid, conjoin(prev.constraint, o.constraint))
             stores[o.aid] = o
         else:
-            program = canon_process(o.program)
-            if not isinstance(program, Nil):
-                procs.append(o if program is o.program else ProcObj(o.aid, program))
-    objects = [
-        o if o._canon else StoreObj(o.aid, canonicalize(o.constraint)) for o in stores.values()
-    ]
+            o = canonical(o, OBJ_KINDS)
+            if not isinstance(o.program, Nil):
+                procs.append(o)
+    objects = [canonical(o, OBJ_KINDS) for o in stores.values()]
     objects.extend(procs)
     objects.sort(key=term_key)
     return _canonical_state(tuple(objects))

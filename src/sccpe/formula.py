@@ -7,10 +7,11 @@ These are functionally complete (``not f`` is ``f =/== true``), so there
 is no other connective.  A term is built from its class, fields by
 position (``Cmp("<", Var("X", Sort.INT), IntLit(1))``), and terms have no
 ordering.  Every node (`Node`, the `Record` shared with the processes,
-objects and states of `calculus`) computes its hash, its order key and
-whether it is in canonical form once, when it is built, from its fields
-and its children's stored values; nothing is mutated afterwards and
-nothing is interned.  The module provides:
+objects and states of `calculus`) computes its hash and its order key
+once, when it is built, from its fields and its children's stored values.
+Its one later write is its canonical flag, a write-once cache that
+`canonical` sets on the node it returns.  Nothing is interned.  The
+module provides:
 
 * `Record`, the slotted immutable base of the package's values, whose
   fields are its annotations, taken by position and all compared, and
@@ -24,8 +25,8 @@ nothing is interned.  The module provides:
   syntactic normal form: conjunctions are flattened and sorted under a
   fixed total term order, ``true`` conjuncts dropped, ``false`` absorbing,
   syntactic duplicates removed.  Canonical terms are the engine's
-  state-identity currency; a canonical term is returned as it is, so
-  canonical inputs cost one flag test;
+  state-identity currency; a term that `canonical` returned is returned
+  as it is, so its outputs cost one flag test when they come back;
 * ``lower``, which lowers every well-sorted term to one literal form,
   the difference atom ``x - y <= k`` (`DLAtom`: a bound is a difference
   against 0, a Boolean an integer positive exactly when it holds), and each
@@ -116,8 +117,8 @@ class Record(metaclass=_Slotted):
 
 
 class Node(Record):
-    """Immutable tree node whose hash, order key and canonical flag are
-    computed once, when it is built, and never change afterwards.
+    """Immutable tree node whose hash and order key are computed once,
+    when it is built, and never change afterwards.
 
     Each subclass declares its fields, its order `_tag` and its child
     fields in `_kids`, as ``(field, kinds, many)``: `kinds` is the set of
@@ -127,10 +128,11 @@ class Node(Record):
     children stands as the tuple of their keys; the hash is the hash of the
     same shape with the children's hashes in place of their keys.  The key
     determines the fields, so nodes of one class are equal when their keys
-    are.  A node is canonical when every child is a canonical node of an
-    admitted kind and `_canon_here` holds, and `canonical` then returns it
-    as it is; a chain class (`And`, `calculus.Par`) makes its canonical
-    form from canonical arguments in its `_chain`.  Nothing is interned.
+    are.  Its `_canon` flag means "returned by `canonical`" (a state's:
+    by `calculus._canonical_state`): no constructor sets it, and a flagged
+    node is returned as it is whenever `canonical` meets it again.  A
+    chain class (`And`, `calculus.Par`) makes its canonical form from
+    canonical arguments in its `_chain`.  Nothing is interned.
     """
 
     __slots__ = ("_hash", "_key", "_canon")
@@ -149,11 +151,9 @@ class Node(Record):
         for put, value in zip(self._setters, args):
             put(self, value)
         head = (self._tag,) + self._head()
-        keys, hashes, canon = [], [], True
-        for name, kinds, many in self._kids:
+        keys, hashes = [], []
+        for name, _, many in self._kids:
             value = getattr(self, name)
-            for kid in value if many else (value,):
-                canon = canon and type(kid) in kinds and kid._canon
             if many:
                 keys.append(tuple([kid._key for kid in value]))
                 hashes.append(tuple([kid._hash for kid in value]))
@@ -162,13 +162,10 @@ class Node(Record):
                 hashes.append(value._hash)
         _put_key(self, head + tuple(keys))
         _put_hash(self, hash(head + tuple(hashes)))
-        _put_canon(self, canon and self._canon_here())
+        _put_canon(self, False)
 
     def _head(self) -> tuple:
         return tuple([getattr(self, name) for name in self._lits])
-
-    def _canon_here(self) -> bool:
-        return True
 
     def __eq__(self, other):
         return type(other) is type(self) and (
@@ -206,24 +203,12 @@ def rebuild(t: Node, fn: Callable) -> Node:
     return t if same else type(t)(*fields.values())
 
 
-def chain_canonical(t: Node, banned: tuple, strict: bool) -> bool:
-    """Canonical-form test of an associative-commutative chain: at least
-    two arguments, none of a `banned` class, keys in ascending order
-    (strictly when `strict`)."""
-    if len(t.args) < 2 or any(type(a) in banned for a in t.args):
-        return False
-    keys = t._key[1]
-    if strict:
-        return all(a < b for a, b in zip(keys, keys[1:]))
-    return all(a <= b for a, b in zip(keys, keys[1:]))
-
-
 class Kinds(set):
     """The node classes a child position admits in canonical form, and the
     name `canonical` gives them when it refuses a node (``not a formula``)."""
 
-    def __init__(self, name: str):
-        super().__init__()
+    def __init__(self, name: str, *classes):
+        super().__init__(classes)
         self.name = name
 
 
@@ -279,9 +264,6 @@ class And(_Bool):
     _tag = 7
     _kids = (("args", BOOL_KINDS, True),)
 
-    def _canon_here(self) -> bool:
-        return chain_canonical(self, (And, BoolConst), strict=True)
-
     @staticmethod
     def _chain(args) -> "Formula":
         """The canonical conjunction of the canonical formulas `args`; the
@@ -329,9 +311,6 @@ class Cmp(_Bool):
             raise TypeError(f"unknown comparison operator {self.op!r}")
         return (self.op,)
 
-    def _canon_here(self) -> bool:  # an ill-sorted comparison is never canonical
-        return Sort.BOOL not in (getattr(self.left, "sort", 0), getattr(self.right, "sort", 0))
-
 
 IntExpr = Union[Var, IntLit]
 Formula = Union[BoolConst, Var, And, BoolEq, BoolNeq, Cmp]
@@ -366,11 +345,13 @@ term_key = attrgetter("_key")  # the fixed total term order's key, stored at con
 def canonical(t: Node, kinds: Kinds) -> Node:
     """The canonical form of t at a position that admits `kinds`; idempotent.
 
-    Raises TypeError when t is not of one of `kinds`, and SortConflict on a
-    Boolean variable at an integer position.  A canonical node is returned
-    as it is.  A chain is its class's `_chain` of its canonical arguments,
-    and any other node is `rebuild` with its canonical children, so only
-    the parts of t that are not canonical are rebuilt.
+    Raises TypeError when t or a node below it is not of a kind its
+    position admits, and SortConflict on a Boolean variable at an integer
+    position.  A chain is its class's `_chain` of its canonical arguments,
+    and any other node is `rebuild` with its canonical children (t itself
+    when they all come back as they are).  The result is flagged, and a
+    flagged node is returned as it is: flagging t in place caches a fact
+    that holds.
     """
     if type(t) not in kinds:
         raise TypeError(f"not {kinds.name}: {t!r}")
@@ -379,9 +360,12 @@ def canonical(t: Node, kinds: Kinds) -> Node:
     if t._canon:
         return t
     if t._chain is None:
-        return rebuild(t, canonical)
-    ((_, arg_kinds, _),) = t._kids
-    return t._chain(canonical(a, arg_kinds) for a in t.args)
+        out = rebuild(t, canonical)
+    else:
+        ((_, arg_kinds, _),) = t._kids
+        out = t._chain(tuple([canonical(a, arg_kinds) for a in t.args]))
+    _put_canon(out, True)
+    return out
 
 
 def canonicalize(c: Formula) -> Formula:
@@ -390,8 +374,8 @@ def canonicalize(c: Formula) -> Formula:
     Conjunctions are flattened, stripped of ``true``, collapsed on
     ``false``, deduplicated, and sorted; one left with one argument is that
     argument, and one left with none is ``true``.  No semantic reasoning
-    happens here.  A term that is already canonical is returned as it is,
-    and only the parts of one that is not are rebuilt.
+    happens here.  A term that `canonical` returned is returned as it is,
+    and of any other only the chains and what is not canonical are rebuilt.
     """
     return canonical(c, BOOL_KINDS)
 

@@ -69,6 +69,7 @@ from .formula import (
     children,
     conjoin,
 )
+from .solver import Solver
 
 
 class Diagnostic(Record):
@@ -518,8 +519,8 @@ def parse_constraint_text(
 
 
 # How the path from a recursion r(i, ...) reaches a node below it, worst
-# first: through no ask, through an ask whose guard is true (which guards
-# nothing), or through an ask with a real guard.
+# first: through no ask, through an ask whose guard `true` entails (which
+# guards nothing), or through an ask with a real guard.
 _BARE, _TRUE_ASK, _GUARDED = range(3)
 
 _UNBOUND = "process variable v({0}) is not bound by an enclosing r({0}, ...)"
@@ -541,26 +542,29 @@ def validate(ast: ProgramAst) -> list:
     body, which unfolding never replaces, and unguarded recursion variables
     are warnings.  Each process line is walked once, and gives its scope
     diagnostics in preorder, then its recursion warnings in the preorder
-    of its recursions."""
+    of its recursions.  An ask guards a recursion variable unless one
+    solver for the whole call finds its guard valid."""
     diags = list(ast.deferred)
+    solver = Solver()
     for line in ast.lines:
         if isinstance(line, ProcessLine):
             found: list = []
             recs: list = []
-            _walk(line.process, {}, recs, found)
+            _walk(line.process, {}, recs, found, solver)
             found += [("warning", _UNGUARDED[w].format(i)) for i, w in recs if w != _GUARDED]
             diags.extend(Diagnostic(severity, line.line, line.col, m) for severity, m in found)
     return diags
 
 
-def _walk(p: Process, scope: dict, recs: list, found: list) -> None:
+def _walk(p: Process, scope: dict, recs: list, found: list, solver: Solver) -> None:
     """Add to `found` the (severity, message) of each process variable at
     or below p that no recursion replaces, in preorder, and record in
     `recs` how the worst path reaches each recursion's variable.  `scope`
     maps each process variable bound above p to (the [var, worst way] entry
     of its recursion in `recs`, how the path from that recursion reaches
     p), or, once the body of a nested r(j, ...) hides it from its own
-    recursion's unfolding, to (None, j)."""
+    recursion's unfolding, to (None, j).  `solver` decides whether `true`
+    entails an ask's guard, only where a recursion variable is in scope."""
     if type(p) is ProcVar:
         rec, how = scope.get(p.var, (None, None))
         if rec is not None:
@@ -575,12 +579,12 @@ def _walk(p: Process, scope: dict, recs: list, found: list) -> None:
         recs.append(rec)
         scope = {i: (None, p.var if r else how) for i, (r, how) in scope.items()}
         scope[p.var] = (rec, _BARE)
-    elif type(p) is Ask:
-        way = _TRUE_ASK if canonicalize(p.guard) == TRUE else _GUARDED
+    elif type(p) is Ask and scope:
+        way = _TRUE_ASK if solver.entails(TRUE, p.guard) else _GUARDED
         scope = {i: (r, max(how, way) if r else how) for i, (r, how) in scope.items()}
     for q in children(p):
         if type(q) in PROC_KINDS:
-            _walk(q, scope, recs, found)
+            _walk(q, scope, recs, found, solver)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,11 @@ AID_POOL = (ROOT, AgentId((0,)), AgentId((1,)), AgentId((0, 1)), AgentId((2, 0))
 
 
 def process(rng: random.Random, depth: int = 3, bound=()):
-    """Random process of the given maximum depth; process variables are
-    drawn from `bound` (occasionally unbound, to produce stuck terms)."""
+    """Random process about `depth` deep; process variables are drawn from
+    `bound` (occasionally unbound, to produce stuck terms).  Half of the
+    recursions r(i, ...) also run a guarded v(i) inside a nested
+    r(j, ...), which unfolding r(i, ...) never replaces: about 15% of draws
+    at depth 3 or 4 hold one, against 0.1% without it."""
     if depth <= 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.55:
@@ -133,7 +136,10 @@ def process(rng: random.Random, depth: int = 3, bound=()):
         return Space(rng.randint(0, 2), process(rng, depth - 1, bound))
     if roll < 0.85:
         var = rng.randint(1, 2)
-        return Rec(var, process(rng, depth - 1, tuple(set(bound) | {var})))
+        body = process(rng, depth - 1, tuple(set(bound) | {var}))
+        if rng.random() < 0.5:  # a v(var) that a nested r(j, ...) hides from r(var, ...)
+            body = Par((body, Rec(3 - var, Ask(fragment_atom(rng), ProcVar(var)))))
+        return Rec(var, body)
     return Extr(rng.randint(0, 2), process(rng, depth - 1, bound))
 
 

@@ -1,17 +1,22 @@
-"""Property tests for canonical-by-construction terms.
+"""Property tests for canonical terms and states.
 
-Every formula, process, object and state stores its hash, order key and
-canonical flag when it is built.  `step` and `normalize` rely on three
+Every formula, process, object and state stores its hash and order key
+when it is built, and its canonical flag is set only by the canonical-form
+functions, on what they return.  `step` and `normalize` rely on three
 facts checked here on random inputs from `randgen` and on JSON round trips:
-the canonical-form functions return a canonical value as it is, the stored
-hash and key agree with a recomputation from the fields, and the stored
-flag agrees with a reference canonical form written out below (the
-rebuild-everything definition, with no shortcut for canonical inputs).
-The states that `step` and `normalize` build without the checks of
-`Node.__init__` are also checked against a state built with them.
+the stored hash and key agree with a recomputation from the fields; no
+constructor sets the flag; and the flag is sound: every node reachable
+from an output of `canonical` or `normalize` is flagged, is its own
+reference canonical form written out below (the rebuild-everything
+definition, with no shortcut for canonical inputs), and comes back from
+the engine's canonical form as it is.  The states that `step` builds
+from their objects' stored keys are also checked against the state that
+`normalize` builds from the same objects.
 """
 
 from __future__ import annotations
+
+import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,9 +45,10 @@ from sccpe import (
     normalize,
     step,
 )
-from sccpe.calculus import explore, store_count
+from sccpe.calculus import OBJ_KINDS, PROC_KINDS, explore, store_count
 from sccpe.formula import (
     FALSE,
+    INT_KINDS,
     TRUE,
     And,
     BoolConst,
@@ -53,6 +59,7 @@ from sccpe.formula import (
     Node,
     Sort,
     Var,
+    canonical,
 )
 
 SEEDS = st.randoms(use_true_random=False)
@@ -158,15 +165,76 @@ def ref_canon_process(p):
     return type(p)(p.var if isinstance(p, Rec) else p.agent, ref_canon_process(p.body))
 
 
+def ref_normalize(s):
+    """The normal form of the state s: same-agent stores conjoined, nil
+    processes dropped, payloads in reference canonical form, objects
+    sorted by key."""
+    stores, objs = {}, []
+    for o in s.objects:
+        if isinstance(o, StoreObj):
+            stores[o.aid] = And((stores[o.aid], o.constraint)) if o.aid in stores else o.constraint
+        elif not isinstance(program := ref_canon_process(o.program), Nil):
+            objs.append(ProcObj(o.aid, program))
+    objs += [StoreObj(aid, ref_canon(c)) for aid, c in stores.items()]
+    return SysState(tuple(sorted(objs, key=ref_key)))
+
+
+def ref_canon_node(n):
+    """The reference canonical form of the node n: a state's normal form,
+    an object with its payload's, or a process's or a formula's."""
+    if isinstance(n, SysState):
+        return ref_normalize(n)
+    if isinstance(n, StoreObj):
+        return StoreObj(n.aid, ref_canon(n.constraint))
+    if isinstance(n, ProcObj):
+        return ProcObj(n.aid, ref_canon_process(n.program))
+    if type(n) in PROC_KINDS:
+        return ref_canon_process(n)
+    return ref_canon(n)
+
+
+def engine_canon(n):
+    """The engine's canonical form of the node n, at the kind of position
+    that n takes."""
+    if isinstance(n, SysState):
+        return normalize(n)
+    if isinstance(n, (StoreObj, ProcObj)):
+        return canonical(n, OBJ_KINDS)
+    if type(n) in PROC_KINDS:
+        return canon_process(n)
+    if isinstance(n, IntLit) or (isinstance(n, Var) and n.sort is Sort.INT):
+        return canonical(n, INT_KINDS)
+    return canonicalize(n)
+
+
+def check_canonical_output(t):
+    """t was returned by `canonical` or `normalize`: every node reachable
+    from it is flagged, is its own reference canonical form, and comes
+    back from the engine's canonical form as it is."""
+    for n in nodes(t):
+        assert n._canon, n
+        assert ref_canon_node(n) == n, n
+        assert engine_canon(n) is n, n
+    check_built_unflagged(t)
+
+
+def check_built_unflagged(t):
+    """No node of a copy of t, built node by node through the constructors
+    (copy rebuilds a node through `__init__`), is flagged."""
+    built = copy.deepcopy(t)
+    assert built == t
+    flagged = [n for n in nodes(built) if n._canon]
+    assert not flagged, flagged
+
+
 @settings(max_examples=200, deadline=None)
 @given(SEEDS)
 def test_formula_canonical_form_is_returned_as_is(rng):
     t = fragment_formula(rng, max_atoms=rng.randint(1, 6))
+    check_built_unflagged(t)
     c = canonicalize(t)
     assert c == ref_canon(t)
-    assert t._canon == (t == c)
-    assert c._canon
-    assert canonicalize(c) is c
+    check_canonical_output(c)
     check_stored(t)
     check_stored(c)
 
@@ -175,10 +243,10 @@ def test_formula_canonical_form_is_returned_as_is(rng):
 @given(SEEDS)
 def test_process_canonical_form_is_returned_as_is(rng):
     p = process(rng, depth=rng.randint(1, 5))
+    check_built_unflagged(p)
     c = canon_process(p)
     assert c == ref_canon_process(p)
-    assert p._canon == (p == c)
-    assert canon_process(c) is c
+    check_canonical_output(c)
     check_stored(p)
     check_stored(c)
 
@@ -187,8 +255,11 @@ def test_process_canonical_form_is_returned_as_is(rng):
 @given(SEEDS)
 def test_normalize_reuses_every_object_of_a_normal_state(rng):
     s = raw_state(rng)
+    check_built_unflagged(s)
     n = normalize(s)
-    again = normalize(n)
+    assert n == ref_normalize(s)
+    check_canonical_output(n)
+    again = normalize(SysState(n.objects))
     assert len(again.objects) == len(n.objects)
     assert all(a is b for a, b in zip(again.objects, n.objects))
     check_built_as_checked(n)
@@ -211,13 +282,13 @@ def test_json_round_trip_is_canonical_as_built(rng):
 
 
 def check_built_as_checked(t):
-    """t, built by the engine without the checks of `Node.__init__`, has
-    the key, hash and flag of a state built from scratch from its objects,
-    and that state is canonical."""
-    scratch = SysState(t.objects)
+    """t, a flagged state that the engine built from its objects' stored
+    keys and hashes, has the key and hash of the state that `normalize`
+    builds from the same objects, and is its own reference normal form."""
+    assert t._canon, t
+    scratch = normalize(SysState(t.objects))
     assert scratch._key == t._key and scratch._hash == t._hash, t
-    assert scratch._canon is True, t
-    assert t == scratch
+    assert t == scratch == ref_normalize(t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,15 +353,19 @@ def test_every_node_class_stores_its_hash_key_and_flag():
         BoolNeq(BoolNeq(P, TRUE), TRUE),
     ]
     for t in terms:
+        check_built_unflagged(t)
         c = canonicalize(t)
-        assert c == ref_canon(t) and canonicalize(c) is c
-        assert t._canon == (t == c)
+        assert c == ref_canon(t)
+        check_canonical_output(c)
         check_stored(t)
         check_stored(c)
     rec = Rec(1, Par((ProcVar(1), Extr(0, Space(2, Tell(P))), Par((NIL, Ask(Q, NIL))))))
+    check_built_unflagged(rec)
     c = canon_process(rec)
-    assert c == ref_canon_process(rec) and canon_process(c) is c
+    assert c == ref_canon_process(rec)
+    check_canonical_output(c)
     check_stored(c)
     s = SysState((ProcObj(AgentId((0,)), rec), StoreObj(AgentId((0,)), P), StoreObj(ROOT, Q)))
     check_stored(s)
-    assert not s._canon and normalize(s)._canon
+    assert not s._canon
+    check_canonical_output(normalize(s))

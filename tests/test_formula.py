@@ -325,15 +325,26 @@ def test_an_unknown_comparison_operator_is_refused(call, op):
 
 def test_ill_sorted_comparison_is_never_canonical():
     # the constructor accepts it, so that `lower` and the oracle are tested
-    # on it; `canonicalize`, and so the solver, reject it
-    bad = Cmp("<", P, IntLit(1))
-    assert not bad._canon and not Cmp("===", X, Q)._canon
-    assert Cmp("<", X, IntLit(1))._canon
+    # on it; `canonicalize`, and so the solver, reject it, and so never flag
+    # it canonical.  No constructor sets the flag, on a well-sorted
+    # comparison either: `canonicalize` sets it on what it returns.
+    bad, good = Cmp("<", P, IntLit(1)), Cmp("<", X, IntLit(1))
+    assert not bad._canon and not good._canon
     for term in (bad, And((gt(X, 0), bad)), BoolNeq(Cmp("===", X, Q), TRUE)):
         with pytest.raises(SortConflict, match="Boolean variable . used as an integer"):
             canonicalize(term)
     with pytest.raises(SortConflict):
         Solver().check_sat(bad)
+    assert not bad._canon
+    assert canonicalize(good) is good and good._canon
+
+
+@pytest.mark.parametrize("args", [(FALSE, Cmp("<", P, IntLit(1))), (Cmp("<", P, IntLit(1)), FALSE)])
+def test_a_sort_error_is_reported_after_false_as_before_it(args):
+    # `false` absorbs a conjunction, but every conjunct is canonicalized,
+    # and so checked, before the conjunction is read
+    with pytest.raises(SortConflict, match="^Boolean variable P used as an integer$"):
+        canonicalize(And(args))
 
 
 def test_canonical_form_refuses_a_node_of_the_wrong_kind_by_its_name():
@@ -461,7 +472,8 @@ def test_every_term_class_lowers_prints_reads_stores_and_renders(cls):
     t = SAMPLES[cls]
     assert type(t) is cls
     f = t if cls in BOOL_KINDS else Cmp("<", t, X)
-    assert canonicalize(f) is f
+    c = canonicalize(f)
+    assert c == f and canonicalize(c) is c
     lower(f)
     assert read_formula(format_formula(f)) == f
     s = normalize(SysState((StoreObj(ROOT, f),)))

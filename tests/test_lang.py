@@ -256,6 +256,22 @@ def test_validate_true_ask_does_not_guard():
     assert any(d.severity == "warning" and "ask(true)" in d.message for d in diags)
 
 
+def test_validate_a_valid_guard_does_not_guard():
+    # `X = X` holds in every store, so the ask fires at once and the
+    # recursion loops, as under `ask true`; validation says so alike
+    ast = parse("var X Int\nbegin r(1, ask X = X -> v(1)) . end\n")
+    assert validate(ast) == [
+        Diagnostic(
+            "warning",
+            2,
+            7,
+            "recursion r(1, ...): ask(true) -> P is unguarded, v(1) may unfold without bound",
+        )
+    ]
+    result = run(elaborate(ast), Solver())
+    assert result.terminal_states == () and result.states_explored == 2
+
+
 def test_validate_real_guard_silences_warning():
     ast = parse("var X Int\nbegin\nr(1, ask X > 1 -> v(1)) .\nend\n")
     assert validate(ast) == []
