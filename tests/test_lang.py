@@ -260,14 +260,9 @@ def test_validate_a_valid_guard_does_not_guard():
     # `X = X` holds in every store, so the ask fires at once and the
     # recursion loops, as under `ask true`; validation says so alike
     ast = parse("var X Int\nbegin r(1, ask X = X -> v(1)) . end\n")
-    assert validate(ast) == [
-        Diagnostic(
-            "warning",
-            2,
-            7,
-            "recursion r(1, ...): ask(true) -> P is unguarded, v(1) may unfold without bound",
-        )
-    ]
+    diags = validate(ast)
+    assert [(d.severity, d.line, d.col) for d in diags] == [("warning", 2, 7)]
+    assert diags == validate(parse("var X Int\nbegin r(1, ask true -> v(1)) . end\n"))
     result = run(elaborate(ast), Solver())
     assert result.terminal_states == () and result.states_explored == 2
 
