@@ -20,24 +20,27 @@ substitution of the recursion rule, is `formula.rebuild` over the process
 children, stopping at a nested ``r(j, ...)``.
 
 ``_transitions`` enumerates the moves of a state, one per rule applied at
-one position, and ``_successor`` builds the objects of a move's successor;
-``run``, ``explore`` and ``step`` share both.  States are canonical by
-construction: each successor's objects are its normalized parent's
-with the rewritten process object removed and at most two new objects
-put in key order (or a store replaced in place), reusing every other
-object and its stored hash and key, so no successor is ever re-normalized
-as a whole.  A successor (and ``normalize``'s result) is built by
-``_canonical_state``, with the key and hash taken straight from its
-objects' stored ones and the canonical flag set, as `formula.canonical`
-sets it on what it returns; ``SysState(...)`` never sets it.
-``normalize`` stays total on raw states built by hand, and returns a
-flagged state as it is.  The rules are local (as in CCP: Saraswat,
-Rinard & Panangaden, POPL 1991), so ``explore`` and ``run`` keep one memo
-of each process object's moves per store, which lasts for their call.  A
-canonical state's store objects are the key-ordered prefix of its
+one position, and builds each one's successor as an object tuple as it
+yields it; ``run``, ``explore`` and ``step`` share it.  States are
+canonical by construction: each successor's objects are its normalized
+parent's with the rewritten process object removed and at most two new
+objects put in key order (or a store replaced in place), reusing every
+other object and its stored hash and key, so no successor is ever
+re-normalized as a whole.  A successor (and ``normalize``'s result) is
+built by ``_canonical_state``, with the key and hash taken straight from
+its objects' stored ones and the canonical flag set, as
+`formula.canonical` sets it on what it returns; ``SysState(...)`` never
+sets it.  ``normalize`` stays total on raw states built by hand, and
+returns a flagged state as it is.  The rules are local (as in CCP:
+Saraswat, Rinard & Panangaden, POPL 1991), so ``explore`` and ``run`` keep
+one memo of each process object's moves per store, which lasts for their
+call.  A canonical state's store objects are the key-ordered prefix of its
 objects (a store's key starts ``(0, path)``, a process's ``(1, path)``),
-so ``store_count`` finds them by bisection and ``_transitions`` walks
-only the process objects.
+so ``store_count`` finds them by bisection and ``_transitions`` walks only
+the process objects.  ``store_index`` maps each agent path to its store's
+position; a move that adds no store keeps every store where it was, so
+``explore`` and ``run`` pass each state's index on to its successors and
+build a new one only after a move that adds a store.
 
 ``explore`` is the breadth-first loop over all reachable states, the
 engine of ``search.search``; it builds a successor as a state only when
@@ -386,69 +389,73 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
     )
 
 
-def _transitions(objs: tuple, solver: Solver, memo: dict):
-    """The moves of the normalized state with objects objs, one rule at one
-    position each: (index of the rewritten process object, index of the
-    store it replaces or None, the new store or None, objects added, the
-    move's fingerprint shift, `_shift(0, out, into)`).
+def store_index(objs: tuple) -> dict:
+    """The position of each store among a canonical state's objects objs,
+    keyed by its agent's path."""
+    return {objs[j].aid.path: j for j in range(store_count(objs))}
+
+
+def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
+    """The successors of the normalized state with objects objs and store
+    index `stores` (`store_index(objs)`), one per move, a rule applied at
+    one position: (the successor's objects, the move's fingerprint shift,
+    `_shift(0, out, into)`, whether the move added a store).
+
+    A successor's objects are objs with the rewritten process object
+    removed, its agent's store replaced in place (stores are ordered by
+    agent) and the added objects put in key order; each is built only when
+    it is yielded.  A move that adds no store keeps every store at its
+    position, so its successor's store index is `stores` itself.
 
     A rule's result depends only on the process object, its agent's store
     (or its absence) and, for a space, whether the child's store exists;
     never on the rest of the state.  `memo` maps that triple to the
     object's moves, so a caller that passes one dict to many calls rewrites
     each process in each store once.  Only the process objects, which
-    follow the stores (`store_count`), are walked; of two equal ones
-    (adjacent, since the objects are sorted) only the first is rewritten:
-    the second would give the same moves.
+    follow the stores, are walked; of two equal ones (adjacent, since the
+    objects are sorted) only the first is rewritten: the second would give
+    the same moves.
     """
-    n = store_count(objs)
-    stores = {objs[j].aid.path: (j, objs[j].constraint) for j in range(n)}
     prev = None
-    for i in range(n, len(objs)):
+    for i in range(len(stores), len(objs)):
         o = objs[i]
         if prev is not None and o._hash == prev._hash and o == prev:
             continue
         prev = o
         path, p = o.aid.path, o.program
-        j, current = stores.get(path, (None, None))
+        j = stores.get(path)
+        current = None if j is None else objs[j].constraint
         key = (o, current, type(p) is Space and (p.agent,) + path in stores)
         moves = memo.get(key)
         if moves is None:
             # a tell replaces the store StoreObj(o.aid, current), so each
             # move's fingerprint shift too depends on the key alone
             moves = memo[key] = tuple(
-                (store, added, _shift(0, (o,), added))
+                (store, added, _shift(0, (o,), added), StoreObj in map(type, added))
                 if store is None
-                else (store, added, _shift(0, (o, objs[j]), (store,)))
+                else (store, added, _shift(0, (o, objs[j]), (store,)), False)
                 for store, added in _moves(o, current, key[2], solver)
             )
-        for store, added, shift in moves:
-            yield i, (None if store is None else j), store, added, shift
-
-
-def _successor(objs: tuple, i: int, j, store, added: tuple) -> tuple:
-    """The objects of the successor that a move of `_transitions` makes:
-    objs with object i removed, store j replaced in place (stores are
-    ordered by agent) and the added objects put in key order."""
-    new = list(objs)
-    if j is not None:
-        new[j] = store
-    del new[i]
-    for a in added:
-        insort(new, a, key=term_key)
-    return tuple(new)
+        for store, added, shift, grows in moves:
+            new = list(objs)
+            if store is not None:
+                new[j] = store
+            del new[i]
+            for a in added:
+                insort(new, a, key=term_key)
+            yield tuple(new), shift, grows
 
 
 def step(s: SysState, solver: Solver) -> list:
     """All states reachable from s by one rule applied at one position.
 
     Returns normalized states, deduplicated and sorted by canonical key:
-    the moves of `_transitions`, each built by `_successor` and made a
-    state by `_canonical_state`.  No CLI path calls it; the tests and the
+    the successors of `_transitions`, each made a state by
+    `_canonical_state`.  No CLI path calls it; the tests and the
     benchmark's tracer do.
     """
     objs = normalize(s).objects
-    out = {_canonical_state(_successor(objs, *move[:4])) for move in _transitions(objs, solver, {})}
+    out = {_canonical_state(new) for new, _, _ in _transitions(objs, store_index(objs), solver, {})}
     return sorted(out, key=term_key)
 
 
@@ -476,45 +483,55 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     carries a fingerprint (`_shift`), and each move gives its successor's
     fingerprint from its parent's by adding the move's shift, which the
     memo of moves holds with the move, and the successor's object tuple
-    from its parent's (`_successor`).  A per-call table maps each
-    fingerprint to the object tuples of the states met with it, and a
-    successor whose tuple is already there is skipped.  Tuples are
-    compared, so two states that share a fingerprint are never merged.
-    The new successors of a state at the depth bound are never built.
+    from its parent's (`_transitions`).  A per-call table maps each
+    fingerprint to the object tuple of the state met with it (a list of
+    them, once two states share it), and a successor whose tuple is
+    already there is skipped.  Tuples are compared, so two states that
+    share a fingerprint are never merged.  Each state also carries its
+    store index (`store_index`): a successor takes its parent's, unless
+    its move added a store.  The new successors of a state at the depth
+    bound are never built.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     start = normalize(init)
+    objs = start.objects
     memo: dict = {}  # the local moves of _transitions, for this call only
-    fp = _shift(0, (), start.objects)
-    table = {fp: [start.objects]}  # fingerprint -> object tuples met, for this call only
-    queue = deque([(start, 0, 0, fp)])  # (state, discovery number, depth, fingerprint)
+    fp = _shift(0, (), objs)
+    table: dict = {fp: objs}  # fingerprint -> object tuple(s) met, for this call only
+    # (state, discovery number, depth, fingerprint, store index)
+    queue = deque([(start, 0, 0, fp, store_index(objs))])
     explored, cut = 1, False
     while queue:
-        state, index, depth, fp = queue.popleft()
+        state, index, depth, fp, stores = queue.popleft()
         objs = state.objects
         fresh, moved = [], False
-        for i, j, store, added, shift in _transitions(objs, solver, memo):
+        for new, shift, grows in _transitions(objs, stores, solver, memo):
             moved = True
             f = fp + shift
-            new = _successor(objs, i, j, store, added)
-            bucket = table.get(f)
-            if bucket is None:
-                table[f] = [new]
-            elif new in bucket:
+            met = table.get(f)
+            if met is None:
+                table[f] = new
+            elif type(met) is tuple:
+                if met == new:
+                    continue
+                table[f] = [met, new]
+            elif new in met:
                 continue
             else:
-                bucket.append(new)
-            fresh.append((new, f))
+                met.append(new)
+            fresh.append((new, f, grows))
         if visit(state, index, moved):
             return explored, depth, cut, True
         if fresh and depth >= max_depth:
             cut = True
             continue
-        succs = [(_canonical_state(new), f) for new, f in fresh]
-        succs.sort(key=lambda pair: pair[0]._key)
-        for t, f in succs:
-            queue.append((t, explored, depth + 1, f))
+        succs = [
+            (_canonical_state(new), f, store_index(new) if grows else stores) for new, f, grows in fresh
+        ]
+        succs.sort(key=lambda succ: succ[0]._key)
+        for t, f, t_stores in succs:
+            queue.append((t, explored, depth + 1, f, t_stores))
             explored += 1
     return explored, depth, cut, False
 
@@ -544,13 +561,16 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     objs = normalize(s).objects
+    stores = store_index(objs)
     path = {objs}
     memo: dict = {}  # the local moves of _transitions, for this call only
     while True:
-        move = next(_transitions(objs, solver, memo), None)
+        move = next(_transitions(objs, stores, solver, memo), None)
         if move is None:
             return RunResult((_canonical_state(objs),), False, len(path))
-        objs = _successor(objs, *move[:4])
+        objs, _, grows = move
+        if grows:
+            stores = store_index(objs)
         if objs in path:
             return RunResult((), False, len(path))
         if len(path) > max_steps:

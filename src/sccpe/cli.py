@@ -286,21 +286,19 @@ def _text_solution():
 def _json_solution():
     """As `_text_solution`, the text of a solution in the "solutions" list of
     `json.dumps(doc, indent=2)`, with the comma before all but the first.
-    Each distinct binding's witnesses are encoded once and indented to their
-    place: the indented encoder puts a nested value's lines after a newline
-    and nowhere else (a string's newline is escaped)."""
-    witnesses = cache(
-        lambda binding: json.dumps(
-            [
-                {
-                    "aid": list(aid.path),
-                    "store": format_formula(c),
-                    "store_term": render.formula_to_obj(c),
-                }
-                for aid, c in binding
-            ],
+    Each distinct (agent, store) witness is encoded once and indented to
+    its place in a "witnesses" list, and each distinct binding's list is
+    joined from them once: the indented encoder puts a nested value's lines
+    after a newline and nowhere else (a string's newline is escaped), and
+    a list's items one to a line, separated by a comma."""
+    witness = cache(
+        lambda aid, c: json.dumps(
+            {"aid": list(aid.path), "store": format_formula(c), "store_term": render.formula_to_obj(c)},
             indent=2,
-        ).replace("\n", "\n      ")
+        ).replace("\n", "\n        ")
+    )
+    witnesses = cache(
+        lambda binding: "[\n        " + ",\n        ".join([witness(*w) for w in binding]) + "\n      ]"
     )
     return lambda i, index, binding: (
         f'{"," * (i > 1)}\n    {{\n      "solution": {i},\n      "state": {index},'

@@ -531,8 +531,8 @@ _HIDDEN = (
 # The warning for a recursion whose variable is reached in each unguarded way.
 _UNGUARDED = {
     _BARE: "recursion r({0}, ...): v({0}) is not guarded by an ask",
-    _TRUE_ASK: "recursion r({0}, ...): ask(true) -> P is unguarded,"
-    " v({0}) may unfold without bound",
+    _TRUE_ASK: "recursion r({0}, ...): an ask guards v({0}), but its guard always holds,"
+    " so v({0}) may unfold without bound",
 }
 
 

@@ -20,7 +20,10 @@ Explore tells ``search`` whether a state has a successor, not which: in
 'terminal' mode only successor-free states are tested.  A query reads
 only the stores, so one call of ``search`` evaluates it once per distinct
 tuple of store objects, the prefix of a canonical state's objects
-(``calculus.store_count``), and reads the witnesses in that order.  To
+(``calculus.store_count``), and reads the witnesses in that order.  The
+``equiv`` query asks the solver session one verdict per ordered pair of
+stores (``Solver.equivalent``), so each pair's two entailments are decided
+once, and a pair met again in another store tuple costs one lookup.  To
 watch every state an exploration visits, call ``calculus.explore`` with a
 callback of one's own.
 """
@@ -81,7 +84,7 @@ def evaluate_query(s: SysState, q: Query, solver: Solver) -> list:
         out = []
         nontrivial = [(aid, c) for aid, c in stores if c != TRUE]
         for first, second in combinations(nontrivial, 2):
-            if solver.entails(first[1], second[1]) and solver.entails(second[1], first[1]):
+            if solver.equivalent(first[1], second[1]):
                 out.extend(((first, second), (second, first)))
         return out
     raise TypeError(f"not a query: {q!r}")

@@ -14,10 +14,11 @@ installed.
 
 ``Solver.entails(c, d)`` is unsatisfiability of ``c and (d =/== true)``,
 with d lowered at negative polarity, so that no negation is built.  A
-session holds two tables: one lowering per ``(formula, polarity)``, a
+session holds three tables: one lowering per ``(formula, polarity)``, a
 conjunction's joined from its conjuncts' (so a grown store lowers only its
-new conjunct), and one verdict per ``(c, d)``, searched on c's lowering
-joined to d's negated one.
+new conjunct), one verdict per ``(c, d)``, searched on c's lowering
+joined to d's negated one, and one verdict of ``Solver.equivalent`` per
+ordered pair ``(c, d)``, read from the entailment verdicts.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class Solver:
     def __init__(self):
         self._lowered: dict[tuple, tuple] = {}  # (f, polarity) -> (goal, name -> sort)
         self._entailed: dict[tuple, bool] = {}  # (c, d) -> entails(c, d)
+        self._equivalent: dict[tuple, bool] = {}  # (c, d) -> equivalent(c, d)
 
     def check_sat(self, c: Formula) -> bool:
         return not self.entails(c, FALSE)
@@ -44,6 +46,14 @@ class Solver:
         if verdict is None:
             goal, _ = _join((self._lower(c, True), self._lower(d, False)))
             verdict = self._entailed[c, d] = not _search(goal)
+        return verdict
+
+    def equivalent(self, c: Formula, d: Formula) -> bool:
+        """Whether c and d entail each other, decided once per ordered pair
+        (whether d entails c is asked only when c entails d)."""
+        verdict = self._equivalent.get((c, d))
+        if verdict is None:
+            verdict = self._equivalent[c, d] = self.entails(c, d) and self.entails(d, c)
         return verdict
 
     def _lower(self, f: Formula, pos: bool) -> tuple:

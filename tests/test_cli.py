@@ -18,7 +18,8 @@ from randgen import program
 from state_reader import read_term
 from systems import solutions
 from test_lang import NESTING_FORMS, nested, wide_parallel
-from sccpe import InconsistentStore, StoreEntails, StoresEquivalent, cli, elaborate, lang, parse
+from sccpe import TRUE, InconsistentStore, StoreEntails, StoresEquivalent, cli, elaborate, lang, parse
+from sccpe import render
 from sccpe.formula import format_formula
 from schemas import CLI_OUTPUT_SCHEMA
 
@@ -686,6 +687,68 @@ def test_json_output_is_the_stdlib_indented_layout(argv):
     code, out, err = invoke(argv + ["--format", "json"])
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# Witnesses at the root and at a three-level agent, whose stores are
+# `true`, `false` or a conjunction of two comparisons.
+WITNESSES = """var X, Y Int
+begin
+tell(X > 0) || tell(Y < 5) .
+[ [ [ tell(Y < 5) || tell(X > 0) ]_1 ]_2 ]_3 .
+[ tell(false) ]_4 .
+end
+"""
+WITNESS_QUERIES = [
+    (["inconsistent"], InconsistentStore(), "inconsistent"),
+    (["equiv"], StoresEquivalent(), "equiv"),
+    (["entails", "true"], StoreEntails(TRUE), "entails true"),
+]
+
+
+@pytest.mark.parametrize("mode", ["any", "final"])
+@pytest.mark.parametrize("argv, query, label", WITNESS_QUERIES, ids=[q[2] for q in WITNESS_QUERIES])
+def test_json_search_is_the_document_of_its_bindings(argv, query, label, mode):
+    """`search --format json` prints `json.dumps(doc, indent=2)` of the
+    document built from the bindings that `search` finds, though it
+    encodes each witness once and joins the witnesses of each binding."""
+    argv = ["search", "-", "--query", *argv, "--mode", mode, "--format", "json"]
+    code, out, err = invoke(argv, WITNESSES)
+    assert (code, err) == (0, "")
+    init = elaborate(parse(WITNESSES))
+    found, outcome = solutions(init, query, mode="terminal" if mode == "final" else "any")
+    doc = {
+        "command": "search",
+        "query": label,
+        "solutions": [
+            {
+                "solution": i,
+                "state": index,
+                "witnesses": [
+                    {
+                        "aid": list(aid.path),
+                        "store": format_formula(c),
+                        "store_term": render.formula_to_obj(c),
+                    }
+                    for aid, c in binding
+                ],
+            }
+            for i, (_, index, binding) in enumerate(found, start=1)
+        ],
+        "states": outcome.states_explored,
+        "truncated": outcome.truncated,
+        "depth_cut": outcome.depth_cut,
+        "capped": outcome.capped,
+    }
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_the_json_witnesses_cover_every_shape():
+    _, out, _ = invoke(["search", "-", "--query", "entails", "true", "--format", "json"], WITNESSES)
+    witnesses = [w for s in json.loads(out)["solutions"] for w in s["witnesses"]]
+    assert {len(w["aid"]) for w in witnesses} == {0, 1, 2, 3}
+    assert {"true", "false", "Y:Integer < 5 and X:Integer > 0"} <= {w["store"] for w in witnesses}
+    _, out, _ = invoke(["search", "-", "--query", "equiv", "--format", "json"], WITNESSES)
+    assert {len(s["witnesses"]) for s in json.loads(out)["solutions"]} == {2}
 
 
 def _module_env() -> dict:

@@ -5,6 +5,7 @@ them."""
 
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -44,7 +45,7 @@ from sccpe import (
     run,
     step,
 )
-from sccpe.calculus import _successor, _transitions, explore
+from sccpe.calculus import _transitions, explore, store_count, store_index
 from sccpe.formula import Cmp, term_key
 
 SYSTEMS = [base_system, inconsistent_variant, same_knowledge_variant]
@@ -92,7 +93,7 @@ def successors(s, solver, memo):
     """The object tuples of the successors of s, from `_transitions` with
     the given memo of moves."""
     objs = normalize(s).objects
-    return {_successor(objs, *move[:4]) for move in _transitions(objs, solver, memo)}
+    return {new for new, _, _ in _transitions(objs, store_index(objs), solver, memo)}
 
 
 def oracle_objects(s, solver):
@@ -168,8 +169,14 @@ def test_run_builds_one_successor_per_step(solver, monkeypatch):
     Building every successor would take 55 builds for the 17 states of the
     interleaved path."""
     module = importlib.import_module("sccpe.calculus")
-    built, successor = [], module._successor
-    monkeypatch.setattr(module, "_successor", lambda *a: built.append(a) or successor(*a))
+    built, transitions = [], module._transitions
+
+    def counted(*args):  # `_transitions` builds each successor as it yields it
+        for move in transitions(*args):
+            built.append(move)
+            yield move
+
+    monkeypatch.setattr(module, "_transitions", counted)
     result = run(elaborate(parse(INTERLEAVED)), solver)
     assert (result.states_explored, result.truncated, len(result.terminal_states)) == (17, False, 1)
     assert len(built) == 16
@@ -221,14 +228,23 @@ def test_store_lookup_where_paths_nest_and_share_indices(solver):
     s = normalize(SysState(stores + NESTED_PROCS))
     objs = s.objects
     memo = {}
+    n = store_count(objs)
     for _ in range(2):  # the second pass takes every move from the memo
-        moves = list(_transitions(objs, solver, memo))
-        assert [_successor(objs, *move[:4]) for move in moves] == [
-            t.objects for t in oracle_moves(s, solver)
-        ]
+        moves = list(_transitions(objs, store_index(objs), solver, memo))
+        assert [new for new, _, _ in moves] == [t.objects for t in oracle_moves(s, solver)]
         assert len(moves) == 7
-        for i, j, store, _, _ in moves:
-            assert store is None or objs[j].aid == objs[i].aid == store.aid
+        for new, _, grows in moves:
+            assert grows == (store_count(new) == n + 1)  # the space into (2, 1)
+            if grows:
+                continue
+            # every store keeps its agent and position; a tell replaces the
+            # store of the agent whose process object it removes
+            assert [o.aid for o in new[:n]] == [o.aid for o in objs[:n]]
+            changed = [k for k in range(n) if new[k] != objs[k]]
+            if changed:
+                (k,) = changed
+                gone = Counter(objs[n:]) - Counter(new[n:])
+                assert [o.aid for o in gone.elements()] == [objs[k].aid]
     # and so in every state reachable from it, through one shared memo
     for t in reference_bfs(s, solver, 3)[0]:
         assert successors(t, solver, memo) == oracle_objects(t, solver), f"successors differ on {t}"
@@ -316,6 +332,46 @@ def test_fingerprint_collisions_never_merge_states(name, depth, solver, monkeypa
     assert {s for s, _, _ in visits} == seen
     assert [i for _, i, _ in visits] == list(range(explored)) == list(range(len(seen)))
     assert (reached, cut, stopped) == (reference_depth(init, solver, depth), truncated, False)
+
+
+# Programs whose moves add stores mid-search: spaces whose child store does
+# not exist yet, nested twice, siblings whose stores come before one that
+# exists (so its position shifts), a space into a store that another space
+# made, and extrusions back up, to the root.
+GROWING = [
+    """var X, Y, Z Int
+begin
+[ [ tell(Y > 0) || x( x( tell(Z > 0) )_3 )_2 ]_2 || tell(X > 0) ]_3 || [ tell(X > 1) ]_1 .
+end
+""",
+    """var X, Y, Z Int
+begin
+[ ask X > 5 -> x( tell(Y > 1) )_5 ]_5 || [ tell(X > 6) ]_5 || [ [ tell(Z > 0) ]_4 ]_2 .
+end
+""",
+]
+
+
+@pytest.mark.parametrize("program", GROWING, ids=["nested-and-extruded", "shifted-sibling"])
+def test_the_carried_store_index_agrees_with_the_oracle(program, solver):
+    """`explore` and `run` pass a state's store index on to its successors
+    and build a new one after a move that adds a store: explore visits the
+    oracle's breadth-first layers state for state, and run ends in the
+    oracle's one terminal state."""
+    init = elaborate(parse(program))
+    (explored, _, cut, _), visits = numbered(init, solver, 64)
+    seen, layer, at = set(), {normalize(init)}, 0
+    while layer:
+        assert {s for s, _, _ in visits[at : at + len(layer)]} == layer
+        at += len(layer)
+        seen |= layer
+        layer = set().union(*(oracle_step(s, solver) for s in layer)) - seen
+    assert at == explored == len(visits) and not cut
+    assert [more for _, _, more in visits] == [bool(oracle_step(s, solver)) for s, _, _ in visits]
+    assert max(store_count(s.objects) for s, _, _ in visits) > store_count(visits[0][0].objects)
+    _, _, terminal = reference_bfs(init, solver, 64)
+    result = run(init, solver)
+    assert (result.terminal_states, result.truncated) == (tuple(terminal), False)
 
 
 class Interrupted(Exception):

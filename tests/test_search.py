@@ -1,13 +1,16 @@
 import gc
 import importlib
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from builders import eq_, ge, gt, intvar, lt, store_map
-from randgen import small_state
+from randgen import AID_POOL, small_state, store_formula
+from test_solver import oracle_entails
 from systems import (
+    ACCEPTANCE_SYSTEMS,
     AID0,
     AID01,
     AID1,
@@ -30,8 +33,10 @@ from sccpe import (
     SysState,
     Tell,
     conjoin,
+    elaborate,
     evaluate_query,
     normalize,
+    parse,
     run,
     search,
     step,
@@ -90,6 +95,60 @@ def test_equivalent_stores_reported_in_both_orders(solver):
 def test_equivalent_stores_excludes_constant_true(solver):
     state = normalize(SysState((StoreObj(ROOT, TRUE), StoreObj(AID1, TRUE))))
     assert evaluate_query(state, StoresEquivalent(), solver) == []
+
+
+def _reference_equivalent(s) -> list:
+    """The StoresEquivalent bindings of s, each entailment decided by the
+    brute-force model enumerator: every ordered pair of distinct agents
+    whose non-true stores entail each other, the first agent's pairs first,
+    in the order of normalize(s)'s stores."""
+    stores = [(o.aid, o.constraint) for o in normalize(s).objects if isinstance(o, StoreObj)]
+    out = []
+    for k, first in enumerate(stores):
+        for second in stores[k + 1 :]:
+            if TRUE not in (first[1], second[1]) and _oracle_equivalent(first[1], second[1]):
+                out.extend(((first, second), (second, first)))
+    return out
+
+
+@cache
+def _oracle_equivalent(c, d) -> bool:
+    return oracle_entails(c, d) and oracle_entails(d, c)
+
+
+def _shared_stores(rng) -> SysState:
+    """A random state whose stores are drawn from a pool of three formulas,
+    so that equal stores at different agents are common."""
+    pool = [store_formula(rng) for _ in range(3)]
+    stores = [StoreObj(aid, rng.choice(pool)) for aid in AID_POOL if rng.random() < 0.8]
+    return normalize(SysState(tuple(stores)))
+
+
+def test_the_pair_verdict_agrees_with_the_model_oracle():
+    """One solver session answers the equiv query on random states and on
+    every reachable state of the acceptance systems, reusing each pair's
+    verdict across states, as the brute-force oracle does on each pair."""
+    solver, rng = Solver(), random.Random(2718)
+    states = [small_state(rng) for _ in range(20)] + [_shared_stores(rng) for _ in range(40)]
+    for make in ACCEPTANCE_SYSTEMS.values():
+        explore(make(), solver, 64, lambda state, *_: states.append(state))
+    positive = 0
+    for s in states:
+        expected = _reference_equivalent(s)
+        assert evaluate_query(s, StoresEquivalent(), solver) == expected, f"bindings differ on {s}"
+        positive += bool(expected)
+    assert positive >= 20
+
+
+def test_the_equiv_query_asks_each_entailment_once():
+    """A knowledge-equiv search asks its 13 entailments and no more: a
+    pair's second entailment only when the first holds, and each pair once."""
+    from test_output_digests import KNOWLEDGE
+
+    solver = Solver()
+    found, outcome = solutions(elaborate(parse(KNOWLEDGE)), StoresEquivalent(), solver=solver)
+    assert (len(found), outcome.states_explored) == (366, 612)
+    assert len(solver._entailed) <= 13
 
 
 def test_a_non_query_is_rejected(solver):
