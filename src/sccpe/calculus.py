@@ -1,10 +1,12 @@
 """Executable semantics of spatial constraint processes with extrusion.
 
 A system state is a multiset of objects: per-agent constraint stores and
-running processes, both addressed by a qualified agent name (a path of
-naturals ending at the root).  Two invisible normalizations keep states
-canonical -- nil processes vanish and same-agent stores merge by
-conjunction -- and six observable rules drive execution:
+running processes, both addressed by a qualified agent name.  An agent is
+its path of naturals ending at the root, innermost first: an `AgentId` is
+that tuple itself, and the root is the empty one.  Two invisible
+normalizations keep states canonical -- nil processes vanish and
+same-agent stores merge by conjunction -- and six observable rules drive
+execution:
 
 * tell    posts a constraint into the local store;
 * ask     unblocks a guarded process once the local store entails the guard;
@@ -90,30 +92,27 @@ from .solver import Solver
 # Qualified agent names
 
 
-class AgentId(Record):
-    """Path of agent indices, innermost first; the empty path is the root.
+class AgentId(tuple):
+    """An agent's qualified name is its path of indices, innermost first:
+    this tuple itself, which compares, hashes and orders as the plain
+    tuple.  The empty path is the root.
 
     ``AgentId((2, 0))`` reads "agent 2 within agent 0 within the root" and
     prints as ``2 . 0 . root``.
     """
 
-    path: tuple
-
-    def child(self, index: int) -> "AgentId":
-        return AgentId((index,) + self.path)
-
-    @property
-    def parent(self) -> "AgentId":
-        return AgentId(self.path[1:])
-
-    @property
-    def is_root(self) -> bool:
-        return not self.path
+    __slots__ = ()
 
     def __str__(self) -> str:
-        if not self.path:
-            return "root"
-        return " . ".join(str(n) for n in self.path) + " . root"
+        return " . ".join(map(str, self)) + " . root" if self else "root"
+
+    def __repr__(self) -> str:
+        return f"AgentId({tuple(self)!r})"
+
+    @property
+    def path(self) -> "AgentId":
+        # kept only for perfbench/selftest.py:60, until ROADMAP item 1 re-keys it
+        return self
 
 
 ROOT = AgentId(())
@@ -262,18 +261,12 @@ class StoreObj(Node):
     _tag = 0
     _kids = (("constraint", BOOL_KINDS, False),)
 
-    def _head(self) -> tuple:
-        return (self.aid.path,)
-
 
 class ProcObj(Node):
     aid: AgentId
     program: Process
     _tag = 1
     _kids = (("program", PROC_KINDS, False),)
-
-    def _head(self) -> tuple:
-        return (self.aid.path,)
 
 
 OBJ_KINDS = Kinds("an object", StoreObj, ProcObj)
@@ -374,13 +367,13 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
     elif isinstance(p, Space):
         if current is None:
             return ()
-        child = o.aid.child(p.agent)
+        child = AgentId((p.agent,) + o.aid)
         body = ProcObj(child, p.body)  # merging a true store would change nothing
         added = [(body,) if has_child else (StoreObj(child, TRUE), body)]
     elif isinstance(p, Rec):
         added = [(ProcObj(o.aid, canon_process(replace(p.body, p.var, p))),)]
-    elif isinstance(p, Extr) and not o.aid.is_root and o.aid.path[0] == p.agent:
-        added = [(ProcObj(o.aid.parent, p.body),)]
+    elif isinstance(p, Extr) and o.aid[:1] == (p.agent,):
+        added = [(ProcObj(AgentId(o.aid[1:]), p.body),)]
     else:
         return ()
     return tuple(
@@ -391,8 +384,8 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
 
 def store_index(objs: tuple) -> dict:
     """The position of each store among a canonical state's objects objs,
-    keyed by its agent's path."""
-    return {objs[j].aid.path: j for j in range(store_count(objs))}
+    keyed by its agent."""
+    return {objs[j].aid: j for j in range(store_count(objs))}
 
 
 def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
@@ -422,10 +415,10 @@ def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
         if prev is not None and o._hash == prev._hash and o == prev:
             continue
         prev = o
-        path, p = o.aid.path, o.program
-        j = stores.get(path)
+        aid, p = o.aid, o.program
+        j = stores.get(aid)
         current = None if j is None else objs[j].constraint
-        key = (o, current, type(p) is Space and (p.agent,) + path in stores)
+        key = (o, current, type(p) is Space and (p.agent,) + aid in stores)
         moves = memo.get(key)
         if moves is None:
             # a tell replaces the store StoreObj(o.aid, current), so each

@@ -293,7 +293,7 @@ def _json_solution():
     a list's items one to a line, separated by a comma."""
     witness = cache(
         lambda aid, c: json.dumps(
-            {"aid": list(aid.path), "store": format_formula(c), "store_term": render.formula_to_obj(c)},
+            {"aid": list(aid), "store": format_formula(c), "store_term": render.formula_to_obj(c)},
             indent=2,
         ).replace("\n", "\n        ")
     )

@@ -13,9 +13,9 @@ Its one later write is its canonical flag, a write-once cache that
 `canonical` sets on the node it returns.  Nothing is interned.  The
 module provides:
 
-* `Record`, the slotted immutable base of the package's values, whose
-  fields are its annotations, taken by position and all compared, and
-  `Node`;
+* `Record`, the slotted immutable base of the package's values (but the
+  agent, `calculus.AgentId`, which is its path tuple), whose fields are
+  its annotations, taken by position and all compared, and `Node`;
 * ``conjoin`` with the unit and absorbing identities applied at the top
   (``c and true = c``, ``c and false = false``), so stores never
   accumulate redundant ``true`` conjuncts;

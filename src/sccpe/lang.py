@@ -170,8 +170,10 @@ def _lex(text: str) -> list:
             col += 1
             continue
         if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            col += j - i
+            i = j
             continue
         if ch.isascii() and ch.isalpha():
             j = i
@@ -607,12 +609,7 @@ def elaborate(ast: ProgramAst) -> SysState:
             objects.append(StoreObj(aid, line.constraint))
         else:
             objects.append(ProcObj(ROOT, line.process))
-    needed = {ROOT}
-    for aid in declared:
-        ancestor = aid.parent if not aid.is_root else aid
-        while not ancestor.is_root:
-            needed.add(ancestor)
-            ancestor = ancestor.parent
+    needed = {ROOT} | {AgentId(aid[i:]) for aid in declared for i in range(1, len(aid))}
     for aid in needed - declared:
         objects.append(StoreObj(aid, TRUE))
     return normalize(SysState(tuple(objects)))

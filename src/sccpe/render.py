@@ -66,9 +66,9 @@ def render_tree(s: SysState) -> str:
     procs: dict[tuple, list] = {}
     for o in s.objects:
         if isinstance(o, StoreObj):
-            stores[o.aid.path] = o.constraint
+            stores[o.aid] = o.constraint
         else:
-            procs.setdefault(o.aid.path, []).append(o.program)
+            procs.setdefault(o.aid, []).append(o.program)
     nodes = {()}  # every agent with an object, and its ancestors
     for path in (*stores, *procs):
         nodes.update(path[i:] for i in range(len(path)))
@@ -135,5 +135,5 @@ def state_to_obj(s: SysState) -> dict:
             kind, payload = "store", o.constraint
         else:
             kind, payload = "process", o.program
-        objects.append({"kind": kind, "aid": list(o.aid.path), "payload": formula_to_obj(payload)})
+        objects.append({"kind": kind, "aid": list(o.aid), "payload": formula_to_obj(payload)})
     return {"objects": objects}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from sccpe import (
     NIL,
+    AgentId,
     Ask,
     Extr,
     Par,
@@ -84,7 +85,7 @@ def oracle_moves(state: SysState, solver):
                 yield normalize(SysState(tuple(new)))
         elif isinstance(p, Space):
             for _ in store_positions(o.aid)[:1]:
-                child = o.aid.child(p.agent)
+                child = AgentId((p.agent,) + o.aid)
                 new = list(objs)
                 new[i] = ProcObj(o.aid, NIL)
                 new.extend([StoreObj(child, TRUE), ProcObj(child, p.body)])
@@ -94,8 +95,8 @@ def oracle_moves(state: SysState, solver):
             new[i] = ProcObj(o.aid, substitute(p.body, p.var, p))
             yield normalize(SysState(tuple(new)))
         elif isinstance(p, Extr):
-            if o.aid.path and o.aid.path[0] == p.agent:
+            if o.aid and o.aid[0] == p.agent:
                 new = list(objs)
                 new[i] = ProcObj(o.aid, NIL)
-                new.append(ProcObj(o.aid.parent, p.body))
+                new.append(ProcObj(AgentId(o.aid[1:]), p.body))
                 yield normalize(SysState(tuple(new)))

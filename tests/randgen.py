@@ -178,7 +178,7 @@ def program(rng: random.Random) -> str:
     for aid in AID_POOL[1:]:
         if rng.random() < 0.5:
             store = printable(lambda: store_formula(rng), format_surface_formula)
-            lines.append("".join(f"{n} . " for n in aid.path) + f"root ; {store} .")
+            lines.append("".join(f"{n} . " for n in aid) + f"root ; {store} .")
     for _ in range(rng.randint(1, 3)):
         lines.append(printable(lambda: process(rng), format_surface_process) + " .")
     return "\n".join(lines + ["end"]) + "\n"

@@ -95,7 +95,7 @@ def shape(t, f):
         return (107, t.var)
     if isinstance(t, (StoreObj, ProcObj)):
         payload = t.constraint if isinstance(t, StoreObj) else t.program
-        return (0 if isinstance(t, StoreObj) else 1, t.aid.path, f(payload))
+        return (0 if isinstance(t, StoreObj) else 1, tuple(t.aid), f(payload))
     if isinstance(t, SysState):
         return (200, tuple(f(o) for o in t.objects))
     raise TypeError(t)

@@ -725,7 +725,7 @@ def test_json_search_is_the_document_of_its_bindings(argv, query, label, mode):
                 "state": index,
                 "witnesses": [
                     {
-                        "aid": list(aid.path),
+                        "aid": list(aid),
                         "store": format_formula(c),
                         "store_term": render.formula_to_obj(c),
                     }
@@ -864,7 +864,7 @@ def test_the_search_writer_prints_the_library_solutions_in_the_stdlib_layout():
                         for sol in doc["solutions"]
                     ]
                     want = [
-                        (i, index) + tuple((aid.path, format_formula(c), c) for aid, c in binding)
+                        (i, index) + tuple((tuple(aid), format_formula(c), c) for aid, c in binding)
                         for i, (_, index, binding) in enumerate(found, start=1)
                     ]
                     assert got == want and outcome.solutions == len(found)

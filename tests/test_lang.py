@@ -114,6 +114,18 @@ def test_parse_comments_and_crlf():
     assert ast.lines == (ProcessLine(Tell(gt(X, 0)), 4, 1),)
 
 
+@pytest.mark.parametrize(
+    "text, where", [("begin tell(true) . -- note", (1, 27)), ("var X Int -- c", (1, 15))]
+)
+def test_end_of_input_is_past_a_trailing_comment(text, where):
+    at = text.index("--")
+    for t in (text, text[:at] + " " * (len(text) - at)):  # as far as the same number of blanks
+        with pytest.raises(ParseError) as exc:
+            parse(t)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.col) == where
+
+
 def test_parse_root_alone_location():
     ast = parse("begin\nroot ; true .\ntell(true) .\nend\n")
     assert ast.lines[0] == AgentDecl((), TRUE, 2, 1)

@@ -83,7 +83,6 @@ SAMPLES = [
     StoreObj(A0, gt(Y, 1)),
     ProcObj(ROOT, Space(0, NIL)),
     STATE,
-    A0,
     RunResult((STATE,), False, 4),
     DLAtom("X", None, -2),
     InconsistentStore(),
@@ -182,10 +181,31 @@ def test_positions_and_deferred_diagnostics_are_compared():
 
 
 def test_hash_is_that_of_the_compared_fields():
-    assert hash(A0) == hash(((0,),))
+    assert hash(StoreEntails(P)) == hash((P,))
     assert hash(DLAtom("X", None, 1)) == hash(("X", None, 1))
     assert hash(InconsistentStore()) == hash(())
     assert InconsistentStore() == InconsistentStore() != StoresEquivalent()
+
+
+@pytest.mark.parametrize(
+    "path, text",
+    [((), "root"), ((0,), "0 . root"), ((2, 0), "2 . 0 . root")],
+    ids=["root", "child", "grandchild"],
+)
+def test_an_agent_is_its_path(path, text):
+    a = AgentId(path)
+    assert type(a) is AgentId and isinstance(a, tuple)
+    assert a == path and path == a and hash(a) == hash(path)
+    assert str(a) == text
+    assert repr(a) == f"AgentId({path!r})" and type(eval(repr(a))) is AgentId and eval(repr(a)) == a
+    assert a.path is a and not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.parent = a
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is AgentId and twin == a and hash(twin) == hash(a)
+    # an object's key and hash hold its agent as the plain path
+    store = StoreObj(a, TRUE)
+    assert store._key == (0, path, TRUE._key) and hash(store) == hash((0, path, TRUE._hash))
 
 
 def test_node_equality_is_key_equality_on_a_corpus():
