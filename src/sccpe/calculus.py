@@ -28,11 +28,14 @@ canonical by construction: each successor's objects are its normalized
 parent's with the rewritten process object removed and at most two new
 objects put in key order (or a store replaced in place), reusing every
 other object and its stored hash and key, so no successor is ever
-re-normalized as a whole.  A successor (and ``normalize``'s result) is
-built by ``_canonical_state``, with the key and hash taken straight from
-its objects' stored ones and the canonical flag set, as
-`formula.canonical` sets it on what it returns; ``SysState(...)`` never
-sets it.  ``normalize`` stays total on raw states built by hand, and
+re-normalized as a whole.  A state's hash is its fingerprint, the sum of
+its objects' stored hashes, which each move updates in O(1) (``_shift``).
+A successor (and ``normalize``'s result) is built by
+``_canonical_state``, with the key taken straight from its objects' stored
+ones, the fingerprint its caller carries as its hash, and the canonical
+flag set, as `formula.canonical` sets it on what it returns;
+``SysState(...)`` computes the same key and hash but never sets the
+flag.  ``normalize`` stays total on raw states built by hand, and
 returns a flagged state as it is.  The rules are local (as in CCP:
 Saraswat, Rinard & Panangaden, POPL 1991), so ``explore`` and ``run`` keep
 one memo of each process object's moves per store, which lasts for their
@@ -46,9 +49,10 @@ build a new one only after a move that adds a store.
 
 ``explore`` is the breadth-first loop over all reachable states, the
 engine of ``search.search``; it builds a successor as a state only when
-it is new, found by an O(1) fingerprint and its object tuple (see
+it is new, found by its fingerprint and its object tuple (see
 ``explore``).  ``run`` follows a single path instead, building only the
-successor of the first move at each step: the calculus has no choice
+successor of the first move at each step, and finds a revisit the same
+way: the calculus has no choice
 operator, stores only grow and distinct transitions rewrite distinct
 objects, so any two distinct successors of a state have a common
 successor (the one-step diamond property).  Then every maximal run from a
@@ -66,8 +70,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Callable
 from operator import attrgetter
-from typing import Callable, Union
 
 from .formula import (
     BOOL_KINDS,
@@ -197,7 +201,7 @@ class ProcVar(_Proc):
     _tag = 107
 
 
-Process = Union[Nil, Tell, Ask, Par, Space, Rec, Extr, ProcVar]
+Process = Nil | Tell | Ask | Par | Space | Rec | Extr | ProcVar
 PROC_KINDS.update((Nil, Tell, Ask, Par, Space, Rec, Extr, ProcVar))
 
 NIL = Nil()
@@ -272,27 +276,41 @@ class ProcObj(Node):
 OBJ_KINDS = Kinds("an object", StoreObj, ProcObj)
 
 
+_obj_hash = attrgetter("_hash")
+
+
 class SysState(Node):
     """A multiset of objects; canonical once normalized (sorted, one store
-    per agent, no nil processes, canonical payloads)."""
+    per agent, no nil processes, canonical payloads).  Its key is a
+    `Node`'s; its stored hash is its fingerprint, the sum of its objects'
+    stored hashes (`_shift`), and as the sum may exceed a machine word,
+    `hash(s)` is the sum's hash."""
 
     objects: tuple
     _tag = 200
     _kids = (("objects", OBJ_KINDS, True),)
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        _put_hash(self, sum(map(_obj_hash, self.objects)))
+
+    def __hash__(self) -> int:
+        return hash(self._hash)
+
 
 _put_objects = SysState._setters[0]
-_obj_hash = attrgetter("_hash")
 
 
-def _canonical_state(objects: tuple) -> SysState:
+def _canonical_state(objects: tuple, fp: int) -> SysState:
     """The flagged SysState of canonical objects already in canonical order
-    (sorted, one store per agent), with the key and hash that
-    `Node.__init__` would compute, taken from the objects' stored ones."""
+    (sorted, one store per agent), with the key that `SysState(objects)`
+    would compute, taken from the objects' stored ones, and as its hash fp,
+    which the caller carries: the objects' fingerprint, the sum of their
+    stored hashes."""
     s = SysState.__new__(SysState)
     _put_objects(s, objects)
     _put_key(s, (200, tuple(map(term_key, objects))))
-    _put_hash(s, hash((200, tuple(map(_obj_hash, objects)))))
+    _put_hash(s, fp)
     _put_canon(s, True)
     return s
 
@@ -330,7 +348,7 @@ def normalize(s: SysState) -> SysState:
     objects = [canonical(o, OBJ_KINDS) for o in stores.values()]
     objects.extend(procs)
     objects.sort(key=term_key)
-    return _canonical_state(tuple(objects))
+    return _canonical_state(tuple(objects), sum(map(_obj_hash, objects)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +465,19 @@ def step(s: SysState, solver: Solver) -> list:
     `_canonical_state`.  No CLI path calls it; the tests and the
     benchmark's tracer do.
     """
-    objs = normalize(s).objects
-    out = {_canonical_state(new) for new, _, _ in _transitions(objs, store_index(objs), solver, {})}
-    return sorted(out, key=term_key)
+    s = normalize(s)
+    objs, fp = s.objects, s._hash
+    moves = _transitions(objs, store_index(objs), solver, {})
+    return sorted({_canonical_state(new, fp + shift) for new, shift, _ in moves}, key=term_key)
 
 
 def _shift(fp: int, out: tuple, into: tuple) -> int:
     """The fingerprint of the state whose objects are those of a state with
     fingerprint fp, less the objects `out`, plus the objects `into`.  A
-    state's fingerprint is the sum of its objects' stored hashes, so it is
-    updated in O(1) per move (Zobrist, 1970); equal states have equal
-    fingerprints, and unequal ones may share one."""
+    state's fingerprint, which is also its stored hash, is the sum of its
+    objects' stored hashes, so it is updated in O(1) per move (Zobrist,
+    1970); equal states have equal fingerprints, and unequal ones may share
+    one."""
     return fp - sum(map(_obj_hash, out)) + sum(map(_obj_hash, into))
 
 
@@ -472,11 +492,13 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     whether the depth bound kept a new state out, whether `visit` stopped
     the search).
 
-    A successor is built as a `SysState` only when it is new.  Each state
-    carries a fingerprint (`_shift`), and each move gives its successor's
+    A successor is built as a `SysState` only when it is new.  A state's
+    hash is its fingerprint (`_shift`), and each move gives its successor's
     fingerprint from its parent's by adding the move's shift, which the
     memo of moves holds with the move, and the successor's object tuple
-    from its parent's (`_transitions`).  A per-call table maps each
+    from its parent's (`_transitions`); a new successor is built with that
+    fingerprint as its hash, and the new successors of a state are sorted
+    when there are two or more.  A per-call table maps each
     fingerprint to the object tuple of the state met with it (a list of
     them, once two states share it), and a successor whose tuple is
     already there is skipped.  Tuples are compared, so two states that
@@ -490,14 +512,13 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     start = normalize(init)
     objs = start.objects
     memo: dict = {}  # the local moves of _transitions, for this call only
-    fp = _shift(0, (), objs)
-    table: dict = {fp: objs}  # fingerprint -> object tuple(s) met, for this call only
-    # (state, discovery number, depth, fingerprint, store index)
-    queue = deque([(start, 0, 0, fp, store_index(objs))])
+    table: dict = {start._hash: objs}  # fingerprint -> object tuple(s) met, for this call only
+    # (state, discovery number, depth, store index)
+    queue = deque([(start, 0, 0, store_index(objs))])
     explored, cut = 1, False
     while queue:
-        state, index, depth, fp, stores = queue.popleft()
-        objs = state.objects
+        state, index, depth, stores = queue.popleft()
+        objs, fp = state.objects, state._hash
         fresh, moved = [], False
         for new, shift, grows in _transitions(objs, stores, solver, memo):
             moved = True
@@ -520,11 +541,12 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
             cut = True
             continue
         succs = [
-            (_canonical_state(new), f, store_index(new) if grows else stores) for new, f, grows in fresh
+            (_canonical_state(new, f), store_index(new) if grows else stores) for new, f, grows in fresh
         ]
-        succs.sort(key=lambda succ: succ[0]._key)
-        for t, f, t_stores in succs:
-            queue.append((t, explored, depth + 1, f, t_stores))
+        if len(succs) > 1:
+            succs.sort(key=lambda succ: succ[0]._key)
+        for t, t_stores in succs:
+            queue.append((t, explored, depth + 1, t_stores))
             explored += 1
     return explored, depth, cut, False
 
@@ -543,7 +565,10 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     taking at each step the first move that `_transitions` yields: the
     first, in `_moves` order, of the first process object in key order that
     has one.  Only its successor is built, as an object tuple, and only a
-    terminal state as a `SysState`.
+    terminal state as a `SysState`.  As in `explore`, each step adds its
+    move's shift to the fingerprint, and a table maps each fingerprint to
+    the object tuples of the path met with it, so tuples are compared only
+    when a fingerprint comes back.
 
     By the diamond property (see the module docstring) every maximal run
     ends in the same state, so a successor-free state on the path is the
@@ -553,19 +578,24 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    objs = normalize(s).objects
+    start = normalize(s)
+    objs, fp = start.objects, start._hash
     stores = store_index(objs)
-    path = {objs}
+    path = {fp: [objs]}  # fingerprint -> the object tuples on the path met with it
+    states = 1
     memo: dict = {}  # the local moves of _transitions, for this call only
     while True:
         move = next(_transitions(objs, stores, solver, memo), None)
         if move is None:
-            return RunResult((_canonical_state(objs),), False, len(path))
-        objs, _, grows = move
+            return RunResult((_canonical_state(objs, fp),), False, states)
+        objs, shift, grows = move
+        fp += shift
         if grows:
             stores = store_index(objs)
-        if objs in path:
-            return RunResult((), False, len(path))
-        if len(path) > max_steps:
-            return RunResult((), True, len(path))
-        path.add(objs)
+        met = path.setdefault(fp, [])
+        if objs in met:
+            return RunResult((), False, states)
+        if states > max_steps:
+            return RunResult((), True, states)
+        met.append(objs)
+        states += 1

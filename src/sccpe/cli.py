@@ -69,7 +69,7 @@ _FLAGS = {
 }
 _REQUIRED = ("--query", "--entails")
 _EXPECTED = {1: "one argument", 2: "2 arguments", "+": "at least one argument"}
-_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option
+_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # a value, not an option (compiled on first use)
 
 
 def _option(arg: str, flags: dict):
@@ -84,7 +84,7 @@ def _option(arg: str, flags: dict):
     hits = [name] if name in flags else [f for f in flags if f.startswith(name) and arg[1] == "-"]
     if len(hits) > 1:
         raise _UsageError(f"ambiguous option: {arg} could match {', '.join(hits)}")
-    if hits or not (_NUMBER.match(arg) or " " in arg):
+    if hits or not (re.match(_NUMBER, arg) or " " in arg):
         return (hits[0] if hits else None), (value if eq else None)
     return None
 

@@ -31,7 +31,8 @@ module provides:
   the difference atom ``x - y <= k`` (`DLAtom`: a bound is a difference
   against 0, a Boolean an integer positive exactly when it holds), and each
   disjunctive choice (a negated conjunction, a Boolean equality, a
-  disequality) to one split (`DLGoal`) expanded only when the solver asks;
+  disequality) to one split of a goal, the plain pair ``(atoms, splits)``,
+  expanded only when the solver asks;
 * a printer for the concrete constraint syntax used in logs
   (``X:Integer === 25 and Y:Integer < 5``).
 
@@ -45,9 +46,9 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 from operator import attrgetter, is_
-from typing import Callable, NamedTuple, Union
 
 
 class Sort(Enum):
@@ -126,9 +127,10 @@ class Node(Record):
     `many` marks a tuple of children.  The other fields are payload.  The
     order key is ``(tag, payload..., child keys...)``, where a tuple of
     children stands as the tuple of their keys; the hash is the hash of the
-    same shape with the children's hashes in place of their keys.  The key
-    determines the fields, so nodes of one class are equal when their keys
-    are.  Its `_canon` flag means "returned by `canonical`" (a state's:
+    same shape with the children's hashes in place of their keys, but for
+    a `calculus.SysState`, whose hash is the sum of its objects' (its
+    fingerprint).  The key determines the fields, so nodes of one class are
+    equal when their keys are.  Its `_canon` flag means "returned by `canonical`" (a state's:
     by `calculus._canonical_state`): no constructor sets it, and a flagged
     node is returned as it is whenever `canonical` meets it again.  A
     chain class (`And`, `calculus.Par`) makes its canonical form from
@@ -312,8 +314,8 @@ class Cmp(_Bool):
         return (self.op,)
 
 
-IntExpr = Union[Var, IntLit]
-Formula = Union[BoolConst, Var, And, BoolEq, BoolNeq, Cmp]
+IntExpr = Var | IntLit
+Formula = BoolConst | Var | And | BoolEq | BoolNeq | Cmp
 
 INT_KINDS.update((Var, IntLit))
 BOOL_KINDS.update((BoolConst, Var, And, BoolEq, BoolNeq, Cmp))
@@ -413,19 +415,13 @@ class DLAtom(Record):
         return f"{x} - {y} <= {self.k}"
 
 
-class DLGoal(NamedTuple):
-    """Atoms and splits, all of which must hold: a split holds when one of
-    its alternative goals does, so a split with no alternative is false.
-    A negated conjunction splits into one alternative per conjunct, a
-    Boolean equality or a disequality into two."""
+def lower(c: Formula, pos: bool = True, sorts: dict | None = None) -> tuple:
+    """c, or not(c) when pos is false, as a goal with the same integer
+    models: the pair (atoms, splits) of lists, all of whose members must
+    hold, where a split is a tuple of alternative goals and holds when one
+    of them does (so a split with no alternative is false).
 
-    atoms: list
-    splits: list
-
-
-def lower(c: Formula, pos: bool = True, sorts: dict | None = None) -> DLGoal:
-    """c, or not(c) when pos is false, as a DLGoal with the same integer
-    models.  Walking with polarity, a conjunctive goal adds its atoms (an
+    Walking with polarity, a conjunctive goal adds its atoms (an
     equality two), and a disjunctive one adds one split: a negated and
     (one alternative per conjunct), a Boolean = (both sides true, then both
     false) or =/= (left true and right false, then the converse), either
@@ -442,31 +438,32 @@ def lower(c: Formula, pos: bool = True, sorts: dict | None = None) -> DLGoal:
 to_dnf = lower
 
 
-def _goal(sorts: dict, *parts) -> DLGoal:
-    goal = DLGoal([], [])
+def _goal(sorts: dict, *parts) -> tuple:
+    goal = [], []
     for f, pos in parts:
         _lower(f, pos, goal, sorts)
     return goal
 
 
-def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
+def _lower(f: Formula, pos: bool, goal: tuple, sorts: dict) -> None:
+    atoms, splits = goal
     if isinstance(f, BoolConst):
         if f.value != pos:
-            goal.splits.append(())
+            splits.append(())
     elif isinstance(f, Var):
         note_sort(f.name, f.sort, sorts)
         if f.sort is not Sort.BOOL:
             raise SortConflict(f"integer variable {f.name} used as a formula")
-        goal.atoms.append(DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0))
+        atoms.append(DLAtom(None, f.name, -1) if pos else DLAtom(f.name, None, 0))
     elif isinstance(f, And):
         if pos:
             for g in f.args:
                 _lower(g, True, goal, sorts)
         else:
-            goal.splits.append(tuple(_goal(sorts, (g, False)) for g in f.args))
+            splits.append(tuple(_goal(sorts, (g, False)) for g in f.args))
     elif isinstance(f, (BoolEq, BoolNeq)):  # the sides agree, or they differ
         same = pos == isinstance(f, BoolEq)
-        goal.splits.append(
+        splits.append(
             (_goal(sorts, (f.left, True), (f.right, same)),
              _goal(sorts, (f.left, False), (f.right, not same)))
         )
@@ -479,7 +476,7 @@ def _lower(f: Formula, pos: bool, goal: DLGoal, sorts: dict) -> None:
 _NEG_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "===": "=/==", "=/==": "==="}
 
 
-def _compare(op: str, left: IntExpr, right: IntExpr, goal: DLGoal, sorts: dict) -> None:
+def _compare(op: str, left: IntExpr, right: IntExpr, goal: tuple, sorts: dict) -> None:
     # left op right, with left = x + a and right = y + b, is x - y op b - a
     (x, a), (y, b) = _operand(left, sorts), _operand(right, sorts)
     k = b - a
@@ -488,7 +485,7 @@ def _compare(op: str, left: IntExpr, right: IntExpr, goal: DLGoal, sorts: dict) 
     if op in (">", ">=", "==="):
         _le(y, x, -k - (op == ">"), goal)
     if op == "=/==":
-        goal.splits.append((_le(x, y, k - 1, DLGoal([], [])), _le(y, x, -k - 1, DLGoal([], []))))
+        goal[1].append((_le(x, y, k - 1, ([], [])), _le(y, x, -k - 1, ([], []))))
 
 
 def _operand(e: IntExpr, sorts: dict) -> tuple:
@@ -503,12 +500,13 @@ def _operand(e: IntExpr, sorts: dict) -> tuple:
     raise TypeError(f"not an integer expression: {e!r}")
 
 
-def _le(x: str | None, y: str | None, k: int, goal: DLGoal) -> DLGoal:
+def _le(x: str | None, y: str | None, k: int, goal: tuple) -> tuple:
     """Add x - y <= k to goal, folded to true or false when x and y coincide."""
+    atoms, splits = goal
     if x != y:
-        goal.atoms.append(DLAtom(x, y, k))
+        atoms.append(DLAtom(x, y, k))
     elif k < 0:
-        goal.splits.append(())
+        splits.append(())
     return goal
 
 

@@ -34,7 +34,6 @@ limit.
 from __future__ import annotations
 
 import sys
-from typing import Optional, Union
 
 from .calculus import (
     PROC_KINDS,
@@ -101,7 +100,7 @@ class ProcessLine(Record):
     col: int
 
 
-Line = Union[AgentDecl, ProcessLine]
+Line = AgentDecl | ProcessLine
 
 
 class ProgramAst(Record):
@@ -223,9 +222,9 @@ class _Parser:
     def __init__(
         self,
         text: str,
-        table: Optional[dict] = None,
+        table: dict | None = None,
         lenient: bool = False,
-        inferred: Optional[dict] = None,
+        inferred: dict | None = None,
     ):
         self.tokens = _lex(text)
         self.pos = 0
@@ -244,11 +243,11 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
+    def at(self, kind: str, value: str | None = None) -> bool:
         tok = self.peek()
         return tok.kind == kind and (value is None or tok.value == value)
 
-    def expect(self, kind: str, value: Optional[str] = None) -> _Token:
+    def expect(self, kind: str, value: str | None = None) -> _Token:
         tok = self.peek()
         if not self.at(kind, value):
             want = value if value is not None else kind
@@ -496,7 +495,7 @@ def parse(text: str) -> ProgramAst:
 
 
 def parse_constraint_text(
-    text: str, table: Optional[dict] = None, inferred: Optional[dict] = None
+    text: str, table: dict | None = None, inferred: dict | None = None
 ) -> Formula:
     """Parse a standalone constraint in the surface syntax.
 

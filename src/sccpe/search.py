@@ -30,8 +30,8 @@ callback of one's own.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations
-from typing import Callable, Optional, Union
 
 from .calculus import SysState, explore, normalize, store_count
 from .formula import Formula, Record, TRUE
@@ -50,7 +50,7 @@ class StoresEquivalent(Record):
     pass
 
 
-Query = Union[InconsistentStore, StoreEntails, StoresEquivalent]
+Query = InconsistentStore | StoreEntails | StoresEquivalent
 
 
 class SearchOutcome(Record):
@@ -96,7 +96,7 @@ def search(
     found: Callable[[SysState, int, tuple], object],
     mode: str = "any",
     max_depth: int = 64,
-    max_solutions: Optional[int] = None,
+    max_solutions: int | None = None,
     solver: Solver | None = None,
 ) -> SearchOutcome:
     """Explore breadth-first from init, testing q on every visited state

@@ -23,10 +23,10 @@ ordered pair ``(c, d)``, read from the entailment verdicts.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable
 
-from .formula import FALSE, And, DLAtom, DLGoal, Formula, lower, note_sort
+from .formula import FALSE, And, DLAtom, Formula, lower, note_sort
 
 
 class Solver:
@@ -79,16 +79,18 @@ def _join(parts) -> tuple:
     for _, part in parts:
         for name, sort in part.items():
             note_sort(name, sort, sorts)
-    atoms = tuple(chain.from_iterable(goal.atoms for goal, _ in parts))
-    return DLGoal(atoms, tuple(chain.from_iterable(goal.splits for goal, _ in parts))), sorts
+    goals = [goal for goal, _ in parts]
+    atoms = tuple(chain.from_iterable(atoms for atoms, _ in goals))
+    return (atoms, tuple(chain.from_iterable(splits for _, splits in goals))), sorts
 
 
-def _frozen(goal: DLGoal) -> DLGoal:
+def _frozen(goal: tuple) -> tuple:
     """goal with tuples for its lists at every level: a cached goal is shared."""
-    return DLGoal(tuple(goal.atoms), tuple(tuple(map(_frozen, split)) for split in goal.splits))
+    atoms, splits = goal
+    return tuple(atoms), tuple(tuple(map(_frozen, split)) for split in splits)
 
 
-def _search(goal: DLGoal) -> bool:
+def _search(goal: tuple) -> bool:
     """Satisfiability of a goal, depth first on an explicit stack: branch only
     on the first split that its atoms' model leaves unsatisfied (Cotton & Maler 2006)."""
     todo = [goal]
@@ -100,18 +102,19 @@ def _search(goal: DLGoal) -> bool:
         for i, split in enumerate(splits):
             if not any(_satisfied_by(alt, model) for alt in split):
                 rest = splits[:i] + splits[i + 1 :]
-                todo.extend(DLGoal(atoms + alt.atoms, rest + alt.splits) for alt in split[::-1])
+                todo.extend((atoms + more, rest + also) for more, also in split[::-1])
                 break
         else:
             return True
     return False
 
 
-def _satisfied_by(goal: DLGoal, model: dict) -> bool:
+def _satisfied_by(goal: tuple, model: dict) -> bool:
     """Whether the model (unlisted variables are 0) satisfies the goal."""
+    atoms, splits = goal
     value = model.get
-    return all(value(a.x, 0) - value(a.y, 0) <= a.k for a in goal.atoms) and all(
-        any(_satisfied_by(alt, model) for alt in split) for split in goal.splits
+    return all(value(a.x, 0) - value(a.y, 0) <= a.k for a in atoms) and all(
+        any(_satisfied_by(alt, model) for alt in split) for split in splits
     )
 
 

@@ -325,6 +325,27 @@ def test_accepted_argument_forms(argv):
     assert out.startswith("{") == ("json" in argv)
 
 
+# argparse's rule for a negative number, which is a value and not an
+# option: "$" also matches before a final newline, and "\d" matches any
+# Unicode decimal digit.
+NUMBER_FORMS = [
+    ("-1", None),
+    ("-1.5", None),
+    ("-.5", None),
+    ("-5\n", None),
+    ("-٣", None),  # ARABIC-INDIC DIGIT THREE
+    ("-1.", (None, None)),
+    ("-1e3", (None, None)),
+    ("--1", (None, None)),
+]
+
+
+@pytest.mark.parametrize("arg, kind", NUMBER_FORMS, ids=[repr(arg) for arg, _ in NUMBER_FORMS])
+def test_a_negative_number_is_a_value(arg, kind):
+    # None is a value; (None, None) an option that names no flag
+    assert cli._option(arg, cli._FLAGS["run"]) == kind
+
+
 def test_help_prints_the_readme_usage_block():
     # the block under "## Command line" in the README, fence to fence
     readme = (PROGRAMS.parent / "README.md").read_text(encoding="utf-8")

@@ -272,7 +272,7 @@ def test_step_builds_each_successor_once(solver, monkeypatch):
     for s in states:
         built.clear()
         with monkeypatch.context() as m:
-            m.setattr(module, "_canonical_state", lambda objs: built.append(objs) or trusted(objs))
+            m.setattr(module, "_canonical_state", lambda *a: built.append(a[0]) or trusted(*a))
             m.setattr(SysState, "__init__", lambda self, *a: checked.append(a) or init(self, *a))
             succs = step(s, solver)
         assert not checked, f"step built a successor of {s} through SysState.__init__"
@@ -300,7 +300,7 @@ def test_explore_builds_each_state_once(name, depth, solver, monkeypatch):
     module = importlib.import_module("sccpe.calculus")
     built, checked = [], []
     trusted, checked_init = module._canonical_state, SysState.__init__
-    monkeypatch.setattr(module, "_canonical_state", lambda objs: built.append(objs) or trusted(objs))
+    monkeypatch.setattr(module, "_canonical_state", lambda *a: built.append(a[0]) or trusted(*a))
     monkeypatch.setattr(SysState, "__init__", lambda s, *a: checked.append(a) or checked_init(s, *a))
     (explored, _, _, _), visits = numbered(init, solver, depth)
     monkeypatch.undo()
@@ -321,17 +321,45 @@ COLLIDING += [("cycle-program", depth) for depth in (0, 1, 2, 3, 4, 8)]
 @pytest.mark.parametrize("name, depth", COLLIDING)
 def test_fingerprint_collisions_never_merge_states(name, depth, solver, monkeypatch):
     """With every state's fingerprint the same, `explore` tells states apart
-    by their objects alone and numbers, cuts and stops as before."""
+    by their objects alone and numbers, cuts and stops as before.  A state's
+    hash is its fingerprint, so the states it visits then all share the
+    initial state's hash, and are compared by their objects."""
     init = EXPLORED[name]()
     result, visits = numbered(init, solver, depth)
     module = importlib.import_module("sccpe.calculus")
     monkeypatch.setattr(module, "_shift", lambda fp, out, into: 0)
-    assert numbered(init, solver, depth) == (result, visits)
+    collided, collided_visits = numbered(init, solver, depth)
+    assert {s._hash for s, _, _ in collided_visits} == {normalize(init)._hash}
+    assert collided == result
+    assert [(s.objects, i, more) for s, i, more in collided_visits] == [
+        (s.objects, i, more) for s, i, more in visits
+    ]
     seen, truncated, _ = reference_bfs(init, solver, depth)
     explored, reached, cut, stopped = result
     assert {s for s, _, _ in visits} == seen
     assert [i for _, i, _ in visits] == list(range(explored)) == list(range(len(seen)))
     assert (reached, cut, stopped) == (reference_depth(init, solver, depth), truncated, False)
+
+
+@pytest.mark.parametrize("name", [*sorted(ACCEPTANCE_SYSTEMS), "knowledge-equiv"])
+def test_a_state_hash_is_its_fingerprint(name, solver):
+    """Every state `explore` visits stores as its hash the sum of its
+    objects' stored hashes, the fingerprint it was found by, and `hash`
+    gives that sum's hash (the sum may exceed a machine word).  Built by
+    hand from its objects in another order and normalized, it is equal and
+    hashes alike."""
+    if name in ACCEPTANCE_SYSTEMS:
+        init = ACCEPTANCE_SYSTEMS[name]()
+    else:
+        from test_output_digests import KNOWLEDGE
+
+        init = elaborate(parse(KNOWLEDGE))
+    _, visits = numbered(init, solver, 64)
+    assert len(visits) > 1
+    for s, _, _ in visits:
+        assert s._hash == sum(o._hash for o in s.objects) and hash(s) == hash(s._hash)
+        again = normalize(SysState(s.objects[::-1]))
+        assert again == s and again._hash == s._hash and hash(again) == hash(s)
 
 
 # Programs whose moves add stores mid-search: spaces whose child store does

@@ -33,7 +33,6 @@ from sccpe.formula import (
     BoolNeq,
     Cmp,
     DLAtom,
-    DLGoal,
     IntLit,
     term_key,
 )
@@ -194,11 +193,11 @@ def test_free_vars_sort_conflict():
 # ---------------------------------------------------------------------------
 # lower (the tests keep the name of the eager lowering they replaced)
 
-TRUE_GOAL, FALSE_GOAL = DLGoal([], []), DLGoal([], [()])
+TRUE_GOAL, FALSE_GOAL = ([], []), ([], [()])
 
 
-def _atoms(*atoms) -> DLGoal:
-    return DLGoal(list(atoms), [])
+def _atoms(*atoms) -> tuple:
+    return list(atoms), []
 
 
 def test_to_dnf_tightens_strict():
@@ -220,13 +219,13 @@ def test_to_dnf_boolean_variables_are_bounds():
 def test_to_dnf_literal_on_the_left():
     assert lower(Cmp("<", IntLit(3), X)) == lower(gt(X, 3)) == _atoms(DLAtom(None, "X", -4))
     # 2 - 3 <= -1 holds and 3 - 2 <= -1 does not
-    assert lower(Cmp("=/==", IntLit(2), IntLit(3))) == DLGoal([], [(TRUE_GOAL, FALSE_GOAL)])
+    assert lower(Cmp("=/==", IntLit(2), IntLit(3))) == ([], [(TRUE_GOAL, FALSE_GOAL)])
     assert lower(Cmp("===", IntLit(2), IntLit(3))) == FALSE_GOAL
 
 
 def test_lower_of_a_short_and():
     assert lower(And((P,))) == lower(P)
-    assert lower(And((P,)), False) == DLGoal([], [(lower(P, False),)])
+    assert lower(And((P,)), False) == ([], [(lower(P, False),)])
     assert lower(And(())) == TRUE_GOAL
     assert lower(And(()), False) == FALSE_GOAL
 
@@ -251,29 +250,29 @@ def test_to_dnf_equality_splits_bounds():
     assert got == _atoms(DLAtom(None, "Z", -10), DLAtom("Z", None, 9), DLAtom(None, "Z", -9))
     # brute force over Z in [0, 20] agrees this is unsatisfiable
     assert not any(z >= 10 and z == 9 for z in range(21))
-    assert all(not all(literal_holds(a, {"Z": z}) for a in got.atoms) for z in range(21))
+    assert all(not all(literal_holds(a, {"Z": z}) for a in got[0]) for z in range(21))
 
 
 def test_to_dnf_disequality_two_disjuncts():
-    assert lower(ne_(X, Y)) == DLGoal(
+    assert lower(ne_(X, Y)) == (
         [], [(_atoms(DLAtom("X", "Y", -1)), _atoms(DLAtom("Y", "X", -1)))]
     )
     # left < right comes first, whichever side the literal is on
-    assert lower(ne_(X, 3)).splits == [(_atoms(DLAtom("X", None, 2)), _atoms(DLAtom(None, "X", -4)))]
-    assert lower(Cmp("=/==", IntLit(3), X)).splits == [
+    assert lower(ne_(X, 3))[1] == [(_atoms(DLAtom("X", None, 2)), _atoms(DLAtom(None, "X", -4)))]
+    assert lower(Cmp("=/==", IntLit(3), X))[1] == [
         (_atoms(DLAtom(None, "X", -4)), _atoms(DLAtom("X", None, 2)))
     ]
 
 
 def test_lower_keeps_each_disjunction_one_split():
     # 2^12 conjuncts once expanded; lowered, 12 splits of two single atoms
-    goal = lower(And(tuple(ne_(X, k) for k in range(12))))
-    assert goal.atoms == []
-    assert len(goal.splits) == 12
-    assert all(len(split) == 2 and all(len(alt.atoms) == 1 for alt in split) for split in goal.splits)
+    atoms, splits = lower(And(tuple(ne_(X, k) for k in range(12))))
+    assert atoms == []
+    assert len(splits) == 12
+    assert all(len(split) == 2 and all(len(alt[0]) == 1 for alt in split) for split in splits)
     # only the disjunctive polarity splits: P and Q is two atoms, its negation one split
     assert lower(And((P, Q))) == _atoms(DLAtom(None, "P", -1), DLAtom(None, "Q", -1))
-    assert lower(And((P, Q)), False) == DLGoal(
+    assert lower(And((P, Q)), False) == (
         [], [(_atoms(DLAtom("P", None, 0)), _atoms(DLAtom("Q", None, 0)))]
     )
 
@@ -283,13 +282,13 @@ def test_lower_splits_a_boolean_equality_two_ways():
     not_p, not_q = DLAtom("P", None, 0), DLAtom("Q", None, 0)
     # ===: both sides true, then both false; =/==: left true and right
     # false, then the converse; a negated equality has the other's split
-    same = DLGoal([], [(_atoms(p, q), _atoms(not_p, not_q))])
-    mixed = DLGoal([], [(_atoms(p, not_q), _atoms(not_p, q))])
+    same = ([], [(_atoms(p, q), _atoms(not_p, not_q))])
+    mixed = ([], [(_atoms(p, not_q), _atoms(not_p, q))])
     assert lower(BoolEq(P, Q)) == lower(BoolNeq(P, Q), False) == same
     assert lower(BoolNeq(P, Q)) == lower(BoolEq(P, Q), False) == mixed
     # compound sides are lowered inside each alternative, with its polarity
-    assert lower(BoolNeq(And((P, Q)), TRUE)) == DLGoal(
-        [], [(DLGoal([p, q], [()]), DLGoal([], [(_atoms(not_p), _atoms(not_q))]))]
+    assert lower(BoolNeq(And((P, Q)), TRUE)) == (
+        [], [(([p, q], [()]), ([], [(_atoms(not_p), _atoms(not_q))]))]
     )
 
 
@@ -362,8 +361,9 @@ def test_canonical_form_refuses_a_node_of_the_wrong_kind_by_its_name():
 
 
 def _goal_true(goal, env):
-    return all(literal_holds(a, env) for a in goal.atoms) and all(
-        any(_goal_true(alt, env) for alt in split) for split in goal.splits
+    atoms, splits = goal
+    return all(literal_holds(a, env) for a in atoms) and all(
+        any(_goal_true(alt, env) for alt in split) for split in splits
     )
 
 
