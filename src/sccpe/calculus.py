@@ -23,36 +23,35 @@ children, stopping at a nested ``r(j, ...)``.
 
 ``_transitions`` enumerates the moves of a state, one per rule applied at
 one position, and builds each one's successor as an object tuple as it
-yields it; ``run``, ``explore`` and ``step`` share it.  States are
-canonical by construction: each successor's objects are its normalized
-parent's with the rewritten process object removed and at most two new
-objects put in key order (or a store replaced in place), reusing every
-other object and its stored hash and key, so no successor is ever
-re-normalized as a whole.  A state's hash is its fingerprint, the sum of
-its objects' stored hashes, which each move updates in O(1) (``_shift``).
-A successor (and ``normalize``'s result) is built by
-``_canonical_state``, with the key taken straight from its objects' stored
-ones, the fingerprint its caller carries as its hash, and the canonical
-flag set, as `formula.canonical` sets it on what it returns;
-``SysState(...)`` computes the same key and hash but never sets the
-flag.  ``normalize`` stays total on raw states built by hand, and
-returns a flagged state as it is.  The rules are local (as in CCP:
-Saraswat, Rinard & Panangaden, POPL 1991), so ``explore`` and ``run`` keep
-one memo of each process object's moves per store, which lasts for their
-call.  A canonical state's store objects are the key-ordered prefix of its
-objects (a store's key starts ``(0, path)``, a process's ``(1, path)``),
-so ``store_count`` finds them by bisection and ``_transitions`` walks only
-the process objects.  ``store_index`` maps each agent path to its store's
-position; a move that adds no store keeps every store where it was, so
-``explore`` and ``run`` pass each state's index on to its successors and
-build a new one only after a move that adds a store.
+yields it; ``explore`` and ``step`` share it.  States are canonical by
+construction: each successor's objects are its normalized parent's with
+the rewritten process object removed and at most two new objects put in
+key order (or a store replaced in place), reusing every other object and
+its stored hash and key, so no successor is ever re-normalized as a whole.
+A state's hash is its fingerprint, the sum of its objects' stored hashes,
+which each move updates in O(1) (``_shift``).  A successor (and
+``normalize``'s result) is built by ``_canonical_state``, with the key
+taken straight from its objects' stored ones, the fingerprint its caller
+carries as its hash, and the canonical flag set, as `formula.canonical`
+sets it on what it returns; ``SysState(...)`` computes the same key and
+hash but never sets the flag.  ``normalize`` stays total on raw states
+built by hand, and returns a flagged state as it is.  The rules are local
+(as in CCP: Saraswat, Rinard & Panangaden, POPL 1991), so ``explore``
+keeps one memo of each process object's moves per store, which lasts for
+its call.  A canonical state's store objects are the key-ordered prefix of
+its objects (a store's key starts ``(0, path)``, a process's
+``(1, path)``), so ``store_count`` finds them by bisection and
+``_transitions`` walks only the process objects.  ``store_index`` maps each agent path to
+its store's position; a move that adds no store keeps every store where it
+was, so ``explore`` passes each state's index on to its successors and
+builds a new one only after a move that adds a store.
 
-``explore`` is the breadth-first loop over all reachable states, the
-engine of ``search.search``; it builds a successor as a state only when
-it is new, found by its fingerprint and its object tuple (see
-``explore``).  ``run`` follows a single path instead, building only the
-successor of the first move at each step, and finds a revisit the same
-way: the calculus has no choice
+``explore`` is the one loop over states: breadth-first over all
+reachable states, the engine of ``search.search``, it builds a successor
+as a state only when it is new, found by its fingerprint and its object
+tuple (see ``explore``).  ``run`` is ``explore`` on each state's first
+move: it follows a single path, building only the successor of the first
+move at each step.  One path is enough, as the calculus has no choice
 operator, stores only grow and distinct transitions rewrite distinct
 objects, so any two distinct successors of a state have a common
 successor (the one-step diamond property).  Then every maximal run from a
@@ -71,6 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Callable
+from itertools import islice
 from operator import attrgetter
 
 from .formula import (
@@ -481,16 +481,20 @@ def _shift(fp: int, out: tuple, into: tuple) -> int:
     return fp - sum(map(_obj_hash, out)) + sum(map(_obj_hash, into))
 
 
-def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> tuple:
+def explore(
+    init: SysState, solver: Solver, max_depth: int, visit: Callable, *, first_move: bool = False
+) -> tuple:
     """Breadth-first search of every state reachable from normalize(init)
-    within max_depth steps.
+    within max_depth steps, or with first_move of the one path that takes
+    at each state only the first move `_transitions` yields.
 
     States are numbered in discovery order (init is 0, the new successors
     of a state come in key order), and `visit(state, index, has_successor)`
     is called on each in that order before its successors are queued; a
-    true return stops there.  Returns (states explored, depth reached,
-    whether the depth bound kept a new state out, whether `visit` stopped
-    the search).
+    true return stops there.  `has_successor` says whether the state has a
+    move, even one to a state met before.  Returns (states explored, depth
+    reached, whether the depth bound kept a new state out, whether `visit`
+    stopped the search).
 
     A successor is built as a `SysState` only when it is new.  A state's
     hash is its fingerprint (`_shift`), and each move gives its successor's
@@ -498,11 +502,10 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     memo of moves holds with the move, and the successor's object tuple
     from its parent's (`_transitions`); a new successor is built with that
     fingerprint as its hash, and the new successors of a state are sorted
-    when there are two or more.  A per-call table maps each
-    fingerprint to the object tuple of the state met with it (a list of
-    them, once two states share it), and a successor whose tuple is
-    already there is skipped.  Tuples are compared, so two states that
-    share a fingerprint are never merged.  Each state also carries its
+    when there are two or more.  A per-call table maps each fingerprint to
+    the object tuples of the states met with it, and a successor whose
+    tuple is already there is skipped.  Tuples are compared, so two states
+    that share a fingerprint are never merged.  Each state also carries its
     store index (`store_index`): a successor takes its parent's, unless
     its move added a store.  The new successors of a state at the depth
     bound are never built.
@@ -512,7 +515,7 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
     start = normalize(init)
     objs = start.objects
     memo: dict = {}  # the local moves of _transitions, for this call only
-    table: dict = {start._hash: objs}  # fingerprint -> object tuple(s) met, for this call only
+    table = {start._hash: [objs]}  # fingerprint -> the object tuples met with it, for this call only
     # (state, discovery number, depth, store index)
     queue = deque([(start, 0, 0, store_index(objs))])
     explored, cut = 1, False
@@ -520,20 +523,14 @@ def explore(init: SysState, solver: Solver, max_depth: int, visit: Callable) -> 
         state, index, depth, stores = queue.popleft()
         objs, fp = state.objects, state._hash
         fresh, moved = [], False
-        for new, shift, grows in _transitions(objs, stores, solver, memo):
+        moves = _transitions(objs, stores, solver, memo)
+        for new, shift, grows in islice(moves, 1) if first_move else moves:
             moved = True
             f = fp + shift
-            met = table.get(f)
-            if met is None:
-                table[f] = new
-            elif type(met) is tuple:
-                if met == new:
-                    continue
-                table[f] = [met, new]
-            elif new in met:
+            met = table.setdefault(f, [])
+            if new in met:
                 continue
-            else:
-                met.append(new)
+            met.append(new)
             fresh.append((new, f, grows))
         if visit(state, index, moved):
             return explored, depth, cut, True
@@ -562,13 +559,11 @@ class RunResult(Record):
 
 def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     """Follow one path from normalize(s) for at most max_steps steps,
-    taking at each step the first move that `_transitions` yields: the
+    taking at each state the first move that `_transitions` yields: the
     first, in `_moves` order, of the first process object in key order that
-    has one.  Only its successor is built, as an object tuple, and only a
-    terminal state as a `SysState`.  As in `explore`, each step adds its
-    move's shift to the fingerprint, and a table maps each fingerprint to
-    the object tuples of the path met with it, so tuples are compared only
-    when a fingerprint comes back.
+    has one.  It is `explore` with `first_move`, which builds only that
+    move's successor and finds a state met before on the path by its
+    fingerprint and its objects, as it finds any revisit.
 
     By the diamond property (see the module docstring) every maximal run
     ends in the same state, so a successor-free state on the path is the
@@ -578,24 +573,11 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    start = normalize(s)
-    objs, fp = start.objects, start._hash
-    stores = store_index(objs)
-    path = {fp: [objs]}  # fingerprint -> the object tuples on the path met with it
-    states = 1
-    memo: dict = {}  # the local moves of _transitions, for this call only
-    while True:
-        move = next(_transitions(objs, stores, solver, memo), None)
-        if move is None:
-            return RunResult((_canonical_state(objs, fp),), False, states)
-        objs, shift, grows = move
-        fp += shift
-        if grows:
-            stores = store_index(objs)
-        met = path.setdefault(fp, [])
-        if objs in met:
-            return RunResult((), False, states)
-        if states > max_steps:
-            return RunResult((), True, states)
-        met.append(objs)
-        states += 1
+    terminal = []
+
+    def keep_terminal(state: SysState, index: int, has_successor: bool) -> None:
+        if not has_successor:
+            terminal.append(state)
+
+    explored, _, cut, _ = explore(s, solver, max_steps, keep_terminal, first_move=True)
+    return RunResult(tuple(terminal), cut, explored)

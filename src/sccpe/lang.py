@@ -151,30 +151,24 @@ def _lex(text: str) -> list:
     """The tokens of text.  The grammar is ASCII: an integer is [0-9]+ and a
     word [A-Za-z][A-Za-z0-9]*, and any other character is unexpected."""
     tokens = []
-    line, col, i = 1, 1, 0
+    line, start, i = 1, 0, 0  # start: the index just past the last line feed
     n = len(text)
 
     def error(msg: str):
         raise ParseError([Diagnostic("error", line, col, msg)])
 
     while i < n:
-        ch = text[i]
+        ch, col = text[i], i - start + 1
         if ch == "\n":
             i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
+            line, start = line + 1, i
+        elif ch in " \t\r":
             i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and ch.isalpha():
+        elif text.startswith("--", i):
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
+        elif ch.isascii() and ch.isalpha():
             j = i
             while j < n and text[j].isascii() and text[j].isalnum():
                 j += 1
@@ -185,26 +179,22 @@ def _lex(text: str) -> list:
                 tokens.append(_Token("id", word, line, col))
             else:
                 error(f"unexpected word {word!r} (identifiers are uppercase, like X or B0)")
-            col += j - i
             i = j
-            continue
-        if ch.isascii() and ch.isdigit():
+        elif ch.isascii() and ch.isdigit():
             j = i
             while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
             i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
         else:
-            error(f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", line, col))
+            for sym in _SYMBOLS:
+                if text.startswith(sym, i):
+                    tokens.append(_Token("sym", sym, line, col))
+                    i += len(sym)
+                    break
+            else:
+                error(f"unexpected character {ch!r}")
+    tokens.append(_Token("eof", "", line, n - start + 1))
     return tokens
 
 

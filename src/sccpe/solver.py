@@ -122,16 +122,12 @@ def dl_conjunct_sat(atoms: Iterable[DLAtom]) -> dict | None:
     """An integer model of a conjunction of difference atoms, or None.
 
     One edge y -> x of weight k per atom x - y <= k; None is the zero vertex
-    that bounds and Boolean (0/1) vertices hang off.  Two opposite edges of
-    negative sum (P and not P) are a negative cycle found at once; otherwise
-    Bellman-Ford from an implicit all-zero source finds one as a relaxation
-    that still fires after |V|-1 rounds.  Complete for difference logic.
-    The model is each vertex's distance less the zero vertex's.
+    that bounds and Boolean (0/1) vertices hang off.  Bellman-Ford from an
+    implicit all-zero source finds a negative cycle as a relaxation that
+    still fires after |V|-1 rounds.  Complete for difference logic.  The
+    model is each vertex's distance less the zero vertex's.
     """
     edges = [(a.y, a.x, a.k) for a in atoms]
-    weight = {(u, v): w for u, v, w in edges}
-    if any((v, u) in weight and w + weight[v, u] < 0 for (u, v), w in weight.items()):
-        return None
     dist = {None: 0}  # the zero vertex, counted in the rounds even when unused
     for u, v, _ in edges:
         dist[u] = dist[v] = 0

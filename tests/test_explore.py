@@ -31,6 +31,7 @@ from sccpe import (
     NIL,
     Par,
     ProcObj,
+    RunResult,
     Solver,
     StoreEntails,
     StoreObj,
@@ -75,18 +76,26 @@ def reference_depth(init, solver, max_depth):
     return far
 
 
-def reference_path_length(init, solver, max_steps):
-    """Number of states on the path that takes the first move at each step
-    (at the first process object that has one, splitting a parallel
-    composition at its first argument), up to a successor-free or repeated
-    state or max_steps steps."""
-    path = [normalize(init)]
-    while len(path) <= max_steps:
+def reference_path(init, solver, max_steps):
+    """The path that takes the first move at each step (at the first process
+    object that has one, splitting a parallel composition at its first
+    argument), up to a successor-free or repeated state or max_steps steps:
+    its states as (state, index, has_successor), and whether it was still
+    going after max_steps steps."""
+    path, visits = [normalize(init)], []
+    while True:
         nxt = next(oracle_moves(path[-1], solver), None)
+        visits.append((path[-1], len(path) - 1, nxt is not None))
         if nxt is None or nxt in path:
-            break
+            return visits, False
+        if len(path) > max_steps:
+            return visits, True
         path.append(nxt)
-    return len(path)
+
+
+def reference_path_length(init, solver, max_steps):
+    """Number of states on `reference_path`."""
+    return len(reference_path(init, solver, max_steps)[0])
 
 
 def successors(s, solver, memo):
@@ -400,6 +409,41 @@ def test_the_carried_store_index_agrees_with_the_oracle(program, solver):
     _, _, terminal = reference_bfs(init, solver, 64)
     result = run(init, solver)
     assert (result.terminal_states, result.truncated) == (tuple(terminal), False)
+
+
+# Programs whose first-move path ends, meets itself again or grows without end.
+FIRST_MOVE_PATHS = {
+    **EXPLORED,
+    "interleaved": lambda: elaborate(parse(INTERLEAVED)),
+    "nesting": lambda: elaborate(parse(NESTING)),
+    "nested-and-extruded": lambda: elaborate(parse(GROWING[0])),
+    "shifted-sibling": lambda: elaborate(parse(GROWING[1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_MOVE_PATHS))
+@pytest.mark.parametrize("bound", [0, 1, 5, 64])
+def test_explore_on_first_moves_follows_the_oracles_path(name, bound, solver):
+    """With `first_move`, `explore` visits the oracle's first-move path state
+    for state, with its discovery numbers and `has_successor` flags, and is
+    cut exactly when the path is still going at the bound; `run` reports
+    that path."""
+    init = FIRST_MOVE_PATHS[name]()
+    path, going = reference_path(init, solver, bound)
+    visits = []
+    result = explore(init, solver, bound, lambda *args: visits.append(args), first_move=True)
+    assert visits == path
+    assert result == (len(path), len(path) - 1, going, False)
+    terminal = tuple(s for s, _, more in path if not more)
+    assert run(init, solver, max_steps=bound) == RunResult(terminal, going, len(path))
+
+
+def test_a_negative_bound_is_refused_by_its_name(solver):
+    init = base_system()
+    with pytest.raises(ValueError, match=r"^max_steps must be >= 0, got -1$"):
+        run(init, solver, -1)
+    with pytest.raises(ValueError, match=r"^max_depth must be >= 0, got -1$"):
+        explore(init, solver, -1, lambda *args: False, first_move=True)
 
 
 class Interrupted(Exception):

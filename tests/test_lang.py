@@ -27,7 +27,7 @@ from sccpe import (
     run,
     validate,
 )
-from sccpe.lang import MAX_NESTING, AgentDecl, ProcessLine, parse_constraint_text
+from sccpe.lang import MAX_NESTING, AgentDecl, ProcessLine, _lex, parse_constraint_text
 from sccpe.formula import And, BoolNeq, Sort
 
 W, X, Y, Z = (intvar(n) for n in "WXYZ")
@@ -124,6 +124,39 @@ def test_end_of_input_is_past_a_trailing_comment(text, where):
             parse(t)
         (diag,) = exc.value.diagnostics
         assert (diag.line, diag.col) == where
+
+
+# Where the lexer puts each token, as (kind, value, line, column), or the
+# error it stops at, as (line, column): a tab and a carriage return take one
+# column each, a line feed starts the next line, and a comment, whatever it
+# holds, runs to one or to the end of input.
+LEXED = [
+    ("", [("eof", "", 1, 1)]),
+    ("\n\n   ", [("eof", "", 3, 4)]),
+    ("\tX\t>= 12\n", [("id", "X", 1, 2), ("sym", ">=", 1, 4), ("int", "12", 1, 7), ("eof", "", 2, 1)]),
+    ("X\r\n =/= Y\r\n", [("id", "X", 1, 1), ("sym", "=/=", 2, 2), ("id", "Y", 2, 6), ("eof", "", 3, 1)]),
+    ("X -- note", [("id", "X", 1, 1), ("eof", "", 1, 10)]),
+    ("X --c\n", [("id", "X", 1, 1), ("eof", "", 2, 1)]),
+    (
+        "AB12 345 ->||",
+        [("id", "AB12", 1, 1), ("int", "345", 1, 6), ("sym", "->", 1, 10), ("sym", "||", 1, 12), ("eof", "", 1, 14)],
+    ),
+    ("X\r@", (1, 3)),
+    ("-- ä ?\n  ä", (2, 3)),
+    ("X -- c ?\r\n\tY ?", (2, 4)),
+    ("begin\ttell(y)", (1, 12)),
+    ("tell(X) -- ok\n\t\tX ~", (2, 5)),
+]
+
+
+@pytest.mark.parametrize("text, where", LEXED)
+def test_the_lexer_columns(text, where):
+    try:
+        tokens = [(t.kind, t.value, t.line, t.col) for t in _lex(text)]
+    except ParseError as exc:
+        (diag,) = exc.diagnostics
+        tokens = (diag.line, diag.col)
+    assert tokens == where
 
 
 def test_parse_root_alone_location():
