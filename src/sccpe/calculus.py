@@ -37,14 +37,15 @@ sets it on what it returns; ``SysState(...)`` computes the same key and
 hash but never sets the flag.  ``normalize`` stays total on raw states
 built by hand, and returns a flagged state as it is.  The rules are local
 (as in CCP: Saraswat, Rinard & Panangaden, POPL 1991), so ``explore``
-keeps one memo of each process object's moves per store, which lasts for
-its call.  A canonical state's store objects are the key-ordered prefix of
-its objects (a store's key starts ``(0, path)``, a process's
-``(1, path)``), so ``store_count`` finds them by bisection and
-``_transitions`` walks only the process objects.  ``store_index`` maps each agent path to
-its store's position; a move that adds no store keeps every store where it
-was, so ``explore`` passes each state's index on to its successors and
-builds a new one only after a move that adds a store.
+keeps one memo of each process object's whole moves per store (``_moves``
+makes each entry), which lasts for its call.  A canonical state's store
+objects are the key-ordered prefix of its objects (a store's key starts
+``(0, path)``, a process's ``(1, path)``), so ``store_count`` finds them
+by bisection and ``_transitions`` walks only the process objects.
+``store_index`` maps each agent path to its store's position; a move that
+adds no store keeps every store where it was, so ``explore`` passes each
+state's index on to its successors and builds a new one only after a move
+that adds a store.
 
 ``explore`` is the one loop over states: breadth-first over all
 reachable states, the engine of ``search.search``, it builds a successor
@@ -355,21 +356,24 @@ def normalize(s: SysState) -> SysState:
 # Observable transitions
 
 
-def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
+def _moves(o: ProcObj, store: StoreObj | None, has_child: bool, solver: Solver) -> tuple:
     """The local rewrites of the process object o, whose agent's store is
-    `current` (None when the agent has no store) and, for a space, whose
+    `store` (None when the agent has no store) and, for a space, whose
     child's store exists iff has_child.
 
-    Each move is (replacement store, ()) for a tell, or (None, objects
-    added in place of o) with nil processes left out.
+    Each move is whole: (the store that replaces `store`, or None; the
+    objects added in place of o, nil processes left out; the fingerprint
+    shift, `_shift(0, out, into)`; whether it adds a store).  A tell
+    replaces the store and adds nothing; every other rule adds objects.
     """
     p = o.program
     if isinstance(p, Tell):
-        if current is None:
+        if store is None:
             return ()
-        return ((StoreObj(o.aid, canonicalize(conjoin(current, p.constraint))), ()),)
+        told = StoreObj(o.aid, canonicalize(conjoin(store.constraint, p.constraint)))
+        return ((told, (), _shift(0, (o, store), (told,)), False),)
     if isinstance(p, Ask):
-        if current is None or not solver.entails(current, p.guard):
+        if store is None or not solver.entails(store.constraint, p.guard):
             return ()
         added = [(ProcObj(o.aid, p.then),)]
     elif isinstance(p, Par):
@@ -383,7 +387,7 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
             sibling = rest[0] if len(rest) == 1 else Par(rest)
             added.append((ProcObj(o.aid, args[k]), ProcObj(o.aid, sibling)))
     elif isinstance(p, Space):
-        if current is None:
+        if store is None:
             return ()
         child = AgentId((p.agent,) + o.aid)
         body = ProcObj(child, p.body)  # merging a true store would change nothing
@@ -394,10 +398,8 @@ def _moves(o: ProcObj, current, has_child: bool, solver: Solver) -> tuple:
         added = [(ProcObj(AgentId(o.aid[1:]), p.body),)]
     else:
         return ()
-    return tuple(
-        (None, tuple(a for a in objs if isinstance(a, StoreObj) or not isinstance(a.program, Nil)))
-        for objs in added
-    )
+    kept = (tuple(a for a in objs if type(a) is StoreObj or type(a.program) is not Nil) for objs in added)
+    return tuple((None, objs, _shift(0, (o,), objs), StoreObj in map(type, objs)) for objs in kept)
 
 
 def store_index(objs: tuple) -> dict:
@@ -420,9 +422,10 @@ def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
 
     A rule's result depends only on the process object, its agent's store
     (or its absence) and, for a space, whether the child's store exists;
-    never on the rest of the state.  `memo` maps that triple to the
-    object's moves, so a caller that passes one dict to many calls rewrites
-    each process in each store once.  Only the process objects, which
+    never on the rest of the state.  `memo` maps that triple, with the
+    store object or None, to the object's whole moves as `_moves` makes
+    them, so a caller that passes one dict to many calls rewrites each
+    process in each store once.  Only the process objects, which
     follow the stores, are walked; of two equal ones (adjacent, since the
     objects are sorted) only the first is rewritten: the second would give
     the same moves.
@@ -435,18 +438,10 @@ def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
         prev = o
         aid, p = o.aid, o.program
         j = stores.get(aid)
-        current = None if j is None else objs[j].constraint
-        key = (o, current, type(p) is Space and (p.agent,) + aid in stores)
+        key = (o, None if j is None else objs[j], type(p) is Space and (p.agent,) + aid in stores)
         moves = memo.get(key)
         if moves is None:
-            # a tell replaces the store StoreObj(o.aid, current), so each
-            # move's fingerprint shift too depends on the key alone
-            moves = memo[key] = tuple(
-                (store, added, _shift(0, (o,), added), StoreObj in map(type, added))
-                if store is None
-                else (store, added, _shift(0, (o, objs[j]), (store,)), False)
-                for store, added in _moves(o, current, key[2], solver)
-            )
+            moves = memo[key] = _moves(*key, solver)
         for store, added, shift, grows in moves:
             new = list(objs)
             if store is not None:

@@ -348,7 +348,8 @@ def main(argv=None) -> int:
     except _InputError:
         return EXIT_USAGE
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the flush at exit stays silent
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), 1)  # so the flush at exit stays silent
+        os.close(devnull)
         return EXIT_PIPE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=err)

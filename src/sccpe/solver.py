@@ -14,11 +14,13 @@ installed.
 
 ``Solver.entails(c, d)`` is unsatisfiability of ``c and (d =/== true)``,
 with d lowered at negative polarity, so that no negation is built.  A
-session holds three tables: one lowering per ``(formula, polarity)``, a
-conjunction's joined from its conjuncts' (so a grown store lowers only its
-new conjunct), one verdict per ``(c, d)``, searched on c's lowering
-joined to d's negated one, and one verdict of ``Solver.equivalent`` per
-ordered pair ``(c, d)``, read from the entailment verdicts.
+session holds three tables and one sort map: one lowering per ``(formula,
+polarity)``, a conjunction's joined from its conjuncts' (so a grown store
+lowers only its new conjunct), one verdict per ``(c, d)``, searched on c's
+lowering joined to d's negated one, one verdict of ``Solver.equivalent``
+per ordered pair ``(c, d)``, read from the entailment verdicts, and the
+one sort of each name lowered (a formula using it at the other raises
+`SortConflict`).
 """
 
 from __future__ import annotations
@@ -26,15 +28,17 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from .formula import FALSE, And, DLAtom, Formula, lower, note_sort
+from .formula import FALSE, And, DLAtom, Formula, lower
 
 
 class Solver:
-    """A solving session: the lowering and verdict tables of one analysis.
-    Not thread-safe: concurrent explorations should each use their own."""
+    """A solving session: the lowering and verdict tables of one analysis,
+    and the one sort of each name they use.  Not thread-safe: concurrent
+    explorations should each use their own."""
 
     def __init__(self):
-        self._lowered: dict[tuple, tuple] = {}  # (f, polarity) -> (goal, name -> sort)
+        self._lowered: dict[tuple, tuple] = {}  # (f, polarity) -> goal
+        self._sorts: dict = {}  # name -> sort, over every formula lowered
         self._entailed: dict[tuple, bool] = {}  # (c, d) -> entails(c, d)
         self._equivalent: dict[tuple, bool] = {}  # (c, d) -> equivalent(c, d)
 
@@ -44,7 +48,7 @@ class Solver:
     def entails(self, c: Formula, d: Formula) -> bool:
         verdict = self._entailed.get((c, d))
         if verdict is None:
-            goal, _ = _join((self._lower(c, True), self._lower(d, False)))
+            goal = _join((self._lower(c, True), self._lower(d, False)))
             verdict = self._entailed[c, d] = not _search(goal)
         return verdict
 
@@ -57,31 +61,27 @@ class Solver:
         return verdict
 
     def _lower(self, f: Formula, pos: bool) -> tuple:
-        """f (not(f) when pos is false) lowered, with its sort map."""
-        lowered = self._lowered.get((f, pos))
-        if lowered is None:
+        """f (not(f) when pos is false) lowered into the session's sort map,
+        which takes f's names only when the whole lowering succeeds."""
+        goal = self._lowered.get((f, pos))
+        if goal is None:
             if pos and type(f) is And:
-                lowered = _join([self._lower(g, True) for g in f.args])
+                goal = _join([self._lower(g, True) for g in f.args])
             else:
-                lowered = _frozen(lower(f, pos, sorts := {})), sorts
-            self._lowered[f, pos] = lowered
-        return lowered
+                goal = _frozen(lower(f, pos, sorts := dict(self._sorts)))
+                self._sorts = sorts
+            self._lowered[f, pos] = goal
+        return goal
 
 
 # ---------------------------------------------------------------------------
 # Internal procedure
 
 
-def _join(parts) -> tuple:
-    """The conjunction of lowered parts: their atoms and splits concatenated,
-    their sort maps merged (SortConflict on a name they use at two sorts)."""
-    sorts: dict = {}
-    for _, part in parts:
-        for name, sort in part.items():
-            note_sort(name, sort, sorts)
-    goals = [goal for goal, _ in parts]
+def _join(goals) -> tuple:
+    """The conjunction of goals: their atoms and their splits concatenated."""
     atoms = tuple(chain.from_iterable(atoms for atoms, _ in goals))
-    return (atoms, tuple(chain.from_iterable(splits for _, splits in goals))), sorts
+    return atoms, tuple(chain.from_iterable(splits for _, splits in goals))
 
 
 def _frozen(goal: tuple) -> tuple:

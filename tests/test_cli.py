@@ -837,9 +837,10 @@ def test_a_reader_gone_at_the_first_solution_stops_the_search(fmt, monkeypatch):
     )
     # the CLI points file descriptor 1 at the null device; record that
     # instead, so that this process keeps its own standard output
-    silenced = []
+    silenced, closed = [], []
     monkeypatch.setattr(cli.os, "open", lambda *args: -1)
     monkeypatch.setattr(cli.os, "dup2", lambda fd, fd2: silenced.append((fd, fd2)))
+    monkeypatch.setattr(cli.os, "close", closed.append)
     out, err = _GoneAtFirstSolution(), io.StringIO()
     stdin = io.TextIOWrapper(io.BytesIO(KNOWLEDGE.encode()), encoding="utf-8")
     monkeypatch.setattr(sys, "stdin", stdin)
@@ -847,9 +848,40 @@ def test_a_reader_gone_at_the_first_solution_stops_the_search(fmt, monkeypatch):
     monkeypatch.setattr(sys, "stderr", err)
     code = cli.main(["search", "-", "--query", "equiv", "--format", fmt])
     monkeypatch.undo()
-    assert (code, err.getvalue(), silenced) == (cli.EXIT_PIPE, "", [(-1, 1)])
+    assert (code, err.getvalue(), silenced, closed) == (cli.EXIT_PIPE, "", [(-1, 1)], [-1])
     # the first solution is in state 142 of 612, and the search stopped there
     assert [index for _, index, _ in visited] == list(range(143))
+
+
+# Three calls in one process whose standard output is a pipe the reader
+# has closed; the child reports on standard error, as its file descriptor 1
+# ends up on the null device.
+_GONE_THRICE = """
+import io, os, sys
+from sccpe import cli
+
+class Gone(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+counts = [len(os.listdir("/proc/self/fd"))]
+for _ in range(3):
+    sys.stdout = Gone()
+    code = cli.main(["run", sys.argv[1]])
+    counts.append(len(os.listdir("/proc/self/fd")))
+print(code, *counts, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_closed_reader_leaves_no_descriptor_open():
+    # the CLI points file descriptor 1 at the null device and closes the
+    # descriptor it opened for that, each time
+    argv = [sys.executable, "-c", _GONE_THRICE, MESSAGE]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_module_env(), timeout=60)
+    code, *counts = map(int, proc.stderr.split())
+    assert (proc.returncode, code) == (0, cli.EXIT_PIPE)
+    assert len(set(counts)) == 1, f"open descriptors before and after each call: {counts}"
 
 
 # Random programs with every query and mode, to closure and capped at one

@@ -479,6 +479,29 @@ def test_a_sort_conflict_across_cached_parts_is_raised_and_not_stored():
             session.check_sat(And((a_bool, a_int)))  # two conjuncts
 
 
+def test_a_session_gives_each_name_one_sort():
+    a_bool, a_int = Var("A", Sort.BOOL), lt(Var("A", Sort.INT), 0)
+    session = Solver()
+    assert session.check_sat(a_bool)
+    with pytest.raises(SortConflict):  # though no call asks about both uses
+        session.check_sat(a_int)
+    assert Solver().check_sat(a_int)
+
+
+@pytest.mark.parametrize("others", [(), ("C",)])
+def test_a_formula_whose_own_lowering_conflicts_commits_none_of_its_names(others):
+    b_bool, b_int = Var("B", Sort.BOOL), lt(Var("B", Sort.INT), 0)
+    left = And((*(Var(n, Sort.BOOL) for n in others), b_bool)) if others else b_bool
+    session = Solver()
+    with pytest.raises(SortConflict):
+        session.check_sat(BoolNeq(left, b_int))  # B is met as a Boolean first
+    for name in others:
+        assert session.check_sat(lt(Var(name, Sort.INT), 0))
+    assert session.check_sat(b_int)
+    with pytest.raises(SortConflict):  # now B is an integer in this session
+        session.check_sat(b_bool)
+
+
 def test_a_decision_builds_no_term(monkeypatch):
     # the store and the guard are lowered apart and joined: no conjunction
     # or negation of them is built (lowering itself builds none for these)
