@@ -50,7 +50,10 @@ that adds a store.
 ``explore`` is the one loop over states: breadth-first over all
 reachable states, the engine of ``search.search``, it builds a successor
 as a state only when it is new, found by its fingerprint and its object
-tuple (see ``explore``).  ``run`` is ``explore`` on each state's first
+tuple (see ``explore``).  Its table is the one place that drops repeated
+successors: ``_transitions`` yields one per move, so equal process
+objects, or equal arguments of a parallel composition, yield the same
+successor more than once.  ``run`` is ``explore`` on each state's first
 move: it follows a single path, building only the successor of the first
 move at each step.  One path is enough, as the calculus has no choice
 operator, stores only grow and distinct transitions rewrite distinct
@@ -58,8 +61,8 @@ objects, so any two distinct successors of a state have a common
 successor (the one-step diamond property).  Then every maximal run from a
 state has the same length and ends in the same state (van Oostrom,
 "Random descent", RTA 2007), and the first move at each step reaches it
-as well as any other.  ``step`` builds every successor of a state,
-sorted; no CLI path calls it.
+as well as any other.  ``step`` builds each distinct successor of a
+state once, sorted; no CLI path calls it.
 
 Rule application mirrors pattern-matching semantics: tell, ask, and space
 all require the local store object to exist, and extrusion only fires
@@ -363,7 +366,7 @@ def _moves(o: ProcObj, store: StoreObj | None, has_child: bool, solver: Solver) 
 
     Each move is whole: (the store that replaces `store`, or None; the
     objects added in place of o, nil processes left out; the fingerprint
-    shift, `_shift(0, out, into)`; whether it adds a store).  A tell
+    shift, `_shift(out, into)`; whether it adds a store).  A tell
     replaces the store and adds nothing; every other rule adds objects.
     """
     p = o.program
@@ -371,18 +374,15 @@ def _moves(o: ProcObj, store: StoreObj | None, has_child: bool, solver: Solver) 
         if store is None:
             return ()
         told = StoreObj(o.aid, canonicalize(conjoin(store.constraint, p.constraint)))
-        return ((told, (), _shift(0, (o, store), (told,)), False),)
+        return ((told, (), _shift((o, store), (told,)), False),)
     if isinstance(p, Ask):
         if store is None or not solver.entails(store.constraint, p.guard):
             return ()
         added = [(ProcObj(o.aid, p.then),)]
     elif isinstance(p, Par):
-        # the arguments are sorted: splitting at an argument equal to the
-        # one before it, or at the second of two, adds the same objects again
+        # splitting a pair at its second argument adds the same objects again
         args, added = p.args, []
         for k in range(1 if len(args) == 2 else len(args)):
-            if k and args[k] == args[k - 1]:
-                continue
             rest = args[:k] + args[k + 1 :]
             sibling = rest[0] if len(rest) == 1 else Par(rest)
             added.append((ProcObj(o.aid, args[k]), ProcObj(o.aid, sibling)))
@@ -399,7 +399,7 @@ def _moves(o: ProcObj, store: StoreObj | None, has_child: bool, solver: Solver) 
     else:
         return ()
     kept = (tuple(a for a in objs if type(a) is StoreObj or type(a.program) is not Nil) for objs in added)
-    return tuple((None, objs, _shift(0, (o,), objs), StoreObj in map(type, objs)) for objs in kept)
+    return tuple((None, objs, _shift((o,), objs), StoreObj in map(type, objs)) for objs in kept)
 
 
 def store_index(objs: tuple) -> dict:
@@ -412,7 +412,7 @@ def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
     """The successors of the normalized state with objects objs and store
     index `stores` (`store_index(objs)`), one per move, a rule applied at
     one position: (the successor's objects, the move's fingerprint shift,
-    `_shift(0, out, into)`, whether the move added a store).
+    `_shift(out, into)`, whether the move added a store).
 
     A successor's objects are objs with the rewritten process object
     removed, its agent's store replaced in place (stores are ordered by
@@ -426,16 +426,11 @@ def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
     store object or None, to the object's whole moves as `_moves` makes
     them, so a caller that passes one dict to many calls rewrites each
     process in each store once.  Only the process objects, which
-    follow the stores, are walked; of two equal ones (adjacent, since the
-    objects are sorted) only the first is rewritten: the second would give
-    the same moves.
+    follow the stores, are walked, each of them: two equal ones give equal
+    successors, which the caller drops as repeats.
     """
-    prev = None
     for i in range(len(stores), len(objs)):
         o = objs[i]
-        if prev is not None and o._hash == prev._hash and o == prev:
-            continue
-        prev = o
         aid, p = o.aid, o.program
         j = stores.get(aid)
         key = (o, None if j is None else objs[j], type(p) is Space and (p.agent,) + aid in stores)
@@ -456,24 +451,24 @@ def step(s: SysState, solver: Solver) -> list:
     """All states reachable from s by one rule applied at one position.
 
     Returns normalized states, deduplicated and sorted by canonical key:
-    the successors of `_transitions`, each made a state by
-    `_canonical_state`.  No CLI path calls it; the tests and the
+    the distinct object tuples of `_transitions`, each made a state once
+    by `_canonical_state`.  No CLI path calls it; the tests and the
     benchmark's tracer do.
     """
     s = normalize(s)
     objs, fp = s.objects, s._hash
     moves = _transitions(objs, store_index(objs), solver, {})
-    return sorted({_canonical_state(new, fp + shift) for new, shift, _ in moves}, key=term_key)
+    succs = {new: fp + shift for new, shift, _ in moves}
+    return sorted((_canonical_state(new, f) for new, f in succs.items()), key=term_key)
 
 
-def _shift(fp: int, out: tuple, into: tuple) -> int:
-    """The fingerprint of the state whose objects are those of a state with
-    fingerprint fp, less the objects `out`, plus the objects `into`.  A
-    state's fingerprint, which is also its stored hash, is the sum of its
-    objects' stored hashes, so it is updated in O(1) per move (Zobrist,
-    1970); equal states have equal fingerprints, and unequal ones may share
-    one."""
-    return fp - sum(map(_obj_hash, out)) + sum(map(_obj_hash, into))
+def _shift(out: tuple, into: tuple) -> int:
+    """The change in fingerprint of a state that loses the objects `out`
+    and gains the objects `into`.  A state's fingerprint, which is also its
+    stored hash, is the sum of its objects' stored hashes, so it is updated
+    in O(1) per move (Zobrist, 1970); equal states have equal
+    fingerprints, and unequal ones may share one."""
+    return sum(map(_obj_hash, into)) - sum(map(_obj_hash, out))
 
 
 def explore(

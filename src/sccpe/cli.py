@@ -10,10 +10,14 @@ flag's value follows it (``--max-depth 3``) or is attached by ``=``
 (``--max-depth=3``), a unique prefix names a flag (``--max-d 3``), flags may
 come before ``FILE``, and after ``--`` every argument is a value.  Every
 formula is decided by the built-in solver, which never answers "unknown".
-Exit codes: 0 success (a "No solution." outcome is a success), 1 usage/parse/
-validate error (diagnostics start FILE:, C1:/C2: or, for a query, Q:), 3
-internal error, 141 the reader closed standard output early (128 + SIGPIPE,
-as a shell reports for a tool cut off the same way; nothing is printed).
+In text, a ``run`` or a search short of its solution cap that the depth
+bound cut short prints ``Inconclusive: depth bound N reached.`` before its
+summary, and never "No solution." or "No more solutions.".  Exit codes: 0
+success (a "No solution." or "Inconclusive" outcome is a success), 1
+usage/parse/validate error (diagnostics start FILE:, C1:/C2: or, for a
+query, Q:), 3 internal error, 141 the reader closed standard output early
+(128 + SIGPIPE, as a shell reports for a tool cut off the same way; nothing
+is printed).
 A search that fails after its first solutions leaves them on standard
 output, and reports the failure as any other.
 """
@@ -39,6 +43,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INTERNAL = 3
 EXIT_PIPE = 141
+
+# What a run or a search that the depth bound cut short prints in text mode.
+INCONCLUSIVE = "Inconclusive: depth bound {} reached."
 
 
 class _UsageError(Exception):
@@ -211,6 +218,8 @@ def _cmd_run(args, out, err) -> int:
         for i, s in enumerate(result.terminal_states, start=1):
             print(f"Terminal state {i}:", file=out)
             print(render.render_tree(s), end="", file=out)
+        if result.truncated:
+            print(INCONCLUSIVE.format(args.max_depth), file=out)
         print(f"states: {result.states_explored}  terminal: {len(result.terminal_states)}", file=out)
     return _finish(result.truncated, args, err)
 
@@ -266,7 +275,9 @@ def _cmd_search(args, out, err) -> int:
         }
         out.write(("\n  ]," if outcome.solutions else "],") + json.dumps(tail, indent=2)[1:] + "\n")
     else:
-        if not outcome.solutions:
+        if outcome.depth_cut and not outcome.capped:
+            print(INCONCLUSIVE.format(args.max_depth), file=out)
+        elif not outcome.solutions:
             print("No solution.", file=out)
         elif not outcome.capped:
             print("No more solutions.", file=out)

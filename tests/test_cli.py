@@ -92,7 +92,7 @@ def test_run_stops_at_a_cycle_without_a_depth_warning():
     assert (code, out) == (0, "states: 3  terminal: 0\n")
     assert "depth bound" not in err
     code, out, err = invoke(["run", "-", "--max-depth", "1"], stdin=CYCLE_PROGRAM)
-    assert (code, out) == (0, "states: 2  terminal: 0\n")
+    assert (code, out) == (0, "Inconclusive: depth bound 1 reached.\nstates: 2  terminal: 0\n")
     assert err.endswith("warning: depth bound 1 reached before closure\n")
 
 
@@ -105,7 +105,7 @@ r(1, ask X > 0 -> tell(X > 0) || v(1) || v(1)) || r(2, ask true -> v(2)) || tell
 end
 """
     code, out, err = invoke(["run", "-", "--max-depth", "40"], stdin=program)
-    assert (code, out) == (0, "states: 41  terminal: 0\n")
+    assert (code, out) == (0, "Inconclusive: depth bound 40 reached.\nstates: 41  terminal: 0\n")
     assert err.endswith("warning: depth bound 40 reached before closure\n")
 
 
@@ -189,7 +189,7 @@ def test_search_text_and_json_agree():
 def test_search_depth_flag_truncates_cleanly():
     code, out, err = invoke(["search", MESSAGE, "--query", "inconsistent", "--max-depth", "2"])
     assert code == 0
-    assert "No solution." in out
+    assert out == "Inconclusive: depth bound 2 reached.\nstates: 3  solutions: 0\n"
     assert err == "warning: depth bound 2 reached before closure\n"
     code, out, err = invoke(
         ["search", MESSAGE, "--query", "inconsistent", "--max-depth", "2", "--format", "json"]
@@ -232,6 +232,47 @@ def test_solution_cap_omits_no_more_solutions():
     code, out, err = invoke(argv + ["9"])
     assert "No more solutions." in out
     assert "solutions: 8" in out.strip().splitlines()[-1]
+
+
+# Each program and a formula that some of its stores entail.
+ENTAILED = {"message": (MESSAGE, "Z > 9"), "spaces": (SPACES, "X >= 5")}
+
+
+@pytest.mark.parametrize("name", sorted(ENTAILED))
+def test_an_answer_cut_by_the_depth_bound_is_inconclusive(name):
+    """A run or search that the depth bound cut short says so on stdout and
+    reads as no proof: no "No solution." and no "No more solutions.".  An
+    answer that was not cut ends as before, in "No solution." when it has
+    none.  Bounds 0-2 cut every query on both programs, and 64, the
+    default, none."""
+    path, formula = ENTAILED[name]
+    seen = set()
+    for query in (["inconsistent"], ["entails", formula], ["equiv"]):
+        for mode in ("any", "final"):
+            for bound in ("0", "1", "2", "64"):
+                argv = ["search", path, "--query", *query, "--mode", mode, "--max-depth", bound]
+                code, out, _ = invoke(argv)
+                _, doc, _ = invoke(argv + ["--format", "json"])
+                *body, ending, summary = out.splitlines()
+                assert code == 0 and summary.startswith("states: ")
+                doc = json.loads(doc)
+                cut, found = doc["depth_cut"], bool(doc["solutions"])
+                seen.add((cut, found))
+                if cut:
+                    assert ending == f"Inconclusive: depth bound {bound} reached."
+                else:
+                    assert ending == ("No more solutions." if found else "No solution.")
+                assert "No solution." not in body and "No more solutions." not in body
+                assert "Inconclusive" not in "".join(body)
+    assert {(True, False), (False, False)} <= seen
+    for bound in ("0", "1", "2", "64"):
+        code, out, _ = invoke(["run", path, "--max-depth", bound])
+        _, doc, _ = invoke(["run", path, "--max-depth", bound, "--format", "json"])
+        *_, ending, summary = out.splitlines()
+        truncated = json.loads(doc)["truncated"]
+        assert code == 0 and summary.startswith("states: ")
+        assert (ending == f"Inconclusive: depth bound {bound} reached.") == truncated
+        assert out.count("Inconclusive") == truncated
 
 
 def test_depth_warning_fires_when_the_cap_also_stopped_the_search():
@@ -396,7 +437,7 @@ def test_timeout_below_one_is_a_usage_error():
 def test_depth_bound_zero_explores_the_initial_state_only():
     code, out, err = invoke(["run", MESSAGE, "--max-depth", "0"])
     assert code == 0
-    assert out == "states: 1  terminal: 0\n"
+    assert out == "Inconclusive: depth bound 0 reached.\nstates: 1  terminal: 0\n"
     assert err == "warning: depth bound 0 reached before closure\n"
 
 

@@ -49,7 +49,23 @@ from sccpe import (
 from sccpe.calculus import _transitions, explore, store_count, store_index
 from sccpe.formula import Cmp, term_key
 
-SYSTEMS = [base_system, inconsistent_variant, same_knowledge_variant]
+# Equal parallel components: two equal root processes, and parallel
+# compositions with equal arguments, whose splits make equal process objects
+# in one agent.  Each yields some successors more than once.
+EQUAL_COMPONENTS = """var X, Y Int
+begin
+[ tell(X > 1) || tell(X > 1) || tell(Y > 2) ]_1 .
+[ tell(X > 1) ]_1 .
+[ tell(X > 1) ]_1 .
+end
+"""
+
+
+def equal_components():
+    return elaborate(parse(EQUAL_COMPONENTS))
+
+
+SYSTEMS = [base_system, inconsistent_variant, same_knowledge_variant, equal_components]
 DEPTHS = [0, 1, 2, 3, 4, 64]
 
 
@@ -260,9 +276,8 @@ def test_store_lookup_where_paths_nest_and_share_indices(solver):
 
 
 def test_step_builds_each_successor_once(solver, monkeypatch):
-    """A binary `Par` is split once, an n-ary one once per distinct
-    argument, and of two equal process objects only the first is
-    rewritten, so `step` builds no successor state twice.  It builds each
+    """Equal arguments of a `Par` and equal process objects yield equal
+    successors, and `step` builds each distinct one once.  It builds each
     through `_canonical_state`, never through `SysState.__init__`."""
     states = [
         normalize(SysState((StoreObj(ROOT, TRUE), ProcObj(ROOT, Par(tuple(tells))))))
@@ -289,8 +304,21 @@ def test_step_builds_each_successor_once(solver, monkeypatch):
         assert set(succs) == oracle_step(s, solver)
 
 
-# The acceptance systems and the cycle program, whose states never close.
-EXPLORED = {**ACCEPTANCE_SYSTEMS, "cycle-program": lambda: elaborate(parse(CYCLE_PROGRAM))}
+def test_step_returns_each_successor_once(solver):
+    """Equal process objects and equal `Par` arguments yield some successors
+    more than once, and `step` returns each of them once."""
+    for s in reference_bfs(equal_components(), solver, 64)[0]:
+        succs = step(s, solver)
+        assert len(succs) == len(set(succs)) and set(succs) == oracle_step(s, solver)
+
+
+# The acceptance systems, the cycle program, whose states never close, and
+# equal parallel components.
+EXPLORED = {
+    **ACCEPTANCE_SYSTEMS,
+    "cycle-program": lambda: elaborate(parse(CYCLE_PROGRAM)),
+    "equal-components": equal_components,
+}
 
 
 def numbered(init, solver, max_depth):
@@ -336,7 +364,7 @@ def test_fingerprint_collisions_never_merge_states(name, depth, solver, monkeypa
     init = EXPLORED[name]()
     result, visits = numbered(init, solver, depth)
     module = importlib.import_module("sccpe.calculus")
-    monkeypatch.setattr(module, "_shift", lambda fp, out, into: 0)
+    monkeypatch.setattr(module, "_shift", lambda out, into: 0)
     collided, collided_visits = numbered(init, solver, depth)
     assert {s._hash for s, _, _ in collided_visits} == {normalize(init)._hash}
     assert collided == result
