@@ -27,42 +27,41 @@ yields it; ``explore`` and ``step`` share it.  States are canonical by
 construction: each successor's objects are its normalized parent's with
 the rewritten process object removed and at most two new objects put in
 key order (or a store replaced in place), reusing every other object and
-its stored hash and key, so no successor is ever re-normalized as a whole.
-A state's hash is its fingerprint, the sum of its objects' stored hashes,
-which each move updates in O(1) (``_shift``).  A successor (and
+its stored key, so no successor is ever re-normalized as a whole.  Every
+object is interned (`formula.Node`), so an object tuple hashes and
+compares by its members' identities, in C.  A successor (and
 ``normalize``'s result) is built by ``_canonical_state``, with the key
-taken straight from its objects' stored ones, the fingerprint its caller
-carries as its hash, and the canonical flag set, as `formula.canonical`
-sets it on what it returns; ``SysState(...)`` computes the same key and
-hash but never sets the flag.  ``normalize`` stays total on raw states
-built by hand, and returns a flagged state as it is.  The rules are local
-(as in CCP: Saraswat, Rinard & Panangaden, POPL 1991), so ``explore``
-keeps one memo of each process object's whole moves per store (``_moves``
-makes each entry), which lasts for its call.  A canonical state's store
-objects are the key-ordered prefix of its objects (a store's key starts
-``(0, path)``, a process's ``(1, path)``), so ``store_count`` finds them
-by bisection and ``_transitions`` walks only the process objects.
-``store_index`` maps each agent path to its store's position; a move that
-adds no store keeps every store where it was, so ``explore`` passes each
-state's index on to its successors and builds a new one only after a move
-that adds a store.
+taken straight from its objects' stored ones and the canonical flag set,
+as `formula.canonical` sets it on what it returns; ``SysState(...)``
+computes the same key but never sets the flag.  ``normalize`` stays
+total on raw states built by hand, and returns a flagged state as it is.
+The rules are local (as in CCP: Saraswat, Rinard & Panangaden, POPL
+1991), so ``explore`` keeps one memo of each process object's whole moves
+per store (``_moves`` makes each entry), which lasts for its call.  A
+canonical state's store objects are the key-ordered prefix of its objects
+(a store's key starts ``(0, path)``, a process's ``(1, path)``), so
+``store_count`` finds them by bisection and ``_transitions`` walks only
+the process objects.  ``store_index`` maps each agent path to its store's
+position; a move that adds no store keeps every store where it was, so
+``explore`` passes each state's index on to its successors and builds a
+new one only after a move that adds a store.
 
 ``explore`` is the one loop over states: breadth-first over all
 reachable states, the engine of ``search.search``, it builds a successor
-as a state only when it is new, found by its fingerprint and its object
-tuple (see ``explore``).  Its table is the one place that drops repeated
-successors: ``_transitions`` yields one per move, so equal process
-objects, or equal arguments of a parallel composition, yield the same
-successor more than once.  ``run`` is ``explore`` on each state's first
-move: it follows a single path, building only the successor of the first
-move at each step.  One path is enough, as the calculus has no choice
-operator, stores only grow and distinct transitions rewrite distinct
-objects, so any two distinct successors of a state have a common
-successor (the one-step diamond property).  Then every maximal run from a
-state has the same length and ends in the same state (van Oostrom,
-"Random descent", RTA 2007), and the first move at each step reaches it
-as well as any other.  ``step`` builds each distinct successor of a
-state once, sorted; no CLI path calls it.
+as a state only when its object tuple is new (see ``explore``).  Its set
+of the tuples met is the one place that drops repeated successors:
+``_transitions`` yields one per move, so equal process objects, or equal
+arguments of a parallel composition, yield the same successor more than
+once.  ``run`` is ``explore`` on each state's first move: it follows a
+single path, building only the successor of the first move at each step.
+One path is enough, as the calculus has no choice operator, stores only
+grow and distinct transitions rewrite distinct objects, so any two
+distinct successors of a state have a common successor (the one-step
+diamond property).  Then every maximal run from a state has the same
+length and ends in the same state (van Oostrom, "Random descent", RTA
+2007), and the first move at each step reaches it as well as any other.
+``step`` builds each distinct successor of a state once, sorted; no CLI
+path calls it.
 
 Rule application mirrors pattern-matching semantics: tell, ask, and space
 all require the local store object to exist, and extrusion only fires
@@ -75,7 +74,6 @@ from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Callable
 from itertools import islice
-from operator import attrgetter
 
 from .formula import (
     BOOL_KINDS,
@@ -85,7 +83,6 @@ from .formula import (
     Node,
     Record,
     _put_canon,
-    _put_hash,
     _put_key,
     canonical,
     canonicalize,
@@ -280,41 +277,35 @@ class ProcObj(Node):
 OBJ_KINDS = Kinds("an object", StoreObj, ProcObj)
 
 
-_obj_hash = attrgetter("_hash")
-
-
 class SysState(Node):
     """A multiset of objects; canonical once normalized (sorted, one store
     per agent, no nil processes, canonical payloads).  Its key is a
-    `Node`'s; its stored hash is its fingerprint, the sum of its objects'
-    stored hashes (`_shift`), and as the sum may exceed a machine word,
-    `hash(s)` is the sum's hash."""
+    `Node`'s.  A state is not interned, as `_canonical_state` builds one
+    apart from the table: it is equal to a state with an equal object tuple
+    and hashes as that tuple, whose interned members hash by identity."""
 
     objects: tuple
     _tag = 200
     _kids = (("objects", OBJ_KINDS, True),)
+    _interned = False
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        _put_hash(self, sum(map(_obj_hash, self.objects)))
+    def __eq__(self, other):
+        return type(other) is SysState and self.objects == other.objects
 
     def __hash__(self) -> int:
-        return hash(self._hash)
+        return hash(self.objects)
 
 
 _put_objects = SysState._setters[0]
 
 
-def _canonical_state(objects: tuple, fp: int) -> SysState:
+def _canonical_state(objects: tuple) -> SysState:
     """The flagged SysState of canonical objects already in canonical order
     (sorted, one store per agent), with the key that `SysState(objects)`
-    would compute, taken from the objects' stored ones, and as its hash fp,
-    which the caller carries: the objects' fingerprint, the sum of their
-    stored hashes."""
+    would compute, taken from the objects' stored ones."""
     s = SysState.__new__(SysState)
     _put_objects(s, objects)
     _put_key(s, (200, tuple(map(term_key, objects))))
-    _put_hash(s, fp)
     _put_canon(s, True)
     return s
 
@@ -352,7 +343,7 @@ def normalize(s: SysState) -> SysState:
     objects = [canonical(o, OBJ_KINDS) for o in stores.values()]
     objects.extend(procs)
     objects.sort(key=term_key)
-    return _canonical_state(tuple(objects), sum(map(_obj_hash, objects)))
+    return _canonical_state(tuple(objects))
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +356,16 @@ def _moves(o: ProcObj, store: StoreObj | None, has_child: bool, solver: Solver) 
     child's store exists iff has_child.
 
     Each move is whole: (the store that replaces `store`, or None; the
-    objects added in place of o, nil processes left out; the fingerprint
-    shift, `_shift(out, into)`; whether it adds a store).  A tell
-    replaces the store and adds nothing; every other rule adds objects.
+    objects added in place of o, nil processes left out; whether it adds a
+    store).  A tell replaces the store and adds nothing; every other rule
+    adds objects.
     """
     p = o.program
     if isinstance(p, Tell):
         if store is None:
             return ()
         told = StoreObj(o.aid, canonicalize(conjoin(store.constraint, p.constraint)))
-        return ((told, (), _shift((o, store), (told,)), False),)
+        return ((told, (), False),)
     if isinstance(p, Ask):
         if store is None or not solver.entails(store.constraint, p.guard):
             return ()
@@ -399,7 +390,7 @@ def _moves(o: ProcObj, store: StoreObj | None, has_child: bool, solver: Solver) 
     else:
         return ()
     kept = (tuple(a for a in objs if type(a) is StoreObj or type(a.program) is not Nil) for objs in added)
-    return tuple((None, objs, _shift((o,), objs), StoreObj in map(type, objs)) for objs in kept)
+    return tuple((None, objs, StoreObj in map(type, objs)) for objs in kept)
 
 
 def store_index(objs: tuple) -> dict:
@@ -411,8 +402,8 @@ def store_index(objs: tuple) -> dict:
 def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
     """The successors of the normalized state with objects objs and store
     index `stores` (`store_index(objs)`), one per move, a rule applied at
-    one position: (the successor's objects, the move's fingerprint shift,
-    `_shift(out, into)`, whether the move added a store).
+    one position: (the successor's objects, whether the move added a
+    store).
 
     A successor's objects are objs with the rewritten process object
     removed, its agent's store replaced in place (stores are ordered by
@@ -437,14 +428,14 @@ def _transitions(objs: tuple, stores: dict, solver: Solver, memo: dict):
         moves = memo.get(key)
         if moves is None:
             moves = memo[key] = _moves(*key, solver)
-        for store, added, shift, grows in moves:
+        for store, added, grows in moves:
             new = list(objs)
             if store is not None:
                 new[j] = store
             del new[i]
             for a in added:
                 insort(new, a, key=term_key)
-            yield tuple(new), shift, grows
+            yield tuple(new), grows
 
 
 def step(s: SysState, solver: Solver) -> list:
@@ -455,20 +446,9 @@ def step(s: SysState, solver: Solver) -> list:
     by `_canonical_state`.  No CLI path calls it; the tests and the
     benchmark's tracer do.
     """
-    s = normalize(s)
-    objs, fp = s.objects, s._hash
-    moves = _transitions(objs, store_index(objs), solver, {})
-    succs = {new: fp + shift for new, shift, _ in moves}
-    return sorted((_canonical_state(new, f) for new, f in succs.items()), key=term_key)
-
-
-def _shift(out: tuple, into: tuple) -> int:
-    """The change in fingerprint of a state that loses the objects `out`
-    and gains the objects `into`.  A state's fingerprint, which is also its
-    stored hash, is the sum of its objects' stored hashes, so it is updated
-    in O(1) per move (Zobrist, 1970); equal states have equal
-    fingerprints, and unequal ones may share one."""
-    return sum(map(_obj_hash, into)) - sum(map(_obj_hash, out))
+    objs = normalize(s).objects
+    succs = dict.fromkeys(new for new, _ in _transitions(objs, store_index(objs), solver, {}))
+    return sorted(map(_canonical_state, succs), key=term_key)
 
 
 def explore(
@@ -486,49 +466,40 @@ def explore(
     reached, whether the depth bound kept a new state out, whether `visit`
     stopped the search).
 
-    A successor is built as a `SysState` only when it is new.  A state's
-    hash is its fingerprint (`_shift`), and each move gives its successor's
-    fingerprint from its parent's by adding the move's shift, which the
-    memo of moves holds with the move, and the successor's object tuple
-    from its parent's (`_transitions`); a new successor is built with that
-    fingerprint as its hash, and the new successors of a state are sorted
-    when there are two or more.  A per-call table maps each fingerprint to
-    the object tuples of the states met with it, and a successor whose
-    tuple is already there is skipped.  Tuples are compared, so two states
-    that share a fingerprint are never merged.  Each state also carries its
-    store index (`store_index`): a successor takes its parent's, unless
-    its move added a store.  The new successors of a state at the depth
-    bound are never built.
+    A successor is built as a `SysState` only when it is new: each move
+    gives its successor's object tuple from its parent's (`_transitions`),
+    a per-call set holds the object tuples of the states met, and a
+    successor whose tuple is already there is skipped.  The new
+    successors of a state are sorted when there are two or more.  Each
+    state also carries its store index (`store_index`): a successor takes
+    its parent's, unless its move added a store.  The new successors of a
+    state at the depth bound are never built.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     start = normalize(init)
     objs = start.objects
     memo: dict = {}  # the local moves of _transitions, for this call only
-    table = {start._hash: [objs]}  # fingerprint -> the object tuples met with it, for this call only
+    met = {objs}  # the object tuples of the states met, for this call only
     # (state, discovery number, depth, store index)
     queue = deque([(start, 0, 0, store_index(objs))])
     explored, cut = 1, False
     while queue:
         state, index, depth, stores = queue.popleft()
-        objs, fp = state.objects, state._hash
         fresh, moved = [], False
-        moves = _transitions(objs, stores, solver, memo)
-        for new, shift, grows in islice(moves, 1) if first_move else moves:
+        moves = _transitions(state.objects, stores, solver, memo)
+        for new, grows in islice(moves, 1) if first_move else moves:
             moved = True
-            f = fp + shift
-            met = table.setdefault(f, [])
-            if new in met:
-                continue
-            met.append(new)
-            fresh.append((new, f, grows))
+            if new not in met:
+                met.add(new)
+                fresh.append((new, grows))
         if visit(state, index, moved):
             return explored, depth, cut, True
         if fresh and depth >= max_depth:
             cut = True
             continue
         succs = [
-            (_canonical_state(new, f), store_index(new) if grows else stores) for new, f, grows in fresh
+            (_canonical_state(new), store_index(new) if grows else stores) for new, grows in fresh
         ]
         if len(succs) > 1:
             succs.sort(key=lambda succ: succ[0]._key)
@@ -553,7 +524,7 @@ def run(s: SysState, solver: Solver, max_steps: int = 64) -> RunResult:
     first, in `_moves` order, of the first process object in key order that
     has one.  It is `explore` with `first_move`, which builds only that
     move's successor and finds a state met before on the path by its
-    fingerprint and its objects, as it finds any revisit.
+    objects, as it finds any revisit.
 
     By the diamond property (see the module docstring) every maximal run
     ends in the same state, so a successor-free state on the path is the

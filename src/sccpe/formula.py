@@ -6,16 +6,19 @@ disequality, and comparisons between integer variables and literals.
 These are functionally complete (``not f`` is ``f =/== true``), so there
 is no other connective.  A term is built from its class, fields by
 position (``Cmp("<", Var("X", Sort.INT), IntLit(1))``), and terms have no
-ordering.  Every node (`Node`, the `Record` shared with the processes,
-objects and states of `calculus`) computes its hash and its order key
-once, when it is built, from its fields and its children's stored values.
+ordering.  A node (`Node`, shared with the processes and objects of
+`calculus`) is interned: building one returns the one live node of its
+class with the same fields, so equal terms are one object, and equality
+and hashing are identity (hash-consing: Filliatre & Conchon, "Type-Safe
+Modular Hash-Consing", ML Workshop 2006).  A node computes its order key
+once, when it is built, from its fields and its children's stored keys.
 Its one later write is its canonical flag, a write-once cache that
-`canonical` sets on the node it returns.  Nothing is interned.  The
-module provides:
+`canonical` sets on the node it returns.  The module provides:
 
-* `Record`, the slotted immutable base of the package's values (but the
-  agent, `calculus.AgentId`, which is its path tuple), whose fields are
-  its annotations, taken by position and all compared, and `Node`;
+* `Record`, the slotted immutable value with fields that the package's
+  other values are (but the agent, `calculus.AgentId`, which is its path
+  tuple), whose fields are its annotations, taken by position and all
+  compared, and `Node`, which has fields as a record has but is interned;
 * ``conjoin`` with the unit and absorbing identities applied at the top
   (``c and true = c``, ``c and false = false``), so stores never
   accumulate redundant ``true`` conjuncts;
@@ -46,9 +49,11 @@ Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
+from _thread import RLock
 from collections.abc import Callable
 from enum import Enum
 from operator import attrgetter, is_
+from weakref import WeakValueDictionary
 
 
 class Sort(Enum):
@@ -65,10 +70,9 @@ class SortConflict(ValueError):
 
 
 class _Slotted(type):
-    """Metaclass of `Record`.  A class's own public annotations, in order,
-    are its fields: after its base's fields, they are its `__match_args__`
-    and `_setters` (slot setters).  Equality and hashing use `_compared`:
-    the tuple of the fields, or with `_bare` the one field's value."""
+    """Metaclass of `Record` and `Node`.  A class's own public annotations,
+    in order, are its fields: after its base's fields, they are its
+    `__match_args__` and `_setters` (slot setters)."""
 
     def __new__(mcs, name, bases, ns):
         own = tuple(n for n in ns.get("__annotations__", ()) if not n.startswith("_"))
@@ -76,18 +80,15 @@ class _Slotted(type):
         names = ns["__match_args__"] = getattr(bases[0], "__match_args__", ()) + own if bases else own
         cls = super().__new__(mcs, name, bases, ns)
         cls._setters = tuple([getattr(cls, n).__set__ for n in names])
-        cls._compared = attrgetter(*names) if names else staticmethod(lambda r: ())
-        cls._bare = len(names) == 1
         return cls
 
 
-class Record(metaclass=_Slotted):
+class _Fields(metaclass=_Slotted):
     """Immutable value with named fields, declared as class annotations.
 
     It is built from its fields by position, all of them; a wrong count
-    raises TypeError.  Records of one class with equal fields are equal
-    and hash alike; a record prints as ``Name(field=value, ...)``; copy
-    and pickle rebuild it through `__init__`.
+    raises TypeError.  It prints as ``Name(field=value, ...)``, and copy
+    and pickle rebuild it through its class.
     """
 
     def __init__(self, *args):
@@ -95,14 +96,6 @@ class Record(metaclass=_Slotted):
             raise TypeError(f"{type(self).__name__}() takes {self.__match_args__} by position")
         for put, value in zip(self._setters, args):
             put(self, value)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._compared(self) == self._compared(other)
-
-    def __hash__(self) -> int:  # the hash of the tuple of fields
-        return hash((self._compared(self),) if self._bare else self._compared(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
@@ -113,72 +106,98 @@ class Record(metaclass=_Slotted):
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __reduce__(self):  # copy and pickle rebuild through the class
         return type(self), tuple([getattr(self, n) for n in self.__match_args__])
 
 
-class Node(Record):
-    """Immutable tree node whose hash and order key are computed once,
-    when it is built, and never change afterwards.
+class Record(_Fields):
+    """Immutable value with named fields (`_Fields`): records of one class
+    with equal fields are equal and hash alike.  Both use `_compared`: the
+    tuple of the fields, or with `_bare` the one field's value."""
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__
+        cls._compared = attrgetter(*names) if names else staticmethod(lambda r: ())
+        cls._bare = len(names) == 1
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:  # the hash of the tuple of fields
+        return hash((self._compared(self),) if self._bare else self._compared(self))
+
+
+_NODES = WeakValueDictionary()  # (class, fields, their types) -> the live node
+_INTERNING = RLock()  # one node per key, also when threads build at once
+
+
+class _Interned(_Slotted):
+    """Metaclass of `Node`: a class called with fields returns the live node
+    of that class whose fields are equal and of the same types, and builds
+    one only when there is none.  The types keep a plain tuple apart from
+    an `AgentId`, and ``1`` apart from ``True``, which compare equal.  The
+    table holds its nodes weakly, so a node leaves it when the last
+    reference to it goes."""
+
+    def __call__(cls, *args):
+        if not cls._interned:
+            return super().__call__(*args)
+        key = (cls, args, tuple(map(type, args)))
+        with _INTERNING:
+            node = _NODES.get(key)
+            if node is None:
+                node = _NODES[key] = super().__call__(*args)
+        return node
+
+
+class Node(_Fields, metaclass=_Interned):
+    """Immutable tree node, interned: equal fields make one object, so two
+    nodes are equal exactly when they are the same object, and a node
+    hashes by identity.  Its order key is computed once, when it is built,
+    and never changes afterwards.
 
     Each subclass declares its fields, its order `_tag` and its child
     fields in `_kids`, as ``(field, kinds, many)``: `kinds` is the set of
     node classes that the position admits in canonical form (`Kinds`), and
     `many` marks a tuple of children.  The other fields are payload.  The
     order key is ``(tag, payload..., child keys...)``, where a tuple of
-    children stands as the tuple of their keys; the hash is the hash of the
-    same shape with the children's hashes in place of their keys, but for
-    a `calculus.SysState`, whose hash is the sum of its objects' (its
-    fingerprint).  The key determines the fields, so nodes of one class are
-    equal when their keys are.  Its `_canon` flag means "returned by `canonical`" (a state's:
-    by `calculus._canonical_state`): no constructor sets it, and a flagged
-    node is returned as it is whenever `canonical` meets it again.  A
-    chain class (`And`, `calculus.Par`) makes its canonical form from
-    canonical arguments in its `_chain`.  Nothing is interned.
+    children stands as the tuple of their keys.  Its `_canon` flag means
+    "returned by `canonical`" (a state's: by `calculus._canonical_state`);
+    a node is built unflagged, but as it is shared, a call may return a
+    node that `canonical` flagged before, and a flagged node is returned
+    as it is whenever `canonical` meets it again.  A chain class (`And`,
+    `calculus.Par`) makes its canonical form from canonical arguments in
+    its `_chain`.  A class with `_interned` false (`calculus.SysState`)
+    builds a new node at each call.
     """
 
-    __slots__ = ("_hash", "_key", "_canon")
+    __slots__ = ("_key", "_canon", "__weakref__")
     _tag = -1
     _kids: tuple = ()
     _lits: tuple = ()  # the payload fields
     _chain = None
+    _interned = True
 
     def __init_subclass__(cls):
         kids = [name for name, _, _ in cls._kids]
         cls._lits = tuple(n for n in cls.__match_args__ if n not in kids)
 
     def __init__(self, *args):
-        if len(args) != len(self._setters):
-            raise TypeError(f"{type(self).__name__}() takes {self.__match_args__} by position")
-        for put, value in zip(self._setters, args):
-            put(self, value)
-        head = (self._tag,) + self._head()
-        keys, hashes = [], []
+        super().__init__(*args)
+        key = [self._tag, *self._head()]
         for name, _, many in self._kids:
             value = getattr(self, name)
-            if many:
-                keys.append(tuple([kid._key for kid in value]))
-                hashes.append(tuple([kid._hash for kid in value]))
-            else:
-                keys.append(value._key)
-                hashes.append(value._hash)
-        _put_key(self, head + tuple(keys))
-        _put_hash(self, hash(head + tuple(hashes)))
+            key.append(tuple([kid._key for kid in value]) if many else value._key)
+        _put_key(self, tuple(key))
         _put_canon(self, False)
 
     def _head(self) -> tuple:
         return tuple([getattr(self, name) for name in self._lits])
 
-    def __eq__(self, other):
-        return type(other) is type(self) and (
-            self is other or (self._hash == other._hash and self._key == other._key)
-        )
 
-    def __hash__(self) -> int:
-        return self._hash
-
-
-_put_key, _put_hash, _put_canon = Node._key.__set__, Node._hash.__set__, Node._canon.__set__
+_put_key, _put_canon = Node._key.__set__, Node._canon.__set__
 
 
 def children(t: Node) -> list:

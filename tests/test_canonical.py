@@ -1,17 +1,20 @@
 """Property tests for canonical terms and states.
 
-Every formula, process, object and state stores its hash and order key
-when it is built, and its canonical flag is set only by the canonical-form
-functions, on what they return.  `step` and `normalize` rely on three
-facts checked here on random inputs from `randgen` and on JSON round trips:
-the stored hash and key agree with a recomputation from the fields; no
-constructor sets the flag; and the flag is sound: every node reachable
-from an output of `canonical` or `normalize` is flagged, is its own
-reference canonical form written out below (the rebuild-everything
-definition, with no shortcut for canonical inputs), and comes back from
-the engine's canonical form as it is.  The states that `step` builds
-from their objects' stored keys are also checked against the state that
-`normalize` builds from the same objects.
+Every formula, process, object and state stores its order key when it is
+built, and its canonical flag is set only by the canonical-form functions,
+on what they return.  Nodes are interned, so a constructor may return a
+node that `canonical` flagged before; a state is not, and `SysState(...)`
+returns an unflagged one.  `step` and `normalize` rely on three facts
+checked here on random inputs from `randgen` and on JSON round trips: the
+stored key agrees with a recomputation from the fields, and a node hashes
+by identity and a state as its object tuple; building a term again
+returns the same node; and the flag is sound: every flagged node is its
+own reference canonical form written out below (the rebuild-everything
+definition, with no shortcut for canonical inputs), and every node
+reachable from an output of `canonical` or `normalize` is flagged and
+comes back from the engine's canonical form as it is.  The states that
+`step` builds from their objects' stored keys are also checked against
+the state that `normalize` builds from the same objects.
 """
 
 from __future__ import annotations
@@ -105,14 +108,6 @@ def ref_key(t):
     return shape(t, ref_key)
 
 
-def ref_hash(t):
-    """A node's hash is that of its shape with its children's hashes; a
-    state's is the sum of its objects' (its fingerprint)."""
-    if isinstance(t, SysState):
-        return sum(ref_hash(o) for o in t.objects)
-    return hash(shape(t, ref_hash))
-
-
 def nodes(t):
     """t and all nodes below it."""
     out = [t]
@@ -127,9 +122,8 @@ def nodes(t):
 def check_stored(t):
     for n in nodes(t):
         assert n._key == ref_key(n), n
-        assert n._hash == ref_hash(n), n
-        # a state's sum may exceed a machine word: its hash is the sum's
-        assert hash(n) == (hash(n._hash) if isinstance(n, SysState) else n._hash), n
+        # a node hashes by identity, a state as its object tuple
+        assert hash(n) == (hash(n.objects) if isinstance(n, SysState) else object.__hash__(n)), n
 
 
 # Reference canonical form: every node rebuilt from its canonical children.
@@ -221,23 +215,27 @@ def check_canonical_output(t):
         assert n._canon, n
         assert ref_canon_node(n) == n, n
         assert engine_canon(n) is n, n
-    check_built_unflagged(t)
+    check_built_again(t)
 
 
-def check_built_unflagged(t):
-    """No node of a copy of t, built node by node through the constructors
-    (copy rebuilds a node through `__init__`), is flagged."""
+def check_built_again(t):
+    """A copy of t, built node by node through the constructors, is t
+    itself when t is a node, and an equal, unflagged state when t is a
+    state; every flagged node of it is its own reference canonical form."""
     built = copy.deepcopy(t)
-    assert built == t
-    flagged = [n for n in nodes(built) if n._canon]
-    assert not flagged, flagged
+    if isinstance(t, SysState):
+        assert built == t and built is not t and not built._canon
+    else:
+        assert built is t
+    for n in nodes(built):
+        assert not n._canon or ref_canon_node(n) == n, n
 
 
 @settings(max_examples=200, deadline=None)
 @given(SEEDS)
 def test_formula_canonical_form_is_returned_as_is(rng):
     t = fragment_formula(rng, max_atoms=rng.randint(1, 6))
-    check_built_unflagged(t)
+    check_built_again(t)
     c = canonicalize(t)
     assert c == ref_canon(t)
     check_canonical_output(c)
@@ -249,7 +247,7 @@ def test_formula_canonical_form_is_returned_as_is(rng):
 @given(SEEDS)
 def test_process_canonical_form_is_returned_as_is(rng):
     p = process(rng, depth=rng.randint(1, 5))
-    check_built_unflagged(p)
+    check_built_again(p)
     c = canon_process(p)
     assert c == ref_canon_process(p)
     check_canonical_output(c)
@@ -261,7 +259,7 @@ def test_process_canonical_form_is_returned_as_is(rng):
 @given(SEEDS)
 def test_normalize_reuses_every_object_of_a_normal_state(rng):
     s = raw_state(rng)
-    check_built_unflagged(s)
+    check_built_again(s)
     n = normalize(s)
     assert n == ref_normalize(s)
     check_canonical_output(n)
@@ -293,7 +291,7 @@ def check_built_as_checked(t):
     builds from the same objects, and is its own reference normal form."""
     assert t._canon, t
     scratch = normalize(SysState(t.objects))
-    assert scratch._key == t._key and scratch._hash == t._hash, t
+    assert scratch._key == t._key and hash(scratch) == hash(t), t
     assert t == scratch == ref_normalize(t)
 
 
@@ -346,7 +344,7 @@ def test_stores_are_the_prefix_of_every_explored_state():
             check_stores_first(s)
 
 
-def test_every_node_class_stores_its_hash_key_and_flag():
+def test_every_node_class_stores_its_key_and_flag():
     X, Y, P, Q = Var("X", Sort.INT), Var("Y", Sort.INT), Var("P", Sort.BOOL), Var("Q", Sort.BOOL)
     terms = [
         And((Cmp("<", X, IntLit(-2)), Cmp("=/==", Y, X), BoolEq(Q, P))),
@@ -359,14 +357,14 @@ def test_every_node_class_stores_its_hash_key_and_flag():
         BoolNeq(BoolNeq(P, TRUE), TRUE),
     ]
     for t in terms:
-        check_built_unflagged(t)
+        check_built_again(t)
         c = canonicalize(t)
         assert c == ref_canon(t)
         check_canonical_output(c)
         check_stored(t)
         check_stored(c)
     rec = Rec(1, Par((ProcVar(1), Extr(0, Space(2, Tell(P))), Par((NIL, Ask(Q, NIL))))))
-    check_built_unflagged(rec)
+    check_built_again(rec)
     c = canon_process(rec)
     assert c == ref_canon_process(rec)
     check_canonical_output(c)

@@ -3,7 +3,9 @@ independent successor enumerator of `engine_oracle`, so the exploration
 loop and `run`'s single path are checked by code that shares none of
 them."""
 
+import gc
 import importlib
+import operator
 import random
 from collections import Counter
 
@@ -47,7 +49,7 @@ from sccpe import (
     step,
 )
 from sccpe.calculus import _transitions, explore, store_count, store_index
-from sccpe.formula import Cmp, term_key
+from sccpe.formula import Cmp, Node, term_key
 
 # Equal parallel components: two equal root processes, and parallel
 # compositions with equal arguments, whose splits make equal process objects
@@ -118,7 +120,7 @@ def successors(s, solver, memo):
     """The object tuples of the successors of s, from `_transitions` with
     the given memo of moves."""
     objs = normalize(s).objects
-    return {new for new, _, _ in _transitions(objs, store_index(objs), solver, memo)}
+    return {new for new, _ in _transitions(objs, store_index(objs), solver, memo)}
 
 
 def oracle_objects(s, solver):
@@ -256,9 +258,9 @@ def test_store_lookup_where_paths_nest_and_share_indices(solver):
     n = store_count(objs)
     for _ in range(2):  # the second pass takes every move from the memo
         moves = list(_transitions(objs, store_index(objs), solver, memo))
-        assert [new for new, _, _ in moves] == [t.objects for t in oracle_moves(s, solver)]
+        assert [new for new, _ in moves] == [t.objects for t in oracle_moves(s, solver)]
         assert len(moves) == 7
-        for new, _, grows in moves:
+        for new, grows in moves:
             assert grows == (store_count(new) == n + 1)  # the space into (2, 1)
             if grows:
                 continue
@@ -356,21 +358,28 @@ COLLIDING += [("cycle-program", depth) for depth in (0, 1, 2, 3, 4, 8)]
 
 
 @pytest.mark.parametrize("name, depth", COLLIDING)
-def test_fingerprint_collisions_never_merge_states(name, depth, solver, monkeypatch):
-    """With every state's fingerprint the same, `explore` tells states apart
-    by their objects alone and numbers, cuts and stops as before.  A state's
-    hash is its fingerprint, so the states it visits then all share the
-    initial state's hash, and are compared by their objects."""
+def test_hash_collisions_never_merge_states(name, depth, solver, monkeypatch):
+    """With every node hashing alike, so that the object tuples of all the
+    states of one size collide, `explore` tells states apart by their
+    objects alone and numbers, cuts and stops as before.  The hash is
+    patched before the initial state is built: the intern table finds a
+    node by the hashes of its fields, so a node with children built before
+    the patch is not found under it, and the run must meet only nodes
+    built under it."""
     init = EXPLORED[name]()
     result, visits = numbered(init, solver, depth)
-    module = importlib.import_module("sccpe.calculus")
-    monkeypatch.setattr(module, "_shift", lambda out, into: 0)
-    collided, collided_visits = numbered(init, solver, depth)
-    assert {s._hash for s, _, _ in collided_visits} == {normalize(init)._hash}
+    monkeypatch.setattr(Node, "__hash__", lambda self: 0)
+    collided, collided_visits = numbered(EXPLORED[name](), Solver(), depth)
+    assert {hash(o) for s, _, _ in collided_visits for o in s.objects} == {0}
     assert collided == result
-    assert [(s.objects, i, more) for s, i, more in collided_visits] == [
-        (s.objects, i, more) for s, i, more in visits
+    assert [(s._key, i, more) for s, i, more in collided_visits] == [
+        (s._key, i, more) for s, i, more in visits
     ]
+    # drop the nodes built under the patch while it holds, so that the table
+    # finds and removes their entries, whose keys were hashed under it
+    del collided_visits
+    gc.collect()
+    monkeypatch.undo()
     seen, truncated, _ = reference_bfs(init, solver, depth)
     explored, reached, cut, stopped = result
     assert {s for s, _, _ in visits} == seen
@@ -379,12 +388,11 @@ def test_fingerprint_collisions_never_merge_states(name, depth, solver, monkeypa
 
 
 @pytest.mark.parametrize("name", [*sorted(ACCEPTANCE_SYSTEMS), "knowledge-equiv"])
-def test_a_state_hash_is_its_fingerprint(name, solver):
-    """Every state `explore` visits stores as its hash the sum of its
-    objects' stored hashes, the fingerprint it was found by, and `hash`
-    gives that sum's hash (the sum may exceed a machine word).  Built by
-    hand from its objects in another order and normalized, it is equal and
-    hashes alike."""
+def test_a_state_is_its_object_tuple(name, solver):
+    """Every state `explore` visits hashes as its object tuple.  Built by
+    hand from its objects in another order and normalized, it is equal,
+    hashes alike and holds the same objects: building an object returns
+    the one live object of its class with those fields."""
     if name in ACCEPTANCE_SYSTEMS:
         init = ACCEPTANCE_SYSTEMS[name]()
     else:
@@ -394,9 +402,12 @@ def test_a_state_hash_is_its_fingerprint(name, solver):
     _, visits = numbered(init, solver, 64)
     assert len(visits) > 1
     for s, _, _ in visits:
-        assert s._hash == sum(o._hash for o in s.objects) and hash(s) == hash(s._hash)
+        assert hash(s) == hash(s.objects)
         again = normalize(SysState(s.objects[::-1]))
-        assert again == s and again._hash == s._hash and hash(again) == hash(s)
+        assert again == s and hash(again) == hash(s)
+        assert all(map(operator.is_, again.objects, s.objects))
+        rebuilt = tuple(type(o)(*[getattr(o, n) for n in o.__match_args__]) for o in s.objects)
+        assert all(map(operator.is_, rebuilt, s.objects))
 
 
 # Programs whose moves add stores mid-search: spaces whose child store does

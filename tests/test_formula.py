@@ -325,9 +325,10 @@ def test_an_unknown_comparison_operator_is_refused(call, op):
 def test_ill_sorted_comparison_is_never_canonical():
     # the constructor accepts it, so that `lower` and the oracle are tested
     # on it; `canonicalize`, and so the solver, reject it, and so never flag
-    # it canonical.  No constructor sets the flag, on a well-sorted
-    # comparison either: `canonicalize` sets it on what it returns.
-    bad, good = Cmp("<", P, IntLit(1)), Cmp("<", X, IntLit(1))
+    # it canonical.  A node built for the first time is unflagged, a
+    # well-sorted comparison too (over a name no other test builds):
+    # `canonicalize` sets the flag on what it returns.
+    bad, good = Cmp("<", P, IntLit(1)), Cmp("<", intvar("Unseen"), IntLit(1))
     assert not bad._canon and not good._canon
     for term in (bad, And((gt(X, 0), bad)), BoolNeq(Cmp("===", X, Q), TRUE)):
         with pytest.raises(SortConflict, match="Boolean variable . used as an integer"):

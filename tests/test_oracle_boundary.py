@@ -187,6 +187,15 @@ def test_engine_oracle_substitutes_on_its_own():
         assert name not in ENGINE_REWRITE_NAMES, (module, name)
 
 
+def test_no_oracle_reads_the_intern_table():
+    # nodes are interned in `formula._NODES`; an oracle that looked terms up
+    # there would share the engine's identity of terms instead of checking it
+    oracles = ("engine_oracle.py", "model_oracle.py", "smt_oracle.py", "formula_reader.py", "state_reader.py")
+    for oracle in oracles:
+        assert ("sccpe.formula", "_NODES") not in imports(TESTS / oracle), oracle
+        assert "formula._NODES" not in (TESTS / oracle).read_text(), oracle
+
+
 def test_formula_reader_shares_no_code_with_the_printer():
     for module, name in imports(TESTS / "formula_reader.py"):
         assert name not in PRINTER_NAMES, (module, name)

@@ -1,5 +1,6 @@
 """Semantics of `Record`, the immutable base of the package's values, and
-of `Node`, the record whose equality is one comparison of stored keys.
+of `Node`, which has fields as a record has but is interned: equal fields
+make one object, so its equality and hash are identity.
 
 Every concrete record class of the package has a sample below; a class
 without one fails `test_every_record_class_has_a_sample`, so a new class
@@ -9,10 +10,14 @@ is checked as soon as it exists.
 from __future__ import annotations
 
 import copy
+import gc
 import importlib
 import itertools
+import operator
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -53,6 +58,9 @@ from sccpe.formula import (
     IntLit,
     Node,
     Record,
+    Sort,
+    Var,
+    _Fields,
 )
 from sccpe.lang import AgentDecl, ProcessLine, _Token
 from test_canonical import ref_key
@@ -114,15 +122,15 @@ IDS.append("BoolEq-compound")
 
 
 def test_every_record_class_has_a_sample():
-    bases = {Record, Node, formula._Bool, calculus._Proc}
+    bases = {_Fields, Record, Node, formula._Bool, calculus._Proc}
     found = {
         v
         for module in (formula, calculus, search, solver, lang)
         for v in vars(module).values()
-        if isinstance(v, type) and issubclass(v, Record)
+        if isinstance(v, type) and issubclass(v, _Fields)
     }
     assert found - bases == {type(r) for r in SAMPLES}
-    exported = {v for v in vars(sccpe).values() if isinstance(v, type) and issubclass(v, Record)}
+    exported = {v for v in vars(sccpe).values() if isinstance(v, type) and issubclass(v, _Fields)}
     assert exported <= found - bases
 
 
@@ -143,6 +151,8 @@ def test_copy_deepcopy_and_pickle_give_an_equal_value(r):
         assert twin == r and hash(twin) == hash(r)
         fields = [getattr(twin, n) for n in r.__match_args__]
         assert fields == [getattr(r, n) for n in r.__match_args__]
+        # an interned node comes back as itself
+        assert (twin is r) == (isinstance(r, Node) and r._interned)
 
 
 @pytest.mark.parametrize("r", SAMPLES, ids=IDS)
@@ -203,23 +213,27 @@ def test_an_agent_is_its_path(path, text):
         a.parent = a
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(twin) is AgentId and twin == a and hash(twin) == hash(a)
-    # an object's key and hash hold its agent as the plain path
+    # an object's key holds its agent as the plain path, and the object
+    # keeps the agent it was built with
     store = StoreObj(a, TRUE)
-    assert store._key == (0, path, TRUE._key) and hash(store) == hash((0, path, TRUE._hash))
+    assert store._key == (0, path, TRUE._key) and type(store.aid) is AgentId
 
 
 def test_node_equality_is_key_equality_on_a_corpus():
     rng = random.Random(20)
     corpus = [fragment_atom(rng) for _ in range(60)] + [store_formula(rng) for _ in range(60)]
     corpus += [process(rng, depth=1) for _ in range(60)] + [small_state(rng) for _ in range(30)]
-    corpus += [pickle.loads(pickle.dumps(t)) for t in corpus[::7]]  # equal, built apart
+    corpus += [pickle.loads(pickle.dumps(t)) for t in corpus[::7]]  # equal, built again
     keys = [ref_key(t) for t in corpus]
-    equal_pairs = 0
+    equal_pairs = equal_states = 0
     for (a, ka), (b, kb) in itertools.combinations(zip(corpus, keys), 2):
         same = ka == kb
         assert (a == b) is same and (a != b) is not same
-        equal_pairs += same and a is not b
-    assert equal_pairs > 20  # the corpus exercises both outcomes
+        # equal nodes are one object; equal states, which are not interned, need not be
+        assert same is (a is b) or type(a) is SysState
+        equal_pairs += same
+        equal_states += same and a is not b
+    assert equal_pairs > 20 and equal_states > 2  # the corpus exercises both outcomes
 
 
 def test_classes_sharing_a_tag_are_never_equal():
@@ -229,4 +243,74 @@ def test_classes_sharing_a_tag_are_never_equal():
     proc, var = ProcObj(ROOT, NIL), P
     assert proc._key[0] == var._key[0] == 1
     assert proc != var and var != proc
-    assert BoolConst(True) is not TRUE and BoolConst(True) == TRUE
+    assert BoolConst(True) is TRUE
+
+
+def fresh_body(name: str):
+    """A process over a variable that only this module names, so that no
+    node built from it is alive before the test that builds it."""
+    return Tell(Var(name, Sort.BOOL))
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["tuple-first", "agent-first"])
+def test_the_intern_key_keeps_a_path_apart_from_its_agent(swap):
+    # a plain tuple and an AgentId compare equal, but each builds its own
+    # object, in either order, and keeps its own type, so an agent prints
+    # as an agent whatever was built first
+    body = fresh_body(f"InternPath{swap:d}")
+    kinds = (AgentId, tuple) if swap else (tuple, AgentId)
+    built = {kind: ProcObj(kind((1,)), body) for kind in kinds}
+    assert built[tuple] is not built[AgentId] and built[tuple] != built[AgentId]
+    for kind, obj in built.items():
+        assert type(obj.aid) is kind and ProcObj(kind((1,)), body) is obj
+    assert str(built[AgentId].aid) == "1 . root"
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["int-first", "bool-first"])
+def test_the_intern_key_keeps_1_apart_from_true(swap):
+    body = fresh_body(f"InternOne{swap:d}")
+    values = [True, 1] if swap else [1, True]
+    spaces = {type(v): Space(v, body) for v in values}
+    lits = {type(v): IntLit(v) for v in values}
+    assert spaces[int] is not spaces[bool] and lits[int] is not lits[bool]
+    for kind in (int, bool):
+        assert type(spaces[kind].agent) is kind and type(lits[kind].value) is kind
+        assert Space(kind(1), body) is spaces[kind] and IntLit(kind(1)) is lits[kind]
+    assert str(lits[int]) == "1" and str(spaces[int]) == "< 1 >[ tell(InternOne%d:Boolean) ]" % swap
+
+
+def test_the_intern_table_holds_only_live_nodes():
+    # building and dropping 10,000 distinct terms leaves the table as it was
+    table = formula._NODES
+    gc.collect()
+    before = len(table)
+    terms = [Cmp("<", Var(f"Dropped{i}", Sort.INT), IntLit(i)) for i in range(10_000)]
+    assert len(table) >= before + 20_000  # each term, and its variable
+    assert Cmp("<", Var("Dropped7", Sort.INT), IntLit(7)) is terms[7]
+    del terms
+    gc.collect()
+    assert len(table) == before
+
+
+def test_threads_that_build_one_term_at_once_get_one_node():
+    # the intern table's look-up and insertion run under one lock, so
+    # threads that build the same new terms together get the same nodes
+    names = [f"Raced{i}" for i in range(300)]
+    built = []
+
+    def build():
+        built.append([Cmp("<", Var(name, Sort.INT), IntLit(3)) for name in names])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and len(built) == 8
+    for terms in built[1:]:
+        assert all(map(operator.is_, terms, built[0]))
